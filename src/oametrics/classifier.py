@@ -22,7 +22,7 @@ from .models import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassifiedPublication:
     """A publication together with its OA outcome and the evidence used."""
 
@@ -34,6 +34,16 @@ class ClassifiedPublication:
         object.__setattr__(self, "locations_used", tuple(self.locations_used))
         if self.publication.doi is None and self.types.any_oa:
             raise ValueError("a publication without a DOI cannot be OA")
+
+
+#: The eight possible outcomes, keyed by (publisher-side type, green) and
+#: built once, so every classified publication shares one of them.
+_OUTCOMES = {
+    (side, green): OATypeSet(green=green, **({side: True} if side else {}))
+    for side in (None, "gold", "hybrid", "bronze")
+    for green in (False, True)
+}
+_OUTCOMES[(None, False)] = NO_OA
 
 
 def classify(
@@ -54,15 +64,15 @@ def classify(
     is_oa_journal = evidence.journal_is_oa or (journal is not None and journal.is_fully_oa)
     if is_oa_journal:
         # At least one location exists, so availability is evidenced.
-        return OATypeSet(gold=True, green=green)
+        return _OUTCOMES[("gold", green)]
 
     publisher_locations = [loc for loc in evidence.locations if loc.host_type == "publisher"]
     licensed = any(loc.license and loc.license.strip() for loc in publisher_locations)
     if licensed:
-        return OATypeSet(hybrid=True, green=green)
+        return _OUTCOMES[("hybrid", green)]
     if publisher_locations:
-        return OATypeSet(bronze=True, green=green)
-    return OATypeSet(green=green)
+        return _OUTCOMES[("bronze", green)]
+    return _OUTCOMES[(None, green)]
 
 
 def classify_stream(

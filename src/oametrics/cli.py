@@ -16,12 +16,14 @@ import io
 import json
 import re
 import zlib
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
 import click
 
+from . import __version__
 from .classifier import ClassifiedPublication, classify_stream
 from .gold_models import gold_country_model
 from .indicators import (
@@ -358,6 +360,15 @@ def _issues_table(sink: IssueSummary) -> Table:
     )
 
 
+@contextmanager
+def _reading(path):
+    """Turn an unreadable, truncated or mis-shaped input into a FatalInputError."""
+    try:
+        yield
+    except (OSError, ValueError, EOFError, zlib.error) as exc:
+        raise FatalInputError(f"{path}: {exc}") from exc
+
+
 def _partition(publications, shards: int):
     if shards <= 1:
         return [publications]
@@ -394,28 +405,30 @@ def run_pipeline(
     sink = IssueSummary(keep_all=issue_log_path is not None)
     stats = {name: ParseStats() for name in ("publications", "evidence", "institutions", "journals")}
 
-    try:
-        institutions, journals = parse_registries(
-            institutions_path,
-            journals_path,
-            on_issue=sink,
-            institution_stats=stats["institutions"],
-            journal_stats=stats["journals"],
+    with _reading(institutions_path):
+        institutions, _ = parse_registries(
+            institutions_path, None, on_issue=sink, institution_stats=stats["institutions"]
         )
+    with _reading(journals_path):
+        _, journals = parse_registries(
+            None, journals_path, on_issue=sink, journal_stats=stats["journals"]
+        )
+    with _reading(publications_path):
         publications = list(
             parse_publications(publications_path, config, on_issue=sink, stats=stats["publications"])
         )
-        needed_dois = {pub.doi for pub in publications if pub.doi is not None}
-        evidence_by_doi = {}
+    # Evidence is keyed and stored under each publication's own DOI object.
+    needed_dois = {pub.doi: pub.doi for pub in publications if pub.doi is not None}
+    evidence_by_doi = {}
+    with _reading(evidence_path):
         for record in parse_evidence_stream(
             evidence_path,
             on_issue=sink,
             keep=needed_dois.__contains__,
             stats=stats["evidence"],
         ):
-            evidence_by_doi.setdefault(record.doi, record)
-    except (OSError, ValueError) as exc:
-        raise FatalInputError(str(exc)) from exc
+            doi = needed_dois[record.doi]
+            evidence_by_doi[doi] = replace(record, doi=doi)
 
     classified: list[ClassifiedPublication] = []
     count_parts = []
@@ -592,7 +605,7 @@ def _invoke(tables: tuple[str, ...], opts) -> None:
 
 
 @click.group()
-@click.version_option(package_name="oametrics")
+@click.version_option(__version__, prog_name="oametrics")
 def main() -> None:
     """Classify open-access status and compute institutional OA indicators."""
 

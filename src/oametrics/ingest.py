@@ -2,8 +2,9 @@
 
 All parsers are single-pass and skip-and-report: a defective line never
 aborts the stream, it yields exactly one ParseIssue through the
-`on_issue` callback. The evidence parser holds one line in memory at a
-time, so arbitrarily large dumps process in constant space.
+`on_issue` callback. Without a DOI filter, the evidence parser holds
+one line in memory at a time, so arbitrarily large dumps process in
+constant space; with one, it also remembers the DOIs it kept.
 
 Input formats (see README for the field-by-field schema):
 
@@ -19,6 +20,7 @@ import gzip
 import io
 import json
 from collections import Counter
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -90,17 +92,29 @@ class IssueSummary:
         return [(src, kind, n) for (src, kind), n in sorted(self.counts.items())]
 
 
-def _open_stream(source) -> tuple[io.BufferedIOBase, bool]:
-    """Open a path or binary file object, transparently unwrapping gzip."""
-    if hasattr(source, "read"):
-        fh, owned = source, False
-    else:
-        fh, owned = open(source, "rb"), True
-    if not hasattr(fh, "peek"):
-        fh = io.BufferedReader(fh)
-    if fh.peek(2)[:2] == b"\x1f\x8b":
-        fh = gzip.GzipFile(fileobj=fh)
-    return fh, owned
+@contextmanager
+def _open_stream(source) -> Iterator[io.BufferedIOBase]:
+    """Open a path or binary file object, transparently unwrapping gzip.
+
+    What is opened here is closed on exit; a caller's file object stays open.
+    """
+    with ExitStack() as stack:
+        fh = source if hasattr(source, "read") else stack.enter_context(open(source, "rb"))
+        if not hasattr(fh, "peek"):
+            fh = io.BufferedReader(fh)
+        if fh.peek(2)[:2] == b"\x1f\x8b":
+            fh = stack.enter_context(gzip.GzipFile(fileobj=fh))
+        yield fh
+
+
+def _interner() -> Callable:
+    """A per-parse cache that maps each value to the first equal one seen.
+
+    Repeated cell values (years, doc types, journal ids, affiliation
+    sets, ...) then share one object across all records of a parse.
+    """
+    cache: dict = {}
+    return lambda value: cache.setdefault(value, value)
 
 
 def _report(on_issue, source: str, line_no: int, kind: str, detail: str) -> None:
@@ -119,11 +133,15 @@ def parse_evidence_stream(
 
     `keep`, when given, is a predicate on the normalized DOI; lines
     whose DOI fails it are dropped silently before any record object is
-    built (they are neither records nor issues). Malformed lines are
-    reported and skipped, never fatal.
+    built (they are neither records nor issues). With `keep`, the DOIs
+    already yielded are remembered, so a later line for the same DOI is
+    reported as duplicate_key and the first record wins; without it the
+    parser holds constant space and yields every valid line. Malformed
+    lines are reported and skipped, never fatal.
     """
-    fh, owned = _open_stream(source)
-    try:
+    intern = _interner()
+    seen: set[str] | None = set() if keep is not None else None
+    with _open_stream(source) as fh:
         for line_no, raw in enumerate(fh, start=1):
             if not raw.strip():
                 continue
@@ -136,7 +154,7 @@ def parse_evidence_stream(
                 continue
             try:
                 obj = json.loads(text)
-            except ValueError:
+            except (ValueError, RecursionError):
                 _report(on_issue, source_name, line_no, "malformed", "invalid JSON")
                 continue
             if not isinstance(obj, dict):
@@ -182,31 +200,21 @@ def parse_evidence_stream(
                 if license_ is not None and not isinstance(license_, str):
                     bad_location = "license is not a string"
                     break
-                endpoint = loc.get("endpoint_id")
                 locations.append(
-                    OALocation(
-                        host_type=host_type,
-                        url=url,
-                        license=license_,
-                        endpoint_hint=endpoint if isinstance(endpoint, str) else None,
-                    )
+                    OALocation(host_type=intern(host_type), url=url, license=intern(license_))
                 )
             if bad_location is not None:
                 _report(on_issue, source_name, line_no, "malformed", bad_location)
                 continue
 
-            journal_issn = obj.get("journal_issn")
+            if seen is not None:
+                if doi in seen:
+                    _report(on_issue, source_name, line_no, "duplicate_key", f"duplicate doi: {doi}")
+                    continue
+                seen.add(doi)
             if stats is not None:
                 stats.records += 1
-            yield OAEvidenceRecord(
-                doi=doi,
-                journal_is_oa=journal_is_oa,
-                journal_issn=journal_issn if isinstance(journal_issn, str) else None,
-                locations=tuple(locations),
-            )
-    finally:
-        if owned:
-            fh.close()
+            yield OAEvidenceRecord(doi=doi, journal_is_oa=journal_is_oa, locations=tuple(locations))
 
 
 def _iter_rows(source, source_name: str, on_issue, required: tuple[str, ...]):
@@ -216,8 +224,7 @@ def _iter_rows(source, source_name: str, on_issue, required: tuple[str, ...]):
     A CSV header missing a required column is a file-level defect and
     raises ValueError rather than producing per-line issues.
     """
-    fh, owned = _open_stream(source)
-    try:
+    with _open_stream(source) as fh:
         head = fh.peek(64).lstrip()
         if head[:1] == b"{":
             for line_no, raw in enumerate(fh, start=1):
@@ -225,7 +232,7 @@ def _iter_rows(source, source_name: str, on_issue, required: tuple[str, ...]):
                     continue
                 try:
                     obj = json.loads(raw.decode("utf-8"))
-                except (ValueError, UnicodeDecodeError):
+                except (ValueError, RecursionError):
                     _report(on_issue, source_name, line_no, "malformed", "invalid JSON")
                     continue
                 if not isinstance(obj, dict):
@@ -233,7 +240,7 @@ def _iter_rows(source, source_name: str, on_issue, required: tuple[str, ...]):
                     continue
                 yield line_no, obj
         else:
-            text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
+            text = io.TextIOWrapper(fh, encoding="utf-8-sig", newline="")
             reader = csv.DictReader(text)
             if reader.fieldnames is None:
                 return
@@ -242,9 +249,6 @@ def _iter_rows(source, source_name: str, on_issue, required: tuple[str, ...]):
                 raise ValueError(f"{source_name}: missing required columns: {', '.join(missing)}")
             for row in reader:
                 yield reader.line_num, row
-    finally:
-        if owned:
-            fh.close()
 
 
 def _text(obj: dict, key: str) -> str:
@@ -287,8 +291,11 @@ def parse_publications(
     """Yield publication records, dropping non-citable and out-of-period rows.
 
     Every dropped or rejected row is reported as exactly one issue.
-    Duplicate pub_ids keep the first occurrence.
+    Duplicate pub_ids keep the first occurrence. Equal years, doc types,
+    languages, journal ids and affiliation and field sets share one
+    object across the yielded records.
     """
+    intern = _interner()
     seen: set[str] = set()
     for line_no, row in _iter_rows(
         source, source_name, on_issue,
@@ -344,12 +351,12 @@ def parse_publications(
         yield PublicationRecord(
             pub_id=pub_id,
             doi=normalize_doi(_text(row, "doi") or None),
-            year=year,
-            doc_type=doc_type,
-            language=language,
-            journal_id=journal_id,
-            institution_ids=frozenset(_multi(row, "institution_ids")),
-            field_ids=frozenset(field_ids),
+            year=intern(year),
+            doc_type=intern(doc_type),
+            language=intern(language),
+            journal_id=intern(journal_id),
+            institution_ids=intern(frozenset(map(intern, _multi(row, "institution_ids")))),
+            field_ids=intern(frozenset(field_ids)),
         )
 
 
@@ -431,7 +438,6 @@ def parse_registries(
             journal_stats.records += 1
         journals[journal_id] = JournalRecord(
             journal_id=journal_id,
-            issns=frozenset(_multi(row, "issns")),
             country=_text(row, "country").upper() or None,
             is_fully_oa=is_fully_oa,
             has_apc=has_apc,

@@ -69,14 +69,13 @@ def normalize_doi(raw: str | None) -> str | None:
     return doi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OALocation:
     """One piece of open-availability evidence: where a copy can be read."""
 
     host_type: str
     url: str
     license: str | None = None
-    endpoint_hint: str | None = None
 
     def __post_init__(self) -> None:
         if self.host_type not in HOST_TYPES:
@@ -85,13 +84,12 @@ class OALocation:
             raise ValueError("location url must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OAEvidenceRecord:
     """Per-DOI availability evidence: journal OA flag plus locations."""
 
     doi: str
     journal_is_oa: bool
-    journal_issn: str | None = None
     locations: tuple[OALocation, ...] = ()
 
     def __post_init__(self) -> None:
@@ -100,7 +98,7 @@ class OAEvidenceRecord:
         object.__setattr__(self, "locations", tuple(self.locations))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OATypeSet:
     """Classification outcome for one publication.
 
@@ -135,7 +133,7 @@ class OATypeSet:
 NO_OA = OATypeSet()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PublicationRecord:
     """One citable item: identifiers, venue, affiliations and fields."""
 
@@ -164,7 +162,7 @@ class PublicationRecord:
             raise ValueError(f"doi is not normalized: {self.doi!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Institution:
     """Roster entry for one university."""
 
@@ -181,7 +179,7 @@ class Institution:
             raise ValueError("institution must belong to at least one region")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JournalRecord:
     """Registry entry for one journal.
 
@@ -190,19 +188,17 @@ class JournalRecord:
     """
 
     journal_id: str
-    issns: frozenset[str] = frozenset()
     country: str | None = None
     is_fully_oa: bool = False
     has_apc: str = "unknown"
     publisher_address: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "issns", frozenset(self.issns))
         if self.has_apc not in APC_STATES:
             raise ValueError(f"has_apc must be yes/no/unknown, got {self.has_apc!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndicatorCell:
     """One aggregation result: scope x field x OA type with exact share."""
 

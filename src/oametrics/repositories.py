@@ -15,16 +15,23 @@ from typing import Iterable, Mapping
 
 from .models import Institution, OALocation, PipelineConfig
 
-_SCHEME = re.compile(r"^[a-z][a-z0-9+.-]*://")
+# Leading whitespace, schemes and "www." labels, in any number and order.
+_PREFIX = re.compile(r"(?:\s*(?:[a-z][a-z0-9+.-]*://|www\.))*\s*")
 
 
 def normalize_url(url: str) -> str:
-    """Lowercase a URL and strip scheme, leading "www." and trailing slashes."""
-    out = url.strip().lower()
-    out = _SCHEME.sub("", out)
-    if out.startswith("www."):
-        out = out[4:]
-    return out.rstrip("/")
+    """Lowercase a URL and strip scheme, leading "www." and trailing slashes.
+
+    Prefixes and trailing slashes are stripped together with the
+    whitespace around them until none is left, so the result is a fixed
+    point: normalizing it again returns it unchanged.
+    """
+    out = url.lower()
+    out = out[_PREFIX.match(out).end():]
+    trimmed = out.rstrip().rstrip("/")
+    while trimmed != out:
+        out, trimmed = trimmed, trimmed.rstrip().rstrip("/")
+    return out
 
 
 @dataclass(frozen=True)

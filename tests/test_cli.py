@@ -1,4 +1,5 @@
 import csv
+import gzip
 import io
 import json
 from fractions import Fraction
@@ -16,6 +17,7 @@ from oametrics.cli import (
     run_pipeline,
     FatalInputError,
 )
+from oametrics import __version__
 from oametrics.models import PipelineConfig
 
 
@@ -260,3 +262,53 @@ def test_bundle_write_creates_out_dir(tmp_path):
     written = bundle.write(tmp_path / "deep" / "dir", "csv")
     assert [p.name for p in written] == ["t.csv"]
     assert (tmp_path / "deep" / "dir" / "t.csv").read_bytes() == b"a\r\n1\r\n"
+
+
+def _evidence_line(doi: str, journal_is_oa: bool) -> str:
+    location = {"host_type": "publisher", "url": "https://publisher.example.com/a"}
+    return json.dumps({"doi": doi, "journal_is_oa": journal_is_oa, "oa_locations": [location]})
+
+
+def test_duplicate_evidence_dois_are_reported(golden_input, tmp_path):
+    # P01's DOI is 10.1/a, green only; two later lines spell it differently.
+    dump = tmp_path / "evidence.jsonl"
+    dump.write_text(
+        (golden_input / "evidence.jsonl").read_text(encoding="utf-8")
+        + _evidence_line("10.1/A", True) + "\n"
+        + _evidence_line("https://doi.org/10.1/a", True) + "\n",
+        encoding="utf-8",
+    )
+    kwargs = dict(
+        publications_path=golden_input / "publications.csv",
+        institutions_path=golden_input / "institutions.csv",
+        journals_path=golden_input / "journals.csv",
+        tables=("classified", "issues"),
+    )
+    plain = run_pipeline(PipelineConfig(), evidence_path=golden_input / "evidence.jsonl", **kwargs)
+    duplicated = run_pipeline(PipelineConfig(), evidence_path=dump, **kwargs)
+    assert duplicated.tables["classified"] == plain.tables["classified"]
+    issues = {(source, kind): n for source, kind, n in duplicated.tables["issues"].rows}
+    assert issues[("evidence", "duplicate_key")] == 2
+
+
+def test_truncated_gzip_is_fatal_and_names_file(golden_input, tmp_path):
+    truncated = tmp_path / "evidence.jsonl.gz"
+    data = gzip.compress((golden_input / "evidence.jsonl").read_bytes())
+    truncated.write_bytes(data[: len(data) // 2])
+    with pytest.raises(FatalInputError, match="evidence.jsonl.gz"):
+        run_pipeline(
+            PipelineConfig(),
+            publications_path=golden_input / "publications.csv",
+            evidence_path=truncated,
+        )
+    args = _golden_args(golden_input, tmp_path / "out")
+    args[args.index("-e") + 1] = str(truncated)
+    result = CliRunner().invoke(main, ["report", *args])
+    assert result.exit_code == 1
+    assert "evidence.jsonl.gz" in result.output
+
+
+def test_version_runs_from_source_tree():
+    result = CliRunner().invoke(main, ["--version"])
+    assert result.exit_code == 0, result.output
+    assert __version__ in result.output

@@ -1,0 +1,80 @@
+"""Memory footprint of the parsed record store.
+
+Deterministic: sizes come from tracemalloc over a seeded table, never
+from timing or RSS, so the bound holds on any machine.
+"""
+
+import gc
+import io
+import json
+import random
+import tracemalloc
+
+from oametrics.classifier import classify_stream
+from oametrics.ingest import parse_evidence_stream, parse_publications
+from oametrics.models import MAIN_FIELDS, PipelineConfig
+
+PUB_HEADER = "pub_id,doi,year,doc_type,language,journal_id,institution_ids,field_ids"
+
+#: Live bytes allowed per parsed publication. Records with a __dict__ and
+#: private copies of every repeated value take about 1,130 B.
+MAX_BYTES_PER_PUB = 600
+
+
+def _publication_table(n: int, seed: int = 5) -> bytes:
+    rng = random.Random(seed)
+    institutions = [f"U{i:03d}" for i in range(150)]
+    lines = [PUB_HEADER]
+    for i in range(n):
+        affiliations = ";".join(rng.sample(institutions, rng.randint(0, 4)))
+        fields = ";".join(rng.sample(MAIN_FIELDS, rng.randint(1, 2)))
+        lines.append(
+            f"P{i:06d},https://doi.org/10.{rng.randint(1000, 9999)}/X{i},"
+            f"{rng.randint(2014, 2017)},{rng.choice(['article', 'review', 'letter'])},"
+            f"{rng.choice(['EN', 'en', 'de', ''])},J{rng.randrange(800)},"
+            f"{affiliations},\"{fields}\""
+        )
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_parsed_records_have_no_instance_dict():
+    pubs = list(parse_publications(io.BytesIO(_publication_table(3)), PipelineConfig()))
+    line = json.dumps(
+        {"doi": pubs[0].doi, "journal_is_oa": False,
+         "oa_locations": [{"host_type": "repository", "url": "https://r.example/1"}]}
+    )
+    evidence = {r.doi: r for r in parse_evidence_stream(io.BytesIO(line.encode()))}
+    classified = list(classify_stream(pubs, evidence))
+    for obj in (pubs[0], evidence[pubs[0].doi], evidence[pubs[0].doi].locations[0],
+                classified[0], classified[0].types):
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+
+
+def test_equal_values_share_one_object():
+    stream = io.BytesIO(
+        (
+            f"{PUB_HEADER}\n"
+            f'P1,10.1/a,2015,article,EN,J1,U1;U2,"{MAIN_FIELDS[0]};{MAIN_FIELDS[1]}"\n'
+            f'P2,10.1/b,2015,article,en,J1,U2;U1,"{MAIN_FIELDS[1]};{MAIN_FIELDS[0]}"\n'
+        ).encode("utf-8")
+    )
+    first, second = parse_publications(stream, PipelineConfig())
+    for name in ("field_ids", "institution_ids", "year", "doc_type", "language", "journal_id"):
+        assert getattr(first, name) is getattr(second, name), name
+
+
+def test_live_bytes_per_publication_bounded():
+    n = 20_000
+    table = _publication_table(n)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pubs = list(parse_publications(io.BytesIO(table), PipelineConfig()))
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(pubs) == n
+    per_pub = live / n
+    assert per_pub <= MAX_BYTES_PER_PUB, f"{per_pub:.0f} B per publication"

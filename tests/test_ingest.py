@@ -298,3 +298,53 @@ def test_issue_summary_counts_by_source_and_kind():
     assert len(kept) == 1
     assert sink.total("publications") == 1
     assert sink.rows() == [("publications", "malformed", 1)]
+
+
+def test_evidence_duplicate_doi_reported_first_wins():
+    first = json.dumps({"doi": "10.1/A", "journal_is_oa": True, "oa_locations": []})
+    spelled = json.dumps(
+        {"doi": "https://doi.org/10.1/a", "journal_is_oa": False, "oa_locations": []}
+    )
+    records, issues = _parse_evidence(
+        _evidence_bytes(first, spelled, first), keep={"10.1/a"}.__contains__
+    )
+    assert [(r.doi, r.journal_is_oa) for r in records] == [("10.1/a", True)]
+    assert [(i.kind, i.line_no) for i in issues] == [("duplicate_key", 2), ("duplicate_key", 3)]
+
+
+def test_evidence_deeply_nested_line_is_malformed():
+    ok = json.dumps({"doi": "10.1/a", "journal_is_oa": False, "oa_locations": []})
+    records, issues = _parse_evidence(_evidence_bytes("[" * 100_000, ok))
+    assert [r.doi for r in records] == ["10.1/a"]
+    assert [(i.kind, i.line_no, i.detail) for i in issues] == [("malformed", 1, "invalid JSON")]
+
+
+def test_json_rows_deeply_nested_line_is_malformed():
+    line = json.dumps(
+        {
+            "pub_id": "P1", "doi": "10.1/a", "year": 2015, "doc_type": "article",
+            "language": "en", "journal_id": "J1",
+            "institution_ids": ["U1"], "field_ids": [BIO],
+        }
+    )
+    records, issues = _parse_pubs(io.BytesIO(f"{line}\n{'[' * 100_000}\n".encode()))
+    assert [r.pub_id for r in records] == ["P1"]
+    assert [(i.kind, i.line_no, i.detail) for i in issues] == [("malformed", 2, "invalid JSON")]
+
+
+def test_publications_csv_with_utf8_bom():
+    stream = _pub_rows(f"P1,10.1/a,2015,article,en,J1,U1,{BIO}")
+    records, issues = _parse_pubs(io.BytesIO(b"\xef\xbb\xbf" + stream.getvalue()))
+    assert issues == [] and [r.pub_id for r in records] == ["P1"]
+
+
+def test_ignored_columns_are_accepted():
+    line = json.dumps(
+        {"doi": "10.1/a", "journal_is_oa": False, "journal_issn": "1234-5678",
+         "oa_locations": [{"host_type": "repository", "url": "u", "endpoint_id": "e1"}]}
+    )
+    records, issues = _parse_evidence(_evidence_bytes(line))
+    assert issues == [] and len(records[0].locations) == 1
+    inst, jour = _registry_streams(journal_rows=("J1,1111-1111;2222-2222,GB,false,no,",))
+    _, journals = parse_registries(inst, jour)
+    assert journals["J1"].country == "GB"

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import evidence, pub_loc, repo_loc
@@ -42,6 +42,10 @@ def test_normalize_url_empty():
 
 
 @given(st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=60))
+@example(url="0 /")
+@example(url="http:// www.x")
+@example(url="www.www.x")
+@example(url="http://http://x/ /")
 def test_normalize_url_idempotent_and_case_insensitive(url):
     once = normalize_url(url)
     assert normalize_url(once) == once
