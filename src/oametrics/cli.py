@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import re
 import zlib
 from contextlib import contextmanager
@@ -31,7 +32,6 @@ from .indicators import (
     field_profile,
     field_summary,
     median_share_by_country,
-    merge_counts,
     overlap_matrix,
     region_rollup,
     university_indicators,
@@ -46,8 +46,8 @@ from .ingest import (
 from .models import ALL_SCIENCES, OA_TYPES, TYPE_ORDER, PipelineConfig
 from .repositories import normalize_url, pmc_overlap_table, repo_share_bounds
 
-AGGREGATE_TABLES = (
-    "overlap",
+#: Tables computed from the per-university indicator cells.
+CELL_TABLES = (
     "universities",
     "field_summary",
     "country_medians",
@@ -55,6 +55,7 @@ AGGREGATE_TABLES = (
     "region_medians",
     "profiles",
 )
+AGGREGATE_TABLES = ("overlap",) + CELL_TABLES
 REPORT_TABLES = AGGREGATE_TABLES + (
     "repo_bounds",
     "pmc_overlap",
@@ -369,13 +370,11 @@ def _reading(path):
         raise FatalInputError(f"{path}: {exc}") from exc
 
 
-def _partition(publications, shards: int):
-    if shards <= 1:
-        return [publications]
-    buckets = [[] for _ in range(shards)]
-    for pub in publications:
-        buckets[zlib.crc32(pub.pub_id.encode("utf-8")) % shards].append(pub)
-    return buckets
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on: the default `shards`."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_pipeline(
@@ -386,7 +385,7 @@ def run_pipeline(
     journals_path=None,
     out_dir=None,
     report_format: str = "csv",
-    shards: int = 1,
+    shards: int | None = None,
     max_issue_rate: float = 1.0,
     issue_log_path=None,
     tables: tuple[str, ...] = REPORT_TABLES,
@@ -394,9 +393,11 @@ def run_pipeline(
     """Run ingest -> classify -> analytics and emit the requested tables.
 
     The evidence dump is streamed once with a DOI filter, so memory is
-    bounded by the publication table, not the dump size. Raises
-    FatalInputError for unreadable inputs and SchemaCeilingError when
-    any source's issue rate exceeds `max_issue_rate`.
+    bounded by the publication table, not the dump size. It is scanned
+    with up to `shards` processes (default: `_usable_cpus()`); the output
+    is the same for any count. Raises FatalInputError for unreadable
+    inputs and SchemaCeilingError when any source's issue rate exceeds
+    `max_issue_rate`, before any publication is classified.
     """
     for path in (publications_path, evidence_path, institutions_path, journals_path):
         if path is not None and not Path(path).exists():
@@ -426,17 +427,10 @@ def run_pipeline(
             on_issue=sink,
             keep=needed_dois.__contains__,
             stats=stats["evidence"],
+            processes=shards if shards is not None else _usable_cpus(),
         ):
             doi = needed_dois[record.doi]
             evidence_by_doi[doi] = replace(record, doi=doi)
-
-    classified: list[ClassifiedPublication] = []
-    count_parts = []
-    for shard in _partition(publications, shards):
-        shard_classified = list(classify_stream(shard, evidence_by_doi, journals))
-        classified.extend(shard_classified)
-        count_parts.append(count_full(shard_classified))
-    counts = merge_counts(*count_parts)
 
     for source, source_stats in stats.items():
         if source_stats.lines == 0:
@@ -447,11 +441,13 @@ def run_pipeline(
                 f"{source}: issue rate {rate:.3f} exceeds ceiling {max_issue_rate:.3f}"
             )
 
+    classified = list(classify_stream(publications, evidence_by_doi, journals))
     bundle = ReportBundle()
     wanted = set(tables)
-    cells = None
-    if wanted & {"universities", "field_summary", "country_medians", "country_medians_full",
-                 "region_medians", "profiles"}:
+    counts = cells = None
+    if wanted & {*CELL_TABLES, "repo_bounds"}:
+        counts = count_full(classified)
+    if wanted & set(CELL_TABLES):
         cells = university_indicators(counts, config)
 
     if "classified" in wanted:
@@ -550,8 +546,9 @@ def _common_options(with_registries: bool = True):
                          type=click.Choice(["csv", "jsonl"]), default="csv", show_default=True),
             click.option("--out-dir", "-o", envvar="OAMETRICS_OUT_DIR", required=True,
                          type=click.Path(file_okay=False)),
-            click.option("--shards", envvar="OAMETRICS_SHARDS", type=int, default=1,
-                         show_default=True, help="Partition count for the classify stage."),
+            click.option("--shards", envvar="OAMETRICS_SHARDS", type=int, default=_usable_cpus,
+                         show_default="usable CPUs",
+                         help="Scan the evidence dump with up to N processes."),
             click.option("--max-issue-rate", envvar="OAMETRICS_MAX_ISSUE_RATE",
                          type=float, default=1.0, show_default=True,
                          help="Fatal ceiling on per-source parse issue rate."),

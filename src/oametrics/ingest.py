@@ -3,8 +3,10 @@
 All parsers are single-pass and skip-and-report: a defective line never
 aborts the stream, it yields exactly one ParseIssue through the
 `on_issue` callback. Without a DOI filter, the evidence parser holds
-one line in memory at a time, so arbitrarily large dumps process in
-constant space; with one, it also remembers the DOIs it kept.
+one line in memory at a time in one process, so arbitrarily large
+dumps process in constant space. With one, it also remembers the DOIs
+it kept, and it may fork to scan byte ranges of an uncompressed dump in
+parallel; the result is the same as a scan in one process.
 
 Input formats (see README for the field-by-field schema):
 
@@ -15,14 +17,21 @@ Input formats (see README for the field-by-field schema):
 
 from __future__ import annotations
 
+import codecs
 import csv
 import gzip
 import io
 import json
+import marshal
+import os
+import signal
+import stat
+import threading
+import traceback
 from collections import Counter
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, NoReturn
 
 from .models import (
     APC_STATES,
@@ -42,6 +51,13 @@ ISSUE_KINDS = frozenset({"malformed", "missing_required_field", "duplicate_key"}
 
 _TRUE_WORDS = frozenset({"true", "t", "1", "yes", "y"})
 _FALSE_WORDS = frozenset({"false", "f", "0", "no", "n", ""})
+
+_GZIP_MAGIC = b"\x1f\x8b"
+
+#: The smallest byte range of a dump that gets its own process. Forking,
+#: sending a range's results back and merging them cost more than
+#: scanning a small range in parallel saves.
+_MIN_RANGE_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -94,7 +110,7 @@ class IssueSummary:
 
 @contextmanager
 def _open_stream(source) -> Iterator[io.BufferedIOBase]:
-    """Open a path or binary file object, transparently unwrapping gzip.
+    """Open a path or binary file object, unwrapping gzip and skipping a UTF-8 BOM.
 
     What is opened here is closed on exit; a caller's file object stays open.
     """
@@ -102,8 +118,10 @@ def _open_stream(source) -> Iterator[io.BufferedIOBase]:
         fh = source if hasattr(source, "read") else stack.enter_context(open(source, "rb"))
         if not hasattr(fh, "peek"):
             fh = io.BufferedReader(fh)
-        if fh.peek(2)[:2] == b"\x1f\x8b":
+        if fh.peek(2)[:2] == _GZIP_MAGIC:
             fh = stack.enter_context(gzip.GzipFile(fileobj=fh))
+        if fh.peek(3)[:3] == codecs.BOM_UTF8:
+            fh.read(3)
         yield fh
 
 
@@ -128,6 +146,7 @@ def parse_evidence_stream(
     keep: Callable[[str], bool] | None = None,
     stats: ParseStats | None = None,
     source_name: str = "evidence",
+    processes: int = 1,
 ) -> Iterator[OAEvidenceRecord]:
     """Yield evidence records from a line-delimited dump, one line at a time.
 
@@ -138,89 +157,252 @@ def parse_evidence_stream(
     reported as duplicate_key and the first record wins; without it the
     parser holds constant space and yields every valid line. Malformed
     lines are reported and skipped, never fatal.
+
+    With `keep` and `processes` > 1, an uncompressed dump given by path
+    may be scanned in byte ranges by forked processes (see
+    `_byte_ranges`). The records, issues and stats are exactly those of
+    a scan in one process, in the same order.
     """
+    if stats is None:
+        stats = ParseStats()
     intern = _interner()
     seen: set[str] | None = set() if keep is not None else None
-    with _open_stream(source) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            if not raw.strip():
+    ranges = _byte_ranges(source, processes) if keep is not None else []
+    with ExitStack() as stack:
+        if len(ranges) > 1:
+            events = _scan_ranges(source, ranges, keep, stats)
+        else:
+            events = _scan_evidence(stack.enter_context(_open_stream(source)), keep, stats)
+        for line_no, kind, value in events:
+            if kind is not None:
+                _report(on_issue, source_name, line_no, kind, value)
                 continue
-            if stats is not None:
-                stats.lines += 1
-            try:
-                text = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                _report(on_issue, source_name, line_no, "malformed", "undecodable bytes")
-                continue
-            try:
-                obj = json.loads(text)
-            except (ValueError, RecursionError):
-                _report(on_issue, source_name, line_no, "malformed", "invalid JSON")
-                continue
-            if not isinstance(obj, dict):
-                _report(on_issue, source_name, line_no, "malformed", "line is not an object")
-                continue
-
-            missing = [k for k in ("doi", "journal_is_oa", "oa_locations") if k not in obj]
-            if missing:
-                _report(
-                    on_issue, source_name, line_no,
-                    "missing_required_field", f"missing {missing[0]}",
-                )
-                continue
-            doi = normalize_doi(obj["doi"]) if isinstance(obj["doi"], str) else None
-            if doi is None:
-                _report(on_issue, source_name, line_no, "malformed", f"invalid doi: {obj['doi']!r}")
-                continue
-            if keep is not None and not keep(doi):
-                continue
-            journal_is_oa = obj["journal_is_oa"]
-            if not isinstance(journal_is_oa, bool):
-                _report(on_issue, source_name, line_no, "malformed", "journal_is_oa is not a boolean")
-                continue
-            raw_locations = obj["oa_locations"]
-            if not isinstance(raw_locations, list):
-                _report(on_issue, source_name, line_no, "malformed", "oa_locations is not a list")
-                continue
-            locations = []
-            bad_location = None
-            for loc in raw_locations:
-                if not isinstance(loc, dict):
-                    bad_location = "location is not an object"
-                    break
-                host_type = loc.get("host_type")
-                url = loc.get("url")
-                license_ = loc.get("license")
-                if host_type not in ("publisher", "repository"):
-                    bad_location = f"invalid host_type: {host_type!r}"
-                    break
-                if not url or not isinstance(url, str):
-                    bad_location = "location url missing or empty"
-                    break
-                if license_ is not None and not isinstance(license_, str):
-                    bad_location = "license is not a string"
-                    break
-                locations.append(
-                    OALocation(host_type=intern(host_type), url=url, license=intern(license_))
-                )
-            if bad_location is not None:
-                _report(on_issue, source_name, line_no, "malformed", bad_location)
-                continue
-
+            doi, journal_is_oa, locations = value
             if seen is not None:
                 if doi in seen:
                     _report(on_issue, source_name, line_no, "duplicate_key", f"duplicate doi: {doi}")
                     continue
                 seen.add(doi)
-            if stats is not None:
-                stats.records += 1
-            yield OAEvidenceRecord(doi=doi, journal_is_oa=journal_is_oa, locations=tuple(locations))
+            stats.records += 1
+            yield OAEvidenceRecord(
+                doi,
+                journal_is_oa,
+                [OALocation(intern(host), url, intern(license_)) for host, url, license_ in locations],
+            )
+
+
+def _scan_evidence(lines: Iterable[bytes], keep, stats: ParseStats):
+    """Validate each line of a dump or of one byte range of it.
+
+    This is the one per-line check, shared by every range and by the
+    stream path. For each non-blank line `keep` does not drop it yields
+    (line number, issue kind, detail) or, for a valid line, (line
+    number, None, (doi, journal_is_oa, [(host_type, url, license), ...])),
+    plain values a forked scan can marshal. Lines are numbered from 1
+    at the start of `lines`; returns the number of lines read.
+    """
+    line_no = 0
+    for line_no, raw in enumerate(lines, start=1):
+        if not raw.strip():
+            continue
+        stats.lines += 1
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            yield line_no, "malformed", "undecodable bytes"
+            continue
+        try:
+            obj = json.loads(text)
+        except (ValueError, RecursionError):
+            yield line_no, "malformed", "invalid JSON"
+            continue
+        if not isinstance(obj, dict):
+            yield line_no, "malformed", "line is not an object"
+            continue
+
+        missing = [k for k in ("doi", "journal_is_oa", "oa_locations") if k not in obj]
+        if missing:
+            yield line_no, "missing_required_field", f"missing {missing[0]}"
+            continue
+        doi = normalize_doi(obj["doi"]) if isinstance(obj["doi"], str) else None
+        if doi is None:
+            yield line_no, "malformed", f"invalid doi: {obj['doi']!r}"
+            continue
+        if keep is not None and not keep(doi):
+            continue
+        journal_is_oa = obj["journal_is_oa"]
+        if not isinstance(journal_is_oa, bool):
+            yield line_no, "malformed", "journal_is_oa is not a boolean"
+            continue
+        raw_locations = obj["oa_locations"]
+        if not isinstance(raw_locations, list):
+            yield line_no, "malformed", "oa_locations is not a list"
+            continue
+        locations = []
+        bad_location = None
+        for loc in raw_locations:
+            if not isinstance(loc, dict):
+                bad_location = "location is not an object"
+                break
+            host_type = loc.get("host_type")
+            url = loc.get("url")
+            license_ = loc.get("license")
+            if host_type not in ("publisher", "repository"):
+                bad_location = f"invalid host_type: {host_type!r}"
+                break
+            if not url or not isinstance(url, str):
+                bad_location = "location url missing or empty"
+                break
+            if license_ is not None and not isinstance(license_, str):
+                bad_location = "license is not a string"
+                break
+            locations.append((host_type, url, license_))
+        if bad_location is not None:
+            yield line_no, "malformed", bad_location
+            continue
+        yield line_no, None, (doi, journal_is_oa, locations)
+    return line_no
+
+
+def _byte_ranges(source, processes: int) -> list[tuple[int, int]]:
+    """Split an uncompressed dump into up to `processes` byte ranges.
+
+    Each cut is moved to the next line start, so a range owns every line
+    that starts inside it. Returns fewer than two ranges, meaning "scan
+    in this process", for a file object, anything but a regular file (a
+    pipe must be read once, from its start), a gzip file, a dump under
+    two `_MIN_RANGE_BYTES`, a platform without `os.fork` and a process
+    that runs other threads, one of which may hold a lock a forked
+    child would inherit held.
+    """
+    if (
+        processes < 2
+        or hasattr(source, "read")
+        or not hasattr(os, "fork")
+        or threading.active_count() > 1
+    ):
+        return []
+    info = os.stat(source)
+    size = info.st_size
+    count = min(processes, size // _MIN_RANGE_BYTES)
+    if not stat.S_ISREG(info.st_mode) or count < 2:
+        return []
+    with open(source, "rb") as fh:
+        head = fh.read(len(codecs.BOM_UTF8))
+        if head.startswith(_GZIP_MAGIC):
+            return []
+        cuts = [len(head) if head == codecs.BOM_UTF8 else 0]
+        for k in range(1, count):
+            fh.seek(k * size // count - 1)
+            fh.readline()
+            cuts.append(fh.tell())
+        cuts.append(size)
+    return [(start, end) for start, end in zip(cuts, cuts[1:]) if start < end]
+
+
+def _read_lines(fh, size: int) -> Iterator[bytes]:
+    """Yield the lines in the next `size` bytes of fh, which end at a line start."""
+    while size > 0:
+        raw = fh.readline()
+        if not raw:
+            return
+        size -= len(raw)
+        yield raw
+
+
+def _scan_range(path, start: int, end: int, keep) -> tuple[list, int, int]:
+    """Scan the lines that start in bytes [start, end) of an uncompressed dump.
+
+    Returns the events with line numbers counted from the range's first
+    line, the number of lines read, and the number of non-blank lines.
+    """
+    stats = ParseStats()
+    events = []
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        scan = _scan_evidence(_read_lines(fh, end - start), keep, stats)
+        while True:
+            try:
+                events.append(next(scan))
+            except StopIteration as done:
+                return events, done.value, stats.lines
+
+
+def _range_child(write_fd: int, path, start: int, end: int, keep) -> NoReturn:
+    """Body of a forked child: scan one range and marshal the result into the pipe.
+
+    It ends in os._exit whatever happens, so it never unwinds into the
+    parent's stack or runs the parent's cleanup; a failure is printed
+    and shows as a non-zero exit status.
+    """
+    status = 1
+    try:
+        with open(write_fd, "wb") as out:
+            marshal.dump(_scan_range(path, start, end, keep), out)
+        status = 0
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        os._exit(status)
+
+
+def _scan_ranges(path, ranges: list[tuple[int, int]], keep, stats: ParseStats):
+    """Scan ranges[0] here and each later range in a forked child.
+
+    Yields the events of all ranges in line order, numbered from the
+    start of the dump. A child that fails, exits non-zero or sends
+    truncated data raises OSError. Every child is reaped before the
+    first event is yielded; on an error the remaining ones are killed
+    first.
+    """
+    children: dict[int, io.BufferedReader] = {}  # pid -> read end of its pipe, in range order
+    try:
+        for start, end in ranges[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                _range_child(write_fd, path, start, end, keep)
+            os.close(write_fd)
+            children[pid] = open(read_fd, "rb")
+        parts = [_scan_range(path, *ranges[0], keep)]
+        for (start, end), pid in zip(ranges[1:], list(children)):
+            with children[pid] as pipe:
+                payload = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            if status != 0:
+                raise OSError(
+                    f"scan of bytes {start}-{end} failed in a child process "
+                    f"(exit status {os.waitstatus_to_exitcode(status)})"
+                )
+            try:
+                parts.append(marshal.loads(payload))
+            except (EOFError, ValueError) as exc:
+                raise OSError(f"scan of bytes {start}-{end} sent truncated data") from exc
+    finally:
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    offset = 0
+    for events, n_lines, non_blank in parts:
+        stats.lines += non_blank
+        for line_no, kind, value in events:
+            yield offset + line_no, kind, value
+        offset += n_lines
 
 
 def _iter_rows(source, source_name: str, on_issue, required: tuple[str, ...]):
     """Yield (line_no, dict) rows from a CSV or line-delimited JSON table.
 
-    The format is sniffed from the first byte ("{" means JSON lines).
+    The format is sniffed from the first byte after any UTF-8 BOM ("{"
+    means JSON lines).
     A CSV header missing a required column is a file-level defect and
     raises ValueError rather than producing per-line issues.
     """
@@ -240,7 +422,7 @@ def _iter_rows(source, source_name: str, on_issue, required: tuple[str, ...]):
                     continue
                 yield line_no, obj
         else:
-            text = io.TextIOWrapper(fh, encoding="utf-8-sig", newline="")
+            text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
             reader = csv.DictReader(text)
             if reader.fieldnames is None:
                 return

@@ -57,6 +57,8 @@ def normalize_doi(raw: str | None) -> str | None:
     if raw is None:
         return None
     doi = raw.strip().lower()
+    if doi.startswith("10."):  # no resolver prefix starts with "10."
+        return doi
     stripped = True
     while stripped:
         stripped = False

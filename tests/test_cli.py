@@ -2,12 +2,16 @@ import csv
 import gzip
 import io
 import json
+import marshal
+import os
+import types
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from oametrics import cli, ingest
 from oametrics.cli import (
     ReportBundle,
     Table,
@@ -16,6 +20,7 @@ from oametrics.cli import (
     main,
     run_pipeline,
     FatalInputError,
+    SchemaCeilingError,
 )
 from oametrics import __version__
 from oametrics.models import PipelineConfig
@@ -312,3 +317,78 @@ def test_version_runs_from_source_tree():
     result = CliRunner().invoke(main, ["--version"])
     assert result.exit_code == 0, result.output
     assert __version__ in result.output
+
+
+def test_issue_rate_ceiling_is_checked_before_classify(golden_input, monkeypatch):
+    def classify_stream(*args):
+        raise RuntimeError("classify ran before the issue-rate check")
+
+    monkeypatch.setattr(cli, "classify_stream", classify_stream)
+    with pytest.raises(SchemaCeilingError, match="publications"):
+        run_pipeline(
+            PipelineConfig(),
+            publications_path=golden_input / "publications.csv",
+            evidence_path=golden_input / "evidence.jsonl",
+            max_issue_rate=0.05,
+        )
+
+
+def _scan_range_failing_in_child(path, start, end, keep):
+    if start > 0:
+        raise RuntimeError("range scan failed")
+    return _scan_range(path, start, end, keep)
+
+
+_scan_range = ingest._scan_range
+
+
+@pytest.mark.parametrize(
+    "attr,replacement",
+    [
+        ("_scan_range", _scan_range_failing_in_child),
+        ("marshal", types.SimpleNamespace(
+            dump=lambda value, out: out.write(marshal.dumps(value)[:-1]),
+            loads=marshal.loads,
+        )),
+    ],
+    ids=["raises", "truncated"],
+)
+def test_failed_range_scan_is_fatal_and_names_file(golden_input, monkeypatch, attr, replacement):
+    monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", 1)
+    monkeypatch.setattr(ingest, attr, replacement)
+    evidence = golden_input / "evidence.jsonl"
+    with pytest.raises(FatalInputError, match="evidence.jsonl"):
+        run_pipeline(
+            PipelineConfig(),
+            publications_path=golden_input / "publications.csv",
+            evidence_path=evidence,
+            shards=2,
+        )
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_issue_log_and_bundle_identical_across_shards(golden_input, tmp_path, monkeypatch):
+    # Duplicates of P01's DOI after the golden lines, so one range's
+    # records can be duplicates of another's.
+    dump = tmp_path / "evidence.jsonl"
+    dump.write_text(
+        (golden_input / "evidence.jsonl").read_text(encoding="utf-8")
+        + _evidence_line("10.1/A", True) + "\n{broken\n"
+        + _evidence_line("https://doi.org/10.1/a", True) + "\n",
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", 64)
+    assert len(ingest._byte_ranges(dump, 3)) == 3
+    outputs = []
+    for shards in ("1", "3"):
+        out = tmp_path / f"out_{shards}"
+        log = tmp_path / f"issues_{shards}.csv"
+        args = _golden_args(golden_input, out, ["--shards", shards, "--issue-log", str(log)])
+        args[args.index("-e") + 1] = str(dump)
+        result = CliRunner().invoke(main, ["report", *args])
+        assert result.exit_code == 0, result.output
+        bundle = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        outputs.append((log.read_bytes(), bundle))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].count(b"duplicate_key") == 2

@@ -1,9 +1,18 @@
 import gzip
 import io
 import json
+import os
+import signal
+import subprocess
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oametrics import ingest
 from oametrics.ingest import (
     IssueSummary,
     ParseStats,
@@ -348,3 +357,135 @@ def test_ignored_columns_are_accepted():
     inst, jour = _registry_streams(journal_rows=("J1,1111-1111;2222-2222,GB,false,no,",))
     _, journals = parse_registries(inst, jour)
     assert journals["J1"].country == "GB"
+
+
+def test_publications_jsonl_with_utf8_bom():
+    line = json.dumps(
+        {"pub_id": "P1", "doi": "10.1/a", "year": 2015, "doc_type": "article",
+         "journal_id": "J1", "institution_ids": ["U1"], "field_ids": [BIO]}
+    )
+    records, issues = _parse_pubs(io.BytesIO(b"\xef\xbb\xbf" + line.encode() + b"\n"))
+    assert issues == [] and [r.pub_id for r in records] == ["P1"]
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+def test_evidence_dump_with_utf8_bom(tmp_path, monkeypatch, processes):
+    monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", 1)
+    lines = [
+        json.dumps({"doi": f"10.1/{i}", "journal_is_oa": False, "oa_locations": []})
+        for i in range(4)
+    ]
+    dump = tmp_path / "dump.jsonl"
+    dump.write_bytes(b"\xef\xbb\xbf" + "".join(line + "\n" for line in lines).encode())
+    assert len(ingest._byte_ranges(dump, processes)) == (processes if processes > 1 else 0)
+    stats = ParseStats()
+    records, issues = _parse_evidence(
+        dump, keep=lambda doi: True, stats=stats, processes=processes
+    )
+    assert issues == []
+    assert [r.doi for r in records] == [f"10.1/{i}" for i in range(4)]
+    assert (stats.lines, stats.records) == (4, 4)
+
+
+_DUMP_DOIS = ("10.5/a", "10.5/b", "10.5/c", "10.5/d")
+
+
+def _spelled(doi: str, spelling: int) -> str:
+    return (doi, doi.upper(), f"https://doi.org/{doi}", f" doi:{doi.upper()} ")[spelling]
+
+
+_DUMP_LINE = st.one_of(
+    st.builds(
+        lambda doi, spelling, oa, host: json.dumps({
+            "doi": _spelled(doi, spelling),
+            "journal_is_oa": oa,
+            "oa_locations": [{"host_type": host, "url": f"https://x.example/{doi}"}],
+        }),
+        st.sampled_from(_DUMP_DOIS), st.integers(0, 3), st.booleans(),
+        st.sampled_from(["publisher", "repository", "archive"]),
+    ),
+    st.builds(
+        lambda doi: json.dumps({"doi": doi, "journal_is_oa": True}),
+        st.sampled_from(_DUMP_DOIS),
+    ),
+    st.sampled_from(["", "   ", "{not json", "[1, 2]", '{"doi": "nope", "journal_is_oa": true, '
+                     '"oa_locations": []}']),
+).map(str.encode) | st.just(b"\xff\xfe")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lines=st.lists(_DUMP_LINE, max_size=14),
+    endings=st.lists(st.sampled_from([b"\n", b"\r\n"]), min_size=14, max_size=14),
+    final_newline=st.booleans(),
+    bom=st.booleans(),
+    kept=st.sets(st.sampled_from(_DUMP_DOIS)),
+    min_range=st.integers(1, 64),
+)
+def test_range_scan_matches_one_range_scan(lines, endings, final_newline, bom, kept, min_range):
+    data = b"".join(line + end for line, end in zip(lines, endings))
+    if lines and not final_newline:
+        data = data[: -len(endings[len(lines) - 1])]
+    if bom:
+        data = b"\xef\xbb\xbf" + data
+
+    def scan(path, processes):
+        stats = ParseStats()
+        records, issues = _parse_evidence(
+            path, keep=kept.__contains__, stats=stats, processes=processes
+        )
+        return records, issues, stats
+
+    with tempfile.TemporaryDirectory() as tmp:
+        dump = Path(tmp) / "dump.jsonl"
+        dump.write_bytes(data)
+        expected = scan(dump, 1)
+        with mock.patch.object(ingest, "_MIN_RANGE_BYTES", min_range):
+            for processes in (2, 3, 4):
+                ranges = ingest._byte_ranges(dump, processes)
+                if ranges:
+                    assert ranges[0][0] == (3 if bom else 0) and ranges[-1][1] == len(data)
+                assert all(data[start - 1:start] == b"\n" for start, _ in ranges[1:])
+                assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+                assert scan(dump, processes) == expected
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_evidence_from_a_pipe_is_read_once_from_its_start(tmp_path, monkeypatch):
+    monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", 1)
+    dump = tmp_path / "dump.jsonl"
+    dump.write_text(
+        "".join(
+            json.dumps({"doi": f"10.1/{i}", "journal_is_oa": False, "oa_locations": []}) + "\n"
+            for i in range(3)
+        ),
+        encoding="utf-8",
+    )
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+
+    def blocked(signum, frame):
+        raise TimeoutError("reopened the pipe after its writer left")
+
+    previous = signal.signal(signal.SIGALRM, blocked)
+    signal.alarm(10)
+    writer = subprocess.Popen(["cp", str(dump), str(fifo)])
+    try:
+        records, issues = _parse_evidence(fifo, keep=lambda doi: True, processes=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        writer.wait(timeout=10)
+    assert issues == [] and [r.doi for r in records] == ["10.1/0", "10.1/1", "10.1/2"]
+
+
+def test_range_scan_splits_a_dump_at_line_starts(tmp_path, monkeypatch):
+    monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", 10)
+    dump = tmp_path / "dump.jsonl"
+    # Line starts 0, 8, 19, 27; 41 bytes cut near 10, 20 and 30.
+    dump.write_bytes(b"aaaaaaa\nbbbbbbbbbb\nccccccc\nddddddddddddd\n")
+    assert ingest._byte_ranges(dump, 4) == [(0, 19), (19, 27), (27, 41)]
+    assert ingest._byte_ranges(dump, 1) == []
+    dump.write_bytes(gzip.compress(dump.read_bytes()))
+    assert ingest._byte_ranges(dump, 4) == []

@@ -57,6 +57,41 @@ def test_normalize_doi_idempotent(raw):
         assert normalize_doi(once) == once
 
 
+def _normalize_doi_by_prefix_loop(raw):
+    """normalize_doi before its "10." fast path, kept as the reference."""
+    if raw is None:
+        return None
+    doi = raw.strip().lower()
+    stripped = True
+    while stripped:
+        stripped = False
+        for prefix in ("doi:", "https://doi.org/", "http://doi.org/",
+                       "https://dx.doi.org/", "http://dx.doi.org/"):
+            if doi.startswith(prefix):
+                doi = doi[len(prefix):].strip()
+                stripped = True
+    if not doi.startswith("10."):
+        return None
+    return doi
+
+
+_SPELLED_DOIS = st.builds(
+    lambda pad, prefixes, doi, upper: pad + "".join(prefixes) + (doi.upper() if upper else doi) + pad,
+    st.sampled_from(["", " ", "\t", " \n"]),
+    st.lists(
+        st.sampled_from(["doi:", "DOI: ", "https://doi.org/", "HTTP://DX.DOI.ORG/", "10."]),
+        max_size=3,
+    ),
+    st.text(max_size=20).map(lambda tail: "10." + tail),
+    st.booleans(),
+)
+
+
+@given(st.one_of(st.text(max_size=60), _SPELLED_DOIS))
+def test_normalize_doi_matches_prefix_loop(raw):
+    assert normalize_doi(raw) == _normalize_doi_by_prefix_loop(raw)
+
+
 @pytest.mark.parametrize("flags", [
     {"gold": True, "hybrid": True},
     {"gold": True, "bronze": True},
