@@ -18,8 +18,9 @@ import os
 import re
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import click
@@ -152,10 +153,6 @@ class ReportBundle:
         return written
 
 
-def _type_index(oa_type: str) -> int:
-    return TYPE_ORDER.index(oa_type)
-
-
 def _classified_table(classified: list[ClassifiedPublication]) -> Table:
     rows = sorted(
         (
@@ -199,12 +196,11 @@ def _overlap_table(classified: list[ClassifiedPublication]) -> Table:
 
 
 def _universities_table(cells, institutions) -> Table:
-    def country(inst_id: str) -> str:
-        inst = institutions.get(inst_id)
-        return inst.country if inst is not None else ""
-
     rows = tuple(
-        (c.scope_id, country(c.scope_id), c.field, c.oa_type, c.numerator, c.denominator, c.share)
+        (
+            c.scope_id, institutions[c.scope_id].country, c.field, c.oa_type,
+            c.numerator, c.denominator, c.share,
+        )
         for c in cells
     )
     return Table(
@@ -225,14 +221,22 @@ def _field_summary_table(cells) -> Table:
     )
 
 
-def _country_median_tables(cells, institutions, config: PipelineConfig) -> tuple[Table, Table]:
+def _all_sciences_medians(cells, rollup) -> list[tuple]:
+    """Rows of `rollup` over each OA type's all-sciences cells as (group, oa_type, ...)."""
     all_sciences = [c for c in cells if c.field == ALL_SCIENCES]
     collected = []
     for oa_type in TYPE_ORDER:
-        slice_ = [c for c in all_sciences if c.oa_type == oa_type]
-        for row in median_share_by_country(slice_, institutions, config.min_universities_country):
-            collected.append((row.country, oa_type, row.n_universities, row.median, row.displayed))
-    collected.sort(key=lambda r: (r[0], _type_index(r[1])))
+        for row in rollup([c for c in all_sciences if c.oa_type == oa_type]):
+            group, *rest = astuple(row)
+            collected.append((group, oa_type, *rest))
+    collected.sort(key=lambda r: (r[0], TYPE_ORDER.index(r[1])))
+    return collected
+
+
+def _country_median_tables(cells, institutions, config: PipelineConfig) -> tuple[Table, Table]:
+    collected = _all_sciences_medians(
+        cells, lambda s: median_share_by_country(s, institutions, config.min_universities_country)
+    )
     display = Table(
         name="country_medians",
         columns=("country", "oa_type", "n_universities", "median_pct"),
@@ -247,17 +251,10 @@ def _country_median_tables(cells, institutions, config: PipelineConfig) -> tuple
 
 
 def _region_table(cells, institutions) -> Table:
-    all_sciences = [c for c in cells if c.field == ALL_SCIENCES]
-    collected = []
-    for oa_type in TYPE_ORDER:
-        slice_ = [c for c in all_sciences if c.oa_type == oa_type]
-        for row in region_rollup(slice_, institutions):
-            collected.append((row.region, oa_type, row.n_universities, row.median))
-    collected.sort(key=lambda r: (r[0], _type_index(r[1])))
     return Table(
         name="region_medians",
         columns=("region", "oa_type", "n_universities", "median_pct"),
-        rows=tuple(collected),
+        rows=tuple(_all_sciences_medians(cells, lambda s: region_rollup(s, institutions))),
     )
 
 
@@ -366,7 +363,7 @@ def _reading(path):
     """Turn an unreadable, truncated or mis-shaped input into a FatalInputError."""
     try:
         yield
-    except (OSError, ValueError, EOFError, zlib.error) as exc:
+    except (OSError, ValueError, EOFError, zlib.error, csv.Error) as exc:
         raise FatalInputError(f"{path}: {exc}") from exc
 
 
@@ -442,44 +439,33 @@ def run_pipeline(
             )
 
     classified = list(classify_stream(publications, evidence_by_doi, journals))
-    bundle = ReportBundle()
     wanted = set(tables)
     counts = cells = None
     if wanted & {*CELL_TABLES, "repo_bounds"}:
         counts = count_full(classified)
     if wanted & set(CELL_TABLES):
-        cells = university_indicators(counts, config)
+        # Only roster institutions are in scope; an unknown id in a
+        # publication's affiliations gets no cells.
+        cells = [c for c in university_indicators(counts, config) if c.scope_id in institutions]
 
-    if "classified" in wanted:
-        bundle.tables["classified"] = _classified_table(classified)
-    if "overlap" in wanted:
-        bundle.tables["overlap"] = _overlap_table(classified)
-    if "universities" in wanted:
-        bundle.tables["universities"] = _universities_table(cells, institutions)
-    if "field_summary" in wanted:
-        bundle.tables["field_summary"] = _field_summary_table(cells)
-    if "country_medians" in wanted or "country_medians_full" in wanted:
-        display, full = _country_median_tables(cells, institutions, config)
-        if "country_medians" in wanted:
-            bundle.tables["country_medians"] = display
-        if "country_medians_full" in wanted:
-            bundle.tables["country_medians_full"] = full
-    if "region_medians" in wanted:
-        bundle.tables["region_medians"] = _region_table(cells, institutions)
-    if "profiles" in wanted:
-        bundle.tables["profiles"] = _profiles_table(cells)
-    if "repo_bounds" in wanted:
-        bundle.tables["repo_bounds"] = _repo_table(classified, institutions, counts, config)
-    if "pmc_overlap" in wanted:
-        bundle.tables["pmc_overlap"] = _pmc_table(classified, institutions, config)
-    if "gold_models" in wanted or "gold_models_full" in wanted:
-        display, full = _gold_tables(classified, journals, institutions, config)
-        if "gold_models" in wanted:
-            bundle.tables["gold_models"] = display
-        if "gold_models_full" in wanted:
-            bundle.tables["gold_models_full"] = full
-    if "issues" in wanted:
-        bundle.tables["issues"] = _issues_table(sink)
+    country_medians = cache(lambda: _country_median_tables(cells, institutions, config))
+    gold_models = cache(lambda: _gold_tables(classified, journals, institutions, config))
+    builders = {
+        "classified": lambda: _classified_table(classified),
+        "overlap": lambda: _overlap_table(classified),
+        "universities": lambda: _universities_table(cells, institutions),
+        "field_summary": lambda: _field_summary_table(cells),
+        "country_medians": lambda: country_medians()[0],
+        "country_medians_full": lambda: country_medians()[1],
+        "region_medians": lambda: _region_table(cells, institutions),
+        "profiles": lambda: _profiles_table(cells),
+        "repo_bounds": lambda: _repo_table(classified, institutions, counts, config),
+        "pmc_overlap": lambda: _pmc_table(classified, institutions, config),
+        "gold_models": lambda: gold_models()[0],
+        "gold_models_full": lambda: gold_models()[1],
+        "issues": lambda: _issues_table(sink),
+    }
+    bundle = ReportBundle({name: build() for name, build in builders.items() if name in wanted})
 
     if out_dir is not None:
         bundle.write(Path(out_dir), report_format)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .classifier import ClassifiedPublication
-from .models import Institution, JournalRecord
+from .models import Institution, JournalRecord, roster_countries
 
 #: Constituent countries that resolve to the United Kingdom.
 UK_CONSTITUENTS = {
@@ -139,7 +139,6 @@ def gold_country_model(
     journals: Mapping[str, JournalRecord],
     institutions: Mapping[str, Institution],
     min_universities: int,
-    country_lookup: Mapping[str, str] | None = None,
 ) -> list[GoldModelRow]:
     """Characterize each country's gold OA publishing (full counting).
 
@@ -158,7 +157,7 @@ def gold_country_model(
                 journal_country[journal_id] = None
             else:
                 journal_country[journal_id] = journal.country or resolve_journal_country(
-                    journal.publisher_address, country_lookup
+                    journal.publisher_address
                 )
         return journal_country[journal_id]
 
@@ -170,11 +169,7 @@ def gold_country_model(
     seen_countries: set[str] = set()
 
     for cp in classified_pubs:
-        countries = {
-            institutions[i].country
-            for i in cp.publication.institution_ids
-            if i in institutions
-        }
+        countries = roster_countries(cp.publication, institutions)
         seen_countries.update(countries)
         if not countries or not cp.types.gold:
             continue

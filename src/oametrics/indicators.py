@@ -2,9 +2,7 @@
 
 Counting is full: a publication contributes once to every distinct
 affiliated institution, in each of its fields plus the all-sciences
-rollup. Partial counts merge associatively and commutatively, so
-sharded runs reduce to the same totals. Shares stay exact rationals
-until report emission.
+rollup. Shares stay exact rationals until report emission.
 """
 
 from __future__ import annotations
@@ -12,7 +10,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .classifier import ClassifiedPublication
 from .models import (
@@ -56,14 +54,6 @@ def count_full(classified_pubs: Iterable[ClassifiedPublication]) -> Counter[Coun
     return counts
 
 
-def merge_counts(*parts: Counter[CountKey]) -> Counter[CountKey]:
-    """Merge partial tallies from independent shards."""
-    total: Counter[CountKey] = Counter()
-    for part in parts:
-        total.update(part)
-    return total
-
-
 def university_indicators(
     counts: Mapping[CountKey, int],
     config: PipelineConfig,
@@ -84,7 +74,6 @@ def university_indicators(
             for oa_type in TYPE_ORDER:
                 cells.append(
                     IndicatorCell(
-                        scope="university",
                         scope_id=inst_id,
                         field=field_name,
                         oa_type=oa_type,
@@ -104,6 +93,32 @@ def median_exact(values: Iterable[Fraction]) -> Fraction:
     if len(ordered) % 2:
         return Fraction(ordered[mid])
     return (ordered[mid - 1] + ordered[mid]) / 2
+
+
+def _group_medians(
+    cells: Iterable[IndicatorCell],
+    institutions: Mapping[str, Institution],
+    groups_of: Callable[[Institution], Iterable[str]],
+) -> list[tuple[str, int, Fraction]]:
+    """(group, n_universities, median share) for each group, sorted by group.
+
+    A cell's share counts in every group `groups_of` gives its
+    institution. Null shares and institutions off the roster are skipped.
+    """
+    shares_by_group: dict[str, list[Fraction]] = defaultdict(list)
+    for cell in cells:
+        share = cell.share
+        if share is None:
+            continue
+        inst = institutions.get(cell.scope_id)
+        if inst is None:
+            continue
+        for group in groups_of(inst):
+            shares_by_group[group].append(share)
+    return [
+        (group, len(shares), median_exact(shares))
+        for group, shares in sorted(shares_by_group.items())
+    ]
 
 
 @dataclass(frozen=True)
@@ -128,23 +143,9 @@ def median_share_by_country(
     universities than `min_universities` stay in the output but are
     flagged as not displayed, so display filtering never loses data.
     """
-    shares_by_country: dict[str, list[Fraction]] = defaultdict(list)
-    for cell in cells:
-        share = cell.share
-        if share is None:
-            continue
-        inst = institutions.get(cell.scope_id)
-        if inst is None:
-            continue
-        shares_by_country[inst.country].append(share)
     return [
-        CountryMedianRow(
-            country=country,
-            n_universities=len(shares),
-            median=median_exact(shares),
-            displayed=len(shares) >= min_universities,
-        )
-        for country, shares in sorted(shares_by_country.items())
+        CountryMedianRow(country, n, median, displayed=n >= min_universities)
+        for country, n, median in _group_medians(cells, institutions, lambda i: (i.country,))
     ]
 
 
@@ -166,19 +167,8 @@ def region_rollup(
     A university contributes its share to every region its country is
     assigned to, so dual-region countries appear in both medians.
     """
-    shares_by_region: dict[str, list[Fraction]] = defaultdict(list)
-    for cell in cells:
-        share = cell.share
-        if share is None:
-            continue
-        inst = institutions.get(cell.scope_id)
-        if inst is None:
-            continue
-        for region in inst.regions:
-            shares_by_region[region].append(share)
     return [
-        RegionMedianRow(region=region, n_universities=len(shares), median=median_exact(shares))
-        for region, shares in sorted(shares_by_region.items())
+        RegionMedianRow(*row) for row in _group_medians(cells, institutions, lambda i: i.regions)
     ]
 
 

@@ -145,7 +145,6 @@ def parse_evidence_stream(
     on_issue: Callable[[ParseIssue], None] | None = None,
     keep: Callable[[str], bool] | None = None,
     stats: ParseStats | None = None,
-    source_name: str = "evidence",
     processes: int = 1,
 ) -> Iterator[OAEvidenceRecord]:
     """Yield evidence records from a line-delimited dump, one line at a time.
@@ -175,12 +174,12 @@ def parse_evidence_stream(
             events = _scan_evidence(stack.enter_context(_open_stream(source)), keep, stats)
         for line_no, kind, value in events:
             if kind is not None:
-                _report(on_issue, source_name, line_no, kind, value)
+                _report(on_issue, "evidence", line_no, kind, value)
                 continue
             doi, journal_is_oa, locations = value
             if seen is not None:
                 if doi in seen:
-                    _report(on_issue, source_name, line_no, "duplicate_key", f"duplicate doi: {doi}")
+                    _report(on_issue, "evidence", line_no, "duplicate_key", f"duplicate doi: {doi}")
                     continue
                 seen.add(doi)
             stats.records += 1
@@ -468,7 +467,6 @@ def parse_publications(
     config: PipelineConfig,
     on_issue: Callable[[ParseIssue], None] | None = None,
     stats: ParseStats | None = None,
-    source_name: str = "publications",
 ) -> Iterator[PublicationRecord]:
     """Yield publication records, dropping non-citable and out-of-period rows.
 
@@ -477,59 +475,59 @@ def parse_publications(
     languages, journal ids and affiliation and field sets share one
     object across the yielded records.
     """
+    if stats is None:
+        stats = ParseStats()
     intern = _interner()
     seen: set[str] = set()
     for line_no, row in _iter_rows(
-        source, source_name, on_issue,
+        source, "publications", on_issue,
         required=("pub_id", "year", "doc_type", "journal_id", "field_ids"),
     ):
-        if stats is not None:
-            stats.lines += 1
+        stats.lines += 1
         pub_id = _text(row, "pub_id")
         if not pub_id:
-            _report(on_issue, source_name, line_no, "missing_required_field", "missing pub_id")
+            _report(on_issue, "publications", line_no, "missing_required_field", "missing pub_id")
             continue
         doc_type = _text(row, "doc_type").lower()
         if not doc_type:
-            _report(on_issue, source_name, line_no, "missing_required_field", "missing doc_type")
+            _report(on_issue, "publications", line_no, "missing_required_field", "missing doc_type")
             continue
         if doc_type not in CITABLE_DOC_TYPES:
             _report(
-                on_issue, source_name, line_no,
+                on_issue, "publications", line_no,
                 "malformed", f"non-citable doc_type: {doc_type!r}",
             )
             continue
         try:
             year = int(_text(row, "year"))
         except ValueError:
-            _report(on_issue, source_name, line_no, "malformed", f"invalid year: {_text(row, 'year')!r}")
+            _report(on_issue, "publications", line_no, "malformed", f"invalid year: {_text(row, 'year')!r}")
             continue
         if not config.year_in_period(year):
             _report(
-                on_issue, source_name, line_no,
+                on_issue, "publications", line_no,
                 "malformed",
                 f"year {year} outside period {config.period[0]}-{config.period[1]}",
             )
             continue
         journal_id = _text(row, "journal_id")
         if not journal_id:
-            _report(on_issue, source_name, line_no, "missing_required_field", "missing journal_id")
+            _report(on_issue, "publications", line_no, "missing_required_field", "missing journal_id")
             continue
         field_ids = _multi(row, "field_ids")
         if not field_ids:
-            _report(on_issue, source_name, line_no, "missing_required_field", "missing field_ids")
+            _report(on_issue, "publications", line_no, "missing_required_field", "missing field_ids")
             continue
         unknown = sorted(set(field_ids) - set(MAIN_FIELDS))
         if unknown:
-            _report(on_issue, source_name, line_no, "malformed", f"unknown field: {unknown[0]!r}")
+            _report(on_issue, "publications", line_no, "malformed", f"unknown field: {unknown[0]!r}")
             continue
         if pub_id in seen:
-            _report(on_issue, source_name, line_no, "duplicate_key", f"duplicate pub_id: {pub_id}")
+            _report(on_issue, "publications", line_no, "duplicate_key", f"duplicate pub_id: {pub_id}")
             continue
         seen.add(pub_id)
         language = _text(row, "language").lower() or "unknown"
-        if stats is not None:
-            stats.records += 1
+        stats.records += 1
         yield PublicationRecord(
             pub_id=pub_id,
             doi=normalize_doi(_text(row, "doi") or None),
@@ -557,13 +555,16 @@ def parse_registries(
     matching downstream can assume normalized input. Either source may
     be None, yielding an empty table.
     """
+    if institution_stats is None:
+        institution_stats = ParseStats()
+    if journal_stats is None:
+        journal_stats = ParseStats()
     institutions: dict[str, Institution] = {}
     for line_no, row in _iter_rows(
         institutions_source, "institutions", on_issue,
         required=("inst_id", "country", "regions"),
     ) if institutions_source is not None else ():
-        if institution_stats is not None:
-            institution_stats.lines += 1
+        institution_stats.lines += 1
         inst_id = _text(row, "inst_id")
         if not inst_id:
             _report(on_issue, "institutions", line_no, "missing_required_field", "missing inst_id")
@@ -582,8 +583,7 @@ def parse_registries(
         patterns = tuple(
             p for p in (normalize_url(raw) for raw in _multi(row, "repo_url_patterns")) if p
         )
-        if institution_stats is not None:
-            institution_stats.records += 1
+        institution_stats.records += 1
         institutions[inst_id] = Institution(
             inst_id=inst_id,
             name=_text(row, "name") or inst_id,
@@ -596,8 +596,7 @@ def parse_registries(
     for line_no, row in _iter_rows(
         journals_source, "journals", on_issue, required=("journal_id",),
     ) if journals_source is not None else ():
-        if journal_stats is not None:
-            journal_stats.lines += 1
+        journal_stats.lines += 1
         journal_id = _text(row, "journal_id")
         if not journal_id:
             _report(on_issue, "journals", line_no, "missing_required_field", "missing journal_id")
@@ -616,8 +615,7 @@ def parse_registries(
         if has_apc not in APC_STATES:
             _report(on_issue, "journals", line_no, "malformed", f"invalid has_apc: {has_apc!r}")
             continue
-        if journal_stats is not None:
-            journal_stats.records += 1
+        journal_stats.records += 1
         journals[journal_id] = JournalRecord(
             journal_id=journal_id,
             country=_text(row, "country").upper() or None,

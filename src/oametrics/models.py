@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping
 
 MAIN_FIELDS = (
     "Biomedical and Health Sciences",
@@ -36,7 +37,6 @@ TYPE_ORDER = OA_TYPES + (ANY_OA,)
 CITABLE_DOC_TYPES = frozenset({"article", "review", "letter"})
 HOST_TYPES = frozenset({"publisher", "repository"})
 APC_STATES = frozenset({"yes", "no", "unknown"})
-SCOPES = frozenset({"university", "country", "region", "world"})
 
 _RESOLVER_PREFIXES = (
     "doi:",
@@ -181,6 +181,11 @@ class Institution:
             raise ValueError("institution must belong to at least one region")
 
 
+def roster_countries(pub: PublicationRecord, institutions: Mapping[str, Institution]) -> set[str]:
+    """The distinct countries of a publication's affiliations that are on the roster."""
+    return {institutions[i].country for i in pub.institution_ids if i in institutions}
+
+
 @dataclass(frozen=True, slots=True)
 class JournalRecord:
     """Registry entry for one journal.
@@ -202,9 +207,8 @@ class JournalRecord:
 
 @dataclass(frozen=True, slots=True)
 class IndicatorCell:
-    """One aggregation result: scope x field x OA type with exact share."""
+    """One aggregation result: university x field x OA type with exact share."""
 
-    scope: str
     scope_id: str
     field: str
     oa_type: str
@@ -212,8 +216,6 @@ class IndicatorCell:
     denominator: int
 
     def __post_init__(self) -> None:
-        if self.scope not in SCOPES:
-            raise ValueError(f"unknown scope: {self.scope!r}")
         if not 0 <= self.numerator <= self.denominator:
             raise ValueError(
                 f"need 0 <= numerator <= denominator, got "

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .models import Institution, OALocation, PipelineConfig
+from .models import Institution, OALocation, PipelineConfig, roster_countries
 
 # Leading whitespace, schemes and "www." labels, in any number and order.
 _PREFIX = re.compile(r"(?:\s*(?:[a-z][a-z0-9+.-]*://|www\.))*\s*")
@@ -112,16 +112,23 @@ def repo_share_bounds(classified_pubs, inst: Institution, handle_pattern: str) -
     return RepoShareRow(green, matched_lower, matched_upper)
 
 
-def detect_pmc(locations: Iterable[OALocation], pmc_url_patterns: Iterable[str]) -> bool:
-    """True iff some repository location URL contains a PMC pattern."""
-    patterns = tuple(pmc_url_patterns)
+def _pmc_flags(locations: Iterable[OALocation], patterns: tuple[str, ...]) -> tuple[bool, bool]:
+    """(some repository URL contains a PMC pattern, some other repository URL does not)."""
+    via_pmc = other_repo = False
     for loc in locations:
         if loc.host_type != "repository":
             continue
         url = normalize_url(loc.url)
         if any(pattern and pattern in url for pattern in patterns):
-            return True
-    return False
+            via_pmc = True
+        else:
+            other_repo = True
+    return via_pmc, other_repo
+
+
+def detect_pmc(locations: Iterable[OALocation], pmc_url_patterns: Iterable[str]) -> bool:
+    """True iff some repository location URL contains a PMC pattern."""
+    return _pmc_flags(locations, tuple(pmc_url_patterns))[0]
 
 
 @dataclass(frozen=True)
@@ -170,20 +177,11 @@ def pmc_overlap_table(
     seen_countries: set[str] = set()
 
     for cp in classified_pubs:
-        countries = {
-            institutions[i].country
-            for i in cp.publication.institution_ids
-            if i in institutions
-        }
+        countries = roster_countries(cp.publication, institutions)
         seen_countries.update(countries)
         if not countries or not cp.types.green:
             continue
-        via_pmc = detect_pmc(cp.locations_used, config.pmc_url_patterns)
-        has_other_repo = any(
-            loc.host_type == "repository"
-            and not detect_pmc([loc], config.pmc_url_patterns)
-            for loc in cp.locations_used
-        )
+        via_pmc, has_other_repo = _pmc_flags(cp.locations_used, config.pmc_url_patterns)
         for country in countries:
             greens[country] += 1
             if via_pmc:

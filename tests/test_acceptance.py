@@ -208,7 +208,7 @@ def test_acceptance_4_median_oracle_and_threshold():
             inst_id = f"{country}{i}"
             institutions[inst_id] = _inst(inst_id, country=country)
             cells.append(
-                IndicatorCell("university", inst_id, ALL_SCIENCES, "any", i, n + i)
+                IndicatorCell(inst_id, ALL_SCIENCES, "any", i, n + i)
             )
     rows = median_share_by_country(
         cells, institutions, CONFIG.min_universities_country

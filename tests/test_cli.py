@@ -97,7 +97,8 @@ def test_classify_subcommand(golden_input, tmp_path):
         ],
     )
     assert result.exit_code == 0, result.output
-    rows = list(csv.DictReader((tmp_path / "classified.csv").open(newline="")))
+    with (tmp_path / "classified.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
     by_id = {row["pub_id"]: row for row in rows}
     assert len(rows) == 20
     assert by_id["P01"]["green"] == "true" and by_id["P01"]["gold"] == "false"
@@ -131,7 +132,8 @@ def test_report_on_empty_publications(tmp_path):
     assert result.exit_code == 0, result.output
     assert (out / "universities.csv").read_bytes().count(b"\r\n") == 1  # header only
     assert (out / "country_medians.csv").read_bytes().count(b"\r\n") == 1
-    overlap = {r["metric"]: r for r in csv.DictReader((out / "overlap.csv").open(newline=""))}
+    with (out / "overlap.csv").open(newline="") as fh:
+        overlap = {r["metric"]: r for r in csv.DictReader(fh)}
     assert overlap["total_oa"]["count"] == "0" and overlap["total_oa"]["pct"] == ""
 
 
@@ -233,7 +235,8 @@ def test_issue_log_written(golden_input, tmp_path):
         ["report", *_golden_args(golden_input, out), "--issue-log", str(log)],
     )
     assert result.exit_code == 0, result.output
-    entries = list(csv.DictReader(log.open(newline="")))
+    with log.open(newline="") as fh:
+        entries = list(csv.DictReader(fh))
     assert len(entries) == 3
     assert {e["source"] for e in entries} == {"publications", "evidence"}
 
@@ -392,3 +395,70 @@ def test_issue_log_and_bundle_identical_across_shards(golden_input, tmp_path, mo
         outputs.append((log.read_bytes(), bundle))
     assert outputs[0] == outputs[1]
     assert outputs[0][0].count(b"duplicate_key") == 2
+
+
+def _golden_with_publication(golden_input, tmp_path, row: str) -> list[str]:
+    """Report arguments for the golden input plus one publications row."""
+    pubs = tmp_path / "publications.csv"
+    pubs.write_text(
+        (golden_input / "publications.csv").read_text(encoding="utf-8") + row + "\n",
+        encoding="utf-8",
+    )
+    args = _golden_args(golden_input, tmp_path / "out")
+    args[args.index("-p") + 1] = str(pubs)
+    return ["report", *args]
+
+
+def test_non_roster_institution_is_in_no_table(golden_input, tmp_path):
+    # U1 is on the roster; ZZ9 is not.
+    args = _golden_with_publication(
+        golden_input, tmp_path, "P23,10.6/a,2015,article,en,J2,U1;ZZ9,Biomedical and Health Sciences"
+    )
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    out = tmp_path / "out"
+    for path in sorted(out.iterdir()):
+        assert b"ZZ9" not in path.read_bytes(), path.name
+    with (out / "field_summary.csv").open(newline="") as fh:
+        rows = [row for row in csv.DictReader(fh) if row["field"] == "All sciences"]
+    assert {row["n_universities"] for row in rows} == {"4"}
+
+
+def test_oversized_csv_field_is_fatal_and_names_file(golden_input, tmp_path):
+    args = _golden_with_publication(
+        golden_input, tmp_path, "P23,10.6/a,2015,article,en,J2,U1," + "x" * 200_000
+    )
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: {tmp_path / 'publications.csv'}: " in result.output
+
+
+def test_jsonl_and_gzip_inputs_give_the_golden_tables(golden_input, golden_dir, tmp_path):
+    # Each CSV row becomes a JSON object of its string cells; every file is gzipped.
+    converted = tmp_path / "in"
+    converted.mkdir()
+    for name in ("publications", "institutions", "journals"):
+        with (golden_input / f"{name}.csv").open(newline="", encoding="utf-8") as fh:
+            lines = "".join(json.dumps(row) + "\n" for row in csv.DictReader(fh))
+        (converted / f"{name}.jsonl.gz").write_bytes(gzip.compress(lines.encode("utf-8")))
+    evidence = (golden_input / "evidence.jsonl").read_bytes()
+    (converted / "evidence.jsonl.gz").write_bytes(gzip.compress(evidence))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(
+        main,
+        [
+            "report",
+            "-p", str(converted / "publications.jsonl.gz"),
+            "-e", str(converted / "evidence.jsonl.gz"),
+            "-i", str(converted / "institutions.jsonl.gz"),
+            "-j", str(converted / "journals.jsonl.gz"),
+            "--min-universities", "2", "--min-universities-gold", "2",
+            "-o", str(out),
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    written = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    expected = {p.name: p.read_bytes() for p in sorted(golden_dir.iterdir())}
+    assert len(expected) == 12
+    assert written == expected

@@ -14,7 +14,6 @@ from oametrics.indicators import (
     field_summary,
     median_exact,
     median_share_by_country,
-    merge_counts,
     overlap_matrix,
     region_rollup,
     university_indicators,
@@ -102,17 +101,6 @@ def test_full_counting_identity_random_corpus():
     assert total_credits == sum(len(cp.publication.institution_ids) for cp in pubs)
 
 
-def test_merge_counts_equals_single_pass():
-    rng = random.Random(5)
-    pubs = [
-        _cp(f"P{i}", GREEN if rng.random() < 0.5 else OATypeSet(), insts=("U1", "U2"))
-        for i in range(100)
-    ]
-    whole = count_full(pubs)
-    parts = [count_full(pubs[i::4]) for i in range(4)]
-    assert merge_counts(*parts) == whole
-
-
 def test_university_indicator_share():
     pubs = [_cp(f"P{i}", GREEN if i < 4 else OATypeSet()) for i in range(10)]
     cells = university_indicators(count_full(pubs), CONFIG)
@@ -169,7 +157,6 @@ def _share_cells(shares_by_university, field=ALL_SCIENCES, oa_type="any"):
     for inst_id, share in shares_by_university.items():
         cells.append(
             IndicatorCell(
-                scope="university",
                 scope_id=inst_id,
                 field=field,
                 oa_type=oa_type,
@@ -199,7 +186,7 @@ def test_country_median_threshold_excludes_small_countries():
 def test_country_median_skips_null_shares():
     institutions = {"U1": _inst("U1", country="AA"), "U2": _inst("U2", country="AA")}
     cells = _share_cells({"U1": Fraction(1, 4)})
-    cells.append(IndicatorCell("university", "U2", ALL_SCIENCES, "any", 0, 0))
+    cells.append(IndicatorCell("U2", ALL_SCIENCES, "any", 0, 0))
     (row,) = median_share_by_country(cells, institutions, min_universities=1)
     assert row.n_universities == 1 and row.median == Fraction(1, 4)
 

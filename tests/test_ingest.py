@@ -1,3 +1,4 @@
+import contextlib
 import gzip
 import io
 import json
@@ -9,12 +10,14 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oametrics import ingest
+from oametrics.cli import FatalInputError, _reading
 from oametrics.ingest import (
     IssueSummary,
+    ParseIssue,
     ParseStats,
     parse_evidence_stream,
     parse_publications,
@@ -489,3 +492,66 @@ def test_range_scan_splits_a_dump_at_line_starts(tmp_path, monkeypatch):
     assert ingest._byte_ranges(dump, 1) == []
     dump.write_bytes(gzip.compress(dump.read_bytes()))
     assert ingest._byte_ranges(dump, 4) == []
+
+
+_COLUMNS = (
+    "pub_id", "doi", "year", "doc_type", "language", "journal_id", "institution_ids",
+    "field_ids", "inst_id", "name", "country", "regions", "repo_url_patterns",
+    "is_fully_oa", "has_apc", "publisher_address", "journal_is_oa", "oa_locations",
+    "host_type", "url", "license",
+)
+_KEY = st.sampled_from(_COLUMNS) | st.text(max_size=4)
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12)
+    | st.sampled_from(["10.1/a", "article", "2015", BIO, "repository", "publisher", "yes"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEY, inner, max_size=4),
+    max_leaves=10,
+)
+_CSV_SHAPED = st.builds(
+    lambda header, rows: "\n".join(
+        ",".join(cells) for cells in [header, *rows]
+    ).encode("utf-8", "surrogatepass"),
+    st.lists(st.sampled_from(_COLUMNS), max_size=10) | st.just(list(_COLUMNS)),
+    st.lists(st.lists(st.text(max_size=10) | st.sampled_from(['"', '""', "\r", ";"]), max_size=10),
+             max_size=6),
+)
+_JSONL_SHAPED = st.lists(
+    st.dictionaries(_KEY, _JSON_VALUE, max_size=8).map(json.dumps)
+    | st.text(max_size=20) | st.sampled_from(["{", "[1]", "null", '{"doi": NaN}']),
+    max_size=6,
+).map(lambda lines: "\n".join(lines).encode("utf-8", "surrogatepass"))
+
+
+@st.composite
+def _wrapped(draw, payload):
+    data = draw(payload)
+    how = draw(st.sampled_from(["plain", "bom", "gzip", "truncated gzip"]))
+    if how == "bom":
+        return b"\xef\xbb\xbf" + data
+    if how == "gzip":
+        return gzip.compress(data)
+    if how == "truncated gzip":
+        packed = gzip.compress(data)
+        return packed[: draw(st.integers(0, len(packed) - 1))]
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_wrapped(_CSV_SHAPED | _JSONL_SHAPED | st.binary(max_size=200)))
+@example(data=b"pub_id,year,doc_type,journal_id,field_ids\n" + b"x" * 131_073)
+def test_parsers_raise_nothing_reading_does_not_convert(data):
+    """Any bytes give records and issues, or an error that ends as FatalInputError."""
+    parsers = (
+        lambda fh, on_issue: list(parse_publications(fh, PipelineConfig(), on_issue=on_issue)),
+        lambda fh, on_issue: parse_registries(fh, None, on_issue=on_issue),
+        lambda fh, on_issue: parse_registries(None, fh, on_issue=on_issue),
+        lambda fh, on_issue: list(parse_evidence_stream(fh, on_issue=on_issue)),
+        lambda fh, on_issue: list(
+            parse_evidence_stream(fh, on_issue=on_issue, keep=lambda doi: True)
+        ),
+    )
+    for parse in parsers:
+        issues = []
+        with contextlib.suppress(FatalInputError), _reading("fuzz input"):
+            parse(io.BytesIO(data), issues.append)
+        assert all(isinstance(issue, ParseIssue) for issue in issues)

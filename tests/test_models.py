@@ -175,13 +175,11 @@ def test_journal_apc_tri_state():
 
 
 def test_indicator_cell_share():
-    cell = IndicatorCell("university", "U1", BIO, "green", 4, 10)
+    cell = IndicatorCell("U1", BIO, "green", 4, 10)
     assert cell.share == Fraction(2, 5)
-    assert IndicatorCell("university", "U1", BIO, "green", 0, 0).share is None
+    assert IndicatorCell("U1", BIO, "green", 0, 0).share is None
     with pytest.raises(ValueError):
-        IndicatorCell("university", "U1", BIO, "green", 3, 2)
-    with pytest.raises(ValueError):
-        IndicatorCell("galaxy", "U1", BIO, "green", 1, 2)
+        IndicatorCell("U1", BIO, "green", 3, 2)
 
 
 def test_config_defaults():
