@@ -16,9 +16,10 @@ import io
 import json
 import os
 import re
+import tempfile
 import zlib
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -114,25 +115,47 @@ class Table:
     rows: tuple[tuple, ...]
 
 
-def emit_report(table: Table, report_format: str = "csv") -> bytes:
-    """Serialize a table to UTF-8 bytes (RFC-4180 CSV or JSON lines)."""
+def _write_table(fh, table: Table, report_format: str) -> None:
+    """Write a table to a text file row by row (RFC-4180 CSV or JSON lines).
+
+    No whole-table string is built, so memory does not grow with the
+    table. `fh` should be opened with newline="" and encoding="utf-8".
+    """
     if report_format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\r\n")
+        writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(table.columns)
         for row in table.rows:
             writer.writerow([_csv_value(v) for v in row])
-        return buffer.getvalue().encode("utf-8")
-    if report_format == "jsonl":
-        lines = [
-            json.dumps(
-                {col: _jsonl_value(v) for col, v in zip(table.columns, row)},
-                ensure_ascii=False,
-            )
-            for row in table.rows
-        ]
-        return "".join(line + "\n" for line in lines).encode("utf-8")
-    raise ValueError(f"unknown report format: {report_format!r}")
+    elif report_format == "jsonl":
+        for row in table.rows:
+            record = {col: _jsonl_value(v) for col, v in zip(table.columns, row)}
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    else:
+        raise ValueError(f"unknown report format: {report_format!r}")
+
+
+def emit_report(table: Table, report_format: str = "csv") -> bytes:
+    """Serialize a table to UTF-8 bytes, exactly as ReportBundle.write writes it."""
+    buffer = io.StringIO()
+    _write_table(buffer, table, report_format)
+    return buffer.getvalue().encode("utf-8")
+
+
+def _write_tables(directory: Path, targets: list[tuple[str, Table]], report_format: str) -> None:
+    """Write each (file name, table) into directory, or leave it as it was.
+
+    The tables are written into a fresh hidden temporary directory inside
+    `directory`, so on its filesystem, and only when all are complete is
+    each file moved into place with os.replace. If any table fails, the
+    temporary directory is removed and the error re-raised; no file in
+    `directory` has been touched.
+    """
+    with tempfile.TemporaryDirectory(dir=directory, prefix=".oametrics-") as tmp:
+        for name, table in targets:
+            with open(Path(tmp) / name, "w", encoding="utf-8", newline="") as fh:
+                _write_table(fh, table, report_format)
+        for name, _ in targets:
+            os.replace(Path(tmp) / name, directory / name)
 
 
 @dataclass
@@ -142,15 +165,13 @@ class ReportBundle:
     tables: dict[str, Table] = field(default_factory=dict)
 
     def write(self, out_dir: Path, report_format: str = "csv") -> list[Path]:
+        """Write every table into out_dir; on failure out_dir is left as it was."""
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         extension = "csv" if report_format == "csv" else "jsonl"
-        written = []
-        for name in sorted(self.tables):
-            path = out_dir / f"{name}.{extension}"
-            path.write_bytes(emit_report(self.tables[name], report_format))
-            written.append(path)
-        return written
+        targets = [(f"{name}.{extension}", self.tables[name]) for name in sorted(self.tables)]
+        _write_tables(out_dir, targets, report_format)
+        return [out_dir / name for name, _ in targets]
 
 
 def _classified_table(classified: list[ClassifiedPublication]) -> Table:
@@ -393,12 +414,14 @@ def run_pipeline(
     bounded by the publication table, not the dump size. It is scanned
     with up to `shards` processes (default: `_usable_cpus()`); the output
     is the same for any count. Raises FatalInputError for unreadable
-    inputs and SchemaCeilingError when any source's issue rate exceeds
+    inputs or a missing issue-log directory and SchemaCeilingError when any source's issue rate exceeds
     `max_issue_rate`, before any publication is classified.
     """
     for path in (publications_path, evidence_path, institutions_path, journals_path):
         if path is not None and not Path(path).exists():
             raise FatalInputError(f"input file not found: {path}")
+    if issue_log_path is not None and not Path(issue_log_path).parent.is_dir():
+        raise FatalInputError(f"{issue_log_path}: directory not found")
 
     sink = IssueSummary(keep_all=issue_log_path is not None)
     stats = {name: ParseStats() for name in ("publications", "evidence", "institutions", "journals")}
@@ -415,19 +438,19 @@ def run_pipeline(
         publications = list(
             parse_publications(publications_path, config, on_issue=sink, stats=stats["publications"])
         )
-    # Evidence is keyed and stored under each publication's own DOI object.
+    # Evidence is built, keyed and stored under each publication's own DOI object.
     needed_dois = {pub.doi: pub.doi for pub in publications if pub.doi is not None}
-    evidence_by_doi = {}
     with _reading(evidence_path):
-        for record in parse_evidence_stream(
-            evidence_path,
-            on_issue=sink,
-            keep=needed_dois.__contains__,
-            stats=stats["evidence"],
-            processes=shards if shards is not None else _usable_cpus(),
-        ):
-            doi = needed_dois[record.doi]
-            evidence_by_doi[doi] = replace(record, doi=doi)
+        evidence_by_doi = {
+            record.doi: record
+            for record in parse_evidence_stream(
+                evidence_path,
+                on_issue=sink,
+                keep=needed_dois.get,
+                stats=stats["evidence"],
+                processes=shards if shards is not None else _usable_cpus(),
+            )
+        }
 
     for source, source_stats in stats.items():
         if source_stats.lines == 0:
@@ -475,7 +498,8 @@ def run_pipeline(
                 columns=("source", "line_no", "kind", "detail"),
                 rows=tuple((i.source, i.line_no, i.kind, i.detail) for i in sink.issues or ()),
             )
-            Path(issue_log_path).write_bytes(emit_report(log_table, report_format))
+            log_path = Path(issue_log_path)
+            _write_tables(log_path.parent, [(log_path.name, log_table)], report_format)
     return bundle
 
 

@@ -143,15 +143,17 @@ def _report(on_issue, source: str, line_no: int, kind: str, detail: str) -> None
 def parse_evidence_stream(
     source,
     on_issue: Callable[[ParseIssue], None] | None = None,
-    keep: Callable[[str], bool] | None = None,
+    keep: Callable[[str], str | None] | None = None,
     stats: ParseStats | None = None,
     processes: int = 1,
 ) -> Iterator[OAEvidenceRecord]:
     """Yield evidence records from a line-delimited dump, one line at a time.
 
-    `keep`, when given, is a predicate on the normalized DOI; lines
-    whose DOI fails it are dropped silently before any record object is
-    built (they are neither records nor issues). With `keep`, the DOIs
+    `keep`, when given, maps the normalized DOI to the DOI object the
+    record is built under (so a caller can store every record under a
+    string it already holds), or to None; a line it maps to None is
+    dropped silently before any record object is built (it is neither a
+    record nor an issue). With `keep`, the DOIs
     already yielded are remembered, so a later line for the same DOI is
     reported as duplicate_key and the first record wins; without it the
     parser holds constant space and yields every valid line. Malformed
@@ -178,6 +180,7 @@ def parse_evidence_stream(
                 continue
             doi, journal_is_oa, locations = value
             if seen is not None:
+                doi = keep(doi)
                 if doi in seen:
                     _report(on_issue, "evidence", line_no, "duplicate_key", f"duplicate doi: {doi}")
                     continue
@@ -227,7 +230,7 @@ def _scan_evidence(lines: Iterable[bytes], keep, stats: ParseStats):
         if doi is None:
             yield line_no, "malformed", f"invalid doi: {obj['doi']!r}"
             continue
-        if keep is not None and not keep(doi):
+        if keep is not None and keep(doi) is None:
             continue
         journal_is_oa = obj["journal_is_oa"]
         if not isinstance(journal_is_oa, bool):
@@ -397,11 +400,12 @@ def _scan_ranges(path, ranges: list[tuple[int, int]], keep, stats: ParseStats):
         offset += n_lines
 
 
-def _iter_rows(source, source_name: str, on_issue, required: tuple[str, ...]):
+def _iter_rows(source, source_name: str, on_issue, stats: ParseStats, required: tuple[str, ...]):
     """Yield (line_no, dict) rows from a CSV or line-delimited JSON table.
 
     The format is sniffed from the first byte after any UTF-8 BOM ("{"
-    means JSON lines).
+    means JSON lines). Every non-blank line read counts in `stats.lines`,
+    also one reported here as malformed, so an issue rate never exceeds 1.
     A CSV header missing a required column is a file-level defect and
     raises ValueError rather than producing per-line issues.
     """
@@ -411,6 +415,7 @@ def _iter_rows(source, source_name: str, on_issue, required: tuple[str, ...]):
             for line_no, raw in enumerate(fh, start=1):
                 if not raw.strip():
                     continue
+                stats.lines += 1
                 try:
                     obj = json.loads(raw.decode("utf-8"))
                 except (ValueError, RecursionError):
@@ -429,6 +434,7 @@ def _iter_rows(source, source_name: str, on_issue, required: tuple[str, ...]):
             if missing:
                 raise ValueError(f"{source_name}: missing required columns: {', '.join(missing)}")
             for row in reader:
+                stats.lines += 1
                 yield reader.line_num, row
 
 
@@ -480,10 +486,9 @@ def parse_publications(
     intern = _interner()
     seen: set[str] = set()
     for line_no, row in _iter_rows(
-        source, "publications", on_issue,
+        source, "publications", on_issue, stats,
         required=("pub_id", "year", "doc_type", "journal_id", "field_ids"),
     ):
-        stats.lines += 1
         pub_id = _text(row, "pub_id")
         if not pub_id:
             _report(on_issue, "publications", line_no, "missing_required_field", "missing pub_id")
@@ -561,10 +566,9 @@ def parse_registries(
         journal_stats = ParseStats()
     institutions: dict[str, Institution] = {}
     for line_no, row in _iter_rows(
-        institutions_source, "institutions", on_issue,
+        institutions_source, "institutions", on_issue, institution_stats,
         required=("inst_id", "country", "regions"),
     ) if institutions_source is not None else ():
-        institution_stats.lines += 1
         inst_id = _text(row, "inst_id")
         if not inst_id:
             _report(on_issue, "institutions", line_no, "missing_required_field", "missing inst_id")
@@ -594,9 +598,8 @@ def parse_registries(
 
     journals: dict[str, JournalRecord] = {}
     for line_no, row in _iter_rows(
-        journals_source, "journals", on_issue, required=("journal_id",),
+        journals_source, "journals", on_issue, journal_stats, required=("journal_id",),
     ) if journals_source is not None else ():
-        journal_stats.lines += 1
         journal_id = _text(row, "journal_id")
         if not journal_id:
             _report(on_issue, "journals", line_no, "missing_required_field", "missing journal_id")

@@ -1,9 +1,12 @@
 import csv
+import gc
 import gzip
 import io
 import json
 import marshal
 import os
+import random
+import tracemalloc
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -23,7 +26,7 @@ from oametrics.cli import (
     SchemaCeilingError,
 )
 from oametrics import __version__
-from oametrics.models import PipelineConfig
+from oametrics.models import OAEvidenceRecord, PipelineConfig
 
 
 @pytest.mark.parametrize(
@@ -462,3 +465,169 @@ def test_jsonl_and_gzip_inputs_give_the_golden_tables(golden_input, golden_dir, 
     expected = {p.name: p.read_bytes() for p in sorted(golden_dir.iterdir())}
     assert len(expected) == 12
     assert written == expected
+
+
+class _Unprintable:
+    """A cell value that cannot be serialized in either report format."""
+
+    def __str__(self):
+        raise RuntimeError("cannot render this cell")
+
+
+def _tables(*names, cell=1):
+    return {name: Table(name=name, columns=("a",), rows=((cell,), (cell,))) for name in names}
+
+
+@pytest.mark.parametrize("report_format", ["csv", "jsonl"])
+def test_failed_bundle_write_leaves_out_dir_as_it_was(tmp_path, report_format):
+    out = tmp_path / "out"
+    ReportBundle(_tables("first", "second", "third")).write(out, report_format)
+    (out / "notes.txt").write_text("not part of the bundle")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    broken = _tables("first", "second", "third", cell=2)
+    broken["second"] = Table(name="second", columns=("a",), rows=((2,), (_Unprintable(),)))
+    with pytest.raises((RuntimeError, TypeError)):
+        ReportBundle(broken).write(out, report_format)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def test_bundle_write_replaces_tables_and_keeps_other_files(tmp_path):
+    out = tmp_path / "out"
+    ReportBundle(_tables("first", "second")).write(out, "csv")
+    (out / "notes.txt").write_text("not part of the bundle")
+    ReportBundle(_tables("first", "second", cell=2)).write(out, "csv")
+    assert sorted(p.name for p in out.iterdir()) == ["first.csv", "notes.txt", "second.csv"]
+    assert (out / "second.csv").read_bytes() == b"a\r\n2\r\n2\r\n"
+
+
+def test_failed_issue_log_write_keeps_the_old_log(golden_input, tmp_path, monkeypatch):
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    log = logs / "issues_full.csv"
+    log.write_bytes(b"an older log\r\n")
+    write_table = cli._write_table
+
+    def fail_after_first_row(fh, table, report_format):
+        write_table(fh, Table(table.name, table.columns, table.rows[:1]), report_format)
+        if table.name == "issue_log":
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(cli, "_write_table", fail_after_first_row)
+    with pytest.raises(OSError, match="no space left"):
+        run_pipeline(
+            PipelineConfig(),
+            publications_path=golden_input / "publications.csv",
+            evidence_path=golden_input / "evidence.jsonl",
+            out_dir=tmp_path / "out",
+            issue_log_path=log,
+            tables=("issues",),
+        )
+    assert log.read_bytes() == b"an older log\r\n"
+    assert [p.name for p in logs.iterdir()] == ["issues_full.csv"]
+
+
+def test_issue_log_in_a_missing_directory_fails_before_the_bundle_is_written(golden_input, tmp_path):
+    log = tmp_path / "missing" / "issues_full.csv"
+    result = CliRunner().invoke(
+        main, ["report", *_golden_args(golden_input, tmp_path / "out"), "--issue-log", str(log)]
+    )
+    assert result.exit_code == 1
+    assert f"error: {log}: directory not found" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def _classified_shaped_table(n: int, seed: int = 5) -> Table:
+    rng = random.Random(seed)
+    rows = tuple(
+        (f"P{i:07d}", f"10.{rng.randint(1000, 9999)}/x{i}", *(rng.random() < 0.3 for _ in range(5)))
+        for i in range(n)
+    )
+    return Table(
+        name="classified",
+        columns=("pub_id", "doi", "gold", "green", "hybrid", "bronze", "any_oa"),
+        rows=rows,
+    )
+
+
+@pytest.mark.parametrize(
+    "report_format,min_size", [("csv", 2 << 20), ("jsonl", 5 << 20)], ids=["csv", "jsonl"]
+)
+def test_bundle_write_memory_does_not_grow_with_the_table(tmp_path, report_format, min_size):
+    # Deterministic: tracemalloc over a seeded 50k-row table, not RSS.
+    bundle = ReportBundle({"classified": _classified_shaped_table(50_000)})
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        (path,) = bundle.write(tmp_path, report_format)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size >= min_size
+    assert peak <= 1 << 20, f"write peaked at {peak:,} B for a {path.stat().st_size:,} B file"
+
+
+@pytest.mark.parametrize("report_format", ["csv", "jsonl"])
+def test_written_tables_equal_emit_report(golden_input, tmp_path, report_format):
+    bundle = run_pipeline(
+        PipelineConfig(min_universities_country=2, min_universities_gold_model=2),
+        publications_path=golden_input / "publications.csv",
+        evidence_path=golden_input / "evidence.jsonl",
+        institutions_path=golden_input / "institutions.csv",
+        journals_path=golden_input / "journals.csv",
+        tables=cli.REPORT_TABLES + ("classified",),
+    )
+    written = bundle.write(tmp_path, report_format)
+    assert len(written) == 13
+    for path in written:
+        table = bundle.tables[path.stem]
+        assert path.read_bytes() == emit_report(table, report_format), path.name
+
+
+def test_kept_evidence_records_are_built_once_under_the_publications_doi(golden_input, monkeypatch):
+    classify_stream = cli.classify_stream
+    post_init = OAEvidenceRecord.__post_init__
+    captured, built = {}, []
+
+    def capture(publications, evidence_by_doi, journals):
+        captured.update(publications=publications, evidence=evidence_by_doi)
+        return classify_stream(publications, evidence_by_doi, journals)
+
+    def counting_post_init(record):
+        built.append(record.doi)
+        post_init(record)
+
+    monkeypatch.setattr(cli, "classify_stream", capture)
+    monkeypatch.setattr(OAEvidenceRecord, "__post_init__", counting_post_init)
+    run_pipeline(
+        PipelineConfig(),
+        publications_path=golden_input / "publications.csv",
+        evidence_path=golden_input / "evidence.jsonl",
+        tables=("classified",),
+    )
+    evidence = captured["evidence"]
+    publication_dois = {pub.doi: pub.doi for pub in captured["publications"] if pub.doi}
+    assert evidence and len(built) == len(evidence)
+    for key, record in evidence.items():
+        assert key is record.doi is publication_dois[record.doi]
+
+
+def _jsonl_publications(tmp_path) -> list[str]:
+    valid = {
+        "pub_id": "P1", "doi": "10.1/a", "year": 2015, "doc_type": "article",
+        "journal_id": "J1", "institution_ids": ["U1"], "field_ids": ["Physical Sciences & Engineering"],
+    }
+    pubs = tmp_path / "publications.jsonl"
+    pubs.write_text(json.dumps(valid) + "\n{bad\n{bad\n", encoding="utf-8")
+    evidence = tmp_path / "evidence.jsonl"
+    evidence.write_text(_evidence_line("10.1/a", False) + "\n", encoding="utf-8")
+    return ["classify", "-p", str(pubs), "-e", str(evidence), "-o", str(tmp_path / "out")]
+
+
+def test_malformed_jsonl_rows_count_in_the_issue_rate(tmp_path):
+    result = CliRunner().invoke(main, _jsonl_publications(tmp_path))
+    assert result.exit_code == 0, result.output
+    result = CliRunner().invoke(main, [*_jsonl_publications(tmp_path), "--max-issue-rate", "0.5"])
+    assert result.exit_code == 3
+    assert "publications: issue rate 0.667 exceeds ceiling 0.500" in result.output

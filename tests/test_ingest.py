@@ -136,7 +136,7 @@ def test_evidence_keep_filter_drops_silently():
     ]
     stats = ParseStats()
     records, issues = _parse_evidence(
-        _evidence_bytes(*lines), keep={"10.1/b"}.__contains__, stats=stats
+        _evidence_bytes(*lines), keep={"10.1/b": "10.1/b"}.get, stats=stats
     )
     assert [r.doi for r in records] == ["10.1/b"]
     assert issues == []
@@ -318,7 +318,7 @@ def test_evidence_duplicate_doi_reported_first_wins():
         {"doi": "https://doi.org/10.1/a", "journal_is_oa": False, "oa_locations": []}
     )
     records, issues = _parse_evidence(
-        _evidence_bytes(first, spelled, first), keep={"10.1/a"}.__contains__
+        _evidence_bytes(first, spelled, first), keep={"10.1/a": "10.1/a"}.get
     )
     assert [(r.doi, r.journal_is_oa) for r in records] == [("10.1/a", True)]
     assert [(i.kind, i.line_no) for i in issues] == [("duplicate_key", 2), ("duplicate_key", 3)]
@@ -342,6 +342,31 @@ def test_json_rows_deeply_nested_line_is_malformed():
     records, issues = _parse_pubs(io.BytesIO(f"{line}\n{'[' * 100_000}\n".encode()))
     assert [r.pub_id for r in records] == ["P1"]
     assert [(i.kind, i.line_no, i.detail) for i in issues] == [("malformed", 2, "invalid JSON")]
+
+
+_JSON_ROWS = {
+    "publications": {
+        "pub_id": "P1", "doi": "10.1/a", "year": 2015, "doc_type": "article",
+        "journal_id": "J1", "field_ids": [BIO],
+    },
+    "institutions": {"inst_id": "U1", "country": "NL", "regions": ["Europe"]},
+    "journals": {"journal_id": "J1", "is_fully_oa": False},
+}
+
+
+@pytest.mark.parametrize("source", sorted(_JSON_ROWS))
+def test_json_rows_count_every_non_blank_line(source):
+    # A line rejected while the row is read counts like one the parser rejects.
+    data = io.BytesIO(f"{json.dumps(_JSON_ROWS[source])}\n{{bad\n\n[1]\n".encode())
+    stats = ParseStats()
+    sink = IssueSummary()
+    if source == "publications":
+        list(parse_publications(data, PipelineConfig(), on_issue=sink, stats=stats))
+    elif source == "institutions":
+        parse_registries(data, None, on_issue=sink, institution_stats=stats)
+    else:
+        parse_registries(None, data, on_issue=sink, journal_stats=stats)
+    assert (stats.lines, stats.records, sink.total(source)) == (3, 1, 2)
 
 
 def test_publications_csv_with_utf8_bom():
@@ -383,7 +408,7 @@ def test_evidence_dump_with_utf8_bom(tmp_path, monkeypatch, processes):
     assert len(ingest._byte_ranges(dump, processes)) == (processes if processes > 1 else 0)
     stats = ParseStats()
     records, issues = _parse_evidence(
-        dump, keep=lambda doi: True, stats=stats, processes=processes
+        dump, keep=lambda doi: doi, stats=stats, processes=processes
     )
     assert issues == []
     assert [r.doi for r in records] == [f"10.1/{i}" for i in range(4)]
@@ -435,7 +460,7 @@ def test_range_scan_matches_one_range_scan(lines, endings, final_newline, bom, k
     def scan(path, processes):
         stats = ParseStats()
         records, issues = _parse_evidence(
-            path, keep=kept.__contains__, stats=stats, processes=processes
+            path, keep={doi: doi for doi in kept}.get, stats=stats, processes=processes
         )
         return records, issues, stats
 
@@ -475,12 +500,34 @@ def test_evidence_from_a_pipe_is_read_once_from_its_start(tmp_path, monkeypatch)
     signal.alarm(10)
     writer = subprocess.Popen(["cp", str(dump), str(fifo)])
     try:
-        records, issues = _parse_evidence(fifo, keep=lambda doi: True, processes=2)
+        records, issues = _parse_evidence(fifo, keep=lambda doi: doi, processes=2)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
         writer.wait(timeout=10)
     assert issues == [] and [r.doi for r in records] == ["10.1/0", "10.1/1", "10.1/2"]
+
+
+@pytest.mark.parametrize("processes", [1, 3])
+def test_records_are_built_under_the_doi_keep_returns(tmp_path, monkeypatch, processes):
+    monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", 32)
+    dump = tmp_path / "dump.jsonl"
+    dump.write_text(
+        "".join(
+            json.dumps({"doi": f"https://doi.org/10.1/{i}", "journal_is_oa": False, "oa_locations": []})
+            + "\n"
+            for i in range(6)
+        ),
+        encoding="utf-8",
+    )
+    assert len(ingest._byte_ranges(dump, processes)) == (processes if processes > 1 else 0)
+    # Equal strings that are not the parser's own objects.
+    canonical = {doi: "".join(["10.1/", doi[5:]]) for doi in (f"10.1/{i}" for i in range(0, 6, 2))}
+    records, issues = _parse_evidence(dump, keep=canonical.get, processes=processes)
+    assert issues == []
+    assert [r.doi for r in records] == ["10.1/0", "10.1/2", "10.1/4"]
+    for record in records:
+        assert record.doi is canonical[record.doi]
 
 
 def test_range_scan_splits_a_dump_at_line_starts(tmp_path, monkeypatch):
@@ -547,7 +594,7 @@ def test_parsers_raise_nothing_reading_does_not_convert(data):
         lambda fh, on_issue: parse_registries(None, fh, on_issue=on_issue),
         lambda fh, on_issue: list(parse_evidence_stream(fh, on_issue=on_issue)),
         lambda fh, on_issue: list(
-            parse_evidence_stream(fh, on_issue=on_issue, keep=lambda doi: True)
+            parse_evidence_stream(fh, on_issue=on_issue, keep=lambda doi: doi)
         ),
     )
     for parse in parsers:
