@@ -19,7 +19,10 @@ from .models import (
     OALocation,
     OATypeSet,
     PublicationRecord,
+    Table,
 )
+
+CLASSIFIED_COLUMNS = ("pub_id", "doi", "gold", "green", "hybrid", "bronze", "any_oa")
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,3 +94,15 @@ def classify_stream(
         types = classify(evidence, journals.get(pub.journal_id))
         locations = evidence.locations if evidence is not None else ()
         yield ClassifiedPublication(publication=pub, types=types, locations_used=locations)
+
+
+def classified_table(classified: Iterable[ClassifiedPublication]) -> Table:
+    """The classified table: each publication's OA flags, sorted by pub_id."""
+    rows = sorted(
+        (
+            cp.publication.pub_id, cp.publication.doi, cp.types.gold, cp.types.green,
+            cp.types.hybrid, cp.types.bronze, cp.types.any_oa,
+        )
+        for cp in classified
+    )
+    return Table("classified", CLASSIFIED_COLUMNS, tuple(rows))

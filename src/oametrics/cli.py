@@ -18,8 +18,8 @@ import os
 import re
 import tempfile
 import zlib
-from contextlib import contextmanager
-from dataclasses import astuple, dataclass, field
+from contextlib import ExitStack, contextmanager
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -27,15 +27,17 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .classifier import ClassifiedPublication, classify_stream
-from .gold_models import gold_country_model
+from .classifier import classified_table, classify_stream
+from .gold_models import GOLD_MODELS_COLUMNS, gold_country_model
 from .indicators import (
+    COUNTRY_MEDIANS_COLUMNS,
     count_full,
     field_profile,
     field_summary,
     median_share_by_country,
     overlap_matrix,
     region_rollup,
+    universities_table,
     university_indicators,
 )
 from .ingest import (
@@ -45,8 +47,8 @@ from .ingest import (
     parse_publications,
     parse_registries,
 )
-from .models import ALL_SCIENCES, OA_TYPES, TYPE_ORDER, PipelineConfig
-from .repositories import normalize_url, pmc_overlap_table, repo_share_bounds
+from .models import PipelineConfig, Table
+from .repositories import pmc_overlap_table, repo_share_bounds
 
 #: Tables computed from the per-university indicator cells.
 CELL_TABLES = (
@@ -75,6 +77,10 @@ class PipelineError(Exception):
 
 class FatalInputError(PipelineError):
     exit_code = 1
+
+
+class ConfigurationError(PipelineError):
+    exit_code = 2
 
 
 class SchemaCeilingError(PipelineError):
@@ -106,15 +112,6 @@ def _jsonl_value(value):
     return value
 
 
-@dataclass(frozen=True)
-class Table:
-    """One report table: a name, a header and canonically ordered rows."""
-
-    name: str
-    columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
-
-
 def _write_table(fh, table: Table, report_format: str) -> None:
     """Write a table to a text file row by row (RFC-4180 CSV or JSON lines).
 
@@ -141,21 +138,25 @@ def emit_report(table: Table, report_format: str = "csv") -> bytes:
     return buffer.getvalue().encode("utf-8")
 
 
-def _write_tables(directory: Path, targets: list[tuple[str, Table]], report_format: str) -> None:
-    """Write each (file name, table) into directory, or leave it as it was.
+def _write_tables(targets: list[tuple[Path, Table]], report_format: str) -> None:
+    """Write each (path, table), or leave every path as it was.
 
-    The tables are written into a fresh hidden temporary directory inside
-    `directory`, so on its filesystem, and only when all are complete is
-    each file moved into place with os.replace. If any table fails, the
-    temporary directory is removed and the error re-raised; no file in
-    `directory` has been touched.
+    Every table is first written into a fresh hidden temporary directory
+    inside its path's directory, so on that path's filesystem. Only when
+    all are complete is each file moved into place with os.replace. If
+    any table fails, the temporary directories are removed and the
+    error re-raised; no target has been touched.
     """
-    with tempfile.TemporaryDirectory(dir=directory, prefix=".oametrics-") as tmp:
-        for name, table in targets:
-            with open(Path(tmp) / name, "w", encoding="utf-8", newline="") as fh:
+    with ExitStack() as stack:
+        staging: dict[Path, Path] = {}
+        for path, table in targets:
+            if path.parent not in staging:
+                tmp = tempfile.TemporaryDirectory(dir=path.parent, prefix=".oametrics-")
+                staging[path.parent] = Path(stack.enter_context(tmp))
+            with open(staging[path.parent] / path.name, "w", encoding="utf-8", newline="") as fh:
                 _write_table(fh, table, report_format)
-        for name, _ in targets:
-            os.replace(Path(tmp) / name, directory / name)
+        for path, _ in targets:
+            os.replace(staging[path.parent] / path.name, path)
 
 
 @dataclass
@@ -164,219 +165,26 @@ class ReportBundle:
 
     tables: dict[str, Table] = field(default_factory=dict)
 
-    def write(self, out_dir: Path, report_format: str = "csv") -> list[Path]:
-        """Write every table into out_dir; on failure out_dir is left as it was."""
+    def write(self, out_dir: Path, report_format: str = "csv", extra=()) -> list[Path]:
+        """Write every table into out_dir, and each (path, table) of `extra`, in one step.
+
+        On failure out_dir and every `extra` path are left as they were.
+        Returns the bundle's paths.
+        """
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        extension = "csv" if report_format == "csv" else "jsonl"
-        targets = [(f"{name}.{extension}", self.tables[name]) for name in sorted(self.tables)]
-        _write_tables(out_dir, targets, report_format)
-        return [out_dir / name for name, _ in targets]
+        paths = {name: out_dir / f"{name}.{report_format}" for name in sorted(self.tables)}
+        targets = [(path, self.tables[name]) for name, path in paths.items()]
+        _write_tables(targets + list(extra), report_format)
+        return list(paths.values())
 
 
-def _classified_table(classified: list[ClassifiedPublication]) -> Table:
-    rows = sorted(
-        (
-            cp.publication.pub_id,
-            cp.publication.doi,
-            cp.types.gold,
-            cp.types.green,
-            cp.types.hybrid,
-            cp.types.bronze,
-            cp.types.any_oa,
-        )
-        for cp in classified
-    )
-    return Table(
-        name="classified",
-        columns=("pub_id", "doi", "gold", "green", "hybrid", "bronze", "any_oa"),
-        rows=tuple(rows),
-    )
-
-
-def _overlap_table(classified: list[ClassifiedPublication]) -> Table:
-    matrix = overlap_matrix(classified)
-    total = matrix.total_oa
-
-    def of_total(count: int) -> Fraction | None:
-        return Fraction(count, total) if total else None
-
-    rows = [("total_oa", total, of_total(total))]
-    for oa_type in OA_TYPES:
-        rows.append((oa_type, matrix.per_type_count[oa_type], of_total(matrix.per_type_count[oa_type])))
-    for oa_type in ("gold", "hybrid", "bronze"):
-        overlap = matrix.pairwise_green[oa_type]
-        marginal = matrix.per_type_count[oa_type]
-        rows.append(
-            (f"green_and_{oa_type}", overlap, Fraction(overlap, marginal) if marginal else None)
-        )
-    for bucket in ("gold", "hybrid", "bronze", "green_only"):
-        count = matrix.exclusive_partition[bucket]
-        rows.append((f"exclusive_{bucket}", count, of_total(count)))
-    return Table(name="overlap", columns=("metric", "count", "pct"), rows=tuple(rows))
-
-
-def _universities_table(cells, institutions) -> Table:
-    rows = tuple(
-        (
-            c.scope_id, institutions[c.scope_id].country, c.field, c.oa_type,
-            c.numerator, c.denominator, c.share,
-        )
-        for c in cells
-    )
-    return Table(
-        name="universities",
-        columns=("university", "country", "field", "oa_type", "numerator", "denominator", "share_pct"),
-        rows=rows,
-    )
-
-
-def _field_summary_table(cells) -> Table:
-    rows = tuple(
-        (r.field, r.oa_type, r.n_universities, r.median, r.mean) for r in field_summary(cells)
-    )
-    return Table(
-        name="field_summary",
-        columns=("field", "oa_type", "n_universities", "median_pct", "mean_pct"),
-        rows=rows,
-    )
-
-
-def _all_sciences_medians(cells, rollup) -> list[tuple]:
-    """Rows of `rollup` over each OA type's all-sciences cells as (group, oa_type, ...)."""
-    all_sciences = [c for c in cells if c.field == ALL_SCIENCES]
-    collected = []
-    for oa_type in TYPE_ORDER:
-        for row in rollup([c for c in all_sciences if c.oa_type == oa_type]):
-            group, *rest = astuple(row)
-            collected.append((group, oa_type, *rest))
-    collected.sort(key=lambda r: (r[0], TYPE_ORDER.index(r[1])))
-    return collected
-
-
-def _country_median_tables(cells, institutions, config: PipelineConfig) -> tuple[Table, Table]:
-    collected = _all_sciences_medians(
-        cells, lambda s: median_share_by_country(s, institutions, config.min_universities_country)
-    )
-    display = Table(
-        name="country_medians",
-        columns=("country", "oa_type", "n_universities", "median_pct"),
-        rows=tuple(r[:4] for r in collected if r[4]),
-    )
-    full = Table(
-        name="country_medians_full",
-        columns=("country", "oa_type", "n_universities", "median_pct", "displayed"),
-        rows=tuple(collected),
-    )
-    return display, full
-
-
-def _region_table(cells, institutions) -> Table:
-    return Table(
-        name="region_medians",
-        columns=("region", "oa_type", "n_universities", "median_pct"),
-        rows=tuple(_all_sciences_medians(cells, lambda s: region_rollup(s, institutions))),
-    )
-
-
-def _profiles_table(cells) -> Table:
-    by_university: dict[str, list] = {}
-    for cell in cells:
-        by_university.setdefault(cell.scope_id, []).append(cell)
-    rows = []
-    for university in sorted(by_university):
-        profile = field_profile(by_university[university])
-        for field_name, shares in profile.items():
-            for oa_type in OA_TYPES:
-                rows.append((university, field_name, oa_type, shares[oa_type]))
-    return Table(
-        name="profiles",
-        columns=("university", "field", "oa_type", "share_pct"),
-        rows=tuple(rows),
-    )
-
-
-def _repo_table(classified, institutions, counts, config: PipelineConfig) -> Table:
-    by_inst: dict[str, list[ClassifiedPublication]] = {}
-    for cp in classified:
-        for inst_id in cp.publication.institution_ids:
-            if inst_id in institutions:
-                by_inst.setdefault(inst_id, []).append(cp)
-    rows = []
-    for inst_id in sorted(by_inst):
-        inst = institutions[inst_id]
-        bounds = repo_share_bounds(by_inst[inst_id], inst, config.handle_pattern)
-        rows.append(
-            (
-                inst_id,
-                inst.name,
-                inst.country,
-                counts.get((inst_id, ALL_SCIENCES, "pubs"), 0),
-                bounds.green_count,
-                bounds.matched_lower,
-                bounds.matched_upper,
-                bounds.share_lower,
-                bounds.share_upper,
-            )
-        )
-    return Table(
-        name="repo_bounds",
-        columns=(
-            "university", "name", "country", "pubs", "green_pubs",
-            "matched_lower", "matched_upper", "pct_repo_lower", "pct_repo_upper",
-        ),
-        rows=tuple(rows),
-    )
-
-
-def _pmc_table(classified, institutions, config: PipelineConfig) -> Table:
-    rows = tuple(
-        (
-            r.country, r.green_count, r.pmc_count, r.pmc_only_count,
-            r.pct_gold, r.pct_bronze, r.pct_hybrid,
-        )
-        for r in pmc_overlap_table(classified, institutions, config)
-    )
-    return Table(
-        name="pmc_overlap",
-        columns=("country", "green_oa", "pmc", "pmc_only", "pct_gold", "pct_bronze", "pct_hybrid"),
-        rows=rows,
-    )
-
-
-def _gold_tables(classified, journals, institutions, config: PipelineConfig) -> tuple[Table, Table]:
-    model = gold_country_model(
-        classified, journals, institutions, config.min_universities_gold_model
-    )
-    full_rows = tuple(
-        (
-            r.country, r.gold_total, r.national_share, r.apc_share, r.english_share,
-            r.apc_known, r.n_universities, r.displayed,
-        )
-        for r in model
-    )
-    display = Table(
-        name="gold_models",
-        columns=("country", "gold_total", "national_share", "apc_share", "english_share", "apc_known"),
-        rows=tuple(r[:6] for r in full_rows if r[7]),
-    )
-    full = Table(
-        name="gold_models_full",
-        columns=(
-            "country", "gold_total", "national_share", "apc_share", "english_share",
-            "apc_known", "n_universities", "displayed",
-        ),
-        rows=full_rows,
-    )
-    return display, full
-
-
-def _issues_table(sink: IssueSummary) -> Table:
-    return Table(
-        name="issues",
-        columns=("source", "kind", "count"),
-        rows=tuple(sink.rows()),
-    )
+def _displayed(full: Table, columns: tuple[str, ...]) -> Table:
+    """The display table of a `_full` table: its rows flagged displayed, cut to `columns`."""
+    flag = full.columns.index("displayed")
+    picks = [full.columns.index(column) for column in columns]
+    rows = tuple(tuple(row[i] for i in picks) for row in full.rows if row[flag])
+    return Table(full.name.removesuffix("_full"), columns, rows)
 
 
 @contextmanager
@@ -413,10 +221,19 @@ def run_pipeline(
     The evidence dump is streamed once with a DOI filter, so memory is
     bounded by the publication table, not the dump size. It is scanned
     with up to `shards` processes (default: `_usable_cpus()`); the output
-    is the same for any count. Raises FatalInputError for unreadable
-    inputs or a missing issue-log directory and SchemaCeilingError when any source's issue rate exceeds
-    `max_issue_rate`, before any publication is classified.
+    is the same for any count. The bundle and the issue log are written
+    in one step (ReportBundle.write).
+
+    Raises, before any input is read, ConfigurationError when the issue
+    log would overwrite a bundle file and FatalInputError for a missing
+    input or issue-log directory. Raises FatalInputError for an
+    unreadable input, and SchemaCeilingError when any source's issue
+    rate exceeds `max_issue_rate`, before any publication is classified.
     """
+    if issue_log_path is not None and out_dir is not None:
+        log = Path(issue_log_path).resolve()
+        if any(log == (Path(out_dir) / f"{name}.{report_format}").resolve() for name in tables):
+            raise ConfigurationError(f"{issue_log_path}: the issue log would overwrite a report table")
     for path in (publications_path, evidence_path, institutions_path, journals_path):
         if path is not None and not Path(path).exists():
             raise FatalInputError(f"input file not found: {path}")
@@ -463,43 +280,41 @@ def run_pipeline(
 
     classified = list(classify_stream(publications, evidence_by_doi, journals))
     wanted = set(tables)
-    counts = cells = None
-    if wanted & {*CELL_TABLES, "repo_bounds"}:
-        counts = count_full(classified)
+    cells = None
     if wanted & set(CELL_TABLES):
         # Only roster institutions are in scope; an unknown id in a
         # publication's affiliations gets no cells.
-        cells = [c for c in university_indicators(counts, config) if c.scope_id in institutions]
+        cells = [
+            c for c in university_indicators(count_full(classified), config)
+            if c.scope_id in institutions
+        ]
 
-    country_medians = cache(lambda: _country_median_tables(cells, institutions, config))
-    gold_models = cache(lambda: _gold_tables(classified, journals, institutions, config))
+    country_medians = cache(
+        lambda: median_share_by_country(cells, institutions, config.min_universities_country)
+    )
+    gold_models = cache(
+        lambda: gold_country_model(classified, journals, institutions, config.min_universities_gold_model)
+    )
     builders = {
-        "classified": lambda: _classified_table(classified),
-        "overlap": lambda: _overlap_table(classified),
-        "universities": lambda: _universities_table(cells, institutions),
-        "field_summary": lambda: _field_summary_table(cells),
-        "country_medians": lambda: country_medians()[0],
-        "country_medians_full": lambda: country_medians()[1],
-        "region_medians": lambda: _region_table(cells, institutions),
-        "profiles": lambda: _profiles_table(cells),
-        "repo_bounds": lambda: _repo_table(classified, institutions, counts, config),
-        "pmc_overlap": lambda: _pmc_table(classified, institutions, config),
-        "gold_models": lambda: gold_models()[0],
-        "gold_models_full": lambda: gold_models()[1],
-        "issues": lambda: _issues_table(sink),
+        "classified": lambda: classified_table(classified),
+        "overlap": lambda: overlap_matrix(classified),
+        "universities": lambda: universities_table(cells, institutions),
+        "field_summary": lambda: field_summary(cells),
+        "country_medians": lambda: _displayed(country_medians(), COUNTRY_MEDIANS_COLUMNS),
+        "country_medians_full": country_medians,
+        "region_medians": lambda: region_rollup(cells, institutions),
+        "profiles": lambda: field_profile(cells),
+        "repo_bounds": lambda: repo_share_bounds(classified, institutions, config.handle_pattern),
+        "pmc_overlap": lambda: pmc_overlap_table(classified, institutions, config),
+        "gold_models": lambda: _displayed(gold_models(), GOLD_MODELS_COLUMNS),
+        "gold_models_full": gold_models,
+        "issues": sink.table,
     }
     bundle = ReportBundle({name: build() for name, build in builders.items() if name in wanted})
 
     if out_dir is not None:
-        bundle.write(Path(out_dir), report_format)
-        if issue_log_path is not None:
-            log_table = Table(
-                name="issue_log",
-                columns=("source", "line_no", "kind", "detail"),
-                rows=tuple((i.source, i.line_no, i.kind, i.detail) for i in sink.issues or ()),
-            )
-            log_path = Path(issue_log_path)
-            _write_tables(log_path.parent, [(log_path.name, log_table)], report_format)
+        log = [] if issue_log_path is None else [(Path(issue_log_path), sink.log_table())]
+        bundle.write(Path(out_dir), report_format, extra=log)
     return bundle
 
 
@@ -514,14 +329,13 @@ def _parse_period(ctx, param, value) -> tuple[int, int]:
 
 
 def _config_from_options(opts) -> PipelineConfig:
-    pmc_patterns = tuple(normalize_url(p) for p in opts["pmc_pattern"]) or ("ncbi.nlm.nih.gov/pmc",)
     try:
         return PipelineConfig(
             min_universities_country=opts["min_universities"],
             min_universities_gold_model=opts["min_universities_gold"],
             denominator_mode="all_pubs" if opts["denominator"] == "all" else "doi_pubs",
-            pmc_url_patterns=pmc_patterns,
-            handle_pattern=normalize_url(opts["handle_pattern"]),
+            pmc_url_patterns=opts["pmc_pattern"] or PipelineConfig.pmc_url_patterns,
+            handle_pattern=opts["handle_pattern"],
             period=opts["period"],
         )
     except ValueError as exc:

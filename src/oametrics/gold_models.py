@@ -9,12 +9,10 @@ the registry has no country code.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .classifier import ClassifiedPublication
-from .models import Institution, JournalRecord, roster_countries
+from .models import Institution, JournalRecord, Table, exact_share, roster_countries
 
 #: Constituent countries that resolve to the United Kingdom.
 UK_CONSTITUENTS = {
@@ -114,24 +112,10 @@ def resolve_journal_country(
     return None
 
 
-@dataclass(frozen=True)
-class GoldModelRow:
-    """One country's gold OA profile: national / English / APC shares."""
-
-    country: str
-    gold_total: int
-    national_share: Fraction | None
-    english_share: Fraction | None
-    apc_share: Fraction | None
-    apc_known: int
-    n_universities: int
-    displayed: bool
-
-    def __post_init__(self) -> None:
-        if (self.national_share is None) != (self.gold_total == 0):
-            raise ValueError("shares must be null exactly when gold_total is zero")
-        if self.apc_known > self.gold_total:
-            raise ValueError("apc_known cannot exceed gold_total")
+GOLD_MODELS_COLUMNS = (
+    "country", "gold_total", "national_share", "apc_share", "english_share", "apc_known",
+)
+GOLD_MODELS_FULL_COLUMNS = GOLD_MODELS_COLUMNS + ("n_universities", "displayed")
 
 
 def gold_country_model(
@@ -139,14 +123,16 @@ def gold_country_model(
     journals: Mapping[str, JournalRecord],
     institutions: Mapping[str, Institution],
     min_universities: int,
-) -> list[GoldModelRow]:
-    """Characterize each country's gold OA publishing (full counting).
+) -> Table:
+    """The gold_models_full table: each country's gold OA publishing (full counting).
 
-    A gold publication counts once per distinct affiliated country.
-    Journals with unknown country are non-national; journals with
-    unknown APC status are non-APC, so apc_share is a lower bound. The
-    display threshold counts roster institutions per country; rows
-    below it are retained but flagged.
+    A gold publication counts once per distinct affiliated roster
+    country. The shares are of the country's gold total and are null
+    when it is zero. Journals with unknown country are non-national;
+    journals with unknown APC status are non-APC, so apc_share is a
+    lower bound. The display threshold counts roster institutions per
+    country; rows below it are retained but flagged. Rows are sorted by
+    country.
     """
     journal_country: dict[str, str | None] = {}
 
@@ -190,19 +176,17 @@ def gold_country_model(
                 apc_yes[country] += 1
 
     roster = Counter(inst.country for inst in institutions.values())
-    rows = []
-    for country in sorted(seen_countries):
-        total = gold_total[country]
-        rows.append(
-            GoldModelRow(
-                country=country,
-                gold_total=total,
-                national_share=Fraction(national[country], total) if total else None,
-                english_share=Fraction(english[country], total) if total else None,
-                apc_share=Fraction(apc_yes[country], total) if total else None,
-                apc_known=apc_known[country],
-                n_universities=roster[country],
-                displayed=roster[country] >= min_universities,
-            )
+    rows = tuple(
+        (
+            country,
+            gold_total[country],
+            exact_share(national[country], gold_total[country]),
+            exact_share(apc_yes[country], gold_total[country]),
+            exact_share(english[country], gold_total[country]),
+            apc_known[country],
+            roster[country],
+            roster[country] >= min_universities,
         )
-    return rows
+        for country in sorted(seen_countries)
+    )
+    return Table("gold_models_full", GOLD_MODELS_FULL_COLUMNS, rows)

@@ -8,7 +8,6 @@ rollup. Shares stay exact rationals until report emission.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
@@ -21,7 +20,10 @@ from .models import (
     TYPE_ORDER,
     IndicatorCell,
     Institution,
+    OATypeSet,
     PipelineConfig,
+    Table,
+    exact_share,
 )
 
 #: Count keys tracked per (institution, field): the two denominators
@@ -95,174 +97,143 @@ def median_exact(values: Iterable[Fraction]) -> Fraction:
     return (ordered[mid - 1] + ordered[mid]) / 2
 
 
-def _group_medians(
+def _all_sciences_medians(
     cells: Iterable[IndicatorCell],
     institutions: Mapping[str, Institution],
     groups_of: Callable[[Institution], Iterable[str]],
-) -> list[tuple[str, int, Fraction]]:
-    """(group, n_universities, median share) for each group, sorted by group.
+) -> list[tuple[str, str, int, Fraction]]:
+    """(group, oa_type, n_universities, median share) over the all-sciences cells.
 
     A cell's share counts in every group `groups_of` gives its
     institution. Null shares and institutions off the roster are skipped.
+    Rows are sorted by group, then OA type in TYPE_ORDER.
     """
-    shares_by_group: dict[str, list[Fraction]] = defaultdict(list)
+    shares: dict[tuple[str, int], list[Fraction]] = defaultdict(list)
     for cell in cells:
-        share = cell.share
-        if share is None:
+        if cell.field != ALL_SCIENCES or cell.oa_type not in TYPE_ORDER:
             continue
+        share = cell.share
         inst = institutions.get(cell.scope_id)
-        if inst is None:
+        if share is None or inst is None:
             continue
         for group in groups_of(inst):
-            shares_by_group[group].append(share)
+            shares[(group, TYPE_ORDER.index(cell.oa_type))].append(share)
     return [
-        (group, len(shares), median_exact(shares))
-        for group, shares in sorted(shares_by_group.items())
+        (group, TYPE_ORDER[type_index], len(values), median_exact(values))
+        for (group, type_index), values in sorted(shares.items())
     ]
 
 
-@dataclass(frozen=True)
-class CountryMedianRow:
-    """Median university share for one country and one (field, type)."""
-
-    country: str
-    n_universities: int
-    median: Fraction
-    displayed: bool
+COUNTRY_MEDIANS_COLUMNS = ("country", "oa_type", "n_universities", "median_pct")
+COUNTRY_MEDIANS_FULL_COLUMNS = COUNTRY_MEDIANS_COLUMNS + ("displayed",)
 
 
 def median_share_by_country(
     cells: Iterable[IndicatorCell],
     institutions: Mapping[str, Institution],
     min_universities: int,
-) -> list[CountryMedianRow]:
-    """Group one (field, type) slice of university cells into country medians.
+) -> Table:
+    """The country_medians_full table: median university share per country and OA type.
 
-    Callers pass cells for a single field and OA type. Cells with a
-    null share are skipped; countries with fewer contributing
-    universities than `min_universities` stay in the output but are
-    flagged as not displayed, so display filtering never loses data.
+    Medians are over the all-sciences cells; cells with a null share
+    are skipped. Countries with fewer contributing universities than
+    `min_universities` stay in the table but are flagged as not
+    displayed, so display filtering never loses data.
     """
-    return [
-        CountryMedianRow(country, n, median, displayed=n >= min_universities)
-        for country, n, median in _group_medians(cells, institutions, lambda i: (i.country,))
-    ]
+    rows = tuple(
+        (country, oa_type, n, median, n >= min_universities)
+        for country, oa_type, n, median in _all_sciences_medians(
+            cells, institutions, lambda inst: (inst.country,)
+        )
+    )
+    return Table("country_medians_full", COUNTRY_MEDIANS_FULL_COLUMNS, rows)
 
 
-@dataclass(frozen=True)
-class RegionMedianRow:
-    """Median university share for one region and one (field, type)."""
-
-    region: str
-    n_universities: int
-    median: Fraction
+REGION_MEDIANS_COLUMNS = ("region", "oa_type", "n_universities", "median_pct")
 
 
 def region_rollup(
     cells: Iterable[IndicatorCell],
     institutions: Mapping[str, Institution],
-) -> list[RegionMedianRow]:
-    """Country-median logic rolled up to regions.
+) -> Table:
+    """The region_medians table: the country-median logic rolled up to regions.
 
     A university contributes its share to every region its country is
-    assigned to, so dual-region countries appear in both medians.
+    assigned to, so dual-region countries appear in both medians. There
+    is no display threshold.
     """
-    return [
-        RegionMedianRow(*row) for row in _group_medians(cells, institutions, lambda i: i.regions)
-    ]
+    rows = _all_sciences_medians(cells, institutions, lambda inst: inst.regions)
+    return Table("region_medians", REGION_MEDIANS_COLUMNS, tuple(rows))
 
 
-@dataclass(frozen=True)
-class OverlapMatrix:
-    """Distinct-publication OA totals, per-type counts and green overlaps.
+OVERLAP_COLUMNS = ("metric", "count", "pct")
 
-    exclusive_partition splits the OA total into green-only plus the
-    three mutually exclusive publisher-side types (each of which may
-    also be green); the four counts always sum to total_oa.
+#: The publisher-side types; each is exclusive of the other two.
+_PUBLISHER_SIDE = ("gold", "hybrid", "bronze")
+
+
+def overlap_matrix(classified_pubs: Iterable[ClassifiedPublication]) -> Table:
+    """The overlap table: distinct-publication OA totals, per-type counts and green overlaps.
+
+    Per-type counts are shares of all OA publications; each green
+    overlap is a share of its publisher-side type. The exclusive rows
+    split the OA total into the three mutually exclusive publisher-side
+    types (each of which may also be green) plus green-only, so their
+    counts sum to total_oa.
     """
+    outcomes = Counter(cp.types for cp in classified_pubs)
 
-    total_oa: int
-    per_type_count: dict[str, int]
-    pairwise_green: dict[str, int]
-    exclusive_partition: dict[str, int]
+    def count(test: Callable[[OATypeSet], bool]) -> int:
+        return sum(n for types, n in outcomes.items() if test(types))
 
-    def __post_init__(self) -> None:
-        for oa_type, count in self.per_type_count.items():
-            if count > self.total_oa:
-                raise ValueError(f"{oa_type} count exceeds total OA")
-        green = self.per_type_count.get("green", 0)
-        for oa_type, count in self.pairwise_green.items():
-            if count > min(green, self.per_type_count.get(oa_type, 0)):
-                raise ValueError(f"green overlap with {oa_type} exceeds its marginals")
-        if sum(self.exclusive_partition.values()) != self.total_oa:
-            raise ValueError("exclusive partition does not sum to total OA")
-
-
-def overlap_matrix(classified_pubs: Iterable[ClassifiedPublication]) -> OverlapMatrix:
-    """Count OA types and their green overlaps over distinct publications."""
-    total = 0
-    per_type = dict.fromkeys(OA_TYPES, 0)
-    pairwise = {t: 0 for t in OA_TYPES if t != "green"}
-    exclusive = {"green_only": 0, "gold": 0, "hybrid": 0, "bronze": 0}
-    for cp in classified_pubs:
-        types = cp.types
-        if not types.any_oa:
-            continue
-        total += 1
-        for oa_type in OA_TYPES:
-            if types.has(oa_type):
-                per_type[oa_type] += 1
-        if types.green:
-            for oa_type in pairwise:
-                if types.has(oa_type):
-                    pairwise[oa_type] += 1
-        if types.gold:
-            exclusive["gold"] += 1
-        elif types.hybrid:
-            exclusive["hybrid"] += 1
-        elif types.bronze:
-            exclusive["bronze"] += 1
-        else:
-            exclusive["green_only"] += 1
-    return OverlapMatrix(
-        total_oa=total,
-        per_type_count=per_type,
-        pairwise_green=pairwise,
-        exclusive_partition=exclusive,
+    total = count(lambda types: types.any_oa)
+    per_type = {t: count(lambda types: types.has(t)) for t in OA_TYPES}
+    rows = [("total_oa", total, exact_share(total, total))]
+    rows += [(t, n, exact_share(n, total)) for t, n in per_type.items()]
+    for t in _PUBLISHER_SIDE:
+        both = count(lambda types: types.green and types.has(t))
+        rows.append((f"green_and_{t}", both, exact_share(both, per_type[t])))
+    exclusive = {t: per_type[t] for t in _PUBLISHER_SIDE}
+    exclusive["green_only"] = count(
+        lambda types: types.green and not any(types.has(t) for t in _PUBLISHER_SIDE)
     )
+    rows += [(f"exclusive_{t}", n, exact_share(n, total)) for t, n in exclusive.items()]
+    return Table("overlap", OVERLAP_COLUMNS, tuple(rows))
 
 
-def field_profile(cells: Iterable[IndicatorCell]) -> dict[str, dict[str, Fraction | None]]:
-    """Field x type share table for one university's cells (radar data).
+PROFILES_COLUMNS = ("university", "field", "oa_type", "share_pct")
 
-    Rows follow the declared field order; the all-sciences rollup and
-    the "any" bucket are left out, matching the per-type profile shape.
+
+def field_profile(cells: Iterable[IndicatorCell]) -> Table:
+    """The profiles table: each university's field x type shares (radar plot-data).
+
+    Every university with a cell gets one row per main field and OA
+    type, in declared order; the all-sciences rollup and the "any"
+    bucket are left out. A share no cell gives is null.
     """
-    profile: dict[str, dict[str, Fraction | None]] = {
-        field_name: {oa_type: None for oa_type in OA_TYPES} for field_name in MAIN_FIELDS
-    }
+    shares: dict[str, dict[tuple[str, str], Fraction | None]] = defaultdict(dict)
     for cell in cells:
-        if cell.field in profile and cell.oa_type in OA_TYPES:
-            profile[cell.field][cell.oa_type] = cell.share
-    return profile
+        profile = shares[cell.scope_id]
+        if cell.field in MAIN_FIELDS and cell.oa_type in OA_TYPES:
+            profile[(cell.field, cell.oa_type)] = cell.share
+    rows = tuple(
+        (university, field_name, oa_type, shares[university].get((field_name, oa_type)))
+        for university in sorted(shares)
+        for field_name in MAIN_FIELDS
+        for oa_type in OA_TYPES
+    )
+    return Table("profiles", PROFILES_COLUMNS, rows)
 
 
-@dataclass(frozen=True)
-class FieldSummaryRow:
-    """Distribution summary of university shares for one (field, type)."""
-
-    field: str
-    oa_type: str
-    n_universities: int
-    median: Fraction | None
-    mean: Fraction | None
+FIELD_SUMMARY_COLUMNS = ("field", "oa_type", "n_universities", "median_pct", "mean_pct")
 
 
-def field_summary(cells: Iterable[IndicatorCell]) -> list[FieldSummaryRow]:
-    """Median and mean university share per (field, type), both emitted.
+def field_summary(cells: Iterable[IndicatorCell]) -> Table:
+    """The field_summary table: median and mean university share per (field, type).
 
-    Medians and means answer different questions; downstream reports
-    carry both so the caller decides which to quote.
+    Medians and means answer different questions; the table carries
+    both so the caller decides which to quote. Null shares are skipped;
+    a (field, type) with no share has null statistics.
     """
     shares: dict[tuple[str, str], list[Fraction]] = defaultdict(list)
     for cell in cells:
@@ -274,13 +245,31 @@ def field_summary(cells: Iterable[IndicatorCell]) -> list[FieldSummaryRow]:
     for field_name in FIELD_ORDER:
         for oa_type in TYPE_ORDER:
             values = shares.get((field_name, oa_type), [])
-            rows.append(
-                FieldSummaryRow(
-                    field=field_name,
-                    oa_type=oa_type,
-                    n_universities=len(values),
-                    median=median_exact(values) if values else None,
-                    mean=sum(values, Fraction(0)) / len(values) if values else None,
-                )
-            )
-    return rows
+            rows.append((
+                field_name,
+                oa_type,
+                len(values),
+                median_exact(values) if values else None,
+                sum(values, Fraction(0)) / len(values) if values else None,
+            ))
+    return Table("field_summary", FIELD_SUMMARY_COLUMNS, tuple(rows))
+
+
+UNIVERSITIES_COLUMNS = (
+    "university", "country", "field", "oa_type", "numerator", "denominator", "share_pct",
+)
+
+
+def universities_table(
+    cells: Iterable[IndicatorCell],
+    institutions: Mapping[str, Institution],
+) -> Table:
+    """The universities table: every indicator cell with its university's country."""
+    rows = tuple(
+        (
+            c.scope_id, institutions[c.scope_id].country, c.field, c.oa_type,
+            c.numerator, c.denominator, c.share,
+        )
+        for c in cells
+    )
+    return Table("universities", UNIVERSITIES_COLUMNS, rows)

@@ -43,11 +43,13 @@ from .models import (
     OALocation,
     PipelineConfig,
     PublicationRecord,
+    Table,
     normalize_doi,
 )
-from .repositories import normalize_url
 
 ISSUE_KINDS = frozenset({"malformed", "missing_required_field", "duplicate_key"})
+ISSUES_COLUMNS = ("source", "kind", "count")
+ISSUE_LOG_COLUMNS = ("source", "line_no", "kind", "detail")
 
 _TRUE_WORDS = frozenset({"true", "t", "1", "yes", "y"})
 _FALSE_WORDS = frozenset({"false", "f", "0", "no", "n", ""})
@@ -104,8 +106,15 @@ class IssueSummary:
     def total(self, source: str) -> int:
         return sum(n for (src, _), n in self.counts.items() if src == source)
 
-    def rows(self) -> list[tuple[str, str, int]]:
-        return [(src, kind, n) for (src, kind), n in sorted(self.counts.items())]
+    def table(self) -> Table:
+        """The issues table: the issue count per (source, kind), sorted."""
+        rows = tuple((src, kind, n) for (src, kind), n in sorted(self.counts.items()))
+        return Table("issues", ISSUES_COLUMNS, rows)
+
+    def log_table(self) -> Table:
+        """Every retained issue in arrival order (needs keep_all=True)."""
+        rows = tuple((i.source, i.line_no, i.kind, i.detail) for i in self.issues or ())
+        return Table("issue_log", ISSUE_LOG_COLUMNS, rows)
 
 
 @contextmanager
@@ -556,9 +565,8 @@ def parse_registries(
 
     Duplicate keys keep the first occurrence and report a
     duplicate_key issue. Journals with no APC information get
-    has_apc="unknown". Repository URL patterns are normalized here so
-    matching downstream can assume normalized input. Either source may
-    be None, yielding an empty table.
+    has_apc="unknown". Either source may be None, yielding an empty
+    table.
     """
     if institution_stats is None:
         institution_stats = ParseStats()
@@ -584,16 +592,13 @@ def parse_registries(
         if inst_id in institutions:
             _report(on_issue, "institutions", line_no, "duplicate_key", f"duplicate inst_id: {inst_id}")
             continue
-        patterns = tuple(
-            p for p in (normalize_url(raw) for raw in _multi(row, "repo_url_patterns")) if p
-        )
         institution_stats.records += 1
         institutions[inst_id] = Institution(
             inst_id=inst_id,
             name=_text(row, "name") or inst_id,
             country=country,
             regions=frozenset(regions),
-            repo_url_patterns=patterns,
+            repo_url_patterns=_multi(row, "repo_url_patterns"),
         )
 
     journals: dict[str, JournalRecord] = {}

@@ -8,6 +8,7 @@ freely between concurrent workers.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -69,6 +70,30 @@ def normalize_doi(raw: str | None) -> str | None:
     if not doi.startswith("10."):
         return None
     return doi
+
+
+# Leading whitespace, schemes and "www." labels, in any number and order.
+_URL_PREFIX = re.compile(r"(?:\s*(?:[a-z][a-z0-9+.-]*://|www\.))*\s*")
+
+
+def normalize_url(url: str) -> str:
+    """Lowercase a URL and strip scheme, leading "www." and trailing slashes.
+
+    Prefixes and trailing slashes are stripped together with the
+    whitespace around them until none is left, so the result is a fixed
+    point: normalizing it again returns it unchanged.
+    """
+    out = url.lower()
+    out = out[_URL_PREFIX.match(out).end():]
+    trimmed = out.rstrip().rstrip("/")
+    while trimmed != out:
+        out, trimmed = trimmed, trimmed.rstrip().rstrip("/")
+    return out
+
+
+def exact_share(numerator: int, denominator: int) -> Fraction | None:
+    """numerator / denominator as an exact Fraction, or None when the denominator is zero."""
+    return Fraction(numerator, denominator) if denominator else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,11 +197,13 @@ class Institution:
     name: str
     country: str
     regions: frozenset[str]
+    #: Normalized with normalize_url; patterns that normalize to "" are dropped.
     repo_url_patterns: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "regions", frozenset(self.regions))
-        object.__setattr__(self, "repo_url_patterns", tuple(self.repo_url_patterns))
+        patterns = tuple(p for p in map(normalize_url, self.repo_url_patterns) if p)
+        object.__setattr__(self, "repo_url_patterns", patterns)
         if not self.regions:
             raise ValueError("institution must belong to at least one region")
 
@@ -225,14 +252,16 @@ class IndicatorCell:
     @property
     def share(self) -> Fraction | None:
         """Exact share, or None when the denominator is zero."""
-        if self.denominator == 0:
-            return None
-        return Fraction(self.numerator, self.denominator)
+        return exact_share(self.numerator, self.denominator)
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Tunable knobs shared across the pipeline."""
+    """Tunable knobs shared across the pipeline.
+
+    The PMC and handle URL patterns are stored normalized (normalize_url),
+    so they match the normalized repository URLs they are compared with.
+    """
 
     min_universities_country: int = 10
     min_universities_gold_model: int = 5
@@ -242,7 +271,8 @@ class PipelineConfig:
     period: tuple[int, int] = (2014, 2017)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pmc_url_patterns", tuple(self.pmc_url_patterns))
+        object.__setattr__(self, "pmc_url_patterns", tuple(map(normalize_url, self.pmc_url_patterns)))
+        object.__setattr__(self, "handle_pattern", normalize_url(self.handle_pattern))
         object.__setattr__(self, "period", tuple(self.period))
         if self.min_universities_country < 1 or self.min_universities_gold_model < 1:
             raise ValueError("university thresholds must be >= 1")
@@ -253,3 +283,16 @@ class PipelineConfig:
 
     def year_in_period(self, year: int) -> bool:
         return self.period[0] <= year <= self.period[1]
+
+
+@dataclass(frozen=True)
+class Table:
+    """One report table: a name, a header and canonically ordered rows.
+
+    Each row is a tuple in column order. Every table builder returns one,
+    next to a module constant that names its columns.
+    """
+
+    name: str
+    columns: tuple[str, ...]
+    rows: tuple[tuple, ...]

@@ -1,10 +1,16 @@
-"""Test-side builders and an independent brute-force classification oracle.
+"""Test-side builders, a table reader and an independent classification oracle.
+
+`records` reads a report table as one column -> value dict per row.
 
 The oracle walks the decision tree over case counts instead of flag
 extraction, so it shares no code path with the implementation it checks.
 """
 
-from oametrics.models import OAEvidenceRecord, OALocation
+from oametrics.models import OAEvidenceRecord, OALocation, Table
+
+
+def records(table: Table) -> list[dict]:
+    return [dict(zip(table.columns, row)) for row in table.rows]
 
 
 def repo_loc(url: str = "https://repo.example.org/item/1") -> OALocation:

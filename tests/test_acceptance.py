@@ -14,7 +14,7 @@ import textwrap
 import time
 from fractions import Fraction
 
-from oracles import classify_oracle, evidence, pub_loc, repo_loc
+from oracles import classify_oracle, evidence, pub_loc, records, repo_loc
 
 from oametrics.classifier import ClassifiedPublication, classify, classify_stream
 from oametrics.cli import format_pct, run_pipeline
@@ -31,7 +31,7 @@ from oametrics.models import (
     PipelineConfig,
     PublicationRecord,
 )
-from oametrics.repositories import detect_pmc, pmc_overlap_table, repo_share_bounds
+from oametrics.repositories import _pmc_flags, pmc_overlap_table, repo_share_bounds
 
 BIO = MAIN_FIELDS[0]
 CONFIG = PipelineConfig()
@@ -50,6 +50,13 @@ SHARED_PUB = PublicationRecord(
 
 def _passed(n: int, name: str) -> None:
     print(f"ACCEPTANCE {n} {name}: PASS")
+
+
+def _overlap_counts(classified) -> dict[str, int]:
+    return {r["metric"]: r["count"] for r in records(overlap_matrix(classified))}
+
+
+EXCLUSIVE = ("gold", "hybrid", "bronze", "green_only")
 
 
 def _inst(inst_id, country="TR", patterns=()):
@@ -121,8 +128,8 @@ def test_acceptance_2_exclusivity_and_partition_identity():
             if types.gold + types.hybrid + types.bronze > 1:
                 violations += 1
             classified.append(ClassifiedPublication(publication=SHARED_PUB, types=types))
-        matrix = overlap_matrix(classified)
-        if sum(matrix.exclusive_partition.values()) != matrix.total_oa:
+        count = _overlap_counts(classified)
+        if sum(count[f"exclusive_{t}"] for t in EXCLUSIVE) != count["total_oa"]:
             violations += 1
     assert violations == 0
     _passed(2, "exclusivity and partition identity on 100 x 10k corpora (0 violations)")
@@ -182,13 +189,13 @@ def test_acceptance_3_planted_proportion_recovery():
             doi=doi, journal_is_oa=journal_is_oa, locations=tuple(locations)
         )
 
-    matrix = overlap_matrix(classify_stream(publications, evidence_by_doi))
-    total = matrix.total_oa
+    count = _overlap_counts(classify_stream(publications, evidence_by_doi))
+    total = count["total_oa"]
     planted = {"green": 0.77, "gold": 0.33, "bronze": 0.20, "hybrid": 0.16}
     for oa_type, expected in planted.items():
-        observed = matrix.per_type_count[oa_type] / total
+        observed = count[oa_type] / total
         assert abs(observed - expected) <= 0.01, (oa_type, observed)
-    gold_also_green = matrix.pairwise_green["gold"] / matrix.per_type_count["gold"]
+    gold_also_green = count["green_and_gold"] / count["gold"]
     assert abs(gold_also_green - 0.81) <= 0.01
     _passed(3, f"planted 77/33/20/16 + 81% gold-green recovered over {n_records} records")
 
@@ -210,12 +217,12 @@ def test_acceptance_4_median_oracle_and_threshold():
             cells.append(
                 IndicatorCell(inst_id, ALL_SCIENCES, "any", i, n + i)
             )
-    rows = median_share_by_country(
+    rows = records(median_share_by_country(
         cells, institutions, CONFIG.min_universities_country
-    )
-    displayed = {row.country for row in rows if row.displayed}
+    ))
+    displayed = {row["country"] for row in rows if row["displayed"]}
     assert displayed == {"CC", "DD"}
-    assert {row.country for row in rows} == set(counts)
+    assert {row["country"] for row in rows} == set(counts)
     _passed(4, "median oracle on 1000 vectors; threshold 10 filters exactly")
 
 
@@ -230,10 +237,12 @@ def test_acceptance_5_repository_bounds():
         cp = ClassifiedPublication(
             publication=SHARED_PUB, types=OATypeSet(green=True), locations_used=locations
         )
-        row = repo_share_bounds([cp], _inst("U1", patterns=(rng.choice(hosts),)), "hdl.handle.net")
-        assert row.matched_lower <= row.matched_upper
+        institutions = {"U1": _inst("U1", patterns=(rng.choice(hosts),))}
+        (row,) = records(repo_share_bounds([cp], institutions, "hdl.handle.net"))
+        assert row["matched_lower"] <= row["matched_upper"]
 
-    inst = _inst("BIL", country="TR", patterns=("repo.bilkent.example.edu.tr",))
+    # SHARED_PUB is affiliated with U1, here a repository on the Bilkent host.
+    institutions = {"U1": _inst("U1", country="TR", patterns=("repo.bilkent.example.edu.tr",))}
     matched = [
         ClassifiedPublication(
             publication=SHARED_PUB,
@@ -254,10 +263,10 @@ def test_acceptance_5_repository_bounds():
         ClassifiedPublication(publication=SHARED_PUB, types=OATypeSet(bronze=True))
         for _ in range(150)
     ]
-    row = repo_share_bounds(matched + unmatched + non_green, inst, "hdl.handle.net")
-    assert (row.green_count, row.matched_lower, row.matched_upper) == (1858, 1815, 1815)
-    assert format_pct(row.share_lower) == "97.7"
-    assert format_pct(row.share_upper) == "97.7"
+    (row,) = records(repo_share_bounds(matched + unmatched + non_green, institutions, "hdl.handle.net"))
+    assert (row["green_pubs"], row["matched_lower"], row["matched_upper"]) == (1858, 1815, 1815)
+    assert format_pct(row["pct_repo_lower"]) == "97.7"
+    assert format_pct(row["pct_repo_upper"]) == "97.7"
     _passed(5, "repository bounds: lower => upper; 1815/1858 formats as 97.7 - 97.7")
 
 
@@ -277,9 +286,9 @@ def test_acceptance_6_pmc_accounting():
         + [_green_cp((repo_loc(PMC_URL), repo_loc("https://arxiv.org/abs/1"))) for _ in range(12)]
         + [_green_cp((repo_loc("https://zenodo.org/2"),)) for _ in range(16)]
     )
-    (row,) = pmc_overlap_table(planted, institutions, CONFIG)
-    assert (row.green_count, row.pmc_count, row.pmc_only_count) == (40, 24, 12)
-    assert row.pmc_share == Fraction(24, 40)
+    (row,) = records(pmc_overlap_table(planted, institutions, CONFIG))
+    assert (row["green_oa"], row["pmc"], row["pmc_only"]) == (40, 24, 12)
+    assert Fraction(row["pmc"], row["green_oa"]) == Fraction(24, 40)
 
     for seed in range(25):
         rng = random.Random(seed)
@@ -295,15 +304,16 @@ def test_acceptance_6_pmc_accounting():
             types = classify(
                 evidence(journal_is_oa=rng.random() < 0.2, locations=locations)
             )
-            if detect_pmc(locations, CONFIG.pmc_url_patterns):
+            via_pmc, _ = _pmc_flags(locations, CONFIG.pmc_url_patterns)
+            if via_pmc:
                 assert types.green
             corpus.append(
                 ClassifiedPublication(
                     publication=SHARED_PUB, types=types, locations_used=locations
                 )
             )
-        (row,) = pmc_overlap_table(corpus, institutions, CONFIG)
-        assert 0 <= row.pmc_only_count <= row.pmc_count <= row.green_count
+        (row,) = records(pmc_overlap_table(corpus, institutions, CONFIG))
+        assert 0 <= row["pmc_only"] <= row["pmc"] <= row["green_oa"]
     _passed(6, "PMC accounting: planted fractions exact; pmc_only <= pmc <= green")
 
 
@@ -339,14 +349,14 @@ def test_acceptance_7_gold_model_shares():
         classified.append(
             ClassifiedPublication(publication=pub, types=OATypeSet(gold=True))
         )
-    (row,) = gold_country_model(classified, journals, institutions, min_universities=1)
-    assert row.gold_total == 100
-    assert row.national_share == Fraction(63, 100)
-    assert row.english_share == Fraction(9, 10)
-    assert row.apc_share == Fraction(1, 2)
-    assert row.apc_known == 70
+    (row,) = records(gold_country_model(classified, journals, institutions, min_universities=1))
+    assert row["gold_total"] == 100
+    assert row["national_share"] == Fraction(63, 100)
+    assert row["english_share"] == Fraction(9, 10)
+    assert row["apc_share"] == Fraction(1, 2)
+    assert row["apc_known"] == 70
     # Lower bound: counting unknown APC as non-APC can only shrink the share.
-    assert row.apc_share <= Fraction(50, 70)
+    assert row["apc_share"] <= Fraction(50, 70)
     _passed(7, "gold model planted 0.63/0.90/0.50 recovered exactly as rationals")
 
 

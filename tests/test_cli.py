@@ -506,6 +506,9 @@ def test_failed_issue_log_write_keeps_the_old_log(golden_input, tmp_path, monkey
     logs.mkdir()
     log = logs / "issues_full.csv"
     log.write_bytes(b"an older log\r\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "issues.csv").write_bytes(b"an older table\r\n")
     write_table = cli._write_table
 
     def fail_after_first_row(fh, table, report_format):
@@ -519,12 +522,57 @@ def test_failed_issue_log_write_keeps_the_old_log(golden_input, tmp_path, monkey
             PipelineConfig(),
             publications_path=golden_input / "publications.csv",
             evidence_path=golden_input / "evidence.jsonl",
-            out_dir=tmp_path / "out",
+            out_dir=out,
             issue_log_path=log,
             tables=("issues",),
         )
     assert log.read_bytes() == b"an older log\r\n"
     assert [p.name for p in logs.iterdir()] == ["issues_full.csv"]
+    # The bundle and the log are committed together: the bundle did not move either.
+    assert [(p.name, p.read_bytes()) for p in out.iterdir()] == [("issues.csv", b"an older table\r\n")]
+
+
+@pytest.mark.parametrize(
+    "report_format,log_name,exit_code",
+    [("csv", "issues.csv", 2), ("csv", "../out/overlap.csv", 2), ("jsonl", "issues.csv", 0)],
+)
+def test_issue_log_naming_a_bundle_file_is_a_config_error(
+    golden_input, tmp_path, report_format, log_name, exit_code
+):
+    out = tmp_path / "out"
+    out.mkdir()
+    log = out / log_name
+    args = _golden_args(golden_input, out, ["--format", report_format, "--issue-log", str(log)])
+    result = CliRunner().invoke(main, ["report", *args])
+    assert result.exit_code == exit_code, result.output
+    if exit_code:
+        assert f"error: {log}: " in result.output
+        assert list(out.iterdir()) == []
+        # The check comes before any input is read: a missing input is not reached.
+        args[args.index("-e") + 1] = str(tmp_path / "missing.jsonl")
+        assert CliRunner().invoke(main, ["report", *args]).exit_code == 2
+    else:
+        assert set(json.loads(log.read_text().splitlines()[0])) == {"source", "line_no", "kind", "detail"}
+        assert (out / "issues.jsonl").exists()
+
+
+def test_url_form_patterns_give_the_golden_tables(golden_input, golden_dir, tmp_path):
+    config = PipelineConfig(
+        min_universities_country=2,
+        min_universities_gold_model=2,
+        handle_pattern="https://hdl.handle.net/",
+        pmc_url_patterns=("https://www.ncbi.nlm.nih.gov/pmc/",),
+    )
+    run_pipeline(
+        config,
+        publications_path=golden_input / "publications.csv",
+        evidence_path=golden_input / "evidence.jsonl",
+        institutions_path=golden_input / "institutions.csv",
+        journals_path=golden_input / "journals.csv",
+        out_dir=tmp_path,
+    )
+    written = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+    assert written == {p.name: p.read_bytes() for p in sorted(golden_dir.iterdir())}
 
 
 def test_issue_log_in_a_missing_directory_fails_before_the_bundle_is_written(golden_input, tmp_path):

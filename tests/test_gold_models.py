@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import records
+
 from oametrics.classifier import ClassifiedPublication
 from oametrics.gold_models import (
     DEFAULT_COUNTRY_LOOKUP,
@@ -105,29 +107,30 @@ def test_national_share_by_hand():
         _gold_pub("C", "JF"),
         _gold_pub("D", "JF"),
     ]
-    (row,) = gold_country_model(pubs, journals, institutions, min_universities=1)
-    assert row.gold_total == 4
-    assert row.national_share == Fraction(1, 2)
-    assert row.apc_share == Fraction(1, 2)
-    assert row.apc_known == 4
+    (row,) = records(gold_country_model(pubs, journals, institutions, min_universities=1))
+    assert row["gold_total"] == 4
+    assert row["national_share"] == Fraction(1, 2)
+    assert row["apc_share"] == Fraction(1, 2)
+    assert row["apc_known"] == 4
 
 
 def test_zero_gold_country_has_null_shares():
     institutions = {"U1": _inst("U1", "BR")}
-    (row,) = gold_country_model([_plain_pub("A")], {}, institutions, min_universities=1)
-    assert row.gold_total == 0
-    assert row.national_share is None and row.english_share is None and row.apc_share is None
+    (row,) = records(gold_country_model([_plain_pub("A")], {}, institutions, min_universities=1))
+    assert row["gold_total"] == 0
+    assert row["national_share"] is None and row["english_share"] is None
+    assert row["apc_share"] is None
 
 
 def test_collaboration_counts_for_both_countries():
     institutions = {"U1": _inst("U1", "BR"), "U2": _inst("U2", "TR")}
     journals = {"JN": JournalRecord(journal_id="JN", country="BR", is_fully_oa=True)}
-    rows = gold_country_model(
+    rows = records(gold_country_model(
         [_gold_pub("A", "JN", insts=("U1", "U2"))], journals, institutions, min_universities=1
-    )
-    by_country = {r.country: r for r in rows}
-    assert by_country["BR"].gold_total == 1 and by_country["BR"].national_share == 1
-    assert by_country["TR"].gold_total == 1 and by_country["TR"].national_share == 0
+    ))
+    by_country = {r["country"]: r for r in rows}
+    assert by_country["BR"]["gold_total"] == 1 and by_country["BR"]["national_share"] == 1
+    assert by_country["TR"]["gold_total"] == 1 and by_country["TR"]["national_share"] == 0
 
 
 def test_journal_country_falls_back_to_publisher_address():
@@ -137,16 +140,16 @@ def test_journal_country_falls_back_to_publisher_address():
             journal_id="JN", is_fully_oa=True, publisher_address="SAO PAULO, BRAZIL"
         )
     }
-    (row,) = gold_country_model([_gold_pub("A", "JN")], journals, institutions, 1)
-    assert row.national_share == 1
+    (row,) = records(gold_country_model([_gold_pub("A", "JN")], journals, institutions, 1))
+    assert row["national_share"] == 1
 
 
 def test_unknown_journal_is_non_national_non_apc():
     institutions = {"U1": _inst("U1", "BR")}
-    (row,) = gold_country_model([_gold_pub("A", "JX")], {}, institutions, 1)
-    assert row.national_share == 0
-    assert row.apc_share == 0
-    assert row.apc_known == 0
+    (row,) = records(gold_country_model([_gold_pub("A", "JX")], {}, institutions, 1))
+    assert row["national_share"] == 0
+    assert row["apc_share"] == 0
+    assert row["apc_known"] == 0
 
 
 def test_english_share():
@@ -156,8 +159,8 @@ def test_english_share():
         _gold_pub("A", "JN", language="en"),
         _gold_pub("B", "JN", language="pl"),
     ]
-    (row,) = gold_country_model(pubs, journals, institutions, 1)
-    assert row.english_share == Fraction(1, 2)
+    (row,) = records(gold_country_model(pubs, journals, institutions, 1))
+    assert row["english_share"] == Fraction(1, 2)
 
 
 def test_display_threshold_counts_roster_universities():
@@ -168,10 +171,10 @@ def test_display_threshold_counts_roster_universities():
     }
     journals = {"JN": JournalRecord(journal_id="JN", is_fully_oa=True)}
     pubs = [_gold_pub("A", "JN", insts=("U1",)), _gold_pub("B", "JN", insts=("U2",))]
-    rows = gold_country_model(pubs, journals, institutions, min_universities=2)
-    by_country = {r.country: r for r in rows}
-    assert not by_country["BR"].displayed and by_country["BR"].n_universities == 1
-    assert by_country["GB"].displayed and by_country["GB"].n_universities == 2
+    rows = records(gold_country_model(pubs, journals, institutions, min_universities=2))
+    by_country = {r["country"]: r for r in rows}
+    assert not by_country["BR"]["displayed"] and by_country["BR"]["n_universities"] == 1
+    assert by_country["GB"]["displayed"] and by_country["GB"]["n_universities"] == 2
 
 
 def test_unknown_apc_never_inflates_apc_share():
@@ -189,10 +192,10 @@ def test_unknown_apc_never_inflates_apc_share():
             pubs.append(_gold_pub(f"P{i}", f"J{i}"))
             yes += apc == "yes"
             known += apc != "unknown"
-        (row,) = gold_country_model(pubs, journals, institutions, 1)
-        assert row.apc_share == Fraction(yes, len(pubs))
-        assert row.apc_known == known
+        (row,) = records(gold_country_model(pubs, journals, institutions, 1))
+        assert row["apc_share"] == Fraction(yes, len(pubs))
+        assert row["apc_known"] == known
         if known:
             # Lower bound: unknown-APC journals only shrink the share.
-            assert row.apc_share <= Fraction(yes, known)
-        assert row.national_share <= 1 and row.english_share <= 1
+            assert row["apc_share"] <= Fraction(yes, known)
+        assert row["national_share"] <= 1 and row["english_share"] <= 1

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import records
+
 from oametrics.classifier import ClassifiedPublication
 from oametrics.indicators import (
-    OverlapMatrix,
     count_full,
     field_profile,
     field_summary,
@@ -21,6 +22,7 @@ from oametrics.indicators import (
 from oametrics.models import (
     ALL_SCIENCES,
     MAIN_FIELDS,
+    OA_TYPES,
     IndicatorCell,
     Institution,
     OATypeSet,
@@ -29,6 +31,7 @@ from oametrics.models import (
 )
 
 BIO, LES, MCS, PSE, SSH = MAIN_FIELDS
+PUBLISHER_SIDE = ("gold", "hybrid", "bronze")
 CONFIG = PipelineConfig()
 
 
@@ -176,19 +179,19 @@ def test_country_median_threshold_excludes_small_countries():
     for i in range(10):
         institutions[f"B{i}"] = _inst(f"B{i}", country="BB")
         shares[f"B{i}"] = Fraction(i, 10)
-    rows = median_share_by_country(_share_cells(shares), institutions, min_universities=10)
-    by_country = {r.country: r for r in rows}
-    assert not by_country["AA"].displayed and by_country["AA"].n_universities == 9
-    assert by_country["BB"].displayed
-    assert by_country["BB"].median == Fraction(9, 20)
+    rows = records(median_share_by_country(_share_cells(shares), institutions, min_universities=10))
+    by_country = {r["country"]: r for r in rows}
+    assert not by_country["AA"]["displayed"] and by_country["AA"]["n_universities"] == 9
+    assert by_country["BB"]["displayed"]
+    assert by_country["BB"]["median_pct"] == Fraction(9, 20)
 
 
 def test_country_median_skips_null_shares():
     institutions = {"U1": _inst("U1", country="AA"), "U2": _inst("U2", country="AA")}
     cells = _share_cells({"U1": Fraction(1, 4)})
     cells.append(IndicatorCell("U2", ALL_SCIENCES, "any", 0, 0))
-    (row,) = median_share_by_country(cells, institutions, min_universities=1)
-    assert row.n_universities == 1 and row.median == Fraction(1, 4)
+    (row,) = records(median_share_by_country(cells, institutions, min_universities=1))
+    assert row["n_universities"] == 1 and row["median_pct"] == Fraction(1, 4)
 
 
 def test_region_rollup_dual_region_university():
@@ -197,9 +200,9 @@ def test_region_rollup_dual_region_university():
         "U2": _inst("U2", country="GB", regions=("Europe",)),
     }
     cells = _share_cells({"U1": Fraction(1, 2), "U2": Fraction(1, 4)})
-    rows = {r.region: r for r in region_rollup(cells, institutions)}
-    assert rows["Asia"].median == Fraction(1, 2) and rows["Asia"].n_universities == 1
-    assert rows["Europe"].median == Fraction(3, 8) and rows["Europe"].n_universities == 2
+    rows = {r["region"]: r for r in records(region_rollup(cells, institutions))}
+    assert rows["Asia"]["median_pct"] == Fraction(1, 2) and rows["Asia"]["n_universities"] == 1
+    assert rows["Europe"]["median_pct"] == Fraction(3, 8) and rows["Europe"]["n_universities"] == 2
     assert set(rows) == {"Asia", "Europe"}
 
 
@@ -212,8 +215,8 @@ def test_region_median_three_universities():
     cells = _share_cells(
         {"U1": Fraction(1, 10), "U2": Fraction(3, 10), "U3": Fraction(5, 10)}
     )
-    (row,) = region_rollup(cells, institutions)
-    assert row.median == Fraction(3, 10)
+    (row,) = records(region_rollup(cells, institutions))
+    assert row["median_pct"] == Fraction(3, 10)
 
 
 def test_overlap_matrix_by_hand():
@@ -223,36 +226,19 @@ def test_overlap_matrix_by_hand():
         _cp("C", OATypeSet(bronze=True)),
         _cp("D", OATypeSet()),
     ]
-    matrix = overlap_matrix(pubs)
-    assert matrix.total_oa == 3
-    assert matrix.per_type_count == {"gold": 1, "green": 2, "hybrid": 0, "bronze": 1}
-    assert matrix.pairwise_green == {"gold": 1, "hybrid": 0, "bronze": 0}
-    assert matrix.exclusive_partition == {
+    count = {r["metric"]: r["count"] for r in records(overlap_matrix(pubs))}
+    assert count["total_oa"] == 3
+    assert {t: count[t] for t in OA_TYPES} == {"gold": 1, "green": 2, "hybrid": 0, "bronze": 1}
+    assert {t: count[f"green_and_{t}"] for t in PUBLISHER_SIDE} == {"gold": 1, "hybrid": 0, "bronze": 0}
+    assert {t: count[f"exclusive_{t}"] for t in PUBLISHER_SIDE + ("green_only",)} == {
         "green_only": 1, "gold": 1, "hybrid": 0, "bronze": 1,
     }
 
 
 def test_overlap_matrix_empty_corpus():
-    matrix = overlap_matrix([])
-    assert matrix.total_oa == 0
-    assert sum(matrix.per_type_count.values()) == 0
-
-
-def test_overlap_matrix_invariants_enforced():
-    with pytest.raises(ValueError):
-        OverlapMatrix(
-            total_oa=1,
-            per_type_count={"gold": 2, "green": 0, "hybrid": 0, "bronze": 0},
-            pairwise_green={"gold": 0, "hybrid": 0, "bronze": 0},
-            exclusive_partition={"green_only": 0, "gold": 1, "hybrid": 0, "bronze": 0},
-        )
-    with pytest.raises(ValueError):
-        OverlapMatrix(
-            total_oa=2,
-            per_type_count={"gold": 1, "green": 1, "hybrid": 0, "bronze": 0},
-            pairwise_green={"gold": 0, "hybrid": 0, "bronze": 0},
-            exclusive_partition={"green_only": 1, "gold": 1, "hybrid": 1, "bronze": 0},
-        )
+    count = {r["metric"]: r["count"] for r in records(overlap_matrix([]))}
+    assert count["total_oa"] == 0
+    assert sum(count[t] for t in OA_TYPES) == 0
 
 
 def test_partition_identity_random_corpora():
@@ -269,17 +255,19 @@ def test_partition_identity_random_corpora():
                 green=green,
             )
             pubs.append(_cp(f"P{i}", types))
-        matrix = overlap_matrix(pubs)
-        assert sum(matrix.exclusive_partition.values()) == matrix.total_oa
+        count = {r["metric"]: r["count"] for r in records(overlap_matrix(pubs))}
+        exclusive = PUBLISHER_SIDE + ("green_only",)
+        assert sum(count[f"exclusive_{t}"] for t in exclusive) == count["total_oa"]
 
 
 def test_field_profile_single_field_university():
     cells = university_indicators(count_full([_cp("A", GREEN, fields=(BIO,))]), CONFIG)
-    profile = field_profile(cells)
-    assert list(profile) == list(MAIN_FIELDS)
-    assert profile[BIO]["green"] == Fraction(1, 1)
-    assert all(share is None for share in profile[SSH].values())
-    assert "any" not in profile[BIO]
+    rows = records(field_profile(cells))
+    profile = {(r["field"], r["oa_type"]): r["share_pct"] for r in rows}
+    assert list(dict.fromkeys(r["field"] for r in rows)) == list(MAIN_FIELDS)
+    assert profile[(BIO, "green")] == Fraction(1, 1)
+    assert all(r["share_pct"] is None for r in rows if r["field"] == SSH)
+    assert "any" not in {r["oa_type"] for r in rows}
 
 
 def test_field_profile_constant_column():
@@ -287,17 +275,18 @@ def test_field_profile_constant_column():
     for i, field_name in enumerate(MAIN_FIELDS):
         pubs.append(_cp(f"G{i}", GREEN, fields=(field_name,)))
         pubs.append(_cp(f"N{i}", OATypeSet(), fields=(field_name,)))
-    profile = field_profile(university_indicators(count_full(pubs), CONFIG))
-    assert [profile[f]["green"] for f in MAIN_FIELDS] == [Fraction(1, 2)] * 5
+    rows = records(field_profile(university_indicators(count_full(pubs), CONFIG)))
+    profile = {(r["field"], r["oa_type"]): r["share_pct"] for r in rows}
+    assert [profile[(f, "green")] for f in MAIN_FIELDS] == [Fraction(1, 2)] * 5
 
 
 def test_field_summary_medians_and_means():
     cells = _share_cells(
         {"U1": Fraction(1, 4), "U2": Fraction(3, 4)}, field=BIO, oa_type="green"
     )
-    rows = {(r.field, r.oa_type): r for r in field_summary(cells)}
+    rows = {(r["field"], r["oa_type"]): r for r in records(field_summary(cells))}
     row = rows[(BIO, "green")]
-    assert row.n_universities == 2
-    assert row.median == Fraction(1, 2) and row.mean == Fraction(1, 2)
+    assert row["n_universities"] == 2
+    assert row["median_pct"] == Fraction(1, 2) and row["mean_pct"] == Fraction(1, 2)
     empty = rows[(MCS, "green")]
-    assert empty.n_universities == 0 and empty.median is None and empty.mean is None
+    assert empty["n_universities"] == 0 and empty["median_pct"] is None and empty["mean_pct"] is None

@@ -309,7 +309,7 @@ def test_issue_summary_counts_by_source_and_kind():
     )
     assert len(kept) == 1
     assert sink.total("publications") == 1
-    assert sink.rows() == [("publications", "malformed", 1)]
+    assert sink.table().rows == (("publications", "malformed", 1),)
 
 
 def test_evidence_duplicate_doi_reported_first_wins():

@@ -168,6 +168,19 @@ def test_institution_requires_region():
         Institution(inst_id="U1", name="U", country="TR", regions=frozenset())
 
 
+def test_url_patterns_are_stored_normalized():
+    inst = Institution(
+        inst_id="U1", name="U", country="TR", regions={"Europe"},
+        repo_url_patterns=("HTTPS://www.Repo.Alpha.edu.tr/", "https://", "repo.beta.ac.uk"),
+    )
+    assert inst.repo_url_patterns == ("repo.alpha.edu.tr", "repo.beta.ac.uk")
+    config = PipelineConfig(
+        handle_pattern="http://HDL.handle.net/", pmc_url_patterns=["https://www.ncbi.nlm.nih.gov/pmc/"]
+    )
+    assert config.handle_pattern == "hdl.handle.net"
+    assert config.pmc_url_patterns == ("ncbi.nlm.nih.gov/pmc",)
+
+
 def test_journal_apc_tri_state():
     assert JournalRecord(journal_id="J1").has_apc == "unknown"
     with pytest.raises(ValueError):

@@ -1,11 +1,10 @@
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import evidence, pub_loc, repo_loc
+from oracles import evidence, pub_loc, records, repo_loc
 
 from oametrics.classifier import ClassifiedPublication, classify
 from oametrics.models import (
@@ -16,9 +15,7 @@ from oametrics.models import (
     PublicationRecord,
 )
 from oametrics.repositories import (
-    RepoMatch,
-    RepoShareRow,
-    detect_pmc,
+    _pmc_flags,
     match_repository,
     normalize_url,
     pmc_overlap_table,
@@ -67,13 +64,13 @@ def test_match_institutional_url():
     match = match_repository(
         [repo_loc("https://repository.bilkent.edu.tr/handle/11693/1")], inst, "hdl.handle.net"
     )
-    assert match == RepoMatch(lower=True, upper=True)
+    assert match == (True, True)
 
 
 def test_handle_url_matches_upper_bound_only():
     inst = _inst(("repository.other.edu",))
     match = match_repository([repo_loc("https://hdl.handle.net/10012/345")], inst, "hdl.handle.net")
-    assert match == RepoMatch(lower=False, upper=True)
+    assert match == (False, True)
 
 
 def test_publisher_locations_never_match():
@@ -83,19 +80,15 @@ def test_publisher_locations_never_match():
         inst,
         "hdl.handle.net",
     )
-    assert match == RepoMatch(lower=False, upper=False)
+    assert match == (False, False)
 
 
 def test_match_is_case_and_order_invariant():
     inst = _inst(("repo.alpha.edu.tr",))
     locations = [repo_loc("HTTPS://REPO.ALPHA.EDU.TR/ITEM/9"), repo_loc("https://other.org/x")]
     for ordering in (locations, locations[::-1]):
-        assert match_repository(ordering, inst, "hdl.handle.net").lower
-
-
-def test_repo_match_invariant():
-    with pytest.raises(ValueError):
-        RepoMatch(lower=True, upper=False)
+        lower, _ = match_repository(ordering, inst, "hdl.handle.net")
+        assert lower
 
 
 def test_lower_implies_upper_on_random_fixtures():
@@ -107,8 +100,8 @@ def test_lower_implies_upper_on_random_fixtures():
             for _ in range(rng.randrange(4))
         ]
         inst = _inst((rng.choice(hosts),))
-        match = match_repository(locations, inst, "hdl.handle.net")
-        assert match.upper or not match.lower
+        lower, upper = match_repository(locations, inst, "hdl.handle.net")
+        assert upper or not lower
 
 
 def _cp(pub_id, types, locations=(), inst_ids=("U1",)):
@@ -137,37 +130,37 @@ def test_repo_share_bounds_interval():
         _cp("D", GREEN, [repo_loc("https://zenodo.org/4")]),
         _cp("E", OATypeSet(bronze=True), [pub_loc()]),
     ]
-    row = repo_share_bounds(pubs, inst, "hdl.handle.net")
-    assert (row.green_count, row.matched_lower, row.matched_upper) == (4, 1, 3)
-    assert row.share_lower == Fraction(1, 4)
-    assert row.share_upper == Fraction(3, 4)
+    (row,) = records(repo_share_bounds(pubs, {"U1": inst}, "hdl.handle.net"))
+    assert (row["green_pubs"], row["matched_lower"], row["matched_upper"]) == (4, 1, 3)
+    assert row["pct_repo_lower"] == Fraction(1, 4)
+    assert row["pct_repo_upper"] == Fraction(3, 4)
 
 
 def test_repo_share_bounds_empty_interval():
-    row = repo_share_bounds([], _inst(), "hdl.handle.net")
-    assert row.green_count == 0
-    assert row.share_lower is None and row.share_upper is None
+    pubs = [_cp("A", OATypeSet(bronze=True), [pub_loc()])]
+    (row,) = records(repo_share_bounds(pubs, {"U1": _inst()}, "hdl.handle.net"))
+    assert row["green_pubs"] == 0
+    assert row["pct_repo_lower"] is None and row["pct_repo_upper"] is None
 
 
-def test_repo_share_row_invariant():
-    with pytest.raises(ValueError):
-        RepoShareRow(green_count=2, matched_lower=2, matched_upper=1)
+def _pmc_count(locations) -> int:
+    """The pmc column for one green publication with these locations."""
+    (row,) = records(pmc_overlap_table([_cp("A", GREEN, locations)], {"U1": _inst()}, CONFIG))
+    return row["pmc"]
 
 
 def test_detect_pmc_repository_url():
-    assert detect_pmc(
-        [repo_loc("https://www.ncbi.nlm.nih.gov/pmc/articles/PMC123")], CONFIG.pmc_url_patterns
-    )
+    assert _pmc_count([repo_loc("https://www.ncbi.nlm.nih.gov/pmc/articles/PMC123")]) == 1
 
 
 def test_detect_pmc_ignores_publisher_hosts():
-    assert not detect_pmc(
-        [pub_loc(url="https://publisher.example.com/pmc/x")], CONFIG.pmc_url_patterns
-    )
+    assert _pmc_count(
+        [pub_loc(url="https://publisher.example.com/pmc/x"), repo_loc("https://zenodo.org/1")]
+    ) == 0
 
 
 def test_detect_pmc_other_repository():
-    assert not detect_pmc([repo_loc("https://arxiv.org/abs/1906.03840")], CONFIG.pmc_url_patterns)
+    assert _pmc_count([repo_loc("https://arxiv.org/abs/1906.03840")]) == 0
 
 
 PMC_URL = "https://www.ncbi.nlm.nih.gov/pmc/articles/PMC1"
@@ -180,16 +173,16 @@ def test_pmc_overlap_counts_by_hand():
         _cp("B", GREEN, [repo_loc(PMC_URL)]),
         _cp("C", GREEN, [repo_loc("https://zenodo.org/2")]),
     ]
-    (row,) = pmc_overlap_table(pubs, institutions, CONFIG)
-    assert (row.green_count, row.pmc_count, row.pmc_only_count) == (3, 2, 1)
+    (row,) = records(pmc_overlap_table(pubs, institutions, CONFIG))
+    assert (row["green_oa"], row["pmc"], row["pmc_only"]) == (3, 2, 1)
 
 
 def test_pmc_overlap_zero_green_country():
     institutions = {"U1": _inst(country="TR")}
     pubs = [_cp("A", OATypeSet(bronze=True), [pub_loc()])]
-    (row,) = pmc_overlap_table(pubs, institutions, CONFIG)
-    assert (row.green_count, row.pmc_count, row.pmc_only_count) == (0, 0, 0)
-    assert row.pct_gold is None and row.pct_bronze is None and row.pct_hybrid is None
+    (row,) = records(pmc_overlap_table(pubs, institutions, CONFIG))
+    assert (row["green_oa"], row["pmc"], row["pmc_only"]) == (0, 0, 0)
+    assert row["pct_gold"] is None and row["pct_bronze"] is None and row["pct_hybrid"] is None
 
 
 def test_pmc_overlap_percentages_over_pmc_pubs():
@@ -198,9 +191,9 @@ def test_pmc_overlap_percentages_over_pmc_pubs():
         _cp("A", OATypeSet(gold=True, green=True), [pub_loc("cc-by"), repo_loc(PMC_URL)]),
         _cp("B", GREEN, [repo_loc(PMC_URL)]),
     ]
-    (row,) = pmc_overlap_table(pubs, institutions, CONFIG)
-    assert row.pct_gold == Fraction(1, 2)
-    assert row.pct_bronze == 0 and row.pct_hybrid == 0
+    (row,) = records(pmc_overlap_table(pubs, institutions, CONFIG))
+    assert row["pct_gold"] == Fraction(1, 2)
+    assert row["pct_bronze"] == 0 and row["pct_hybrid"] == 0
 
 
 def test_pmc_rows_sorted_by_share_desc_then_country():
@@ -215,8 +208,8 @@ def test_pmc_rows_sorted_by_share_desc_then_country():
         _cp("C", GREEN, [repo_loc(PMC_URL)], inst_ids=("U1",)),
         _cp("D", OATypeSet(), (), inst_ids=("U3",)),
     ]
-    rows = pmc_overlap_table(pubs, institutions, CONFIG)
-    assert [r.country for r in rows] == ["BB", "AA", "CC"]
+    rows = records(pmc_overlap_table(pubs, institutions, CONFIG))
+    assert [r["country"] for r in rows] == ["BB", "AA", "CC"]
 
 
 def test_pmc_implies_green_via_classifier():
@@ -230,7 +223,8 @@ def test_pmc_implies_green_via_classifier():
         if rng.random() < 0.3:
             locations.append(repo_loc("https://zenodo.org/9"))
         types = classify(evidence(journal_is_oa=rng.random() < 0.3, locations=locations))
-        if detect_pmc(locations, CONFIG.pmc_url_patterns):
+        via_pmc, _ = _pmc_flags(locations, CONFIG.pmc_url_patterns)
+        if via_pmc:
             assert types.green
 
 
@@ -246,5 +240,5 @@ def test_pmc_chain_invariant_on_random_corpora():
             locations.append(pub_loc(rng.choice([None, "cc-by"])))
         types = classify(evidence(journal_is_oa=rng.random() < 0.2, locations=locations))
         pubs.append(_cp(f"P{i}", types, locations))
-    (row,) = pmc_overlap_table(pubs, institutions, CONFIG)
-    assert 0 <= row.pmc_only_count <= row.pmc_count <= row.green_count
+    (row,) = records(pmc_overlap_table(pubs, institutions, CONFIG))
+    assert 0 <= row["pmc_only"] <= row["pmc"] <= row["green_oa"]
