@@ -241,6 +241,24 @@ def test_overlap_matrix_empty_corpus():
     assert sum(count[t] for t in OA_TYPES) == 0
 
 
+def test_overlap_matrix_invariants_enforced():
+    # Every combination of one publisher-side type (or none) with or
+    # without green, so that each type overlaps green at least once.
+    pubs = [
+        _cp(f"P{publisher}{green}", OATypeSet(green=green, **({publisher: True} if publisher else {})))
+        for publisher in (None,) + PUBLISHER_SIDE
+        for green in (False, True)
+    ]
+    count = {r["metric"]: r["count"] for r in records(overlap_matrix(pubs))}
+    assert count["total_oa"] == 7
+    for oa_type in OA_TYPES:
+        assert count[oa_type] <= count["total_oa"]
+    for oa_type in PUBLISHER_SIDE:
+        assert count[f"green_and_{oa_type}"] == 1 <= min(count["green"], count[oa_type])
+    exclusive = PUBLISHER_SIDE + ("green_only",)
+    assert sum(count[f"exclusive_{t}"] for t in exclusive) == count["total_oa"]
+
+
 def test_partition_identity_random_corpora():
     rng = random.Random(17)
     for _ in range(20):

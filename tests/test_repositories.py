@@ -91,6 +91,17 @@ def test_match_is_case_and_order_invariant():
         assert lower
 
 
+def test_repo_match_invariant():
+    # A URL under the institution's own pattern and not under the handle
+    # pattern matches the upper bound too: lower never holds without upper.
+    inst = _inst(("repo.alpha.edu.tr",))
+    for locations in (
+        [repo_loc("https://repo.alpha.edu.tr/item/1")],
+        [repo_loc("https://zenodo.org/2"), repo_loc("https://repo.alpha.edu.tr/item/1")],
+    ):
+        assert match_repository(locations, inst, "hdl.handle.net") == (True, True)
+
+
 def test_lower_implies_upper_on_random_fixtures():
     rng = random.Random(7)
     hosts = ["repo.alpha.edu.tr", "archive.beta.ac.uk", "hdl.handle.net", "zenodo.org"]
@@ -141,6 +152,22 @@ def test_repo_share_bounds_empty_interval():
     (row,) = records(repo_share_bounds(pubs, {"U1": _inst()}, "hdl.handle.net"))
     assert row["green_pubs"] == 0
     assert row["pct_repo_lower"] is None and row["pct_repo_upper"] is None
+
+
+def test_repo_share_row_invariant():
+    # Own-pattern matches count in both bounds, handle-only matches in the
+    # upper one alone, and non-green output only in pubs.
+    inst = _inst(("repo.alpha.edu.tr",))
+    pubs = [
+        _cp("A", GREEN, [repo_loc("https://repo.alpha.edu.tr/1")]),
+        _cp("B", GREEN, [repo_loc("https://repo.alpha.edu.tr/2"), repo_loc("https://hdl.handle.net/2")]),
+        _cp("C", GREEN, [repo_loc("https://hdl.handle.net/3")]),
+        _cp("D", OATypeSet(bronze=True), [pub_loc()]),
+    ]
+    (row,) = records(repo_share_bounds(pubs, {"U1": inst}, "hdl.handle.net"))
+    assert (row["pubs"], row["green_pubs"], row["matched_lower"], row["matched_upper"]) == (4, 3, 2, 3)
+    assert 0 <= row["matched_lower"] <= row["matched_upper"] <= row["green_pubs"] <= row["pubs"]
+    assert row["pct_repo_lower"] <= row["pct_repo_upper"] <= 1
 
 
 def _pmc_count(locations) -> int:
