@@ -32,7 +32,6 @@ from .models import (
     Institution,
     JournalRecord,
     OAEvidenceRecord,
-    OALocation,
     OATypeSet,
     PipelineConfig,
     PublicationRecord,
@@ -40,7 +39,7 @@ from .models import (
     normalize_doi,
     normalize_url,
 )
-from .repositories import match_repository, pmc_overlap_table, repo_share_bounds
+from .repositories import pmc_overlap_table, repo_share_bounds
 
 __all__ = [
     "ALL_SCIENCES",
@@ -54,7 +53,6 @@ __all__ = [
     "IssueSummary",
     "JournalRecord",
     "OAEvidenceRecord",
-    "OALocation",
     "OATypeSet",
     "ParseIssue",
     "ParseStats",
@@ -68,7 +66,6 @@ __all__ = [
     "field_profile",
     "field_summary",
     "gold_country_model",
-    "match_repository",
     "median_share_by_country",
     "normalize_doi",
     "normalize_url",

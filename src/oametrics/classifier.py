@@ -1,10 +1,10 @@
 """Open-access type assignment from per-DOI evidence.
 
-The decision works over the evidence locations for one DOI: a
-repository copy anywhere makes the publication green; the publisher
-side resolves to exactly one of gold (fully-OA journal), hybrid
-(licensed copy in a toll journal) or bronze (free-to-read, no license).
-An OA-journal signal overrides hybrid and bronze.
+The decision reads the evidence digest for one DOI: a repository copy
+makes the publication green; the publisher side resolves to exactly one
+of gold (fully-OA journal), hybrid (licensed copy in a toll journal) or
+bronze (free-to-read, no license). An OA-journal signal overrides hybrid
+and bronze.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .models import (
     NO_OA,
     JournalRecord,
     OAEvidenceRecord,
-    OALocation,
     OATypeSet,
     PublicationRecord,
     Table,
@@ -27,14 +26,14 @@ CLASSIFIED_COLUMNS = ("pub_id", "doi", "gold", "green", "hybrid", "bronze", "any
 
 @dataclass(frozen=True, slots=True)
 class ClassifiedPublication:
-    """A publication together with its OA outcome and the evidence used."""
+    """A publication, its OA outcome and its evidence's normalized repository URLs."""
 
     publication: PublicationRecord
     types: OATypeSet
-    locations_used: tuple[OALocation, ...] = ()
+    repository_urls: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "locations_used", tuple(self.locations_used))
+        object.__setattr__(self, "repository_urls", tuple(self.repository_urls))
         if self.publication.doi is None and self.types.any_oa:
             raise ValueError("a publication without a DOI cannot be OA")
 
@@ -55,27 +54,18 @@ def classify(
 ) -> OATypeSet:
     """Assign OA types for one publication's evidence.
 
-    Total and pure: no evidence, or evidence with no locations, is not
-    OA. The journal registry flag is OR-ed with the dump's own flag, so
-    either source alone can establish the fully-OA-journal signal. The
-    result never depends on location order.
+    Total and pure: no evidence, or evidence with no copy, is not OA. The
+    journal registry flag is OR-ed with the dump's own flag, so either
+    source alone can establish the fully-OA-journal signal.
     """
-    if evidence is None or not evidence.locations:
+    if evidence is None or not (evidence.repository_urls or evidence.publisher_copy):
         return NO_OA
-
-    green = any(loc.host_type == "repository" for loc in evidence.locations)
-    is_oa_journal = evidence.journal_is_oa or (journal is not None and journal.is_fully_oa)
-    if is_oa_journal:
-        # At least one location exists, so availability is evidenced.
+    green = bool(evidence.repository_urls)
+    if evidence.journal_is_oa or (journal is not None and journal.is_fully_oa):
+        # At least one copy exists, so availability is evidenced.
         return _OUTCOMES[("gold", green)]
-
-    publisher_locations = [loc for loc in evidence.locations if loc.host_type == "publisher"]
-    licensed = any(loc.license and loc.license.strip() for loc in publisher_locations)
-    if licensed:
-        return _OUTCOMES[("hybrid", green)]
-    if publisher_locations:
-        return _OUTCOMES[("bronze", green)]
-    return _OUTCOMES[(None, green)]
+    side = "hybrid" if evidence.licensed_copy else "bronze" if evidence.publisher_copy else None
+    return _OUTCOMES[(side, green)]
 
 
 def classify_stream(
@@ -92,8 +82,8 @@ def classify_stream(
     for pub in publications:
         evidence = evidence_by_doi.get(pub.doi) if pub.doi is not None else None
         types = classify(evidence, journals.get(pub.journal_id))
-        locations = evidence.locations if evidence is not None else ()
-        yield ClassifiedPublication(publication=pub, types=types, locations_used=locations)
+        urls = evidence.repository_urls if evidence is not None else ()
+        yield ClassifiedPublication(publication=pub, types=types, repository_urls=urls)
 
 
 def classified_table(classified: Iterable[ClassifiedPublication]) -> Table:

@@ -40,7 +40,6 @@ from .models import (
     Institution,
     JournalRecord,
     OAEvidenceRecord,
-    OALocation,
     PipelineConfig,
     PublicationRecord,
     Table,
@@ -175,7 +174,6 @@ def parse_evidence_stream(
     """
     if stats is None:
         stats = ParseStats()
-    intern = _interner()
     seen: set[str] | None = set() if keep is not None else None
     ranges = _byte_ranges(source, processes) if keep is not None else []
     with ExitStack() as stack:
@@ -187,7 +185,7 @@ def parse_evidence_stream(
             if kind is not None:
                 _report(on_issue, "evidence", line_no, kind, value)
                 continue
-            doi, journal_is_oa, locations = value
+            doi, *digest = value
             if seen is not None:
                 doi = keep(doi)
                 if doi in seen:
@@ -195,11 +193,7 @@ def parse_evidence_stream(
                     continue
                 seen.add(doi)
             stats.records += 1
-            yield OAEvidenceRecord(
-                doi,
-                journal_is_oa,
-                [OALocation(intern(host), url, intern(license_)) for host, url, license_ in locations],
-            )
+            yield OAEvidenceRecord(doi, *digest)
 
 
 def _scan_evidence(lines: Iterable[bytes], keep, stats: ParseStats):
@@ -208,9 +202,11 @@ def _scan_evidence(lines: Iterable[bytes], keep, stats: ParseStats):
     This is the one per-line check, shared by every range and by the
     stream path. For each non-blank line `keep` does not drop it yields
     (line number, issue kind, detail) or, for a valid line, (line
-    number, None, (doi, journal_is_oa, [(host_type, url, license), ...])),
-    plain values a forked scan can marshal. Lines are numbered from 1
-    at the start of `lines`; returns the number of lines read.
+    number, None, (doi, journal_is_oa, repository_urls, publisher_copy,
+    licensed_copy)): the line reduced to the fields of OAEvidenceRecord,
+    in plain values a forked scan can marshal. A license counts only
+    when it is not blank. Lines are numbered from 1 at the start of
+    `lines`; returns the number of lines read.
     """
     line_no = 0
     for line_no, raw in enumerate(lines, start=1):
@@ -249,7 +245,8 @@ def _scan_evidence(lines: Iterable[bytes], keep, stats: ParseStats):
         if not isinstance(raw_locations, list):
             yield line_no, "malformed", "oa_locations is not a list"
             continue
-        locations = []
+        repository_urls = []
+        publisher_copy = licensed_copy = False
         bad_location = None
         for loc in raw_locations:
             if not isinstance(loc, dict):
@@ -267,11 +264,15 @@ def _scan_evidence(lines: Iterable[bytes], keep, stats: ParseStats):
             if license_ is not None and not isinstance(license_, str):
                 bad_location = "license is not a string"
                 break
-            locations.append((host_type, url, license_))
+            if host_type == "repository":
+                repository_urls.append(url)
+            else:
+                publisher_copy = True
+                licensed_copy = licensed_copy or bool(license_ and license_.strip())
         if bad_location is not None:
             yield line_no, "malformed", bad_location
             continue
-        yield line_no, None, (doi, journal_is_oa, locations)
+        yield line_no, None, (doi, journal_is_oa, repository_urls, publisher_copy, licensed_copy)
     return line_no
 
 
@@ -485,7 +486,9 @@ def parse_publications(
 ) -> Iterator[PublicationRecord]:
     """Yield publication records, dropping non-citable and out-of-period rows.
 
-    Every dropped or rejected row is reported as exactly one issue.
+    Every dropped or rejected row is reported as exactly one issue. A
+    kept row whose non-empty doi cell normalize_doi rejects is reported
+    as one malformed issue and kept as a publication without a DOI.
     Duplicate pub_ids keep the first occurrence. Equal years, doc types,
     languages, journal ids and affiliation and field sets share one
     object across the yielded records.
@@ -540,11 +543,15 @@ def parse_publications(
             _report(on_issue, "publications", line_no, "duplicate_key", f"duplicate pub_id: {pub_id}")
             continue
         seen.add(pub_id)
+        raw_doi = _text(row, "doi")
+        doi = normalize_doi(raw_doi or None)
+        if raw_doi and doi is None:
+            _report(on_issue, "publications", line_no, "malformed", f"invalid doi: {raw_doi!r}")
         language = _text(row, "language").lower() or "unknown"
         stats.records += 1
         yield PublicationRecord(
             pub_id=pub_id,
-            doi=normalize_doi(_text(row, "doi") or None),
+            doi=doi,
             year=intern(year),
             doc_type=intern(doc_type),
             language=intern(language),

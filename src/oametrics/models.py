@@ -36,7 +36,6 @@ ANY_OA = "any"
 TYPE_ORDER = OA_TYPES + (ANY_OA,)
 
 CITABLE_DOC_TYPES = frozenset({"article", "review", "letter"})
-HOST_TYPES = frozenset({"publisher", "repository"})
 APC_STATES = frozenset({"yes", "no", "unknown"})
 
 _RESOLVER_PREFIXES = (
@@ -97,32 +96,28 @@ def exact_share(numerator: int, denominator: int) -> Fraction | None:
 
 
 @dataclass(frozen=True, slots=True)
-class OALocation:
-    """One piece of open-availability evidence: where a copy can be read."""
-
-    host_type: str
-    url: str
-    license: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.host_type not in HOST_TYPES:
-            raise ValueError(f"unknown host_type: {self.host_type!r}")
-        if not self.url:
-            raise ValueError("location url must be non-empty")
-
-
-@dataclass(frozen=True, slots=True)
 class OAEvidenceRecord:
-    """Per-DOI availability evidence: journal OA flag plus locations."""
+    """Per-DOI availability evidence, reduced to what the pipeline reads.
+
+    ``repository_urls`` holds one URL per repository copy, stored
+    normalized (normalize_url); a URL that normalizes to "" is kept, as
+    it still evidences a repository copy. ``publisher_copy`` says some
+    publisher copy exists, ``licensed_copy`` that one carries a non-blank
+    license.
+    """
 
     doi: str
     journal_is_oa: bool
-    locations: tuple[OALocation, ...] = ()
+    repository_urls: tuple[str, ...] = ()
+    publisher_copy: bool = False
+    licensed_copy: bool = False
 
     def __post_init__(self) -> None:
         if not self.doi:
             raise ValueError("evidence doi must be non-empty")
-        object.__setattr__(self, "locations", tuple(self.locations))
+        if self.licensed_copy and not self.publisher_copy:
+            raise ValueError("a licensed copy is a publisher copy")
+        object.__setattr__(self, "repository_urls", tuple(map(normalize_url, self.repository_urls)))
 
 
 @dataclass(frozen=True, slots=True)

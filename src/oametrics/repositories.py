@@ -10,15 +10,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Mapping
 
-from .models import (
-    Institution,
-    OALocation,
-    PipelineConfig,
-    Table,
-    exact_share,
-    normalize_url,
-    roster_countries,
-)
+from .models import Institution, PipelineConfig, Table, exact_share, roster_countries
+from .models import normalize_url  # noqa: F401  (unused here; perfbench traces repositories.normalize_url)
 
 REPO_BOUNDS_COLUMNS = (
     "university", "name", "country", "pubs", "green_pubs",
@@ -32,31 +25,9 @@ PMC_OVERLAP_COLUMNS = (
 _PMC_FLAGGED = ("gold", "bronze", "hybrid")
 
 
-def _repository_urls(locations: Iterable[OALocation]) -> list[str]:
-    """The normalized URL of each repository location; publisher copies never match."""
-    return [normalize_url(loc.url) for loc in locations if loc.host_type == "repository"]
-
-
 def _matches(urls: Iterable[str], patterns: Iterable[str]) -> bool:
     """True iff some URL contains some non-empty pattern."""
     return any(pattern and pattern in url for url in urls for pattern in patterns)
-
-
-def match_repository(
-    locations: Iterable[OALocation],
-    inst: Institution,
-    handle_pattern: str,
-) -> tuple[bool, bool]:
-    """Match repository locations against an institution's URL patterns.
-
-    Returns (lower, upper). lower: some repository URL contains one of
-    the institution's patterns. upper: lower, or some repository URL
-    contains the (normalized) handle resolver pattern. Publisher
-    locations never match.
-    """
-    urls = _repository_urls(locations)
-    lower = _matches(urls, inst.repo_url_patterns)
-    return lower, lower or _matches(urls, (handle_pattern,))
 
 
 def repo_share_bounds(
@@ -68,10 +39,10 @@ def repo_share_bounds(
 
     One pass over the classified publications counts, for every roster
     institution with at least one publication, its publications, its
-    green publications and the green ones matched to its repository
-    (lower: its own URL patterns; upper: also the handle pattern). Each
-    green publication's repository URLs are normalized once, whatever
-    its number of affiliations. The share interval is null for an
+    green publications and the green ones matched to its repository:
+    lower, some repository URL contains one of its own URL patterns;
+    upper, lower or some repository URL contains the handle pattern.
+    Publisher copies never match. The share interval is null for an
     institution with no green output. Rows are sorted by institution id.
     """
     pubs: Counter[str] = Counter()
@@ -83,10 +54,9 @@ def repo_share_bounds(
         pubs.update(inst_ids)
         if not inst_ids or not cp.types.green:
             continue
-        urls = _repository_urls(cp.locations_used)
-        handle = _matches(urls, (handle_pattern,))
+        handle = _matches(cp.repository_urls, (handle_pattern,))
         for inst_id in inst_ids:
-            matched = _matches(urls, institutions[inst_id].repo_url_patterns)
+            matched = _matches(cp.repository_urls, institutions[inst_id].repo_url_patterns)
             green[inst_id] += 1
             lower[inst_id] += matched
             upper[inst_id] += matched or handle
@@ -101,10 +71,10 @@ def repo_share_bounds(
     return Table("repo_bounds", REPO_BOUNDS_COLUMNS, tuple(rows))
 
 
-def _pmc_flags(locations: Iterable[OALocation], patterns: tuple[str, ...]) -> tuple[bool, bool]:
+def _pmc_flags(urls: Iterable[str], patterns: tuple[str, ...]) -> tuple[bool, bool]:
     """(some repository URL contains a PMC pattern, some other repository URL does not)."""
     via_pmc = other_repo = False
-    for url in _repository_urls(locations):
+    for url in urls:
         if _matches((url,), patterns):
             via_pmc = True
         else:
@@ -137,7 +107,7 @@ def pmc_overlap_table(
         if not countries or not cp.types.green:
             continue
         greens.update(countries)
-        via_pmc, has_other_repo = _pmc_flags(cp.locations_used, config.pmc_url_patterns)
+        via_pmc, has_other_repo = _pmc_flags(cp.repository_urls, config.pmc_url_patterns)
         if not via_pmc:
             continue
         pmc.update(countries)

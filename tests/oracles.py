@@ -2,27 +2,40 @@
 
 `records` reads a report table as one column -> value dict per row.
 
+`repo_loc` and `pub_loc` build the location objects of an evidence dump
+line; `evidence` builds the record the scan reduces such a line to, so
+every test that classifies through it also checks that reduction.
+
 The oracle walks the decision tree over case counts instead of flag
 extraction, so it shares no code path with the implementation it checks.
 """
 
-from oametrics.models import OAEvidenceRecord, OALocation, Table
+import io
+import json
+
+from oametrics.ingest import parse_evidence_stream
+from oametrics.models import OAEvidenceRecord, Table
 
 
 def records(table: Table) -> list[dict]:
     return [dict(zip(table.columns, row)) for row in table.rows]
 
 
-def repo_loc(url: str = "https://repo.example.org/item/1") -> OALocation:
-    return OALocation(host_type="repository", url=url)
+def repo_loc(url: str = "https://repo.example.org/item/1") -> dict:
+    return {"host_type": "repository", "url": url}
 
 
-def pub_loc(license: str | None = None, url: str = "https://publisher.example.com/a") -> OALocation:
-    return OALocation(host_type="publisher", url=url, license=license)
+def pub_loc(license: str | None = None, url: str = "https://publisher.example.com/a") -> dict:
+    return {"host_type": "publisher", "url": url, "license": license}
 
 
 def evidence(doi: str = "10.1/x", journal_is_oa: bool = False, locations=()) -> OAEvidenceRecord:
-    return OAEvidenceRecord(doi=doi, journal_is_oa=journal_is_oa, locations=tuple(locations))
+    """The one record parse_evidence_stream yields, with no issue, for this dump line."""
+    line = json.dumps({"doi": doi, "journal_is_oa": journal_is_oa, "oa_locations": list(locations)})
+    issues = []
+    (record,) = parse_evidence_stream(io.BytesIO(line.encode("utf-8")), on_issue=issues.append)
+    assert issues == [], issues
+    return record
 
 
 def classify_oracle(

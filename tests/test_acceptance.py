@@ -5,6 +5,7 @@ numbers are not reproducible at desk scale, so the checks here are
 property-based plus seeded synthetic corpora at their stated tolerances.
 """
 
+import functools
 import itertools
 import random
 import statistics
@@ -108,14 +109,15 @@ REPO_B = repo_loc("https://r2.example.org/y")
 PUBLISHER_CHOICES = (PUB_PLAIN, PUB_BLANK, PUB_LICENSED)
 
 
+@functools.cache
+def _record(publisher: tuple[int, ...], n_repo: int, journal_is_oa: bool) -> OAEvidenceRecord:
+    locations = [PUBLISHER_CHOICES[i] for i in publisher] + [REPO_A, REPO_B][:n_repo]
+    return evidence(doi="10.1/p", journal_is_oa=journal_is_oa, locations=locations)
+
+
 def _random_types(rng: random.Random) -> OATypeSet:
-    locations = tuple(
-        rng.choice(PUBLISHER_CHOICES) for _ in range(rng.randrange(3))
-    ) + (REPO_A, REPO_B)[: rng.randrange(3)]
-    record = OAEvidenceRecord(
-        doi="10.1/p", journal_is_oa=rng.random() < 0.2, locations=locations
-    )
-    return classify(record)
+    publisher = tuple(rng.randrange(len(PUBLISHER_CHOICES)) for _ in range(rng.randrange(3)))
+    return classify(_record(publisher, rng.randrange(3), rng.random() < 0.2))
 
 
 def test_acceptance_2_exclusivity_and_partition_identity():
@@ -185,9 +187,7 @@ def test_acceptance_3_planted_proportion_recovery():
             journal_is_oa = False
         if green:
             locations.append(REPO_A)
-        evidence_by_doi[doi] = OAEvidenceRecord(
-            doi=doi, journal_is_oa=journal_is_oa, locations=tuple(locations)
-        )
+        evidence_by_doi[doi] = evidence(doi=doi, journal_is_oa=journal_is_oa, locations=locations)
 
     count = _overlap_counts(classify_stream(publications, evidence_by_doi))
     total = count["total_oa"]
@@ -226,6 +226,12 @@ def test_acceptance_4_median_oracle_and_threshold():
     _passed(4, "median oracle on 1000 vectors; threshold 10 filters exactly")
 
 
+def _green_cp(locations):
+    """SHARED_PUB, green, with the repository URLs the scan keeps from `locations`."""
+    urls = evidence(locations=locations).repository_urls
+    return ClassifiedPublication(publication=SHARED_PUB, types=OATypeSet(green=True), repository_urls=urls)
+
+
 def test_acceptance_5_repository_bounds():
     rng = random.Random(41)
     hosts = ("repo.inst.edu", "hdl.handle.net", "zenodo.org", "arxiv.org")
@@ -234,9 +240,7 @@ def test_acceptance_5_repository_bounds():
             repo_loc(f"https://{rng.choice(hosts)}/i/{rng.randrange(50)}")
             for _ in range(rng.randrange(4))
         ]
-        cp = ClassifiedPublication(
-            publication=SHARED_PUB, types=OATypeSet(green=True), locations_used=locations
-        )
+        cp = _green_cp(locations)
         institutions = {"U1": _inst("U1", patterns=(rng.choice(hosts),))}
         (row,) = records(repo_share_bounds([cp], institutions, "hdl.handle.net"))
         assert row["matched_lower"] <= row["matched_upper"]
@@ -244,21 +248,10 @@ def test_acceptance_5_repository_bounds():
     # SHARED_PUB is affiliated with U1, here a repository on the Bilkent host.
     institutions = {"U1": _inst("U1", country="TR", patterns=("repo.bilkent.example.edu.tr",))}
     matched = [
-        ClassifiedPublication(
-            publication=SHARED_PUB,
-            types=OATypeSet(green=True),
-            locations_used=(repo_loc(f"https://repo.bilkent.example.edu.tr/handle/{i}"),),
-        )
+        _green_cp([repo_loc(f"https://repo.bilkent.example.edu.tr/handle/{i}")])
         for i in range(1815)
     ]
-    unmatched = [
-        ClassifiedPublication(
-            publication=SHARED_PUB,
-            types=OATypeSet(green=True),
-            locations_used=(repo_loc(f"https://elsewhere.example.org/{i}"),),
-        )
-        for i in range(1858 - 1815)
-    ]
+    unmatched = [_green_cp([repo_loc(f"https://elsewhere.example.org/{i}")]) for i in range(1858 - 1815)]
     non_green = [
         ClassifiedPublication(publication=SHARED_PUB, types=OATypeSet(bronze=True))
         for _ in range(150)
@@ -273,18 +266,12 @@ def test_acceptance_5_repository_bounds():
 PMC_URL = "https://www.ncbi.nlm.nih.gov/pmc/articles/PMC9"
 
 
-def _green_cp(locations):
-    return ClassifiedPublication(
-        publication=SHARED_PUB, types=OATypeSet(green=True), locations_used=locations
-    )
-
-
 def test_acceptance_6_pmc_accounting():
     institutions = {"U1": _inst("U1", country="TW")}
     planted = (
-        [_green_cp((repo_loc(PMC_URL),)) for _ in range(12)]
-        + [_green_cp((repo_loc(PMC_URL), repo_loc("https://arxiv.org/abs/1"))) for _ in range(12)]
-        + [_green_cp((repo_loc("https://zenodo.org/2"),)) for _ in range(16)]
+        [_green_cp([repo_loc(PMC_URL)]) for _ in range(12)]
+        + [_green_cp([repo_loc(PMC_URL), repo_loc("https://arxiv.org/abs/1")]) for _ in range(12)]
+        + [_green_cp([repo_loc("https://zenodo.org/2")]) for _ in range(16)]
     )
     (row,) = records(pmc_overlap_table(planted, institutions, CONFIG))
     assert (row["green_oa"], row["pmc"], row["pmc_only"]) == (40, 24, 12)
@@ -301,15 +288,14 @@ def test_acceptance_6_pmc_accounting():
                 locations.append(repo_loc("https://zenodo.org/9"))
             if rng.random() < 0.4:
                 locations.append(rng.choice((PUB_PLAIN, PUB_LICENSED)))
-            types = classify(
-                evidence(journal_is_oa=rng.random() < 0.2, locations=locations)
-            )
-            via_pmc, _ = _pmc_flags(locations, CONFIG.pmc_url_patterns)
+            record = evidence(journal_is_oa=rng.random() < 0.2, locations=locations)
+            types = classify(record)
+            via_pmc, _ = _pmc_flags(record.repository_urls, CONFIG.pmc_url_patterns)
             if via_pmc:
                 assert types.green
             corpus.append(
                 ClassifiedPublication(
-                    publication=SHARED_PUB, types=types, locations_used=locations
+                    publication=SHARED_PUB, types=types, repository_urls=record.repository_urls
                 )
             )
         (row,) = records(pmc_overlap_table(corpus, institutions, CONFIG))

@@ -1,17 +1,21 @@
 import itertools
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import classify_oracle, evidence, pub_loc, repo_loc
+from oracles import classify_oracle, evidence, pub_loc, records, repo_loc
 
-from oametrics.classifier import classify, classify_stream
+from oametrics.classifier import ClassifiedPublication, classify, classify_stream
 from oametrics.models import (
     MAIN_FIELDS,
+    Institution,
     JournalRecord,
     OATypeSet,
+    PipelineConfig,
     PublicationRecord,
+    normalize_url,
 )
+from oametrics.repositories import pmc_overlap_table
 
 BIO = MAIN_FIELDS[0]
 
@@ -93,6 +97,7 @@ def test_truth_table_matches_oracle_for_all_orderings():
 
 @st.composite
 def _random_evidence(draw):
+    """(journal_is_oa, locations) of one random dump line."""
     n_pub = draw(st.integers(0, 3))
     licenses = draw(
         st.lists(
@@ -106,35 +111,75 @@ def _random_evidence(draw):
         pub_loc(license, url=f"https://pub.example.com/{i}")
         for i, license in enumerate(licenses)
     ] + [repo_loc(f"https://repo{i}.example.org/x") for i in range(n_repo)]
-    journal_is_oa = draw(st.booleans())
-    return evidence(journal_is_oa=journal_is_oa, locations=locations)
+    return draw(st.booleans()), locations
 
 
 @given(_random_evidence(), st.randoms())
-def test_classification_is_order_invariant(ev, rng):
-    shuffled = list(ev.locations)
+def test_classification_is_order_invariant(case, rng):
+    journal_is_oa, locations = case
+    shuffled = list(locations)
     rng.shuffle(shuffled)
-    assert classify(evidence(journal_is_oa=ev.journal_is_oa, locations=shuffled)) == classify(ev)
+    assert classify(evidence(journal_is_oa=journal_is_oa, locations=shuffled)) == classify(
+        evidence(journal_is_oa=journal_is_oa, locations=locations)
+    )
 
 
 @given(_random_evidence())
-def test_adding_repository_copy_only_turns_green_on(ev):
-    before = classify(ev)
+def test_adding_repository_copy_only_turns_green_on(case):
+    journal_is_oa, locations = case
+    before = classify(evidence(journal_is_oa=journal_is_oa, locations=locations))
     after = classify(
         evidence(
-            journal_is_oa=ev.journal_is_oa,
-            locations=list(ev.locations) + [repo_loc("https://extra.example.org/x")],
+            journal_is_oa=journal_is_oa,
+            locations=locations + [repo_loc("https://extra.example.org/x")],
         )
     )
     assert after.green
-    if ev.locations:
+    if locations:
         assert (after.gold, after.hybrid, after.bronze) == (before.gold, before.hybrid, before.bronze)
 
 
 @given(_random_evidence())
-def test_publisher_types_are_exclusive(ev):
-    types = classify(ev)
+def test_publisher_types_are_exclusive(case):
+    journal_is_oa, locations = case
+    types = classify(evidence(journal_is_oa=journal_is_oa, locations=locations))
     assert types.gold + types.hybrid + types.bronze <= 1
+
+
+PMC_URL = "https://www.ncbi.nlm.nih.gov/pmc/articles/PMC1"
+_locations = st.lists(
+    st.builds(
+        lambda host, url, license: {"host_type": host, "url": url, "license": license},
+        st.sampled_from(("publisher", "repository")),
+        st.sampled_from(("https://", "WWW.X/", "https://repo.example.org/1", PMC_URL)),
+        st.sampled_from((None, "", "  ", "cc-by")),
+    ),
+    max_size=4,
+)
+
+
+@given(_locations)
+@example([repo_loc("https://"), repo_loc(PMC_URL)])
+def test_scan_reduces_locations_to_the_digest(locations):
+    record = evidence(locations=locations)
+    repository = [normalize_url(loc["url"]) for loc in locations if loc["host_type"] == "repository"]
+    publisher = [loc for loc in locations if loc["host_type"] == "publisher"]
+    assert record.repository_urls == tuple(repository)
+    assert record.publisher_copy == bool(publisher)
+    assert record.licensed_copy == any(loc["license"] and loc["license"].strip() for loc in publisher)
+
+    # Every repository copy, also one whose URL normalizes to "", makes the
+    # publication green, and any non-PMC copy rules out pmc_only.
+    types = classify(record)
+    assert types.green == bool(repository)
+    config = PipelineConfig()
+    via_pmc = ["ncbi.nlm.nih.gov/pmc" in url for url in repository]
+    inst = Institution(inst_id="U1", name="U1", country="TR", regions={"Europe"})
+    classified = ClassifiedPublication(_pub("P1", record.doi), types, record.repository_urls)
+    (row,) = records(pmc_overlap_table([classified], {"U1": inst}, config))
+    assert (row["green_oa"], row["pmc"], row["pmc_only"]) == (
+        int(types.green), int(any(via_pmc)), int(any(via_pmc) and all(via_pmc)),
+    )
 
 
 def _pub(pub_id, doi):
@@ -167,7 +212,7 @@ def test_stream_empty_locations_not_oa():
     evidence_by_doi = {"10.1/a": evidence(doi="10.1/a", journal_is_oa=True, locations=[])}
     (cp,) = classify_stream(pubs, evidence_by_doi)
     assert not cp.types.any_oa
-    assert cp.locations_used == ()
+    assert cp.repository_urls == ()
 
 
 def test_stream_without_doi_never_oa():

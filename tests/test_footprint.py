@@ -20,6 +20,11 @@ PUB_HEADER = "pub_id,doi,year,doc_type,language,journal_id,institution_ids,field
 #: private copies of every repeated value take about 1,130 B.
 MAX_BYTES_PER_PUB = 600
 
+#: Live bytes allowed per kept evidence record, stored under its DOI.
+#: Records that keep every location as an object take about 340 B; the
+#: digest takes about 180 B.
+MAX_BYTES_PER_EVIDENCE = 300
+
 
 def _publication_table(n: int, seed: int = 5) -> bytes:
     rng = random.Random(seed)
@@ -45,8 +50,7 @@ def test_parsed_records_have_no_instance_dict():
     )
     evidence = {r.doi: r for r in parse_evidence_stream(io.BytesIO(line.encode()))}
     classified = list(classify_stream(pubs, evidence))
-    for obj in (pubs[0], evidence[pubs[0].doi], evidence[pubs[0].doi].locations[0],
-                classified[0], classified[0].types):
+    for obj in (pubs[0], evidence[pubs[0].doi], classified[0], classified[0].types):
         assert not hasattr(obj, "__dict__"), type(obj).__name__
 
 
@@ -78,3 +82,44 @@ def test_live_bytes_per_publication_bounded():
     assert len(pubs) == n
     per_pub = live / n
     assert per_pub <= MAX_BYTES_PER_PUB, f"{per_pub:.0f} B per publication"
+
+
+def _evidence_dump(n: int, seed: int = 5) -> tuple[bytes, list[str]]:
+    """A dump of `n` lines with 0-3 locations each, half of them repository copies."""
+    rng = random.Random(seed)
+    lines, dois = [], []
+    for i in range(n):
+        doi = f"10.{rng.randint(1000, 9999)}/e{i}"
+        locations = []
+        for k in range(rng.randint(0, 3)):
+            if rng.random() < 0.5:
+                host = rng.choice(["repo.example.edu", "www.ncbi.nlm.nih.gov/pmc", "hdl.handle.net"])
+                locations.append({"host_type": "repository", "url": f"https://{host}/item/{i}-{k}"})
+            else:
+                locations.append({
+                    "host_type": "publisher",
+                    "url": f"https://publisher{rng.randrange(50)}.example.com/article/{i}",
+                    "license": rng.choice([None, "cc-by", "cc-by-nc", ""]),
+                })
+        dois.append(doi)
+        lines.append(json.dumps({"doi": doi, "journal_is_oa": rng.random() < 0.2, "oa_locations": locations}))
+    return ("\n".join(lines) + "\n").encode("utf-8"), dois
+
+
+def test_live_bytes_per_evidence_record_bounded():
+    n = 20_000
+    dump, dois = _evidence_dump(n)
+    # As in run_pipeline, the DOI strings are already held by the publications.
+    needed = {doi: doi for doi in dois}
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        evidence = {r.doi: r for r in parse_evidence_stream(io.BytesIO(dump), keep=needed.get)}
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(evidence) == n
+    per_record = live / n
+    assert per_record <= MAX_BYTES_PER_EVIDENCE, f"{per_record:.0f} B per evidence record"

@@ -54,8 +54,8 @@ def test_evidence_direct_mapping():
     (record,) = records
     assert record.doi == "10.1/a"
     assert record.journal_is_oa is True
-    assert len(record.locations) == 1
-    assert record.locations[0].license == "cc-by"
+    assert record.repository_urls == ()
+    assert record.publisher_copy and record.licensed_copy
 
 
 def test_evidence_missing_doi_is_reported():
@@ -101,9 +101,25 @@ def test_evidence_bad_location_rejects_line():
         {"doi": "10.1/b", "journal_is_oa": False,
          "oa_locations": [{"host_type": "publisher", "url": ""}]}
     )
-    records, issues = _parse_evidence(_evidence_bytes(bad_host, empty_url))
+    others = [
+        json.dumps({"doi": f"10.1/{doi}", "journal_is_oa": False, "oa_locations": locations})
+        for doi, locations in (
+            ("c", ["u"]),
+            ("d", [{"host_type": "repository", "url": 7}]),
+            ("e", [{"host_type": "publisher", "url": "u", "license": 1}]),
+            ("f", [{"host_type": "repository", "url": "u"}, {"url": "u"}]),
+        )
+    ]
+    records, issues = _parse_evidence(_evidence_bytes(bad_host, empty_url, *others))
     assert records == []
-    assert [i.kind for i in issues] == ["malformed", "malformed"]
+    assert [(i.kind, i.detail) for i in issues] == [
+        ("malformed", "invalid host_type: 'mirror'"),
+        ("malformed", "location url missing or empty"),
+        ("malformed", "location is not an object"),
+        ("malformed", "location url missing or empty"),
+        ("malformed", "license is not a string"),
+        ("malformed", "invalid host_type: None"),
+    ]
 
 
 def test_evidence_gzip_and_plain_agree(tmp_path):
@@ -200,6 +216,26 @@ def test_publications_missing_doi_and_language_defaults():
     assert pub.doi is None
     assert pub.language == "unknown"
     assert pub.institution_ids == frozenset()
+
+
+def test_publications_invalid_doi_is_reported_and_the_row_kept():
+    records, issues = _parse_pubs(
+        _pub_rows(
+            f"P1,doi.org/10.1/x,2015,article,en,J1,U1,{BIO}",
+            f"P2,hdl:123,2015,article,en,J1,U1,{BIO}",
+            f"P3,hdl:123,2015,editorial,en,J1,U1,{BIO}",
+            f"P4,  ,2015,article,en,J1,U1,{BIO}",
+            f"P1,hdl:9,2015,article,en,J1,U1,{BIO}",
+        )
+    )
+    # A dropped row gets only the issue that drops it; a blank cell is no DOI.
+    assert [(r.pub_id, r.doi) for r in records] == [("P1", None), ("P2", None), ("P4", None)]
+    assert [(i.line_no, i.kind, i.detail) for i in issues] == [
+        (2, "malformed", "invalid doi: 'doi.org/10.1/x'"),
+        (3, "malformed", "invalid doi: 'hdl:123'"),
+        (4, "malformed", "non-citable doc_type: 'editorial'"),
+        (6, "duplicate_key", "duplicate pub_id: P1"),
+    ]
 
 
 def test_publications_duplicate_pub_id_first_wins():
@@ -381,7 +417,7 @@ def test_ignored_columns_are_accepted():
          "oa_locations": [{"host_type": "repository", "url": "u", "endpoint_id": "e1"}]}
     )
     records, issues = _parse_evidence(_evidence_bytes(line))
-    assert issues == [] and len(records[0].locations) == 1
+    assert issues == [] and records[0].repository_urls == ("u",)
     inst, jour = _registry_streams(journal_rows=("J1,1111-1111;2222-2222,GB,false,no,",))
     _, journals = parse_registries(inst, jour)
     assert journals["J1"].country == "GB"

@@ -9,7 +9,7 @@ from oametrics.models import (
     IndicatorCell,
     Institution,
     JournalRecord,
-    OALocation,
+    OAEvidenceRecord,
     OATypeSet,
     PipelineConfig,
     PublicationRecord,
@@ -118,11 +118,16 @@ def test_typeset_has_lookup():
         ts.has("diamond")
 
 
-def test_location_validation():
+def test_evidence_record_validation():
     with pytest.raises(ValueError):
-        OALocation(host_type="mirror", url="https://x")
+        OAEvidenceRecord(doi="", journal_is_oa=False)
     with pytest.raises(ValueError):
-        OALocation(host_type="publisher", url="")
+        OAEvidenceRecord(doi="10.1/a", journal_is_oa=False, licensed_copy=True)
+    record = OAEvidenceRecord(
+        doi="10.1/a", journal_is_oa=False,
+        repository_urls=["HTTPS://www.Repo.Edu/x/", "https://", "repo.edu/x"],
+    )
+    assert record.repository_urls == ("repo.edu/x", "", "repo.edu/x")
 
 
 def _pub(**overrides):

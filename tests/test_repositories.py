@@ -14,9 +14,9 @@ from oametrics.models import (
     PipelineConfig,
     PublicationRecord,
 )
+from oametrics import models, repositories
 from oametrics.repositories import (
     _pmc_flags,
-    match_repository,
     normalize_url,
     pmc_overlap_table,
     repo_share_bounds,
@@ -59,62 +59,6 @@ def _inst(patterns=("repo.alpha.edu.tr",), country="TR", inst_id="U1"):
     )
 
 
-def test_match_institutional_url():
-    inst = _inst(("repository.bilkent.edu.tr",))
-    match = match_repository(
-        [repo_loc("https://repository.bilkent.edu.tr/handle/11693/1")], inst, "hdl.handle.net"
-    )
-    assert match == (True, True)
-
-
-def test_handle_url_matches_upper_bound_only():
-    inst = _inst(("repository.other.edu",))
-    match = match_repository([repo_loc("https://hdl.handle.net/10012/345")], inst, "hdl.handle.net")
-    assert match == (False, True)
-
-
-def test_publisher_locations_never_match():
-    inst = _inst(("repo.alpha.edu.tr",))
-    match = match_repository(
-        [pub_loc(url="https://repo.alpha.edu.tr/fake"), pub_loc(url="https://hdl.handle.net/1")],
-        inst,
-        "hdl.handle.net",
-    )
-    assert match == (False, False)
-
-
-def test_match_is_case_and_order_invariant():
-    inst = _inst(("repo.alpha.edu.tr",))
-    locations = [repo_loc("HTTPS://REPO.ALPHA.EDU.TR/ITEM/9"), repo_loc("https://other.org/x")]
-    for ordering in (locations, locations[::-1]):
-        lower, _ = match_repository(ordering, inst, "hdl.handle.net")
-        assert lower
-
-
-def test_repo_match_invariant():
-    # A URL under the institution's own pattern and not under the handle
-    # pattern matches the upper bound too: lower never holds without upper.
-    inst = _inst(("repo.alpha.edu.tr",))
-    for locations in (
-        [repo_loc("https://repo.alpha.edu.tr/item/1")],
-        [repo_loc("https://zenodo.org/2"), repo_loc("https://repo.alpha.edu.tr/item/1")],
-    ):
-        assert match_repository(locations, inst, "hdl.handle.net") == (True, True)
-
-
-def test_lower_implies_upper_on_random_fixtures():
-    rng = random.Random(7)
-    hosts = ["repo.alpha.edu.tr", "archive.beta.ac.uk", "hdl.handle.net", "zenodo.org"]
-    for _ in range(300):
-        locations = [
-            repo_loc(f"https://{rng.choice(hosts)}/item/{rng.randrange(100)}")
-            for _ in range(rng.randrange(4))
-        ]
-        inst = _inst((rng.choice(hosts),))
-        lower, upper = match_repository(locations, inst, "hdl.handle.net")
-        assert upper or not lower
-
-
 def _cp(pub_id, types, locations=(), inst_ids=("U1",)):
     pub = PublicationRecord(
         pub_id=pub_id,
@@ -126,10 +70,71 @@ def _cp(pub_id, types, locations=(), inst_ids=("U1",)):
         institution_ids=frozenset(inst_ids),
         field_ids=frozenset({BIO}),
     )
-    return ClassifiedPublication(publication=pub, types=types, locations_used=tuple(locations))
+    urls = evidence(locations=locations).repository_urls
+    return ClassifiedPublication(publication=pub, types=types, repository_urls=urls)
 
 
 GREEN = OATypeSet(green=True)
+
+
+def _matched(locations, inst) -> tuple[bool, bool]:
+    """(lower, upper) of the repo_bounds row for one green publication of `inst`."""
+    (row,) = records(repo_share_bounds([_cp("A", GREEN, locations)], {"U1": inst}, "hdl.handle.net"))
+    return bool(row["matched_lower"]), bool(row["matched_upper"])
+
+
+def test_match_institutional_url():
+    inst = _inst(("repository.bilkent.edu.tr",))
+    match = _matched([repo_loc("https://repository.bilkent.edu.tr/handle/11693/1")], inst)
+    assert match == (True, True)
+
+
+def test_handle_url_matches_upper_bound_only():
+    inst = _inst(("repository.other.edu",))
+    assert _matched([repo_loc("https://hdl.handle.net/10012/345")], inst) == (False, True)
+
+
+def test_publisher_locations_never_match():
+    # A non-matching repository copy makes the publication green.
+    inst = _inst(("repo.alpha.edu.tr",))
+    locations = [
+        pub_loc(url="https://repo.alpha.edu.tr/fake"),
+        pub_loc(url="https://hdl.handle.net/1"),
+        repo_loc("https://zenodo.org/1"),
+    ]
+    assert _matched(locations, inst) == (False, False)
+
+
+def test_match_is_case_and_order_invariant():
+    inst = _inst(("repo.alpha.edu.tr",))
+    locations = [repo_loc("HTTPS://REPO.ALPHA.EDU.TR/ITEM/9"), repo_loc("https://other.org/x")]
+    for ordering in (locations, locations[::-1]):
+        lower, _ = _matched(ordering, inst)
+        assert lower
+
+
+def test_repo_match_invariant():
+    # A URL under the institution's own pattern and not under the handle
+    # pattern matches the upper bound too: lower never holds without upper.
+    inst = _inst(("repo.alpha.edu.tr",))
+    for locations in (
+        [repo_loc("https://repo.alpha.edu.tr/item/1")],
+        [repo_loc("https://zenodo.org/2"), repo_loc("https://repo.alpha.edu.tr/item/1")],
+    ):
+        assert _matched(locations, inst) == (True, True)
+
+
+def test_lower_implies_upper_on_random_fixtures():
+    rng = random.Random(7)
+    hosts = ["repo.alpha.edu.tr", "archive.beta.ac.uk", "hdl.handle.net", "zenodo.org"]
+    for _ in range(300):
+        locations = [
+            repo_loc(f"https://{rng.choice(hosts)}/item/{rng.randrange(100)}")
+            for _ in range(rng.randrange(4))
+        ]
+        inst = _inst((rng.choice(hosts),))
+        lower, upper = _matched(locations, inst)
+        assert upper or not lower
 
 
 def test_repo_share_bounds_interval():
@@ -249,8 +254,9 @@ def test_pmc_implies_green_via_classifier():
             locations.append(pub_loc(rng.choice([None, "cc-by"])))
         if rng.random() < 0.3:
             locations.append(repo_loc("https://zenodo.org/9"))
-        types = classify(evidence(journal_is_oa=rng.random() < 0.3, locations=locations))
-        via_pmc, _ = _pmc_flags(locations, CONFIG.pmc_url_patterns)
+        record = evidence(journal_is_oa=rng.random() < 0.3, locations=locations)
+        via_pmc, _ = _pmc_flags(record.repository_urls, CONFIG.pmc_url_patterns)
+        types = classify(record)
         if via_pmc:
             assert types.green
 
@@ -269,3 +275,22 @@ def test_pmc_chain_invariant_on_random_corpora():
         pubs.append(_cp(f"P{i}", types, locations))
     (row,) = records(pmc_overlap_table(pubs, institutions, CONFIG))
     assert 0 <= row["pmc_only"] <= row["pmc"] <= row["green_oa"]
+
+
+def test_tables_read_the_stored_urls_without_normalizing(monkeypatch):
+    institutions = {"U1": _inst(("repo.alpha.edu.tr",), country="TR")}
+    pubs = [
+        _cp("A", GREEN, [repo_loc("https://REPO.alpha.edu.tr/1/"), repo_loc(PMC_URL)]),
+        _cp("B", GREEN, [repo_loc("https://hdl.handle.net/2")]),
+        _cp("C", OATypeSet(bronze=True), [pub_loc()]),
+    ]
+
+    def fail(url):
+        raise AssertionError(f"normalize_url called on {url!r}")
+
+    monkeypatch.setattr(models, "normalize_url", fail)
+    monkeypatch.setattr(repositories, "normalize_url", fail)
+    (bounds,) = records(repo_share_bounds(pubs, institutions, CONFIG.handle_pattern))
+    (pmc,) = records(pmc_overlap_table(pubs, institutions, CONFIG))
+    assert (bounds["green_pubs"], bounds["matched_lower"], bounds["matched_upper"]) == (2, 1, 2)
+    assert (pmc["green_oa"], pmc["pmc"], pmc["pmc_only"]) == (2, 1, 0)

@@ -68,7 +68,7 @@ def _classified(rows):
         )
         record = evidence(doi=pub.doi, journal_is_oa=journal_is_oa, locations=locations)
         types = classify(record, JOURNALS.get(journal_id))
-        classified.append(ClassifiedPublication(publication=pub, types=types, locations_used=locations))
+        classified.append(ClassifiedPublication(pub, types, record.repository_urls))
     return classified
 
 
