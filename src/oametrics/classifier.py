@@ -19,6 +19,7 @@ from .models import (
     OATypeSet,
     PublicationRecord,
     Table,
+    fold,
 )
 
 CLASSIFIED_COLUMNS = ("pub_id", "doi", "gold", "green", "hybrid", "bronze", "any_oa")
@@ -86,13 +87,20 @@ def classify_stream(
         yield ClassifiedPublication(publication=pub, types=types, repository_urls=urls)
 
 
+class ClassifiedRows:
+    """Accumulator of the classified table: `add` one publication at a time."""
+
+    def __init__(self) -> None:
+        self.rows: list[tuple] = []
+
+    def add(self, cp: ClassifiedPublication) -> None:
+        pub, t = cp.publication, cp.types
+        self.rows.append((pub.pub_id, pub.doi, t.gold, t.green, t.hybrid, t.bronze, t.any_oa))
+
+    def table(self) -> Table:
+        return Table("classified", CLASSIFIED_COLUMNS, tuple(sorted(self.rows)))
+
+
 def classified_table(classified: Iterable[ClassifiedPublication]) -> Table:
     """The classified table: each publication's OA flags, sorted by pub_id."""
-    rows = sorted(
-        (
-            cp.publication.pub_id, cp.publication.doi, cp.types.gold, cp.types.green,
-            cp.types.hybrid, cp.types.bronze, cp.types.any_oa,
-        )
-        for cp in classified
-    )
-    return Table("classified", CLASSIFIED_COLUMNS, tuple(rows))
+    return fold(ClassifiedRows(), classified).table()

@@ -27,15 +27,15 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .classifier import classified_table, classify_stream
-from .gold_models import GOLD_MODELS_COLUMNS, gold_country_model
+from .classifier import ClassifiedRows, classify_stream
+from .gold_models import GOLD_MODELS_COLUMNS, GoldModel
 from .indicators import (
     COUNTRY_MEDIANS_COLUMNS,
-    count_full,
+    FullCounts,
+    OverlapTally,
     field_profile,
     field_summary,
     median_share_by_country,
-    overlap_matrix,
     region_rollup,
     universities_table,
     university_indicators,
@@ -48,7 +48,7 @@ from .ingest import (
     parse_registries,
 )
 from .models import PipelineConfig, Table
-from .repositories import pmc_overlap_table, repo_share_bounds
+from .repositories import PmcOverlap, RepoBounds
 
 #: Tables computed from the per-university indicator cells.
 CELL_TABLES = (
@@ -221,8 +221,9 @@ def run_pipeline(
     The evidence dump is streamed once with a DOI filter, so memory is
     bounded by the publication table, not the dump size. It is scanned
     with up to `shards` processes (default: `_usable_cpus()`); the output
-    is the same for any count. The bundle and the issue log are written
-    in one step (ReportBundle.write).
+    is the same for any count. One pass then classifies each publication
+    and feeds it to every requested table; the bundle and the issue log
+    are written in one step (ReportBundle.write).
 
     Raises, before any input is read, ConfigurationError when the issue
     log would overwrite a bundle file and FatalInputError for a missing
@@ -255,15 +256,14 @@ def run_pipeline(
         publications = list(
             parse_publications(publications_path, config, on_issue=sink, stats=stats["publications"])
         )
-    # Evidence is built, keyed and stored under each publication's own DOI object.
-    needed_dois = {pub.doi: pub.doi for pub in publications if pub.doi is not None}
+    # Evidence is built and keyed under each publication's own DOI object; the map dies with the scan.
     with _reading(evidence_path):
         evidence_by_doi = {
             record.doi: record
             for record in parse_evidence_stream(
                 evidence_path,
                 on_issue=sink,
-                keep=needed_dois.get,
+                keep={pub.doi: pub.doi for pub in publications if pub.doi is not None}.get,
                 stats=stats["evidence"],
                 processes=shards if shards is not None else _usable_cpus(),
             )
@@ -278,39 +278,48 @@ def run_pipeline(
                 f"{source}: issue rate {rate:.3f} exceeds ceiling {max_issue_rate:.3f}"
             )
 
-    classified = list(classify_stream(publications, evidence_by_doi, journals))
-    wanted = set(tables)
+    # One accumulator per requested table family (`needs` names the shared ones), fed in one pass.
+    folds = {
+        "classified": ClassifiedRows,
+        "overlap": OverlapTally,
+        "repo_bounds": lambda: RepoBounds(institutions, config.handle_pattern),
+        "pmc_overlap": lambda: PmcOverlap(institutions, config),
+        "gold_models_full": lambda: GoldModel(journals, institutions, config.min_universities_gold_model),
+        "counts": FullCounts,
+    }
+    needs = {"gold_models": "gold_models_full", **dict.fromkeys(CELL_TABLES, "counts")}
+    needed = {needs.get(name, name) for name in tables}
+    accumulators = {name: make() for name, make in folds.items() if name in needed}
+    adds = [acc.add for acc in accumulators.values()]
+    for cp in classify_stream(publications, evidence_by_doi, journals):
+        for add in adds:
+            add(cp)
+    # No table reads an input record again; table building reuses their memory.
+    del publications, evidence_by_doi
+
     cells = None
-    if wanted & set(CELL_TABLES):
+    if "counts" in accumulators:
         # Only roster institutions are in scope; an unknown id in a
         # publication's affiliations gets no cells.
         cells = [
-            c for c in university_indicators(count_full(classified), config)
+            c for c in university_indicators(accumulators.pop("counts").counts, config)
             if c.scope_id in institutions
         ]
 
-    country_medians = cache(
-        lambda: median_share_by_country(cells, institutions, config.min_universities_country)
-    )
-    gold_models = cache(
-        lambda: gold_country_model(classified, journals, institutions, config.min_universities_gold_model)
-    )
-    builders = {
-        "classified": lambda: classified_table(classified),
-        "overlap": lambda: overlap_matrix(classified),
+    builders = {name: cache(acc.table) for name, acc in accumulators.items()}
+    builders.update({
         "universities": lambda: universities_table(cells, institutions),
         "field_summary": lambda: field_summary(cells),
-        "country_medians": lambda: _displayed(country_medians(), COUNTRY_MEDIANS_COLUMNS),
-        "country_medians_full": country_medians,
+        "country_medians": lambda: _displayed(builders["country_medians_full"](), COUNTRY_MEDIANS_COLUMNS),
+        "country_medians_full": cache(
+            lambda: median_share_by_country(cells, institutions, config.min_universities_country)
+        ),
         "region_medians": lambda: region_rollup(cells, institutions),
         "profiles": lambda: field_profile(cells),
-        "repo_bounds": lambda: repo_share_bounds(classified, institutions, config.handle_pattern),
-        "pmc_overlap": lambda: pmc_overlap_table(classified, institutions, config),
-        "gold_models": lambda: _displayed(gold_models(), GOLD_MODELS_COLUMNS),
-        "gold_models_full": gold_models,
+        "gold_models": lambda: _displayed(builders["gold_models_full"](), GOLD_MODELS_COLUMNS),
         "issues": sink.table,
-    }
-    bundle = ReportBundle({name: build() for name, build in builders.items() if name in wanted})
+    })
+    bundle = ReportBundle({name: build() for name, build in builders.items() if name in tables})
 
     if out_dir is not None:
         log = [] if issue_log_path is None else [(Path(issue_log_path), sink.log_table())]

@@ -8,11 +8,11 @@ the registry has no country code.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from typing import Iterable, Mapping
 
 from .classifier import ClassifiedPublication
-from .models import Institution, JournalRecord, Table, exact_share, roster_countries
+from .models import Institution, JournalRecord, Table, exact_share, fold, roster_countries
 
 #: Constituent countries that resolve to the United Kingdom.
 UK_CONSTITUENTS = {
@@ -118,6 +118,52 @@ GOLD_MODELS_COLUMNS = (
 GOLD_MODELS_FULL_COLUMNS = GOLD_MODELS_COLUMNS + ("n_universities", "displayed")
 
 
+class GoldModel:
+    """Accumulator of gold_country_model: `add` one classified publication at a time."""
+
+    def __init__(self, journals: Mapping[str, JournalRecord],
+                 institutions: Mapping[str, Institution], min_universities: int) -> None:
+        self.journals, self.institutions, self.min_universities = journals, institutions, min_universities
+        self.journal_country: dict[str, str | None] = {}
+        self.gold_total, self.national, self.english = Counter(), Counter(), Counter()
+        self.apc_yes, self.apc_known = Counter(), Counter()
+        self.seen_countries: set[str] = set()
+
+    def add(self, cp: ClassifiedPublication) -> None:
+        countries = roster_countries(cp.publication, self.institutions)
+        self.seen_countries.update(countries)
+        if not countries or not cp.types.gold:
+            return
+        pub = cp.publication
+        journal = self.journals.get(pub.journal_id)
+        if pub.journal_id not in self.journal_country:
+            self.journal_country[pub.journal_id] = None if journal is None else (
+                journal.country or resolve_journal_country(journal.publisher_address)
+            )
+        jc = self.journal_country[pub.journal_id]
+        apc = journal.has_apc if journal is not None else "unknown"
+        self.gold_total.update(countries)
+        self.national.update(country for country in countries if jc == country)
+        if pub.language == "en":
+            self.english.update(countries)
+        if apc != "unknown":
+            self.apc_known.update(countries)
+        if apc == "yes":
+            self.apc_yes.update(countries)
+
+    def table(self) -> Table:
+        total, roster = self.gold_total, Counter(inst.country for inst in self.institutions.values())
+        rows = tuple(
+            (
+                c, total[c], exact_share(self.national[c], total[c]),
+                exact_share(self.apc_yes[c], total[c]), exact_share(self.english[c], total[c]),
+                self.apc_known[c], roster[c], roster[c] >= self.min_universities,
+            )
+            for c in sorted(self.seen_countries)
+        )
+        return Table("gold_models_full", GOLD_MODELS_FULL_COLUMNS, rows)
+
+
 def gold_country_model(
     classified_pubs: Iterable[ClassifiedPublication],
     journals: Mapping[str, JournalRecord],
@@ -134,59 +180,4 @@ def gold_country_model(
     country; rows below it are retained but flagged. Rows are sorted by
     country.
     """
-    journal_country: dict[str, str | None] = {}
-
-    def country_of_journal(journal_id: str) -> str | None:
-        if journal_id not in journal_country:
-            journal = journals.get(journal_id)
-            if journal is None:
-                journal_country[journal_id] = None
-            else:
-                journal_country[journal_id] = journal.country or resolve_journal_country(
-                    journal.publisher_address
-                )
-        return journal_country[journal_id]
-
-    gold_total: dict[str, int] = defaultdict(int)
-    national: dict[str, int] = defaultdict(int)
-    english: dict[str, int] = defaultdict(int)
-    apc_yes: dict[str, int] = defaultdict(int)
-    apc_known: dict[str, int] = defaultdict(int)
-    seen_countries: set[str] = set()
-
-    for cp in classified_pubs:
-        countries = roster_countries(cp.publication, institutions)
-        seen_countries.update(countries)
-        if not countries or not cp.types.gold:
-            continue
-        pub = cp.publication
-        journal = journals.get(pub.journal_id)
-        jc = country_of_journal(pub.journal_id)
-        is_english = pub.language == "en"
-        apc = journal.has_apc if journal is not None else "unknown"
-        for country in countries:
-            gold_total[country] += 1
-            if jc is not None and jc == country:
-                national[country] += 1
-            if is_english:
-                english[country] += 1
-            if apc != "unknown":
-                apc_known[country] += 1
-            if apc == "yes":
-                apc_yes[country] += 1
-
-    roster = Counter(inst.country for inst in institutions.values())
-    rows = tuple(
-        (
-            country,
-            gold_total[country],
-            exact_share(national[country], gold_total[country]),
-            exact_share(apc_yes[country], gold_total[country]),
-            exact_share(english[country], gold_total[country]),
-            apc_known[country],
-            roster[country],
-            roster[country] >= min_universities,
-        )
-        for country in sorted(seen_countries)
-    )
-    return Table("gold_models_full", GOLD_MODELS_FULL_COLUMNS, rows)
+    return fold(GoldModel(journals, institutions, min_universities), classified_pubs).table()

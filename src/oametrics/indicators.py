@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from fractions import Fraction
+from functools import cache
+from itertools import product
 from typing import Callable, Iterable, Mapping
 
 from .classifier import ClassifiedPublication
@@ -24,36 +26,37 @@ from .models import (
     PipelineConfig,
     Table,
     exact_share,
+    fold,
 )
 
-#: Count keys tracked per (institution, field): the two denominators
-#: plus one numerator per OA bucket.
-COUNT_METRICS = ("pubs", "doi_pubs") + TYPE_ORDER
-
 CountKey = tuple[str, str, str]
+
+
+@cache
+def _count_metrics(types: OATypeSet, has_doi: bool) -> tuple[str, ...]:
+    """The metrics a publication adds to: pubs, doi_pubs with a DOI, its OA buckets (16 keys at most)."""
+    return ("pubs",) + ("doi_pubs",) * has_doi + tuple(t for t in TYPE_ORDER if types.has(t))
+
+
+class FullCounts:
+    """Accumulator of count_full: `add` one classified publication at a time."""
+
+    def __init__(self) -> None:
+        self.counts: Counter[CountKey] = Counter()
+
+    def add(self, cp: ClassifiedPublication) -> None:
+        pub = cp.publication
+        metrics = _count_metrics(cp.types, pub.doi is not None)
+        self.counts.update(product(pub.institution_ids, (*pub.field_ids, ALL_SCIENCES), metrics))
 
 
 def count_full(classified_pubs: Iterable[ClassifiedPublication]) -> Counter[CountKey]:
     """Tally (institution, field, metric) counts under full counting.
 
     Duplicate affiliations to one institution count once (affiliations
-    are a set); publications with no institutions contribute nothing.
+    are distinct ids); publications with no institutions contribute nothing.
     """
-    counts: Counter[CountKey] = Counter()
-    for cp in classified_pubs:
-        pub = cp.publication
-        if not pub.institution_ids:
-            continue
-        metrics = ["pubs"]
-        if pub.doi is not None:
-            metrics.append("doi_pubs")
-        metrics.extend(t for t in TYPE_ORDER if cp.types.has(t))
-        fields = tuple(pub.field_ids) + (ALL_SCIENCES,)
-        for inst_id in pub.institution_ids:
-            for field_name in fields:
-                for metric in metrics:
-                    counts[(inst_id, field_name, metric)] += 1
-    return counts
+    return fold(FullCounts(), classified_pubs).counts
 
 
 def university_indicators(
@@ -172,6 +175,34 @@ OVERLAP_COLUMNS = ("metric", "count", "pct")
 _PUBLISHER_SIDE = ("gold", "hybrid", "bronze")
 
 
+class OverlapTally:
+    """Accumulator of overlap_matrix: counts each OA outcome, one publication at a time."""
+
+    def __init__(self) -> None:
+        self.outcomes: Counter[OATypeSet] = Counter()
+
+    def add(self, cp: ClassifiedPublication) -> None:
+        self.outcomes[cp.types] += 1
+
+    def table(self) -> Table:
+        def count(test: Callable[[OATypeSet], bool]) -> int:
+            return sum(n for types, n in self.outcomes.items() if test(types))
+
+        total = count(lambda types: types.any_oa)
+        per_type = {t: count(lambda types: types.has(t)) for t in OA_TYPES}
+        rows = [("total_oa", total, exact_share(total, total))]
+        rows += [(t, n, exact_share(n, total)) for t, n in per_type.items()]
+        for t in _PUBLISHER_SIDE:
+            both = count(lambda types: types.green and types.has(t))
+            rows.append((f"green_and_{t}", both, exact_share(both, per_type[t])))
+        exclusive = {t: per_type[t] for t in _PUBLISHER_SIDE}
+        exclusive["green_only"] = count(
+            lambda types: types.green and not any(types.has(t) for t in _PUBLISHER_SIDE)
+        )
+        rows += [(f"exclusive_{t}", n, exact_share(n, total)) for t, n in exclusive.items()]
+        return Table("overlap", OVERLAP_COLUMNS, tuple(rows))
+
+
 def overlap_matrix(classified_pubs: Iterable[ClassifiedPublication]) -> Table:
     """The overlap table: distinct-publication OA totals, per-type counts and green overlaps.
 
@@ -181,24 +212,7 @@ def overlap_matrix(classified_pubs: Iterable[ClassifiedPublication]) -> Table:
     types (each of which may also be green) plus green-only, so their
     counts sum to total_oa.
     """
-    outcomes = Counter(cp.types for cp in classified_pubs)
-
-    def count(test: Callable[[OATypeSet], bool]) -> int:
-        return sum(n for types, n in outcomes.items() if test(types))
-
-    total = count(lambda types: types.any_oa)
-    per_type = {t: count(lambda types: types.has(t)) for t in OA_TYPES}
-    rows = [("total_oa", total, exact_share(total, total))]
-    rows += [(t, n, exact_share(n, total)) for t, n in per_type.items()]
-    for t in _PUBLISHER_SIDE:
-        both = count(lambda types: types.green and types.has(t))
-        rows.append((f"green_and_{t}", both, exact_share(both, per_type[t])))
-    exclusive = {t: per_type[t] for t in _PUBLISHER_SIDE}
-    exclusive["green_only"] = count(
-        lambda types: types.green and not any(types.has(t) for t in _PUBLISHER_SIDE)
-    )
-    rows += [(f"exclusive_{t}", n, exact_share(n, total)) for t, n in exclusive.items()]
-    return Table("overlap", OVERLAP_COLUMNS, tuple(rows))
+    return fold(OverlapTally(), classified_pubs).table()
 
 
 PROFILES_COLUMNS = ("university", "field", "oa_type", "share_pct")

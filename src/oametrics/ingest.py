@@ -137,7 +137,7 @@ def _interner() -> Callable:
     """A per-parse cache that maps each value to the first equal one seen.
 
     Repeated cell values (years, doc types, journal ids, affiliation
-    sets, ...) then share one object across all records of a parse.
+    tuples, ...) then share one object across all records of a parse.
     """
     cache: dict = {}
     return lambda value: cache.setdefault(value, value)
@@ -490,8 +490,8 @@ def parse_publications(
     kept row whose non-empty doi cell normalize_doi rejects is reported
     as one malformed issue and kept as a publication without a DOI.
     Duplicate pub_ids keep the first occurrence. Equal years, doc types,
-    languages, journal ids and affiliation and field sets share one
-    object across the yielded records.
+    languages, journal ids, affiliation tuples (sorted distinct ids) and
+    field sets share one object across the yielded records.
     """
     if stats is None:
         stats = ParseStats()
@@ -556,7 +556,7 @@ def parse_publications(
             doc_type=intern(doc_type),
             language=intern(language),
             journal_id=intern(journal_id),
-            institution_ids=intern(frozenset(map(intern, _multi(row, "institution_ids")))),
+            institution_ids=intern(tuple(sorted(set(map(intern, _multi(row, "institution_ids")))))),
             field_ids=intern(frozenset(field_ids)),
         )
 

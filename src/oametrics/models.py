@@ -8,6 +8,7 @@ freely between concurrent workers.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,25 +51,22 @@ _RESOLVER_PREFIXES = (
 def normalize_doi(raw: str | None) -> str | None:
     """Normalize a DOI string: lowercase, trim, strip resolver prefixes.
 
-    Returns None for values that do not start with "10." after
-    stripping, so a failed parse reads as "no DOI". Idempotent on every
-    accepted value.
+    Returns None unless the stripped value reads "10.<registrant>/<suffix>"
+    with both parts non-empty, so a failed parse reads as "no DOI".
+    Idempotent on every accepted value.
     """
     if raw is None:
         return None
     doi = raw.strip().lower()
-    if doi.startswith("10."):  # no resolver prefix starts with "10."
-        return doi
-    stripped = True
+    stripped = not doi.startswith("10.")  # no resolver prefix starts with "10."
     while stripped:
         stripped = False
         for prefix in _RESOLVER_PREFIXES:
             if doi.startswith(prefix):
                 doi = doi[len(prefix):].strip()
                 stripped = True
-    if not doi.startswith("10."):
-        return None
-    return doi
+    slash = doi.find("/", 3)  # the registrant before it and the suffix after it are non-empty
+    return doi if 3 < slash < len(doi) - 1 and doi.startswith("10.") else None
 
 
 # Leading whitespace, schemes and "www." labels, in any number and order.
@@ -157,7 +155,7 @@ NO_OA = OATypeSet()
 
 @dataclass(frozen=True, slots=True)
 class PublicationRecord:
-    """One citable item: identifiers, venue, affiliations and fields."""
+    """One citable item: identifiers, venue, affiliations (sorted distinct ids) and fields."""
 
     pub_id: str
     doi: str | None
@@ -165,11 +163,13 @@ class PublicationRecord:
     doc_type: str
     language: str
     journal_id: str
-    institution_ids: frozenset[str]
+    institution_ids: tuple[str, ...]
     field_ids: frozenset[str]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "institution_ids", frozenset(self.institution_ids))
+        ids = self.institution_ids  # a sorted distinct tuple is kept, so an interned one stays shared
+        if type(ids) is not tuple or len(ids) > 1 and not all(map(operator.lt, ids, ids[1:])):
+            object.__setattr__(self, "institution_ids", tuple(sorted(set(ids))))
         object.__setattr__(self, "field_ids", frozenset(self.field_ids))
         if not self.pub_id:
             raise ValueError("pub_id must be non-empty")
@@ -291,3 +291,10 @@ class Table:
     name: str
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
+
+
+def fold(accumulator, items):
+    """Feed every item to ``accumulator.add`` in one pass; return the accumulator."""
+    for item in items:
+        accumulator.add(item)
+    return accumulator

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Mapping
 
-from .models import Institution, PipelineConfig, Table, exact_share, roster_countries
+from .models import Institution, PipelineConfig, Table, exact_share, fold, roster_countries
 from .models import normalize_url  # noqa: F401  (unused here; perfbench traces repositories.normalize_url)
 
 REPO_BOUNDS_COLUMNS = (
@@ -30,11 +30,39 @@ def _matches(urls: Iterable[str], patterns: Iterable[str]) -> bool:
     return any(pattern and pattern in url for url in urls for pattern in patterns)
 
 
-def repo_share_bounds(
-    classified_pubs,
-    institutions: Mapping[str, Institution],
-    handle_pattern: str,
-) -> Table:
+class RepoBounds:
+    """Accumulator of repo_share_bounds: `add` one classified publication at a time."""
+
+    def __init__(self, institutions: Mapping[str, Institution], handle_pattern: str) -> None:
+        self.institutions, self.handle_pattern = institutions, handle_pattern
+        self.pubs, self.green, self.lower, self.upper = Counter(), Counter(), Counter(), Counter()
+
+    def add(self, cp) -> None:
+        inst_ids = [i for i in cp.publication.institution_ids if i in self.institutions]
+        self.pubs.update(inst_ids)
+        if not inst_ids or not cp.types.green:
+            return
+        handle = _matches(cp.repository_urls, (self.handle_pattern,))
+        for inst_id in inst_ids:
+            matched = _matches(cp.repository_urls, self.institutions[inst_id].repo_url_patterns)
+            self.green[inst_id] += 1
+            self.lower[inst_id] += matched
+            self.upper[inst_id] += matched or handle
+
+    def table(self) -> Table:
+        pubs, green, lower, upper = self.pubs, self.green, self.lower, self.upper
+        rows = tuple(
+            (
+                i, self.institutions[i].name, self.institutions[i].country, pubs[i], green[i], lower[i],
+                upper[i], exact_share(lower[i], green[i]), exact_share(upper[i], green[i]),
+            )
+            for i in sorted(pubs)
+        )
+        return Table("repo_bounds", REPO_BOUNDS_COLUMNS, rows)
+
+
+def repo_share_bounds(classified_pubs, institutions: Mapping[str, Institution],
+                      handle_pattern: str) -> Table:
     """The repo_bounds table: each roster institution's green output held in its repository.
 
     One pass over the classified publications counts, for every roster
@@ -45,30 +73,7 @@ def repo_share_bounds(
     Publisher copies never match. The share interval is null for an
     institution with no green output. Rows are sorted by institution id.
     """
-    pubs: Counter[str] = Counter()
-    green: Counter[str] = Counter()
-    lower: Counter[str] = Counter()
-    upper: Counter[str] = Counter()
-    for cp in classified_pubs:
-        inst_ids = [i for i in cp.publication.institution_ids if i in institutions]
-        pubs.update(inst_ids)
-        if not inst_ids or not cp.types.green:
-            continue
-        handle = _matches(cp.repository_urls, (handle_pattern,))
-        for inst_id in inst_ids:
-            matched = _matches(cp.repository_urls, institutions[inst_id].repo_url_patterns)
-            green[inst_id] += 1
-            lower[inst_id] += matched
-            upper[inst_id] += matched or handle
-    rows = []
-    for inst_id in sorted(pubs):
-        inst = institutions[inst_id]
-        rows.append((
-            inst_id, inst.name, inst.country, pubs[inst_id], green[inst_id],
-            lower[inst_id], upper[inst_id],
-            exact_share(lower[inst_id], green[inst_id]), exact_share(upper[inst_id], green[inst_id]),
-        ))
-    return Table("repo_bounds", REPO_BOUNDS_COLUMNS, tuple(rows))
+    return fold(RepoBounds(institutions, handle_pattern), classified_pubs).table()
 
 
 def _pmc_flags(urls: Iterable[str], patterns: tuple[str, ...]) -> tuple[bool, bool]:
@@ -82,11 +87,50 @@ def _pmc_flags(urls: Iterable[str], patterns: tuple[str, ...]) -> tuple[bool, bo
     return via_pmc, other_repo
 
 
-def pmc_overlap_table(
-    classified_pubs,
-    institutions: Mapping[str, Institution],
-    config: PipelineConfig,
-) -> Table:
+class PmcOverlap:
+    """Accumulator of pmc_overlap_table: `add` one classified publication at a time."""
+
+    def __init__(self, institutions: Mapping[str, Institution], config: PipelineConfig) -> None:
+        self.institutions, self.pmc_url_patterns = institutions, config.pmc_url_patterns
+        self.greens, self.pmc, self.pmc_only = Counter(), Counter(), Counter()
+        self.flagged = {t: Counter() for t in _PMC_FLAGGED}
+        self.seen_countries: set[str] = set()
+
+    def add(self, cp) -> None:
+        countries = roster_countries(cp.publication, self.institutions)
+        self.seen_countries.update(countries)
+        if not countries or not cp.types.green:
+            return
+        self.greens.update(countries)
+        via_pmc, has_other_repo = _pmc_flags(cp.repository_urls, self.pmc_url_patterns)
+        if not via_pmc:
+            return
+        self.pmc.update(countries)
+        if not has_other_repo:
+            self.pmc_only.update(countries)
+        for oa_type, counter in self.flagged.items():
+            if cp.types.has(oa_type):
+                counter.update(countries)
+
+    def table(self) -> Table:
+        greens, pmc = self.greens, self.pmc
+
+        def order(country: str):
+            share = exact_share(pmc[country], greens[country])
+            return (0 if greens[country] else 1, -(share or 0), country)
+
+        rows = tuple(
+            (
+                country, greens[country], pmc[country], self.pmc_only[country],
+                *(exact_share(self.flagged[t][country], pmc[country]) for t in _PMC_FLAGGED),
+            )
+            for country in sorted(self.seen_countries, key=order)
+        )
+        return Table("pmc_overlap", PMC_OVERLAP_COLUMNS, rows)
+
+
+def pmc_overlap_table(classified_pubs, institutions: Mapping[str, Institution],
+                      config: PipelineConfig) -> Table:
     """The pmc_overlap table: green/PMC overlap per country of affiliation.
 
     A publication counts once per distinct affiliated roster country.
@@ -95,37 +139,4 @@ def pmc_overlap_table(
     publication. Rows are sorted by PMC share of green output,
     descending, ties and zero-green countries by country code.
     """
-    greens: Counter[str] = Counter()
-    pmc: Counter[str] = Counter()
-    pmc_only: Counter[str] = Counter()
-    flagged = {t: Counter() for t in _PMC_FLAGGED}
-    seen_countries: set[str] = set()
-
-    for cp in classified_pubs:
-        countries = roster_countries(cp.publication, institutions)
-        seen_countries.update(countries)
-        if not countries or not cp.types.green:
-            continue
-        greens.update(countries)
-        via_pmc, has_other_repo = _pmc_flags(cp.repository_urls, config.pmc_url_patterns)
-        if not via_pmc:
-            continue
-        pmc.update(countries)
-        if not has_other_repo:
-            pmc_only.update(countries)
-        for oa_type, counter in flagged.items():
-            if cp.types.has(oa_type):
-                counter.update(countries)
-
-    def order(country: str):
-        share = exact_share(pmc[country], greens[country])
-        return (0 if greens[country] else 1, -(share or 0), country)
-
-    rows = tuple(
-        (
-            country, greens[country], pmc[country], pmc_only[country],
-            *(exact_share(flagged[t][country], pmc[country]) for t in _PMC_FLAGGED),
-        )
-        for country in sorted(seen_countries, key=order)
-    )
-    return Table("pmc_overlap", PMC_OVERLAP_COLUMNS, rows)
+    return fold(PmcOverlap(institutions, config), classified_pubs).table()

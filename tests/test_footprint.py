@@ -11,19 +11,27 @@ import random
 import tracemalloc
 
 from oametrics.classifier import classify_stream
+from oametrics.cli import run_pipeline
 from oametrics.ingest import parse_evidence_stream, parse_publications
 from oametrics.models import MAIN_FIELDS, PipelineConfig
 
 PUB_HEADER = "pub_id,doi,year,doc_type,language,journal_id,institution_ids,field_ids"
 
 #: Live bytes allowed per parsed publication. Records with a __dict__ and
-#: private copies of every repeated value take about 1,130 B.
-MAX_BYTES_PER_PUB = 600
+#: private copies of every repeated value take about 1,130 B; a private
+#: frozenset of affiliations per publication, about 350 B.
+MAX_BYTES_PER_PUB = 300
 
 #: Live bytes allowed per kept evidence record, stored under its DOI.
 #: Records that keep every location as an object take about 340 B; the
 #: digest takes about 180 B.
 MAX_BYTES_PER_EVIDENCE = 300
+
+#: Peak bytes a run_pipeline call may add per further publication (with
+#: its evidence line). Keeping a classified list for five table rescans,
+#: and every input until the bundle is written, takes about 630 B; one
+#: pass that frees its inputs early, about 440 B.
+MAX_PEAK_BYTES_PER_PUB = 480
 
 
 def _publication_table(n: int, seed: int = 5) -> bytes:
@@ -84,12 +92,15 @@ def test_live_bytes_per_publication_bounded():
     assert per_pub <= MAX_BYTES_PER_PUB, f"{per_pub:.0f} B per publication"
 
 
-def _evidence_dump(n: int, seed: int = 5) -> tuple[bytes, list[str]]:
-    """A dump of `n` lines with 0-3 locations each, half of them repository copies."""
+def _evidence_dump(n: int, seed: int = 5, for_dois=()) -> tuple[bytes, list[str]]:
+    """A dump of `n` lines with 0-3 locations each, half of them repository copies.
+
+    Line i is for for_dois[i] when `for_dois` is given, else for a generated DOI.
+    """
     rng = random.Random(seed)
     lines, dois = [], []
     for i in range(n):
-        doi = f"10.{rng.randint(1000, 9999)}/e{i}"
+        doi = for_dois[i] if for_dois else f"10.{rng.randint(1000, 9999)}/e{i}"
         locations = []
         for k in range(rng.randint(0, 3)):
             if rng.random() < 0.5:
@@ -123,3 +134,26 @@ def test_live_bytes_per_evidence_record_bounded():
     assert len(evidence) == n
     per_record = live / n
     assert per_record <= MAX_BYTES_PER_EVIDENCE, f"{per_record:.0f} B per evidence record"
+
+
+def _pipeline_peak(directory, n: int) -> int:
+    """Peak traced bytes of run_pipeline over `n` seeded publications and a dump for their DOIs."""
+    table = _publication_table(n)
+    dois = [pub.doi for pub in parse_publications(io.BytesIO(table), PipelineConfig())]
+    (directory / "publications.csv").write_bytes(table)
+    (directory / "evidence.jsonl").write_bytes(_evidence_dump(n, for_dois=dois)[0])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_pipeline(PipelineConfig(), directory / "publications.csv", directory / "evidence.jsonl", shards=1)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak_bytes_per_publication_of_a_run_bounded(tmp_path):
+    # The difference of two scales cancels what a run holds whatever its size.
+    small, large = 4_000, 8_000
+    per_pub = (_pipeline_peak(tmp_path, large) - _pipeline_peak(tmp_path, small)) / (large - small)
+    assert per_pub <= MAX_PEAK_BYTES_PER_PUB, f"{per_pub:.0f} B per publication"

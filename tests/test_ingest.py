@@ -92,6 +92,21 @@ def test_evidence_invalid_doi_is_malformed():
     assert records == [] and issues[0].kind == "malformed"
 
 
+def test_evidence_doi_without_suffix_is_malformed():
+    lines = [
+        json.dumps({"doi": doi, "journal_is_oa": False, "oa_locations": []})
+        for doi in ("10.5", "10.", "https://doi.org/10./x", "10.1/")
+    ]
+    records, issues = _parse_evidence(_evidence_bytes(*lines))
+    assert records == []
+    assert [(i.line_no, i.kind, i.detail) for i in issues] == [
+        (1, "malformed", "invalid doi: '10.5'"),
+        (2, "malformed", "invalid doi: '10.'"),
+        (3, "malformed", "invalid doi: 'https://doi.org/10./x'"),
+        (4, "malformed", "invalid doi: '10.1/'"),
+    ]
+
+
 def test_evidence_bad_location_rejects_line():
     bad_host = json.dumps(
         {"doi": "10.1/a", "journal_is_oa": False,
@@ -205,7 +220,7 @@ def test_publications_valid_row():
     (pub,) = records
     assert pub.doi == "10.1/a"
     assert pub.language == "en"
-    assert pub.institution_ids == frozenset({"U1", "U2"})
+    assert pub.institution_ids == ("U1", "U2")
     assert pub.field_ids == frozenset({BIO, SSH})
 
 
@@ -215,7 +230,7 @@ def test_publications_missing_doi_and_language_defaults():
     assert issues == []
     assert pub.doi is None
     assert pub.language == "unknown"
-    assert pub.institution_ids == frozenset()
+    assert pub.institution_ids == ()
 
 
 def test_publications_invalid_doi_is_reported_and_the_row_kept():
@@ -264,6 +279,21 @@ def test_publications_jsonl_input():
     )
     records, issues = _parse_pubs(io.BytesIO((line + "\n").encode()))
     assert issues == [] and records[0].pub_id == "P1"
+
+
+def test_publications_doi_without_suffix_is_reported_and_the_row_kept():
+    rows = [
+        {"pub_id": f"P{n}", "doi": doi, "year": 2015, "doc_type": "article",
+         "language": "en", "journal_id": "J1", "institution_ids": ["U1"], "field_ids": [BIO]}
+        for n, doi in enumerate((10.5, "10.", "10.1/a"), start=1)
+    ]
+    stream = io.BytesIO("".join(json.dumps(row) + "\n" for row in rows).encode())
+    records, issues = _parse_pubs(stream)
+    assert [(r.pub_id, r.doi) for r in records] == [("P1", None), ("P2", None), ("P3", "10.1/a")]
+    assert [(i.line_no, i.kind, i.detail) for i in issues] == [
+        (1, "malformed", "invalid doi: '10.5'"),
+        (2, "malformed", "invalid doi: '10.'"),
+    ]
 
 
 def test_publications_missing_header_column_is_fatal():

@@ -43,6 +43,10 @@ def test_normalize_doi_rejects_non_doi():
         ("", None),
         ("doi:", None),
         ("9.1/a", None),
+        ("10.", None),
+        ("10.5", None),
+        ("10./x", None),
+        ("10.1/", None),
         (None, None),
     ],
 )
@@ -58,7 +62,7 @@ def test_normalize_doi_idempotent(raw):
 
 
 def _normalize_doi_by_prefix_loop(raw):
-    """normalize_doi before its "10." fast path, kept as the reference."""
+    """normalize_doi as a plain prefix-stripping loop, kept as the reference."""
     if raw is None:
         return None
     doi = raw.strip().lower()
@@ -70,9 +74,10 @@ def _normalize_doi_by_prefix_loop(raw):
             if doi.startswith(prefix):
                 doi = doi[len(prefix):].strip()
                 stripped = True
-    if not doi.startswith("10."):
+    if not doi.startswith("10.") or "/" not in doi:
         return None
-    return doi
+    registrant, suffix = doi[len("10."):].split("/", 1)
+    return doi if registrant and suffix else None
 
 
 _SPELLED_DOIS = st.builds(
@@ -165,7 +170,7 @@ def test_publication_requires_normalized_doi():
 
 def test_publication_duplicate_affiliations_collapse():
     pub = _pub(institution_ids=["U1", "U1", "U2"])
-    assert pub.institution_ids == frozenset({"U1", "U2"})
+    assert pub.institution_ids == ("U1", "U2")
 
 
 def test_institution_requires_region():

@@ -2,17 +2,34 @@
 
 Each invariant must hold on every row a table builder emits, whatever
 the affiliations (on or off the roster), countries and evidence
-locations.
+locations. On the same corpora written as input files, the tables of
+run_pipeline's one-pass fold must equal those of the public builders.
 """
+
+import csv
+import json
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import evidence, pub_loc, records, repo_loc
 
-from oametrics.classifier import ClassifiedPublication, classify
+from oametrics.classifier import ClassifiedPublication, classified_table, classify, classify_stream
+from oametrics.cli import REPORT_TABLES, run_pipeline
 from oametrics.gold_models import gold_country_model
-from oametrics.indicators import overlap_matrix
+from oametrics.indicators import (
+    count_full,
+    field_profile,
+    field_summary,
+    median_share_by_country,
+    overlap_matrix,
+    region_rollup,
+    universities_table,
+    university_indicators,
+)
+from oametrics.ingest import IssueSummary, parse_evidence_stream, parse_publications, parse_registries
 from oametrics.models import (
     MAIN_FIELDS,
     OA_TYPES,
@@ -105,3 +122,75 @@ def test_every_table_row_keeps_its_invariants(countries, rows):
         assert count[f"green_and_{oa_type}"] <= min(count["green"], count[oa_type])
     exclusive = ("gold", "hybrid", "bronze", "green_only")
     assert sum(count[f"exclusive_{bucket}"] for bucket in exclusive) == count["total_oa"]
+
+
+def _write_corpus(directory: Path, countries, rows) -> dict[str, Path]:
+    """The roster, the journal registry, the publications and their dump as input files."""
+    paths = {name: directory / f"{name}.{ext}" for name, ext in (
+        ("institutions", "csv"), ("journals", "csv"), ("publications", "csv"), ("evidence", "jsonl"),
+    )}
+    tables = {
+        "institutions": [("inst_id", "name", "country", "regions", "repo_url_patterns")] + [
+            (i, i, country, "Europe", f"https://repo.{i.lower()}.example.edu/")
+            for i, country in countries.items()
+        ],
+        "journals": [("journal_id", "country", "is_fully_oa", "has_apc", "publisher_address")] + [
+            (j.journal_id, j.country or "", j.is_fully_oa, "" if j.has_apc == "unknown" else j.has_apc,
+             j.publisher_address or "")
+            for j in JOURNALS.values()
+        ],
+        "publications": [
+            ("pub_id", "doi", "year", "doc_type", "language", "journal_id", "institution_ids", "field_ids")
+        ] + [
+            (f"P{n}", f"10.1/{n}", 2015, "article", language, journal_id, ";".join(sorted(inst_ids)),
+             MAIN_FIELDS[n % len(MAIN_FIELDS)])
+            for n, (inst_ids, _, _, journal_id, language) in enumerate(rows)
+        ],
+    }
+    for name, table in tables.items():
+        with open(paths[name], "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(table)
+    with open(paths["evidence"], "w", encoding="utf-8") as fh:
+        for n, (_, locations, journal_is_oa, _, _) in enumerate(rows):
+            line = {"doi": f"10.1/{n}", "journal_is_oa": journal_is_oa, "oa_locations": locations}
+            fh.write(json.dumps(line) + "\n")
+    return paths
+
+
+@settings(max_examples=60, deadline=None)
+@given(roster, publications)
+def test_one_pass_fold_matches_the_public_builders(countries, rows):
+    config = PipelineConfig(min_universities_country=2, min_universities_gold_model=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = _write_corpus(Path(tmp), countries, rows)
+        bundle = run_pipeline(
+            config, paths["publications"], paths["evidence"], paths["institutions"],
+            paths["journals"], shards=1, tables=REPORT_TABLES + ("classified",),
+        )
+        sink = IssueSummary()
+        institutions, journals = parse_registries(paths["institutions"], paths["journals"], on_issue=sink)
+        pubs = list(parse_publications(paths["publications"], config, on_issue=sink))
+        dump = {r.doi: r for r in parse_evidence_stream(paths["evidence"], on_issue=sink)}
+    classified = list(classify_stream(pubs, dump, journals))
+    cells = [c for c in university_indicators(count_full(classified), config) if c.scope_id in institutions]
+    medians = median_share_by_country(cells, institutions, config.min_universities_country)
+    gold = gold_country_model(classified, journals, institutions, config.min_universities_gold_model)
+    expected = {
+        "classified": classified_table(classified),
+        "overlap": overlap_matrix(classified),
+        "universities": universities_table(cells, institutions),
+        "field_summary": field_summary(cells),
+        "country_medians_full": medians,
+        "region_medians": region_rollup(cells, institutions),
+        "profiles": field_profile(cells),
+        "repo_bounds": repo_share_bounds(classified, institutions, config.handle_pattern),
+        "pmc_overlap": pmc_overlap_table(classified, institutions, config),
+        "gold_models_full": gold,
+        "issues": sink.table(),
+    }
+    assert set(bundle.tables) == set(expected) | {"country_medians", "gold_models"}
+    for name, table in expected.items():
+        assert bundle.tables[name] == table, name
+    for name, full in (("country_medians", medians), ("gold_models", gold)):
+        shown = bundle.tables[name]  # the rows flagged displayed, cut to the display columns
+        assert shown.rows == tuple(row[:len(shown.columns)] for row in full.rows if row[-1]), name
