@@ -225,12 +225,14 @@ def run_pipeline(
     and feeds it to every requested table; the bundle and the issue log
     are written in one step (ReportBundle.write).
 
-    Raises, before any input is read, ConfigurationError when the issue
-    log would overwrite a bundle file and FatalInputError for a missing
-    input or issue-log directory. Raises FatalInputError for an
-    unreadable input, and SchemaCeilingError when any source's issue
-    rate exceeds `max_issue_rate`, before any publication is classified.
+    Raises, before any input is read, ConfigurationError for an unknown
+    table name or an issue log that would overwrite a bundle file, and
+    FatalInputError for a missing input or issue-log directory. Raises
+    FatalInputError for an unreadable input, and SchemaCeilingError for
+    an issue rate above `max_issue_rate`, before classifying anything.
     """
+    if unknown := [name for name in tables if name not in (*REPORT_TABLES, "classified")]:
+        raise ConfigurationError(f"unknown table: {unknown[0]!r}")
     if issue_log_path is not None and out_dir is not None:
         log = Path(issue_log_path).resolve()
         if any(log == (Path(out_dir) / f"{name}.{report_format}").resolve() for name in tables):

@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Iterator, NoReturn
 from .models import (
     APC_STATES,
     CITABLE_DOC_TYPES,
-    MAIN_FIELDS,
+    MAIN_FIELD_SET,
     Institution,
     JournalRecord,
     OAEvidenceRecord,
@@ -136,7 +136,7 @@ def _open_stream(source) -> Iterator[io.BufferedIOBase]:
 def _interner() -> Callable:
     """A per-parse cache that maps each value to the first equal one seen.
 
-    Repeated cell values (years, doc types, journal ids, affiliation
+    Repeated cell values (languages, journal ids, affiliation
     tuples, ...) then share one object across all records of a parse.
     """
     cache: dict = {}
@@ -486,12 +486,13 @@ def parse_publications(
 ) -> Iterator[PublicationRecord]:
     """Yield publication records, dropping non-citable and out-of-period rows.
 
+    The year and doc_type columns only select rows; records omit them.
     Every dropped or rejected row is reported as exactly one issue. A
     kept row whose non-empty doi cell normalize_doi rejects is reported
     as one malformed issue and kept as a publication without a DOI.
-    Duplicate pub_ids keep the first occurrence. Equal years, doc types,
-    languages, journal ids, affiliation tuples (sorted distinct ids) and
-    field sets share one object across the yielded records.
+    Duplicate pub_ids keep the first occurrence. Equal languages, journal
+    ids, affiliation tuples (sorted distinct ids) and field sets share
+    one object across the yielded records.
     """
     if stats is None:
         stats = ParseStats()
@@ -535,9 +536,10 @@ def parse_publications(
         if not field_ids:
             _report(on_issue, "publications", line_no, "missing_required_field", "missing field_ids")
             continue
-        unknown = sorted(set(field_ids) - set(MAIN_FIELDS))
+        fields = frozenset(field_ids)
+        unknown = fields - MAIN_FIELD_SET
         if unknown:
-            _report(on_issue, "publications", line_no, "malformed", f"unknown field: {unknown[0]!r}")
+            _report(on_issue, "publications", line_no, "malformed", f"unknown field: {min(unknown)!r}")
             continue
         if pub_id in seen:
             _report(on_issue, "publications", line_no, "duplicate_key", f"duplicate pub_id: {pub_id}")
@@ -552,12 +554,10 @@ def parse_publications(
         yield PublicationRecord(
             pub_id=pub_id,
             doi=doi,
-            year=intern(year),
-            doc_type=intern(doc_type),
             language=intern(language),
             journal_id=intern(journal_id),
             institution_ids=intern(tuple(sorted(set(map(intern, _multi(row, "institution_ids")))))),
-            field_ids=intern(frozenset(field_ids)),
+            field_ids=intern(fields),
         )
 
 

@@ -21,6 +21,8 @@ MAIN_FIELDS = (
     "Physical Sciences & Engineering",
     "Social Sciences and Humanities",
 )
+#: The five main fields as a set, for membership checks on each row.
+MAIN_FIELD_SET = frozenset(MAIN_FIELDS)
 
 #: Rollup bucket spanning the five main fields.
 ALL_SCIENCES = "All sciences"
@@ -155,12 +157,10 @@ NO_OA = OATypeSet()
 
 @dataclass(frozen=True, slots=True)
 class PublicationRecord:
-    """One citable item: identifiers, venue, affiliations (sorted distinct ids) and fields."""
+    """One citable in-period item: identifiers, venue, affiliations (sorted distinct ids) and fields."""
 
     pub_id: str
     doi: str | None
-    year: int
-    doc_type: str
     language: str
     journal_id: str
     institution_ids: tuple[str, ...]
@@ -173,11 +173,9 @@ class PublicationRecord:
         object.__setattr__(self, "field_ids", frozenset(self.field_ids))
         if not self.pub_id:
             raise ValueError("pub_id must be non-empty")
-        if self.doc_type not in CITABLE_DOC_TYPES:
-            raise ValueError(f"doc_type must be citable, got {self.doc_type!r}")
         if not self.field_ids:
             raise ValueError("field_ids must be non-empty")
-        unknown = self.field_ids - set(MAIN_FIELDS)
+        unknown = self.field_ids - MAIN_FIELD_SET
         if unknown:
             raise ValueError(f"unknown fields: {sorted(unknown)}")
         if self.doi is not None and normalize_doi(self.doi) != self.doi:

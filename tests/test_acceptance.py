@@ -40,8 +40,6 @@ CONFIG = PipelineConfig()
 SHARED_PUB = PublicationRecord(
     pub_id="P",
     doi="10.1/p",
-    year=2015,
-    doc_type="article",
     language="en",
     journal_id="J",
     institution_ids=frozenset({"U1"}),
@@ -154,8 +152,6 @@ def test_acceptance_3_planted_proportion_recovery():
             PublicationRecord(
                 pub_id=f"P{i}",
                 doi=doi,
-                year=2015,
-                doc_type="article",
                 language="en",
                 journal_id="J",
                 institution_ids=frozenset({"U1"}),
@@ -325,8 +321,6 @@ def test_acceptance_7_gold_model_shares():
         pub = PublicationRecord(
             pub_id=f"P{i}",
             doi=f"10.7/{i}",
-            year=2015,
-            doc_type="article",
             language="en" if is_english else "pt",
             journal_id=f"J{i}",
             institution_ids=frozenset({"U1"}),

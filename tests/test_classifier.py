@@ -186,8 +186,6 @@ def _pub(pub_id, doi):
     return PublicationRecord(
         pub_id=pub_id,
         doi=doi,
-        year=2015,
-        doc_type="article",
         language="en",
         journal_id="J1",
         institution_ids=frozenset({"U1"}),

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import gc
 import gzip
@@ -16,6 +17,7 @@ from click.testing import CliRunner
 
 from oametrics import cli, ingest
 from oametrics.cli import (
+    ConfigurationError,
     ReportBundle,
     Table,
     emit_report,
@@ -268,6 +270,17 @@ def test_run_pipeline_missing_input_raises(tmp_path):
         )
 
 
+def test_run_pipeline_unknown_table_is_config_error_before_reading(tmp_path):
+    with pytest.raises(ConfigurationError, match="unknown table: 'univerities'") as raised:
+        run_pipeline(
+            PipelineConfig(),
+            publications_path=tmp_path / "nope.csv",
+            evidence_path=tmp_path / "nope.jsonl",
+            tables=("classified", "univerities", "counts"),
+        )
+    assert raised.value.exit_code == 2
+
+
 def test_bundle_write_creates_out_dir(tmp_path):
     bundle = ReportBundle(tables={"t": Table(name="t", columns=("a",), rows=((1,),))})
     written = bundle.write(tmp_path / "deep" / "dir", "csv")
@@ -437,26 +450,51 @@ def test_oversized_csv_field_is_fatal_and_names_file(golden_input, tmp_path):
     assert f"error: {tmp_path / 'publications.csv'}: " in result.output
 
 
-def test_jsonl_and_gzip_inputs_give_the_golden_tables(golden_input, golden_dir, tmp_path):
-    # Each CSV row becomes a JSON object of its string cells; every file is gzipped.
-    converted = tmp_path / "in"
-    converted.mkdir()
-    for name in ("publications", "institutions", "journals"):
-        with (golden_input / f"{name}.csv").open(newline="", encoding="utf-8") as fh:
-            lines = "".join(json.dumps(row) + "\n" for row in csv.DictReader(fh))
-        (converted / f"{name}.jsonl.gz").write_bytes(gzip.compress(lines.encode("utf-8")))
-    evidence = (golden_input / "evidence.jsonl").read_bytes()
-    (converted / "evidence.jsonl.gz").write_bytes(gzip.compress(evidence))
+def _golden_issue_log(header_lines: int) -> bytes:
+    """The golden input's issue log; a CSV table's line numbers count its header."""
+    return (
+        "source,line_no,kind,detail\r\n"
+        f"publications,{21 + header_lines},malformed,non-citable doc_type: 'editorial'\r\n"
+        f"publications,{22 + header_lines},malformed,year 2013 outside period 2014-2017\r\n"
+        "evidence,11,malformed,invalid JSON\r\n"
+    ).encode("utf-8")
+
+
+@pytest.mark.parametrize("shards", ["1", "3"])
+@pytest.mark.parametrize("bom", [False, True], ids=["no_bom", "bom"])
+@pytest.mark.parametrize("gz", [False, True], ids=["plain", "gzip"])
+@pytest.mark.parametrize("table_format", ["csv", "jsonl"])
+def test_jsonl_and_gzip_inputs_give_the_golden_tables(
+    golden_input, golden_dir, tmp_path, monkeypatch, table_format, gz, bom, shards
+):
+    # In JSON lines each CSV row becomes an object of its string cells; with
+    # gz every input file is gzipped; with bom every file starts with one.
+    head = codecs.BOM_UTF8 if bom else b""
+    inputs = {}
+    for source in golden_input.iterdir():
+        data, suffix = source.read_bytes(), source.suffix
+        if table_format == "jsonl" and suffix == ".csv":
+            with source.open(newline="", encoding="utf-8") as fh:
+                data = "".join(json.dumps(row) + "\n" for row in csv.DictReader(fh)).encode("utf-8")
+            suffix = ".jsonl"
+        inputs[source.stem] = tmp_path / (source.stem + suffix + (".gz" if gz else ""))
+        inputs[source.stem].write_bytes(gzip.compress(head + data) if gz else head + data)
+    monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", 64)
+    if not gz:
+        assert len(ingest._byte_ranges(inputs["evidence"], 3)) == 3
     out = tmp_path / "out"
+    log = tmp_path / "issues_full.csv"
     result = CliRunner().invoke(
         main,
         [
             "report",
-            "-p", str(converted / "publications.jsonl.gz"),
-            "-e", str(converted / "evidence.jsonl.gz"),
-            "-i", str(converted / "institutions.jsonl.gz"),
-            "-j", str(converted / "journals.jsonl.gz"),
+            "-p", str(inputs["publications"]),
+            "-e", str(inputs["evidence"]),
+            "-i", str(inputs["institutions"]),
+            "-j", str(inputs["journals"]),
             "--min-universities", "2", "--min-universities-gold", "2",
+            "--shards", shards,
+            "--issue-log", str(log),
             "-o", str(out),
         ],
     )
@@ -465,6 +503,7 @@ def test_jsonl_and_gzip_inputs_give_the_golden_tables(golden_input, golden_dir, 
     expected = {p.name: p.read_bytes() for p in sorted(golden_dir.iterdir())}
     assert len(expected) == 12
     assert written == expected
+    assert log.read_bytes() == _golden_issue_log(1 if table_format == "csv" else 0)
 
 
 class _Unprintable:

@@ -71,8 +71,6 @@ def _gold_pub(pub_id, journal_id, language="en", insts=("U1",)):
     pub = PublicationRecord(
         pub_id=pub_id,
         doi=f"10.1/{pub_id.lower()}",
-        year=2015,
-        doc_type="article",
         language=language,
         journal_id=journal_id,
         institution_ids=frozenset(insts),
@@ -85,8 +83,6 @@ def _plain_pub(pub_id, insts=("U1",)):
     pub = PublicationRecord(
         pub_id=pub_id,
         doi=f"10.1/{pub_id.lower()}",
-        year=2015,
-        doc_type="article",
         language="en",
         journal_id="J9",
         institution_ids=frozenset(insts),

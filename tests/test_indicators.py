@@ -41,8 +41,6 @@ def _cp(pub_id, types=OATypeSet(), insts=("U1",), fields=(BIO,), doi="default"):
     pub = PublicationRecord(
         pub_id=pub_id,
         doi=doi,
-        year=2015,
-        doc_type="article",
         language="en",
         journal_id="J1",
         institution_ids=frozenset(insts),

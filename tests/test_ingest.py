@@ -265,8 +265,13 @@ def test_publications_duplicate_pub_id_first_wins():
 
 
 def test_publications_unknown_field_rejected():
-    records, issues = _parse_pubs(_pub_rows("P1,10.1/a,2015,article,en,J1,U1,Alchemy"))
+    records, issues = _parse_pubs(_pub_rows(
+        "P1,10.1/a,2015,article,en,J1,U1,Alchemy",
+        f'P2,10.1/b,2015,article,en,J1,U1,"Zoology;{BIO};Alchemy"',
+    ))
     assert records == [] and issues[0].kind == "malformed"
+    # The detail names the first unknown field in sorted order.
+    assert [i.detail for i in issues] == ["unknown field: 'Alchemy'"] * 2
 
 
 def test_publications_jsonl_input():

@@ -139,8 +139,6 @@ def _pub(**overrides):
     base = dict(
         pub_id="P1",
         doi="10.1/a",
-        year=2015,
-        doc_type="article",
         language="en",
         journal_id="J1",
         institution_ids=frozenset({"U1"}),
@@ -148,11 +146,6 @@ def _pub(**overrides):
     )
     base.update(overrides)
     return PublicationRecord(**base)
-
-
-def test_publication_rejects_non_citable_doc_type():
-    with pytest.raises(ValueError):
-        _pub(doc_type="editorial")
 
 
 def test_publication_requires_fields():

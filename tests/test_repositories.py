@@ -63,8 +63,6 @@ def _cp(pub_id, types, locations=(), inst_ids=("U1",)):
     pub = PublicationRecord(
         pub_id=pub_id,
         doi=f"10.1/{pub_id.lower()}",
-        year=2015,
-        doc_type="article",
         language="en",
         journal_id="J1",
         institution_ids=frozenset(inst_ids),

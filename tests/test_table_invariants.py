@@ -76,8 +76,6 @@ def _classified(rows):
         pub = PublicationRecord(
             pub_id=f"P{n}",
             doi=f"10.1/{n}",
-            year=2015,
-            doc_type="article",
             language=language,
             journal_id=journal_id,
             institution_ids=inst_ids,
