@@ -2,14 +2,14 @@
 
 __version__ = "0.1.0"
 
-from .classifier import ClassifiedPublication, classified_table, classify, classify_stream
-from .gold_models import gold_country_model, resolve_journal_country
+from .classifier import ClassifiedPublication, ClassifiedRows, classify, classify_stream
+from .gold_models import GoldModel, resolve_journal_country
 from .indicators import (
-    count_full,
+    FullCounts,
+    OverlapTally,
     field_profile,
     field_summary,
     median_share_by_country,
-    overlap_matrix,
     region_rollup,
     universities_table,
     university_indicators,
@@ -39,7 +39,7 @@ from .models import (
     normalize_doi,
     normalize_url,
 )
-from .repositories import pmc_overlap_table, repo_share_bounds
+from .repositories import PmcOverlap, RepoBounds
 
 __all__ = [
     "ALL_SCIENCES",
@@ -48,34 +48,34 @@ __all__ = [
     "OA_TYPES",
     "TYPE_ORDER",
     "ClassifiedPublication",
+    "ClassifiedRows",
+    "FullCounts",
+    "GoldModel",
     "IndicatorCell",
     "Institution",
     "IssueSummary",
     "JournalRecord",
     "OAEvidenceRecord",
     "OATypeSet",
+    "OverlapTally",
     "ParseIssue",
     "ParseStats",
     "PipelineConfig",
+    "PmcOverlap",
     "PublicationRecord",
+    "RepoBounds",
     "Table",
-    "classified_table",
     "classify",
     "classify_stream",
-    "count_full",
     "field_profile",
     "field_summary",
-    "gold_country_model",
     "median_share_by_country",
     "normalize_doi",
     "normalize_url",
-    "overlap_matrix",
     "parse_evidence_stream",
     "parse_publications",
     "parse_registries",
-    "pmc_overlap_table",
     "region_rollup",
-    "repo_share_bounds",
     "resolve_journal_country",
     "universities_table",
     "university_indicators",

@@ -19,7 +19,6 @@ from .models import (
     OATypeSet,
     PublicationRecord,
     Table,
-    fold,
 )
 
 CLASSIFIED_COLUMNS = ("pub_id", "doi", "gold", "green", "hybrid", "bronze", "any_oa")
@@ -88,7 +87,7 @@ def classify_stream(
 
 
 class ClassifiedRows:
-    """Accumulator of the classified table: `add` one publication at a time."""
+    """The classified table: each publication's OA flags, sorted by pub_id."""
 
     def __init__(self) -> None:
         self.rows: list[tuple] = []
@@ -99,8 +98,3 @@ class ClassifiedRows:
 
     def table(self) -> Table:
         return Table("classified", CLASSIFIED_COLUMNS, tuple(sorted(self.rows)))
-
-
-def classified_table(classified: Iterable[ClassifiedPublication]) -> Table:
-    """The classified table: each publication's OA flags, sorted by pub_id."""
-    return fold(ClassifiedRows(), classified).table()

@@ -12,7 +12,6 @@ violation rate above the configured ceiling.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 import re
@@ -131,13 +130,6 @@ def _write_table(fh, table: Table, report_format: str) -> None:
         raise ValueError(f"unknown report format: {report_format!r}")
 
 
-def emit_report(table: Table, report_format: str = "csv") -> bytes:
-    """Serialize a table to UTF-8 bytes, exactly as ReportBundle.write writes it."""
-    buffer = io.StringIO()
-    _write_table(buffer, table, report_format)
-    return buffer.getvalue().encode("utf-8")
-
-
 def _write_tables(targets: list[tuple[Path, Table]], report_format: str) -> None:
     """Write each (path, table), or leave every path as it was.
 
@@ -226,13 +218,16 @@ def run_pipeline(
     are written in one step (ReportBundle.write).
 
     Raises, before any input is read, ConfigurationError for an unknown
-    table name or an issue log that would overwrite a bundle file, and
+    table name, a `max_issue_rate` that is not >= 0 (NaN included) or an
+    issue log that would overwrite a bundle file, and
     FatalInputError for a missing input or issue-log directory. Raises
     FatalInputError for an unreadable input, and SchemaCeilingError for
     an issue rate above `max_issue_rate`, before classifying anything.
     """
     if unknown := [name for name in tables if name not in (*REPORT_TABLES, "classified")]:
         raise ConfigurationError(f"unknown table: {unknown[0]!r}")
+    if not max_issue_rate >= 0:  # also false for NaN, which no rate would ever exceed
+        raise ConfigurationError(f"max issue rate must be >= 0, got {max_issue_rate!r}")
     if issue_log_path is not None and out_dir is not None:
         log = Path(issue_log_path).resolve()
         if any(log == (Path(out_dir) / f"{name}.{report_format}").resolve() for name in tables):

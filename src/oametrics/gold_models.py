@@ -9,10 +9,10 @@ the registry has no country code.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .classifier import ClassifiedPublication
-from .models import Institution, JournalRecord, Table, exact_share, fold, roster_countries
+from .models import Institution, JournalRecord, Table, exact_share, roster_countries
 
 #: Constituent countries that resolve to the United Kingdom.
 UK_CONSTITUENTS = {
@@ -119,7 +119,16 @@ GOLD_MODELS_FULL_COLUMNS = GOLD_MODELS_COLUMNS + ("n_universities", "displayed")
 
 
 class GoldModel:
-    """Accumulator of gold_country_model: `add` one classified publication at a time."""
+    """The gold_models_full table: each country's gold OA publishing (full counting).
+
+    A gold publication counts once per distinct affiliated roster
+    country. The shares are of the country's gold total and are null
+    when it is zero. Journals with unknown country are non-national;
+    journals with unknown APC status are non-APC, so apc_share is a
+    lower bound. The display threshold counts roster institutions per
+    country; rows below it are retained but flagged. Rows are sorted by
+    country.
+    """
 
     def __init__(self, journals: Mapping[str, JournalRecord],
                  institutions: Mapping[str, Institution], min_universities: int) -> None:
@@ -162,22 +171,3 @@ class GoldModel:
             for c in sorted(self.seen_countries)
         )
         return Table("gold_models_full", GOLD_MODELS_FULL_COLUMNS, rows)
-
-
-def gold_country_model(
-    classified_pubs: Iterable[ClassifiedPublication],
-    journals: Mapping[str, JournalRecord],
-    institutions: Mapping[str, Institution],
-    min_universities: int,
-) -> Table:
-    """The gold_models_full table: each country's gold OA publishing (full counting).
-
-    A gold publication counts once per distinct affiliated roster
-    country. The shares are of the country's gold total and are null
-    when it is zero. Journals with unknown country are non-national;
-    journals with unknown APC status are non-APC, so apc_share is a
-    lower bound. The display threshold counts roster institutions per
-    country; rows below it are retained but flagged. Rows are sorted by
-    country.
-    """
-    return fold(GoldModel(journals, institutions, min_universities), classified_pubs).table()

@@ -26,7 +26,6 @@ from .models import (
     PipelineConfig,
     Table,
     exact_share,
-    fold,
 )
 
 CountKey = tuple[str, str, str]
@@ -39,7 +38,11 @@ def _count_metrics(types: OATypeSet, has_doi: bool) -> tuple[str, ...]:
 
 
 class FullCounts:
-    """Accumulator of count_full: `add` one classified publication at a time."""
+    """Tally (institution, field, metric) counts under full counting, in `counts`.
+
+    Duplicate affiliations to one institution count once (affiliations
+    are distinct ids); publications with no institutions contribute nothing.
+    """
 
     def __init__(self) -> None:
         self.counts: Counter[CountKey] = Counter()
@@ -48,15 +51,6 @@ class FullCounts:
         pub = cp.publication
         metrics = _count_metrics(cp.types, pub.doi is not None)
         self.counts.update(product(pub.institution_ids, (*pub.field_ids, ALL_SCIENCES), metrics))
-
-
-def count_full(classified_pubs: Iterable[ClassifiedPublication]) -> Counter[CountKey]:
-    """Tally (institution, field, metric) counts under full counting.
-
-    Duplicate affiliations to one institution count once (affiliations
-    are distinct ids); publications with no institutions contribute nothing.
-    """
-    return fold(FullCounts(), classified_pubs).counts
 
 
 def university_indicators(
@@ -176,7 +170,14 @@ _PUBLISHER_SIDE = ("gold", "hybrid", "bronze")
 
 
 class OverlapTally:
-    """Accumulator of overlap_matrix: counts each OA outcome, one publication at a time."""
+    """The overlap table: distinct-publication OA totals, per-type counts and green overlaps.
+
+    Per-type counts are shares of all OA publications; each green
+    overlap is a share of its publisher-side type. The exclusive rows
+    split the OA total into the three mutually exclusive publisher-side
+    types (each of which may also be green) plus green-only, so their
+    counts sum to total_oa.
+    """
 
     def __init__(self) -> None:
         self.outcomes: Counter[OATypeSet] = Counter()
@@ -201,18 +202,6 @@ class OverlapTally:
         )
         rows += [(f"exclusive_{t}", n, exact_share(n, total)) for t, n in exclusive.items()]
         return Table("overlap", OVERLAP_COLUMNS, tuple(rows))
-
-
-def overlap_matrix(classified_pubs: Iterable[ClassifiedPublication]) -> Table:
-    """The overlap table: distinct-publication OA totals, per-type counts and green overlaps.
-
-    Per-type counts are shares of all OA publications; each green
-    overlap is a share of its publisher-side type. The exclusive rows
-    split the OA total into the three mutually exclusive publisher-side
-    types (each of which may also be green) plus green-only, so their
-    counts sum to total_oa.
-    """
-    return fold(OverlapTally(), classified_pubs).table()
 
 
 PROFILES_COLUMNS = ("university", "field", "oa_type", "share_pct")

@@ -282,17 +282,11 @@ class PipelineConfig:
 class Table:
     """One report table: a name, a header and canonically ordered rows.
 
-    Each row is a tuple in column order. Every table builder returns one,
-    next to a module constant that names its columns.
+    Each row is a tuple in column order. Every table builder, and the
+    `table()` of every accumulator fed one classified publication per
+    `add`, returns one, next to a module constant that names its columns.
     """
 
     name: str
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
-
-
-def fold(accumulator, items):
-    """Feed every item to ``accumulator.add`` in one pass; return the accumulator."""
-    for item in items:
-        accumulator.add(item)
-    return accumulator

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Mapping
 
-from .models import Institution, PipelineConfig, Table, exact_share, fold, roster_countries
+from .models import Institution, PipelineConfig, Table, exact_share, roster_countries
 from .models import normalize_url  # noqa: F401  (unused here; perfbench traces repositories.normalize_url)
 
 REPO_BOUNDS_COLUMNS = (
@@ -31,7 +31,16 @@ def _matches(urls: Iterable[str], patterns: Iterable[str]) -> bool:
 
 
 class RepoBounds:
-    """Accumulator of repo_share_bounds: `add` one classified publication at a time."""
+    """The repo_bounds table: each roster institution's green output held in its repository.
+
+    One pass over the classified publications counts, for every roster
+    institution with at least one publication, its publications, its
+    green publications and the green ones matched to its repository:
+    lower, some repository URL contains one of its own URL patterns;
+    upper, lower or some repository URL contains the handle pattern.
+    Publisher copies never match. The share interval is null for an
+    institution with no green output. Rows are sorted by institution id.
+    """
 
     def __init__(self, institutions: Mapping[str, Institution], handle_pattern: str) -> None:
         self.institutions, self.handle_pattern = institutions, handle_pattern
@@ -61,21 +70,6 @@ class RepoBounds:
         return Table("repo_bounds", REPO_BOUNDS_COLUMNS, rows)
 
 
-def repo_share_bounds(classified_pubs, institutions: Mapping[str, Institution],
-                      handle_pattern: str) -> Table:
-    """The repo_bounds table: each roster institution's green output held in its repository.
-
-    One pass over the classified publications counts, for every roster
-    institution with at least one publication, its publications, its
-    green publications and the green ones matched to its repository:
-    lower, some repository URL contains one of its own URL patterns;
-    upper, lower or some repository URL contains the handle pattern.
-    Publisher copies never match. The share interval is null for an
-    institution with no green output. Rows are sorted by institution id.
-    """
-    return fold(RepoBounds(institutions, handle_pattern), classified_pubs).table()
-
-
 def _pmc_flags(urls: Iterable[str], patterns: tuple[str, ...]) -> tuple[bool, bool]:
     """(some repository URL contains a PMC pattern, some other repository URL does not)."""
     via_pmc = other_repo = False
@@ -88,7 +82,14 @@ def _pmc_flags(urls: Iterable[str], patterns: tuple[str, ...]) -> tuple[bool, bo
 
 
 class PmcOverlap:
-    """Accumulator of pmc_overlap_table: `add` one classified publication at a time."""
+    """The pmc_overlap table: green/PMC overlap per country of affiliation.
+
+    A publication counts once per distinct affiliated roster country.
+    pct_* columns are shares of the PMC publications that also carry
+    the publisher-side flag; they are null when the country has no PMC
+    publication. Rows are sorted by PMC share of green output,
+    descending, ties and zero-green countries by country code.
+    """
 
     def __init__(self, institutions: Mapping[str, Institution], config: PipelineConfig) -> None:
         self.institutions, self.pmc_url_patterns = institutions, config.pmc_url_patterns
@@ -127,16 +128,3 @@ class PmcOverlap:
             for country in sorted(self.seen_countries, key=order)
         )
         return Table("pmc_overlap", PMC_OVERLAP_COLUMNS, rows)
-
-
-def pmc_overlap_table(classified_pubs, institutions: Mapping[str, Institution],
-                      config: PipelineConfig) -> Table:
-    """The pmc_overlap table: green/PMC overlap per country of affiliation.
-
-    A publication counts once per distinct affiliated roster country.
-    pct_* columns are shares of the PMC publications that also carry
-    the publisher-side flag; they are null when the country has no PMC
-    publication. Rows are sorted by PMC share of green output,
-    descending, ties and zero-green countries by country code.
-    """
-    return fold(PmcOverlap(institutions, config), classified_pubs).table()

@@ -1,6 +1,7 @@
 """Test-side builders, a table reader and an independent classification oracle.
 
-`records` reads a report table as one column -> value dict per row.
+`records` reads a report table as one column -> value dict per row, and
+`fold` feeds items to a table accumulator, as run_pipeline's one pass does.
 
 `repo_loc` and `pub_loc` build the location objects of an evidence dump
 line; `evidence` builds the record the scan reduces such a line to, so
@@ -19,6 +20,13 @@ from oametrics.models import OAEvidenceRecord, Table
 
 def records(table: Table) -> list[dict]:
     return [dict(zip(table.columns, row)) for row in table.rows]
+
+
+def fold(accumulator, items):
+    """Feed every item to ``accumulator.add``; return the accumulator."""
+    for item in items:
+        accumulator.add(item)
+    return accumulator
 
 
 def repo_loc(url: str = "https://repo.example.org/item/1") -> dict:

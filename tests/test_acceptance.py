@@ -15,12 +15,12 @@ import textwrap
 import time
 from fractions import Fraction
 
-from oracles import classify_oracle, evidence, pub_loc, records, repo_loc
+from oracles import classify_oracle, evidence, fold, pub_loc, records, repo_loc
 
 from oametrics.classifier import ClassifiedPublication, classify, classify_stream
 from oametrics.cli import format_pct, run_pipeline
-from oametrics.gold_models import gold_country_model
-from oametrics.indicators import median_exact, median_share_by_country, overlap_matrix
+from oametrics.gold_models import GoldModel
+from oametrics.indicators import OverlapTally, median_exact, median_share_by_country
 from oametrics.models import (
     ALL_SCIENCES,
     MAIN_FIELDS,
@@ -32,7 +32,7 @@ from oametrics.models import (
     PipelineConfig,
     PublicationRecord,
 )
-from oametrics.repositories import _pmc_flags, pmc_overlap_table, repo_share_bounds
+from oametrics.repositories import PmcOverlap, RepoBounds, _pmc_flags
 
 BIO = MAIN_FIELDS[0]
 CONFIG = PipelineConfig()
@@ -52,7 +52,7 @@ def _passed(n: int, name: str) -> None:
 
 
 def _overlap_counts(classified) -> dict[str, int]:
-    return {r["metric"]: r["count"] for r in records(overlap_matrix(classified))}
+    return {r["metric"]: r["count"] for r in records(fold(OverlapTally(), classified).table())}
 
 
 EXCLUSIVE = ("gold", "hybrid", "bronze", "green_only")
@@ -238,7 +238,7 @@ def test_acceptance_5_repository_bounds():
         ]
         cp = _green_cp(locations)
         institutions = {"U1": _inst("U1", patterns=(rng.choice(hosts),))}
-        (row,) = records(repo_share_bounds([cp], institutions, "hdl.handle.net"))
+        (row,) = records(fold(RepoBounds(institutions, "hdl.handle.net"), [cp]).table())
         assert row["matched_lower"] <= row["matched_upper"]
 
     # SHARED_PUB is affiliated with U1, here a repository on the Bilkent host.
@@ -252,7 +252,8 @@ def test_acceptance_5_repository_bounds():
         ClassifiedPublication(publication=SHARED_PUB, types=OATypeSet(bronze=True))
         for _ in range(150)
     ]
-    (row,) = records(repo_share_bounds(matched + unmatched + non_green, institutions, "hdl.handle.net"))
+    bounds = fold(RepoBounds(institutions, "hdl.handle.net"), matched + unmatched + non_green)
+    (row,) = records(bounds.table())
     assert (row["green_pubs"], row["matched_lower"], row["matched_upper"]) == (1858, 1815, 1815)
     assert format_pct(row["pct_repo_lower"]) == "97.7"
     assert format_pct(row["pct_repo_upper"]) == "97.7"
@@ -269,7 +270,7 @@ def test_acceptance_6_pmc_accounting():
         + [_green_cp([repo_loc(PMC_URL), repo_loc("https://arxiv.org/abs/1")]) for _ in range(12)]
         + [_green_cp([repo_loc("https://zenodo.org/2")]) for _ in range(16)]
     )
-    (row,) = records(pmc_overlap_table(planted, institutions, CONFIG))
+    (row,) = records(fold(PmcOverlap(institutions, CONFIG), planted).table())
     assert (row["green_oa"], row["pmc"], row["pmc_only"]) == (40, 24, 12)
     assert Fraction(row["pmc"], row["green_oa"]) == Fraction(24, 40)
 
@@ -294,7 +295,7 @@ def test_acceptance_6_pmc_accounting():
                     publication=SHARED_PUB, types=types, repository_urls=record.repository_urls
                 )
             )
-        (row,) = records(pmc_overlap_table(corpus, institutions, CONFIG))
+        (row,) = records(fold(PmcOverlap(institutions, CONFIG), corpus).table())
         assert 0 <= row["pmc_only"] <= row["pmc"] <= row["green_oa"]
     _passed(6, "PMC accounting: planted fractions exact; pmc_only <= pmc <= green")
 
@@ -329,7 +330,7 @@ def test_acceptance_7_gold_model_shares():
         classified.append(
             ClassifiedPublication(publication=pub, types=OATypeSet(gold=True))
         )
-    (row,) = records(gold_country_model(classified, journals, institutions, min_universities=1))
+    (row,) = records(fold(GoldModel(journals, institutions, min_universities=1), classified).table())
     assert row["gold_total"] == 100
     assert row["national_share"] == Fraction(63, 100)
     assert row["english_share"] == Fraction(9, 10)

@@ -3,7 +3,7 @@ import itertools
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import classify_oracle, evidence, pub_loc, records, repo_loc
+from oracles import classify_oracle, evidence, fold, pub_loc, records, repo_loc
 
 from oametrics.classifier import ClassifiedPublication, classify, classify_stream
 from oametrics.models import (
@@ -15,7 +15,7 @@ from oametrics.models import (
     PublicationRecord,
     normalize_url,
 )
-from oametrics.repositories import pmc_overlap_table
+from oametrics.repositories import PmcOverlap
 
 BIO = MAIN_FIELDS[0]
 
@@ -176,7 +176,7 @@ def test_scan_reduces_locations_to_the_digest(locations):
     via_pmc = ["ncbi.nlm.nih.gov/pmc" in url for url in repository]
     inst = Institution(inst_id="U1", name="U1", country="TR", regions={"Europe"})
     classified = ClassifiedPublication(_pub("P1", record.doi), types, record.repository_urls)
-    (row,) = records(pmc_overlap_table([classified], {"U1": inst}, config))
+    (row,) = records(fold(PmcOverlap({"U1": inst}, config), [classified]).table())
     assert (row["green_oa"], row["pmc"], row["pmc_only"]) == (
         int(types.green), int(any(via_pmc)), int(any(via_pmc) and all(via_pmc)),
     )

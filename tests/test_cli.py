@@ -20,7 +20,6 @@ from oametrics.cli import (
     ConfigurationError,
     ReportBundle,
     Table,
-    emit_report,
     format_pct,
     main,
     run_pipeline,
@@ -48,16 +47,23 @@ def test_format_pct(value, expected):
     assert format_pct(value) == expected
 
 
+def _emit(table: Table, report_format: str = "csv") -> bytes:
+    """A table serialized to UTF-8 bytes, as ReportBundle.write writes it."""
+    buffer = io.StringIO()
+    cli._write_table(buffer, table, report_format)
+    return buffer.getvalue().encode("utf-8")
+
+
 def test_emit_empty_table_is_header_only():
     table = Table(name="t", columns=("a", "b"), rows=())
-    assert emit_report(table, "csv") == b"a,b\r\n"
-    assert emit_report(table, "jsonl") == b""
+    assert _emit(table, "csv") == b"a,b\r\n"
+    assert _emit(table, "jsonl") == b""
 
 
 def test_emit_share_as_percent():
     table = Table(name="t", columns=("share",), rows=((Fraction(2, 5),),))
-    assert emit_report(table, "csv") == b"share\r\n40.0\r\n"
-    assert json.loads(emit_report(table, "jsonl").decode()) == {"share": 40.0}
+    assert _emit(table, "csv") == b"share\r\n40.0\r\n"
+    assert json.loads(_emit(table, "jsonl").decode()) == {"share": 40.0}
 
 
 def test_emit_reparse_round_trip():
@@ -66,7 +72,7 @@ def test_emit_reparse_round_trip():
         columns=("name", "count", "share", "flag", "missing"),
         rows=(("Alpha, Inc", 3, Fraction(1, 4), True, None),),
     )
-    parsed = list(csv.reader(io.StringIO(emit_report(table, "csv").decode("utf-8"))))
+    parsed = list(csv.reader(io.StringIO(_emit(table, "csv").decode("utf-8"))))
     assert parsed == [
         ["name", "count", "share", "flag", "missing"],
         ["Alpha, Inc", "3", "25.0", "true", ""],
@@ -75,7 +81,7 @@ def test_emit_reparse_round_trip():
 
 def test_emit_unknown_format_rejected():
     with pytest.raises(ValueError):
-        emit_report(Table(name="t", columns=("a",), rows=()), "parquet")
+        _emit(Table(name="t", columns=("a",), rows=()), "parquet")
 
 
 def _golden_args(golden_input, out_dir, extra=()):
@@ -181,6 +187,30 @@ def test_issue_rate_ceiling_exceeded(golden_input, tmp_path):
     )
     assert result.exit_code == 3
     assert "publications" in result.output
+
+
+@pytest.mark.parametrize("rate", ["nan", "-0.5"])
+def test_invalid_max_issue_rate_is_config_error(golden_input, tmp_path, rate):
+    # NaN would switch the ceiling off (no rate exceeds it); a negative one would blame the data.
+    out = tmp_path / "out"
+    result = CliRunner().invoke(
+        main, ["report", *_golden_args(golden_input, out), "--max-issue-rate", rate]
+    )
+    assert result.exit_code == 2, result.output
+    assert "max issue rate must be >= 0" in result.output
+    assert not out.exists()
+    with pytest.raises(ConfigurationError, match="max issue rate"):  # before any input is read
+        run_pipeline(PipelineConfig(), tmp_path / "nope.csv", tmp_path / "nope.jsonl",
+                     max_issue_rate=float(rate))
+
+
+@pytest.mark.parametrize("rate,exit_code", [("0", 3), ("1.5", 0)])
+def test_zero_and_above_one_are_valid_max_issue_rates(golden_input, tmp_path, rate, exit_code):
+    # The golden publications' issue rate is 2/22.
+    result = CliRunner().invoke(
+        main, ["report", *_golden_args(golden_input, tmp_path / "out"), "--max-issue-rate", rate]
+    )
+    assert result.exit_code == exit_code, result.output
 
 
 def test_env_var_overrides_flags(golden_input, tmp_path):
@@ -669,7 +699,7 @@ def test_written_tables_equal_emit_report(golden_input, tmp_path, report_format)
     assert len(written) == 13
     for path in written:
         table = bundle.tables[path.stem]
-        assert path.read_bytes() == emit_report(table, report_format), path.name
+        assert path.read_bytes() == _emit(table, report_format), path.name
 
 
 def test_kept_evidence_records_are_built_once_under_the_publications_doi(golden_input, monkeypatch):

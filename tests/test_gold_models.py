@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import records
+from oracles import fold, records
 
 from oametrics.classifier import ClassifiedPublication
 from oametrics.gold_models import (
     DEFAULT_COUNTRY_LOOKUP,
-    gold_country_model,
+    GoldModel,
     resolve_journal_country,
 )
 from oametrics.models import (
@@ -103,7 +103,7 @@ def test_national_share_by_hand():
         _gold_pub("C", "JF"),
         _gold_pub("D", "JF"),
     ]
-    (row,) = records(gold_country_model(pubs, journals, institutions, min_universities=1))
+    (row,) = records(fold(GoldModel(journals, institutions, min_universities=1), pubs).table())
     assert row["gold_total"] == 4
     assert row["national_share"] == Fraction(1, 2)
     assert row["apc_share"] == Fraction(1, 2)
@@ -112,7 +112,7 @@ def test_national_share_by_hand():
 
 def test_zero_gold_country_has_null_shares():
     institutions = {"U1": _inst("U1", "BR")}
-    (row,) = records(gold_country_model([_plain_pub("A")], {}, institutions, min_universities=1))
+    (row,) = records(fold(GoldModel({}, institutions, min_universities=1), [_plain_pub("A")]).table())
     assert row["gold_total"] == 0
     assert row["national_share"] is None and row["english_share"] is None
     assert row["apc_share"] is None
@@ -121,9 +121,9 @@ def test_zero_gold_country_has_null_shares():
 def test_collaboration_counts_for_both_countries():
     institutions = {"U1": _inst("U1", "BR"), "U2": _inst("U2", "TR")}
     journals = {"JN": JournalRecord(journal_id="JN", country="BR", is_fully_oa=True)}
-    rows = records(gold_country_model(
-        [_gold_pub("A", "JN", insts=("U1", "U2"))], journals, institutions, min_universities=1
-    ))
+    rows = records(fold(
+        GoldModel(journals, institutions, min_universities=1), [_gold_pub("A", "JN", insts=("U1", "U2"))]
+    ).table())
     by_country = {r["country"]: r for r in rows}
     assert by_country["BR"]["gold_total"] == 1 and by_country["BR"]["national_share"] == 1
     assert by_country["TR"]["gold_total"] == 1 and by_country["TR"]["national_share"] == 0
@@ -136,13 +136,13 @@ def test_journal_country_falls_back_to_publisher_address():
             journal_id="JN", is_fully_oa=True, publisher_address="SAO PAULO, BRAZIL"
         )
     }
-    (row,) = records(gold_country_model([_gold_pub("A", "JN")], journals, institutions, 1))
+    (row,) = records(fold(GoldModel(journals, institutions, 1), [_gold_pub("A", "JN")]).table())
     assert row["national_share"] == 1
 
 
 def test_unknown_journal_is_non_national_non_apc():
     institutions = {"U1": _inst("U1", "BR")}
-    (row,) = records(gold_country_model([_gold_pub("A", "JX")], {}, institutions, 1))
+    (row,) = records(fold(GoldModel({}, institutions, 1), [_gold_pub("A", "JX")]).table())
     assert row["national_share"] == 0
     assert row["apc_share"] == 0
     assert row["apc_known"] == 0
@@ -155,7 +155,7 @@ def test_english_share():
         _gold_pub("A", "JN", language="en"),
         _gold_pub("B", "JN", language="pl"),
     ]
-    (row,) = records(gold_country_model(pubs, journals, institutions, 1))
+    (row,) = records(fold(GoldModel(journals, institutions, 1), pubs).table())
     assert row["english_share"] == Fraction(1, 2)
 
 
@@ -167,7 +167,7 @@ def test_display_threshold_counts_roster_universities():
     }
     journals = {"JN": JournalRecord(journal_id="JN", is_fully_oa=True)}
     pubs = [_gold_pub("A", "JN", insts=("U1",)), _gold_pub("B", "JN", insts=("U2",))]
-    rows = records(gold_country_model(pubs, journals, institutions, min_universities=2))
+    rows = records(fold(GoldModel(journals, institutions, min_universities=2), pubs).table())
     by_country = {r["country"]: r for r in rows}
     assert not by_country["BR"]["displayed"] and by_country["BR"]["n_universities"] == 1
     assert by_country["GB"]["displayed"] and by_country["GB"]["n_universities"] == 2
@@ -188,7 +188,7 @@ def test_unknown_apc_never_inflates_apc_share():
             pubs.append(_gold_pub(f"P{i}", f"J{i}"))
             yes += apc == "yes"
             known += apc != "unknown"
-        (row,) = records(gold_country_model(pubs, journals, institutions, 1))
+        (row,) = records(fold(GoldModel(journals, institutions, 1), pubs).table())
         assert row["apc_share"] == Fraction(yes, len(pubs))
         assert row["apc_known"] == known
         if known:

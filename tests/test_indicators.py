@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import records
+from oracles import fold, records
 
 from oametrics.classifier import ClassifiedPublication
 from oametrics.indicators import (
-    count_full,
+    FullCounts,
+    OverlapTally,
     field_profile,
     field_summary,
     median_exact,
     median_share_by_country,
-    overlap_matrix,
     region_rollup,
     university_indicators,
 )
@@ -59,31 +59,31 @@ GREEN = OATypeSet(green=True)
 
 
 def test_full_counting_credits_every_institution():
-    counts = count_full([_cp("A", GREEN, insts=("U1", "U2"))])
+    counts = fold(FullCounts(), [_cp("A", GREEN, insts=("U1", "U2"))]).counts
     assert counts[("U1", BIO, "green")] == 1
     assert counts[("U2", BIO, "green")] == 1
     assert counts[("U1", ALL_SCIENCES, "pubs")] == 1
 
 
 def test_unaffiliated_publication_contributes_nothing():
-    assert count_full([_cp("A", GREEN, insts=())]) == {}
+    assert fold(FullCounts(), [_cp("A", GREEN, insts=())]).counts == {}
 
 
 def test_duplicate_affiliation_counts_once():
-    counts = count_full([_cp("A", GREEN, insts=("U1", "U1"))])
+    counts = fold(FullCounts(), [_cp("A", GREEN, insts=("U1", "U1"))]).counts
     assert counts[("U1", BIO, "green")] == 1
     assert counts[("U1", BIO, "pubs")] == 1
 
 
 def test_multi_field_publication_counts_in_each_field_once_in_rollup():
-    counts = count_full([_cp("A", GREEN, fields=(BIO, SSH))])
+    counts = fold(FullCounts(), [_cp("A", GREEN, fields=(BIO, SSH))]).counts
     assert counts[("U1", BIO, "green")] == 1
     assert counts[("U1", SSH, "green")] == 1
     assert counts[("U1", ALL_SCIENCES, "green")] == 1
 
 
 def test_doi_pubs_tracked_separately():
-    counts = count_full([_cp("A", doi=None), _cp("B")])
+    counts = fold(FullCounts(), [_cp("A", doi=None), _cp("B")]).counts
     assert counts[("U1", BIO, "pubs")] == 2
     assert counts[("U1", BIO, "doi_pubs")] == 1
 
@@ -94,7 +94,7 @@ def test_full_counting_identity_random_corpus():
     for i in range(500):
         insts = tuple(rng.sample(["U1", "U2", "U3", "U4"], k=rng.randrange(0, 4)))
         pubs.append(_cp(f"P{i}", GREEN if rng.random() < 0.4 else OATypeSet(), insts=insts))
-    counts = count_full(pubs)
+    counts = fold(FullCounts(), pubs).counts
     total_credits = sum(
         n for (inst, field, metric), n in counts.items()
         if field == ALL_SCIENCES and metric == "pubs"
@@ -104,7 +104,7 @@ def test_full_counting_identity_random_corpus():
 
 def test_university_indicator_share():
     pubs = [_cp(f"P{i}", GREEN if i < 4 else OATypeSet()) for i in range(10)]
-    cells = university_indicators(count_full(pubs), CONFIG)
+    cells = university_indicators(fold(FullCounts(), pubs).counts, CONFIG)
     green = next(
         c for c in cells if c.field == BIO and c.oa_type == "green" and c.scope_id == "U1"
     )
@@ -112,7 +112,7 @@ def test_university_indicator_share():
 
 
 def test_empty_field_yields_null_share_cell():
-    cells = university_indicators(count_full([_cp("A")]), CONFIG)
+    cells = university_indicators(fold(FullCounts(), [_cp("A")]).counts, CONFIG)
     les = next(c for c in cells if c.field == LES and c.oa_type == "green")
     assert les.denominator == 0 and les.share is None
 
@@ -120,7 +120,7 @@ def test_empty_field_yields_null_share_cell():
 def test_doi_denominator_mode():
     pubs = [_cp("A", GREEN), _cp("B", doi=None)]
     config = PipelineConfig(denominator_mode="doi_pubs")
-    cells = university_indicators(count_full(pubs), config)
+    cells = university_indicators(fold(FullCounts(), pubs).counts, config)
     green = next(c for c in cells if c.field == BIO and c.oa_type == "green")
     assert green.denominator == 1 and green.share == Fraction(1, 1)
 
@@ -224,7 +224,7 @@ def test_overlap_matrix_by_hand():
         _cp("C", OATypeSet(bronze=True)),
         _cp("D", OATypeSet()),
     ]
-    count = {r["metric"]: r["count"] for r in records(overlap_matrix(pubs))}
+    count = {r["metric"]: r["count"] for r in records(fold(OverlapTally(), pubs).table())}
     assert count["total_oa"] == 3
     assert {t: count[t] for t in OA_TYPES} == {"gold": 1, "green": 2, "hybrid": 0, "bronze": 1}
     assert {t: count[f"green_and_{t}"] for t in PUBLISHER_SIDE} == {"gold": 1, "hybrid": 0, "bronze": 0}
@@ -234,7 +234,7 @@ def test_overlap_matrix_by_hand():
 
 
 def test_overlap_matrix_empty_corpus():
-    count = {r["metric"]: r["count"] for r in records(overlap_matrix([]))}
+    count = {r["metric"]: r["count"] for r in records(fold(OverlapTally(), []).table())}
     assert count["total_oa"] == 0
     assert sum(count[t] for t in OA_TYPES) == 0
 
@@ -247,7 +247,7 @@ def test_overlap_matrix_invariants_enforced():
         for publisher in (None,) + PUBLISHER_SIDE
         for green in (False, True)
     ]
-    count = {r["metric"]: r["count"] for r in records(overlap_matrix(pubs))}
+    count = {r["metric"]: r["count"] for r in records(fold(OverlapTally(), pubs).table())}
     assert count["total_oa"] == 7
     for oa_type in OA_TYPES:
         assert count[oa_type] <= count["total_oa"]
@@ -271,13 +271,13 @@ def test_partition_identity_random_corpora():
                 green=green,
             )
             pubs.append(_cp(f"P{i}", types))
-        count = {r["metric"]: r["count"] for r in records(overlap_matrix(pubs))}
+        count = {r["metric"]: r["count"] for r in records(fold(OverlapTally(), pubs).table())}
         exclusive = PUBLISHER_SIDE + ("green_only",)
         assert sum(count[f"exclusive_{t}"] for t in exclusive) == count["total_oa"]
 
 
 def test_field_profile_single_field_university():
-    cells = university_indicators(count_full([_cp("A", GREEN, fields=(BIO,))]), CONFIG)
+    cells = university_indicators(fold(FullCounts(), [_cp("A", GREEN, fields=(BIO,))]).counts, CONFIG)
     rows = records(field_profile(cells))
     profile = {(r["field"], r["oa_type"]): r["share_pct"] for r in rows}
     assert list(dict.fromkeys(r["field"] for r in rows)) == list(MAIN_FIELDS)
@@ -291,7 +291,7 @@ def test_field_profile_constant_column():
     for i, field_name in enumerate(MAIN_FIELDS):
         pubs.append(_cp(f"G{i}", GREEN, fields=(field_name,)))
         pubs.append(_cp(f"N{i}", OATypeSet(), fields=(field_name,)))
-    rows = records(field_profile(university_indicators(count_full(pubs), CONFIG)))
+    rows = records(field_profile(university_indicators(fold(FullCounts(), pubs).counts, CONFIG)))
     profile = {(r["field"], r["oa_type"]): r["share_pct"] for r in rows}
     assert [profile[(f, "green")] for f in MAIN_FIELDS] == [Fraction(1, 2)] * 5
 

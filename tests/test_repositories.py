@@ -4,7 +4,7 @@ from fractions import Fraction
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import evidence, pub_loc, records, repo_loc
+from oracles import evidence, fold, pub_loc, records, repo_loc
 
 from oametrics.classifier import ClassifiedPublication, classify
 from oametrics.models import (
@@ -16,10 +16,10 @@ from oametrics.models import (
 )
 from oametrics import models, repositories
 from oametrics.repositories import (
+    PmcOverlap,
+    RepoBounds,
     _pmc_flags,
     normalize_url,
-    pmc_overlap_table,
-    repo_share_bounds,
 )
 
 BIO = MAIN_FIELDS[0]
@@ -77,7 +77,8 @@ GREEN = OATypeSet(green=True)
 
 def _matched(locations, inst) -> tuple[bool, bool]:
     """(lower, upper) of the repo_bounds row for one green publication of `inst`."""
-    (row,) = records(repo_share_bounds([_cp("A", GREEN, locations)], {"U1": inst}, "hdl.handle.net"))
+    bounds = fold(RepoBounds({"U1": inst}, "hdl.handle.net"), [_cp("A", GREEN, locations)])
+    (row,) = records(bounds.table())
     return bool(row["matched_lower"]), bool(row["matched_upper"])
 
 
@@ -144,7 +145,7 @@ def test_repo_share_bounds_interval():
         _cp("D", GREEN, [repo_loc("https://zenodo.org/4")]),
         _cp("E", OATypeSet(bronze=True), [pub_loc()]),
     ]
-    (row,) = records(repo_share_bounds(pubs, {"U1": inst}, "hdl.handle.net"))
+    (row,) = records(fold(RepoBounds({"U1": inst}, "hdl.handle.net"), pubs).table())
     assert (row["green_pubs"], row["matched_lower"], row["matched_upper"]) == (4, 1, 3)
     assert row["pct_repo_lower"] == Fraction(1, 4)
     assert row["pct_repo_upper"] == Fraction(3, 4)
@@ -152,7 +153,7 @@ def test_repo_share_bounds_interval():
 
 def test_repo_share_bounds_empty_interval():
     pubs = [_cp("A", OATypeSet(bronze=True), [pub_loc()])]
-    (row,) = records(repo_share_bounds(pubs, {"U1": _inst()}, "hdl.handle.net"))
+    (row,) = records(fold(RepoBounds({"U1": _inst()}, "hdl.handle.net"), pubs).table())
     assert row["green_pubs"] == 0
     assert row["pct_repo_lower"] is None and row["pct_repo_upper"] is None
 
@@ -167,7 +168,7 @@ def test_repo_share_row_invariant():
         _cp("C", GREEN, [repo_loc("https://hdl.handle.net/3")]),
         _cp("D", OATypeSet(bronze=True), [pub_loc()]),
     ]
-    (row,) = records(repo_share_bounds(pubs, {"U1": inst}, "hdl.handle.net"))
+    (row,) = records(fold(RepoBounds({"U1": inst}, "hdl.handle.net"), pubs).table())
     assert (row["pubs"], row["green_pubs"], row["matched_lower"], row["matched_upper"]) == (4, 3, 2, 3)
     assert 0 <= row["matched_lower"] <= row["matched_upper"] <= row["green_pubs"] <= row["pubs"]
     assert row["pct_repo_lower"] <= row["pct_repo_upper"] <= 1
@@ -175,7 +176,7 @@ def test_repo_share_row_invariant():
 
 def _pmc_count(locations) -> int:
     """The pmc column for one green publication with these locations."""
-    (row,) = records(pmc_overlap_table([_cp("A", GREEN, locations)], {"U1": _inst()}, CONFIG))
+    (row,) = records(fold(PmcOverlap({"U1": _inst()}, CONFIG), [_cp("A", GREEN, locations)]).table())
     return row["pmc"]
 
 
@@ -203,14 +204,14 @@ def test_pmc_overlap_counts_by_hand():
         _cp("B", GREEN, [repo_loc(PMC_URL)]),
         _cp("C", GREEN, [repo_loc("https://zenodo.org/2")]),
     ]
-    (row,) = records(pmc_overlap_table(pubs, institutions, CONFIG))
+    (row,) = records(fold(PmcOverlap(institutions, CONFIG), pubs).table())
     assert (row["green_oa"], row["pmc"], row["pmc_only"]) == (3, 2, 1)
 
 
 def test_pmc_overlap_zero_green_country():
     institutions = {"U1": _inst(country="TR")}
     pubs = [_cp("A", OATypeSet(bronze=True), [pub_loc()])]
-    (row,) = records(pmc_overlap_table(pubs, institutions, CONFIG))
+    (row,) = records(fold(PmcOverlap(institutions, CONFIG), pubs).table())
     assert (row["green_oa"], row["pmc"], row["pmc_only"]) == (0, 0, 0)
     assert row["pct_gold"] is None and row["pct_bronze"] is None and row["pct_hybrid"] is None
 
@@ -221,7 +222,7 @@ def test_pmc_overlap_percentages_over_pmc_pubs():
         _cp("A", OATypeSet(gold=True, green=True), [pub_loc("cc-by"), repo_loc(PMC_URL)]),
         _cp("B", GREEN, [repo_loc(PMC_URL)]),
     ]
-    (row,) = records(pmc_overlap_table(pubs, institutions, CONFIG))
+    (row,) = records(fold(PmcOverlap(institutions, CONFIG), pubs).table())
     assert row["pct_gold"] == Fraction(1, 2)
     assert row["pct_bronze"] == 0 and row["pct_hybrid"] == 0
 
@@ -238,7 +239,7 @@ def test_pmc_rows_sorted_by_share_desc_then_country():
         _cp("C", GREEN, [repo_loc(PMC_URL)], inst_ids=("U1",)),
         _cp("D", OATypeSet(), (), inst_ids=("U3",)),
     ]
-    rows = records(pmc_overlap_table(pubs, institutions, CONFIG))
+    rows = records(fold(PmcOverlap(institutions, CONFIG), pubs).table())
     assert [r["country"] for r in rows] == ["BB", "AA", "CC"]
 
 
@@ -271,7 +272,7 @@ def test_pmc_chain_invariant_on_random_corpora():
             locations.append(pub_loc(rng.choice([None, "cc-by"])))
         types = classify(evidence(journal_is_oa=rng.random() < 0.2, locations=locations))
         pubs.append(_cp(f"P{i}", types, locations))
-    (row,) = records(pmc_overlap_table(pubs, institutions, CONFIG))
+    (row,) = records(fold(PmcOverlap(institutions, CONFIG), pubs).table())
     assert 0 <= row["pmc_only"] <= row["pmc"] <= row["green_oa"]
 
 
@@ -288,7 +289,7 @@ def test_tables_read_the_stored_urls_without_normalizing(monkeypatch):
 
     monkeypatch.setattr(models, "normalize_url", fail)
     monkeypatch.setattr(repositories, "normalize_url", fail)
-    (bounds,) = records(repo_share_bounds(pubs, institutions, CONFIG.handle_pattern))
-    (pmc,) = records(pmc_overlap_table(pubs, institutions, CONFIG))
+    (bounds,) = records(fold(RepoBounds(institutions, CONFIG.handle_pattern), pubs).table())
+    (pmc,) = records(fold(PmcOverlap(institutions, CONFIG), pubs).table())
     assert (bounds["green_pubs"], bounds["matched_lower"], bounds["matched_upper"]) == (2, 1, 2)
     assert (pmc["green_oa"], pmc["pmc"], pmc["pmc_only"]) == (2, 1, 0)

@@ -2,8 +2,10 @@
 
 Each invariant must hold on every row a table builder emits, whatever
 the affiliations (on or off the roster), countries and evidence
-locations. On the same corpora written as input files, the tables of
-run_pipeline's one-pass fold must equal those of the public builders.
+locations. No table may depend on the order its accumulator is fed the
+publications in. On the same corpora written as input files, the tables
+of run_pipeline's one pass must equal a separate fold of each
+accumulator and the cell tables built from its counts.
 """
 
 import csv
@@ -14,17 +16,17 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import evidence, pub_loc, records, repo_loc
+from oracles import evidence, fold, pub_loc, records, repo_loc
 
-from oametrics.classifier import ClassifiedPublication, classified_table, classify, classify_stream
+from oametrics.classifier import ClassifiedPublication, ClassifiedRows, classify, classify_stream
 from oametrics.cli import REPORT_TABLES, run_pipeline
-from oametrics.gold_models import gold_country_model
+from oametrics.gold_models import GoldModel
 from oametrics.indicators import (
-    count_full,
+    FullCounts,
+    OverlapTally,
     field_profile,
     field_summary,
     median_share_by_country,
-    overlap_matrix,
     region_rollup,
     universities_table,
     university_indicators,
@@ -38,7 +40,7 @@ from oametrics.models import (
     PipelineConfig,
     PublicationRecord,
 )
-from oametrics.repositories import pmc_overlap_table, repo_share_bounds
+from oametrics.repositories import PmcOverlap, RepoBounds
 
 INST_IDS = ("U1", "U2", "U3", "U4")
 LOCATIONS = (
@@ -87,10 +89,8 @@ def _classified(rows):
     return classified
 
 
-@settings(max_examples=150, deadline=None)
-@given(roster, publications)
-def test_every_table_row_keeps_its_invariants(countries, rows):
-    institutions = {
+def _institutions(countries):
+    return {
         inst_id: Institution(
             inst_id=inst_id,
             name=inst_id,
@@ -100,26 +100,50 @@ def test_every_table_row_keeps_its_invariants(countries, rows):
         )
         for inst_id, country in countries.items()
     }
+
+
+@settings(max_examples=150, deadline=None)
+@given(roster, publications)
+def test_every_table_row_keeps_its_invariants(countries, rows):
+    institutions = _institutions(countries)
     classified = _classified(rows)
 
-    for row in records(repo_share_bounds(classified, institutions, CONFIG.handle_pattern)):
+    for row in records(fold(RepoBounds(institutions, CONFIG.handle_pattern), classified).table()):
         assert 0 <= row["matched_lower"] <= row["matched_upper"] <= row["green_pubs"] <= row["pubs"]
 
-    for row in records(pmc_overlap_table(classified, institutions, CONFIG)):
+    for row in records(fold(PmcOverlap(institutions, CONFIG), classified).table()):
         assert 0 <= row["pmc_only"] <= row["pmc"] <= row["green_oa"]
 
-    for row in records(gold_country_model(classified, JOURNALS, institutions, 1)):
+    for row in records(fold(GoldModel(JOURNALS, institutions, 1), classified).table()):
         for share in ("national_share", "english_share", "apc_share"):
             assert (row[share] is None) == (row["gold_total"] == 0)
         assert row["apc_known"] <= row["gold_total"]
 
-    count = {row["metric"]: row["count"] for row in records(overlap_matrix(classified))}
+    count = {row["metric"]: row["count"] for row in records(fold(OverlapTally(), classified).table())}
     for oa_type in OA_TYPES:
         assert count[oa_type] <= count["total_oa"]
     for oa_type in ("gold", "hybrid", "bronze"):
         assert count[f"green_and_{oa_type}"] <= min(count["green"], count[oa_type])
     exclusive = ("gold", "hybrid", "bronze", "green_only")
     assert sum(count[f"exclusive_{bucket}"] for bucket in exclusive) == count["total_oa"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(roster, publications, st.data())
+def test_tables_do_not_depend_on_publication_order(countries, rows, data):
+    institutions = _institutions(countries)
+    classified = _classified(rows)
+    shuffled = data.draw(st.permutations(classified))
+    accumulators = (
+        ClassifiedRows,
+        OverlapTally,
+        lambda: RepoBounds(institutions, CONFIG.handle_pattern),
+        lambda: PmcOverlap(institutions, CONFIG),
+        lambda: GoldModel(JOURNALS, institutions, 1),
+    )
+    for make in accumulators:
+        assert fold(make(), shuffled).table() == fold(make(), classified).table()
+    assert fold(FullCounts(), shuffled).counts == fold(FullCounts(), classified).counts
 
 
 def _write_corpus(directory: Path, countries, rows) -> dict[str, Path]:
@@ -170,19 +194,20 @@ def test_one_pass_fold_matches_the_public_builders(countries, rows):
         pubs = list(parse_publications(paths["publications"], config, on_issue=sink))
         dump = {r.doi: r for r in parse_evidence_stream(paths["evidence"], on_issue=sink)}
     classified = list(classify_stream(pubs, dump, journals))
-    cells = [c for c in university_indicators(count_full(classified), config) if c.scope_id in institutions]
+    counts = fold(FullCounts(), classified).counts
+    cells = [c for c in university_indicators(counts, config) if c.scope_id in institutions]
     medians = median_share_by_country(cells, institutions, config.min_universities_country)
-    gold = gold_country_model(classified, journals, institutions, config.min_universities_gold_model)
+    gold = fold(GoldModel(journals, institutions, config.min_universities_gold_model), classified).table()
     expected = {
-        "classified": classified_table(classified),
-        "overlap": overlap_matrix(classified),
+        "classified": fold(ClassifiedRows(), classified).table(),
+        "overlap": fold(OverlapTally(), classified).table(),
         "universities": universities_table(cells, institutions),
         "field_summary": field_summary(cells),
         "country_medians_full": medians,
         "region_medians": region_rollup(cells, institutions),
         "profiles": field_profile(cells),
-        "repo_bounds": repo_share_bounds(classified, institutions, config.handle_pattern),
-        "pmc_overlap": pmc_overlap_table(classified, institutions, config),
+        "repo_bounds": fold(RepoBounds(institutions, config.handle_pattern), classified).table(),
+        "pmc_overlap": fold(PmcOverlap(institutions, config), classified).table(),
         "gold_models_full": gold,
         "issues": sink.table(),
     }
