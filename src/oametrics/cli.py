@@ -219,7 +219,7 @@ def run_pipeline(
 
     Raises, before any input is read, ConfigurationError for an unknown
     table name, a `max_issue_rate` that is not >= 0 (NaN included) or an
-    issue log that would overwrite a bundle file, and
+    issue log that would overwrite a bundle file or a directory, and
     FatalInputError for a missing input or issue-log directory. Raises
     FatalInputError for an unreadable input, and SchemaCeilingError for
     an issue rate above `max_issue_rate`, before classifying anything.
@@ -230,8 +230,9 @@ def run_pipeline(
         raise ConfigurationError(f"max issue rate must be >= 0, got {max_issue_rate!r}")
     if issue_log_path is not None and out_dir is not None:
         log = Path(issue_log_path).resolve()
-        if any(log == (Path(out_dir) / f"{name}.{report_format}").resolve() for name in tables):
-            raise ConfigurationError(f"{issue_log_path}: the issue log would overwrite a report table")
+        targets = [Path(out_dir), *(Path(out_dir) / f"{name}.{report_format}" for name in tables)]
+        if log.is_dir() or any(log == path.resolve() for path in targets):
+            raise ConfigurationError(f"{issue_log_path}: issue log would overwrite a directory or a table")
     for path in (publications_path, evidence_path, institutions_path, journals_path):
         if path is not None and not Path(path).exists():
             raise FatalInputError(f"input file not found: {path}")
@@ -253,18 +254,13 @@ def run_pipeline(
         publications = list(
             parse_publications(publications_path, config, on_issue=sink, stats=stats["publications"])
         )
-    # Evidence is built and keyed under each publication's own DOI object; the map dies with the scan.
+    evidence = {pub.doi: pub.doi for pub in publications if pub.doi is not None}
     with _reading(evidence_path):
-        evidence_by_doi = {
-            record.doi: record
-            for record in parse_evidence_stream(
-                evidence_path,
-                on_issue=sink,
-                keep={pub.doi: pub.doi for pub in publications if pub.doi is not None}.get,
-                stats=stats["evidence"],
-                processes=shards if shards is not None else _usable_cpus(),
-            )
-        }
+        for _ in parse_evidence_stream(
+            evidence_path, on_issue=sink, keep=evidence, stats=stats["evidence"],
+            processes=shards if shards is not None else _usable_cpus(),
+        ):
+            pass
 
     for source, source_stats in stats.items():
         if source_stats.lines == 0:
@@ -288,11 +284,11 @@ def run_pipeline(
     needed = {needs.get(name, name) for name in tables}
     accumulators = {name: make() for name, make in folds.items() if name in needed}
     adds = [acc.add for acc in accumulators.values()]
-    for cp in classify_stream(publications, evidence_by_doi, journals):
+    for cp in classify_stream(publications, evidence, journals):
         for add in adds:
             add(cp)
     # No table reads an input record again; table building reuses their memory.
-    del publications, evidence_by_doi
+    del publications, evidence
 
     cells = None
     if "counts" in accumulators:
@@ -422,12 +418,9 @@ def _invoke(tables: tuple[str, ...], opts) -> None:
             issue_log_path=opts["issue_log"],
             tables=tables,
         )
-    except PipelineError as exc:
+    except (PipelineError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
-        raise SystemExit(exc.exit_code)
-    except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(1)
+        raise SystemExit(getattr(exc, "exit_code", 1))
     click.echo(f"wrote {len(bundle.tables)} table(s) to {opts['out_dir']}", err=True)
 
 

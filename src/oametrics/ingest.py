@@ -4,9 +4,10 @@ All parsers are single-pass and skip-and-report: a defective line never
 aborts the stream, it yields exactly one ParseIssue through the
 `on_issue` callback. Without a DOI filter, the evidence parser holds
 one line in memory at a time in one process, so arbitrarily large
-dumps process in constant space. With one, it also remembers the DOIs
-it kept, and it may fork to scan byte ranges of an uncompressed dump in
-parallel; the result is the same as a scan in one process.
+dumps process in constant space. With one, a `keep` dict that maps
+each needed DOI to itself, it sets each value to the DOI's first record
+or to None, and it may fork to scan byte ranges of an uncompressed dump
+in parallel; the result is the same as a scan in one process.
 
 Input formats (see README for the field-by-field schema):
 
@@ -151,30 +152,29 @@ def _report(on_issue, source: str, line_no: int, kind: str, detail: str) -> None
 def parse_evidence_stream(
     source,
     on_issue: Callable[[ParseIssue], None] | None = None,
-    keep: Callable[[str], str | None] | None = None,
+    keep: dict[str, str | OAEvidenceRecord | None] | None = None,
     stats: ParseStats | None = None,
     processes: int = 1,
 ) -> Iterator[OAEvidenceRecord]:
     """Yield evidence records from a line-delimited dump, one line at a time.
 
-    `keep`, when given, maps the normalized DOI to the DOI object the
-    record is built under (so a caller can store every record under a
-    string it already holds), or to None; a line it maps to None is
-    dropped silently before any record object is built (it is neither a
-    record nor an issue). With `keep`, the DOIs
-    already yielded are remembered, so a later line for the same DOI is
-    reported as duplicate_key and the first record wins; without it the
-    parser holds constant space and yields every valid line. Malformed
-    lines are reported and skipped, never fatal.
+    `keep`, when given, maps each needed normalized DOI to the DOI
+    string to build its record under, one a caller already holds. A
+    line for any other DOI is dropped silently before any record object
+    is built (it is neither a record nor an issue). Each record replaces
+    its DOI's value, so a later line for that DOI is a duplicate_key
+    issue and the first record wins; at the end of the stream a DOI
+    without a record maps to None. Without `keep` the parser holds
+    constant space and yields every valid line. Malformed lines are
+    reported and skipped, never fatal.
 
     With `keep` and `processes` > 1, an uncompressed dump given by path
     may be scanned in byte ranges by forked processes (see
-    `_byte_ranges`). The records, issues and stats are exactly those of
-    a scan in one process, in the same order.
+    `_byte_ranges`). The records, issues, stats and filled `keep` are
+    exactly those of a scan in one process, in the same order.
     """
     if stats is None:
         stats = ParseStats()
-    seen: set[str] | None = set() if keep is not None else None
     ranges = _byte_ranges(source, processes) if keep is not None else []
     with ExitStack() as stack:
         if len(ranges) > 1:
@@ -186,14 +186,19 @@ def parse_evidence_stream(
                 _report(on_issue, "evidence", line_no, kind, value)
                 continue
             doi, *digest = value
-            if seen is not None:
-                doi = keep(doi)
-                if doi in seen:
-                    _report(on_issue, "evidence", line_no, "duplicate_key", f"duplicate doi: {doi}")
-                    continue
-                seen.add(doi)
+            if keep is None:
+                record = OAEvidenceRecord(doi, *digest)
+            elif isinstance(keep[doi], str):
+                record = keep[doi] = OAEvidenceRecord(keep[doi], *digest)
+            else:
+                _report(on_issue, "evidence", line_no, "duplicate_key", f"duplicate doi: {doi}")
+                continue
             stats.records += 1
-            yield OAEvidenceRecord(doi, *digest)
+            yield record
+    if keep is not None:
+        for doi, value in keep.items():
+            if isinstance(value, str):
+                keep[doi] = None
 
 
 def _scan_evidence(lines: Iterable[bytes], keep, stats: ParseStats):
@@ -235,7 +240,7 @@ def _scan_evidence(lines: Iterable[bytes], keep, stats: ParseStats):
         if doi is None:
             yield line_no, "malformed", f"invalid doi: {obj['doi']!r}"
             continue
-        if keep is not None and keep(doi) is None:
+        if keep is not None and doi not in keep:
             continue
         journal_is_oa = obj["journal_is_oa"]
         if not isinstance(journal_is_oa, bool):

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from oametrics import cli, ingest
+from oametrics import classifier, cli, ingest
 from oametrics.cli import (
     ConfigurationError,
     ReportBundle,
@@ -625,6 +625,36 @@ def test_issue_log_naming_a_bundle_file_is_a_config_error(
         assert (out / "issues.jsonl").exists()
 
 
+def test_issue_log_naming_the_output_directory_is_a_config_error(golden_input, tmp_path):
+    out = tmp_path / "o1"
+    args = _golden_args(golden_input, out, ["--issue-log", str(out)])
+    result = CliRunner().invoke(main, ["report", *args])
+    assert result.exit_code == 2, result.output
+    assert f"error: {out}: " in result.output
+    assert list(tmp_path.iterdir()) == []
+    # The check comes before any input is read: a missing input is not reached.
+    args[args.index("-e") + 1] = str(tmp_path / "missing.jsonl")
+    assert CliRunner().invoke(main, ["report", *args]).exit_code == 2
+
+
+@pytest.mark.parametrize("evidence", ["evidence.jsonl", "missing.jsonl"])
+def test_issue_log_naming_an_existing_directory_is_a_config_error(golden_input, tmp_path, evidence):
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    with pytest.raises(ConfigurationError, match="issue log"):
+        run_pipeline(
+            PipelineConfig(),
+            publications_path=golden_input / "publications.csv",
+            evidence_path=golden_input / evidence,
+            institutions_path=golden_input / "institutions.csv",
+            journals_path=golden_input / "journals.csv",
+            out_dir=tmp_path / "o2",
+            issue_log_path=logs,
+        )
+    assert [p.name for p in tmp_path.iterdir()] == ["logs"]
+    assert list(logs.iterdir()) == []
+
+
 def test_url_form_patterns_give_the_golden_tables(golden_input, golden_dir, tmp_path):
     config = PipelineConfig(
         min_universities_country=2,
@@ -725,9 +755,48 @@ def test_kept_evidence_records_are_built_once_under_the_publications_doi(golden_
     )
     evidence = captured["evidence"]
     publication_dois = {pub.doi: pub.doi for pub in captured["publications"] if pub.doi}
-    assert evidence and len(built) == len(evidence)
-    for key, record in evidence.items():
+    # One map: every publication DOI, mapped to its record or, without an evidence line, to None.
+    assert evidence.keys() == publication_dois.keys()
+    records = {key: record for key, record in evidence.items() if record is not None}
+    assert records and len(built) == len(records)
+    for key, record in records.items():
         assert key is record.doi is publication_dois[record.doi]
+
+
+def test_publications_sharing_a_doi_are_classified_from_one_record(tmp_path, monkeypatch):
+    pubs = tmp_path / "publications.csv"
+    pubs.write_text(
+        "pub_id,doi,year,doc_type,journal_id,field_ids\n"
+        "P1,10.1/a,2015,article,J1,Physical Sciences & Engineering\n"
+        "P2,https://doi.org/10.1/A,2016,article,J2,Physical Sciences & Engineering\n",
+        encoding="utf-8",
+    )
+    dump = tmp_path / "evidence.jsonl"
+    dump.write_text(_evidence_line("10.1/a", True) + "\n", encoding="utf-8")
+    classify_stream, classify = cli.classify_stream, classifier.classify
+    publications, classified_from = [], []
+
+    def capture(records, evidence_by_doi, journals):
+        publications.extend(records)
+        return classify_stream(publications, evidence_by_doi, journals)
+
+    def spy(evidence, journal):
+        classified_from.append(evidence)
+        return classify(evidence, journal)
+
+    monkeypatch.setattr(cli, "classify_stream", capture)
+    monkeypatch.setattr(classifier, "classify", spy)
+    bundle = run_pipeline(
+        PipelineConfig(), pubs, dump, tables=("classified", "issues"), shards=1
+    )
+    assert bundle.tables["classified"].rows == (
+        ("P1", "10.1/a", True, False, False, False, True),
+        ("P2", "10.1/a", True, False, False, False, True),
+    )
+    assert bundle.tables["issues"].rows == ()
+    record, other = classified_from
+    assert record is other and record is not None
+    assert any(record.doi is pub.doi for pub in publications)
 
 
 def _jsonl_publications(tmp_path) -> list[str]:

@@ -166,12 +166,13 @@ def test_evidence_keep_filter_drops_silently():
         for c in "abc"
     ]
     stats = ParseStats()
-    records, issues = _parse_evidence(
-        _evidence_bytes(*lines), keep={"10.1/b": "10.1/b"}.get, stats=stats
-    )
+    keep = {"10.1/b": "10.1/b", "10.1/z": "10.1/z"}
+    records, issues = _parse_evidence(_evidence_bytes(*lines), keep=keep, stats=stats)
     assert [r.doi for r in records] == ["10.1/b"]
     assert issues == []
     assert stats.lines == 3 and stats.records == 1
+    # The map is filled in place: a needed DOI without a line maps to None.
+    assert keep == {"10.1/b": records[0], "10.1/z": None}
 
 
 def test_evidence_blank_lines_skipped():
@@ -388,11 +389,11 @@ def test_evidence_duplicate_doi_reported_first_wins():
     spelled = json.dumps(
         {"doi": "https://doi.org/10.1/a", "journal_is_oa": False, "oa_locations": []}
     )
-    records, issues = _parse_evidence(
-        _evidence_bytes(first, spelled, first), keep={"10.1/a": "10.1/a"}.get
-    )
+    keep = {"10.1/a": "10.1/a"}
+    records, issues = _parse_evidence(_evidence_bytes(first, spelled, first), keep=keep)
     assert [(r.doi, r.journal_is_oa) for r in records] == [("10.1/a", True)]
     assert [(i.kind, i.line_no) for i in issues] == [("duplicate_key", 2), ("duplicate_key", 3)]
+    assert keep == {"10.1/a": records[0]} and keep["10.1/a"] is records[0]
 
 
 def test_evidence_deeply_nested_line_is_malformed():
@@ -479,7 +480,7 @@ def test_evidence_dump_with_utf8_bom(tmp_path, monkeypatch, processes):
     assert len(ingest._byte_ranges(dump, processes)) == (processes if processes > 1 else 0)
     stats = ParseStats()
     records, issues = _parse_evidence(
-        dump, keep=lambda doi: doi, stats=stats, processes=processes
+        dump, keep={f"10.1/{i}": f"10.1/{i}" for i in range(4)}, stats=stats, processes=processes
     )
     assert issues == []
     assert [r.doi for r in records] == [f"10.1/{i}" for i in range(4)]
@@ -530,10 +531,9 @@ def test_range_scan_matches_one_range_scan(lines, endings, final_newline, bom, k
 
     def scan(path, processes):
         stats = ParseStats()
-        records, issues = _parse_evidence(
-            path, keep={doi: doi for doi in kept}.get, stats=stats, processes=processes
-        )
-        return records, issues, stats
+        keep = {doi: doi for doi in kept}
+        records, issues = _parse_evidence(path, keep=keep, stats=stats, processes=processes)
+        return records, issues, stats, keep
 
     with tempfile.TemporaryDirectory() as tmp:
         dump = Path(tmp) / "dump.jsonl"
@@ -571,7 +571,9 @@ def test_evidence_from_a_pipe_is_read_once_from_its_start(tmp_path, monkeypatch)
     signal.alarm(10)
     writer = subprocess.Popen(["cp", str(dump), str(fifo)])
     try:
-        records, issues = _parse_evidence(fifo, keep=lambda doi: doi, processes=2)
+        records, issues = _parse_evidence(
+            fifo, keep={f"10.1/{i}": f"10.1/{i}" for i in range(3)}, processes=2
+        )
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -594,11 +596,13 @@ def test_records_are_built_under_the_doi_keep_returns(tmp_path, monkeypatch, pro
     assert len(ingest._byte_ranges(dump, processes)) == (processes if processes > 1 else 0)
     # Equal strings that are not the parser's own objects.
     canonical = {doi: "".join(["10.1/", doi[5:]]) for doi in (f"10.1/{i}" for i in range(0, 6, 2))}
-    records, issues = _parse_evidence(dump, keep=canonical.get, processes=processes)
+    keep = dict(canonical)
+    records, issues = _parse_evidence(dump, keep=keep, processes=processes)
     assert issues == []
     assert [r.doi for r in records] == ["10.1/0", "10.1/2", "10.1/4"]
     for record in records:
         assert record.doi is canonical[record.doi]
+        assert keep[record.doi] is record
 
 
 def test_range_scan_splits_a_dump_at_line_starts(tmp_path, monkeypatch):
@@ -665,7 +669,7 @@ def test_parsers_raise_nothing_reading_does_not_convert(data):
         lambda fh, on_issue: parse_registries(None, fh, on_issue=on_issue),
         lambda fh, on_issue: list(parse_evidence_stream(fh, on_issue=on_issue)),
         lambda fh, on_issue: list(
-            parse_evidence_stream(fh, on_issue=on_issue, keep=lambda doi: doi)
+            parse_evidence_stream(fh, on_issue=on_issue, keep={"10.1/a": "10.1/a"})
         ),
     )
     for parse in parsers:
