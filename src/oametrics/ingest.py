@@ -2,12 +2,14 @@
 
 All parsers are single-pass and skip-and-report: a defective line never
 aborts the stream, it yields exactly one ParseIssue through the
-`on_issue` callback. Without a DOI filter, the evidence parser holds
-one line in memory at a time in one process, so arbitrarily large
-dumps process in constant space. With one, a `keep` dict that maps
-each needed DOI to itself, it sets each value to the DOI's first record
-or to None, and it may fork to scan byte ranges of an uncompressed dump
-in parallel; the result is the same as a scan in one process.
+`on_issue` callback, unless it is an evidence line the DOI filter drops
+undecoded. Without that filter, the evidence parser holds one line in
+memory at a time in one process, so arbitrarily large dumps process in
+constant space. With one, a `keep` dict that maps each needed DOI to
+itself, it sets each value to the DOI's first record or to None, drops
+most lines of other DOIs before decoding them (see `_scan_evidence`),
+and it may fork to scan byte ranges of an uncompressed dump in
+parallel; the result is the same as a scan in one process.
 
 Input formats (see README for the field-by-field schema):
 
@@ -25,6 +27,7 @@ import io
 import json
 import marshal
 import os
+import re
 import signal
 import stat
 import threading
@@ -60,6 +63,9 @@ _GZIP_MAGIC = b"\x1f\x8b"
 #: sending a range's results back and merging them cost more than
 #: scanning a small range in parallel saves.
 _MIN_RANGE_BYTES = 8 << 20
+
+#: A line that opens with a "doi" key whose string value has no escape.
+_FIRST_DOI = re.compile(rb'[ \t\r]*\{[ \t\r]*"doi"[ \t\r]*:[ \t\r]*"([^"\\]*)"')
 
 
 @dataclass(frozen=True)
@@ -212,12 +218,35 @@ def _scan_evidence(lines: Iterable[bytes], keep, stats: ParseStats):
     in plain values a forked scan can marshal. A license counts only
     when it is not blank. Lines are numbered from 1 at the start of
     `lines`; returns the number of lines read.
+
+    With `keep`, a valid UTF-8 line that opens with a "doi" key whose
+    unescaped value is a valid DOI `keep` does not hold is counted in
+    `stats.lines` and dropped undecoded if it has no other "doi" and no
+    `\\u` escape, names both other required keys and ends with "}"; a
+    defect elsewhere in it goes unreported. Other lines are parsed in
+    full, reusing the DOI normalized here if the parsed value is equal.
     """
     line_no = 0
     for line_no, raw in enumerate(lines, start=1):
         if not raw.strip():
             continue
         stats.lines += 1
+        first = _FIRST_DOI.match(raw) if keep is not None else None
+        if first is not None:
+            value = first[1].decode("utf-8", "replace")
+            doi = normalize_doi(value)
+            # bytes.find, as `in` first tries its operand as an int and raises.
+            if (
+                doi is not None
+                and doi not in keep
+                and raw.count(b'"doi"') == 1
+                and raw.find(b"\\u") < 0
+                and raw.find(b'"journal_is_oa"') > 0
+                and raw.find(b'"oa_locations"') > 0
+                and raw.rstrip().endswith(b"}")
+                and (raw.isascii() or _is_utf8(raw))
+            ):
+                continue
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError:
@@ -236,7 +265,8 @@ def _scan_evidence(lines: Iterable[bytes], keep, stats: ParseStats):
         if missing:
             yield line_no, "missing_required_field", f"missing {missing[0]}"
             continue
-        doi = normalize_doi(obj["doi"]) if isinstance(obj["doi"], str) else None
+        if first is None or obj["doi"] != value:
+            doi = normalize_doi(obj["doi"]) if isinstance(obj["doi"], str) else None
         if doi is None:
             yield line_no, "malformed", f"invalid doi: {obj['doi']!r}"
             continue
@@ -279,6 +309,14 @@ def _scan_evidence(lines: Iterable[bytes], keep, stats: ParseStats):
             continue
         yield line_no, None, (doi, journal_is_oa, repository_urls, publisher_copy, licensed_copy)
     return line_no
+
+
+def _is_utf8(raw: bytes) -> bool:
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
 
 
 def _byte_ranges(source, processes: int) -> list[tuple[int, int]]:

@@ -3,6 +3,7 @@ import gzip
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import tempfile
@@ -23,7 +24,7 @@ from oametrics.ingest import (
     parse_publications,
     parse_registries,
 )
-from oametrics.models import MAIN_FIELDS, PipelineConfig
+from oametrics.models import MAIN_FIELDS, PipelineConfig, normalize_doi
 
 BIO = MAIN_FIELDS[0]
 SSH = MAIN_FIELDS[4]
@@ -614,6 +615,130 @@ def test_range_scan_splits_a_dump_at_line_starts(tmp_path, monkeypatch):
     assert ingest._byte_ranges(dump, 1) == []
     dump.write_bytes(gzip.compress(dump.read_bytes()))
     assert ingest._byte_ranges(dump, 4) == []
+
+
+_NEVER = re.compile(rb"(?!)")
+
+
+def _pinned_scan(lines: list[bytes], prefilter: bool = True):
+    stats = ParseStats()
+    keep = {doi: doi for doi in ("10.5/p", "10.5/e")}
+    with mock.patch.object(ingest, "_FIRST_DOI", ingest._FIRST_DOI if prefilter else _NEVER):
+        records, issues = _parse_evidence(io.BytesIO(b"\n".join(lines) + b"\n"), keep=keep, stats=stats)
+    return records, [(i.line_no, i.kind, i.detail) for i in issues], stats.lines
+
+
+def test_prefilter_still_counts_these_unneeded_lines():
+    golden_bad = b'{"doi": "10.9/bad", "journal_is_oa":'
+    assert golden_bad in (Path(__file__).parent / "data/golden_input/evidence.jsonl").read_bytes()
+    # Every DOI but the second "doi" keys' 10.5/p and 10.5/e is unneeded.
+    lines = [
+        b'{"doi": "10.7/u", "journal_is_oa": true, "oa_locations": [], "t": "\xff"}',
+        b'{"doi": "10.7/n", "journal_is_oa": true}',
+        b'{"doi": "10.7/j", "oa_locations": []}',
+        b'{"doi": "nope", "journal_is_oa": true, "oa_locations": []}',
+        b'{"doi": 10.7, "journal_is_oa": true, "oa_locations": []}',
+        golden_bad,
+        b'{"doi": "10.7/t", "journal_is_oa": true, "oa_locations": []',
+        b'{"doi": "10.7/x", "journal_is_oa": true, "oa_locations": [], "doi": "10.5/p"}',
+        b'{"doi": "10.7/x", "journal_is_oa": false, "oa_locations": [], "d\\u006fi": "10.5/e"}',
+    ]
+    counted = [
+        (1, "malformed", "undecodable bytes"),
+        (2, "missing_required_field", "missing oa_locations"),
+        (3, "missing_required_field", "missing journal_is_oa"),
+        (4, "malformed", "invalid doi: 'nope'"),
+        (5, "malformed", "invalid doi: 10.7"),
+        (6, "malformed", "invalid JSON"),
+        (7, "malformed", "invalid JSON"),
+    ]
+    narrowed = [
+        b'{"doi": "10.7/x", "journal_is_oa": tru, "oa_locations": []}',
+        b'{"doi": "10.7/y", "oa_locations": [{"host_type": "publisher", "url": "u", "journal_is_oa": true}]}',
+    ]
+    records, issues, n_lines = _pinned_scan(lines + narrowed)
+    # A needed second "doi" key, plain or escaped, overrides the first and keeps its record.
+    assert [(r.doi, r.journal_is_oa) for r in records] == [("10.5/p", True), ("10.5/e", False)]
+    assert issues == counted and n_lines == 11
+    # The narrowed lines are counted only when every line is parsed.
+    assert _pinned_scan(lines + narrowed, prefilter=False) == (records, counted + [
+        (10, "malformed", "invalid JSON"),
+        (11, "missing_required_field", "missing journal_is_oa"),
+    ], 11)
+
+
+_PREFILTER_DOIS = ("10.5/a", "10.5/b", "10.7/x", "10.7/y")
+_PREFILTER_NEEDED = ("10.5/a", "10.5/b")
+_TITLE = st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=4)
+
+
+@st.composite
+def _prefilter_line(draw) -> bytes:
+    """One dump line, built from the parts the prefilter reads, often valid."""
+    ascii_only = draw(st.booleans())
+    doi = draw(st.builds(_spelled, st.sampled_from(_PREFILTER_DOIS), st.integers(0, 3)))
+    first = draw(st.sampled_from(['"doi": ', ' "doi" :\t', '"doi":'])) + draw(st.sampled_from(
+        [json.dumps(doi, ensure_ascii=ascii_only)] * 3 + ['"nope"', "10.5", '"10.5/\\u0061"']
+    ))
+    location = {"host_type": draw(st.sampled_from(["publisher", "repository"])), "url": "u"}
+    entries = [
+        entry for entry in ('"journal_is_oa": false', '"oa_locations": []') if draw(st.integers(0, 4))
+    ] + draw(st.lists(st.sampled_from([
+        '"doi": "10.5/a"', '"d\\u006fi": "10.5/b"', '"\\u0064oi": "10.7/y"', '"doi": 7',
+        '"journal_is_oa": true', '"journal_is_oa": tru', f'"oa_locations": [{json.dumps(location)}]',
+        '"x": {"journal_is_oa": true, "oa_locations": []}', "title",
+    ]), min_size=1, max_size=2))
+    entries = [
+        '"title": ' + json.dumps(draw(_TITLE), ensure_ascii=ascii_only) if e == "title" else e
+        for e in entries
+    ]
+    entries.insert(draw(st.integers(0, len(entries))) if draw(st.integers(0, 3)) == 0 else 0, first)
+    line = draw(st.sampled_from(["", " ", "\t", " \r"])) + "{" + ", ".join(entries) + "}"
+    data = line.encode("utf-8") + draw(st.sampled_from([b"", b" ", b"\r"]))
+    cut = draw(st.integers(0, len(data)))
+    damage = draw(st.sampled_from(["truncate", "invalid UTF-8", None, None, None, None]))
+    if damage == "truncate":
+        return data[:cut]
+    return data[:cut] + b"\xff" + data[cut:] if damage else data
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    lines=st.lists(
+        st.one_of(*[_prefilter_line()] * 3, st.sampled_from([b"", b"  ", b"[1]", b"{not json"])),
+        max_size=16,
+    ),
+    ending=st.sampled_from([b"\n", b"\r\n"]),
+)
+def test_prefilter_drops_only_lines_a_full_parse_would_not_keep(lines, ending):
+    data = b"".join(line + ending for line in lines)
+
+    def scan(path, processes, pattern):
+        stats = ParseStats()
+        keep = {doi: doi for doi in _PREFILTER_NEEDED}
+        with mock.patch.object(ingest, "_FIRST_DOI", pattern):
+            records, issues = _parse_evidence(path, keep=keep, stats=stats, processes=processes)
+        return records, {i.line_no: i for i in issues}, (stats.lines, stats.records), keep
+
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "_MIN_RANGE_BYTES", 16):
+        dump = Path(tmp) / "dump.jsonl"
+        dump.write_bytes(data)
+        for processes in (1, 3):
+            records, issues, counts, keep = scan(dump, processes, ingest._FIRST_DOI)
+            expected_records, expected_issues, expected_counts, expected_keep = scan(
+                dump, processes, _NEVER
+            )
+            assert (records, counts, keep) == (expected_records, expected_counts, expected_keep)
+            assert issues.items() <= expected_issues.items()
+            for line_no in expected_issues.keys() - issues.keys():
+                issue = expected_issues[line_no]
+                assert (issue.kind, issue.detail) == ("malformed", "invalid JSON") or (
+                    issue.kind == "missing_required_field"
+                )
+                first = ingest._FIRST_DOI.match(lines[line_no - 1])
+                assert normalize_doi(first[1].decode()) not in _PREFILTER_NEEDED
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 _COLUMNS = (
