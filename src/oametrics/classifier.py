@@ -87,14 +87,25 @@ def classify_stream(
 
 
 class ClassifiedRows:
-    """The classified table: each publication's OA flags, sorted by pub_id."""
+    """The classified table: each publication's OA flags, sorted by pub_id.
+
+    `add` holds only references to the publication and its shared
+    outcome; the rows are built by `table()`, which may be called again,
+    so a caller that frees the evidence first lets the rows reuse its
+    memory.
+    """
 
     def __init__(self) -> None:
-        self.rows: list[tuple] = []
+        self.publications: list[PublicationRecord] = []
+        self.types: list[OATypeSet] = []
 
     def add(self, cp: ClassifiedPublication) -> None:
-        pub, t = cp.publication, cp.types
-        self.rows.append((pub.pub_id, pub.doi, t.gold, t.green, t.hybrid, t.bronze, t.any_oa))
+        self.publications.append(cp.publication)
+        self.types.append(cp.types)
 
     def table(self) -> Table:
-        return Table("classified", CLASSIFIED_COLUMNS, tuple(sorted(self.rows)))
+        rows = sorted(
+            (pub.pub_id, pub.doi, t.gold, t.green, t.hybrid, t.bronze, t.any_oa)
+            for pub, t in zip(self.publications, self.types)
+        )
+        return Table("classified", CLASSIFIED_COLUMNS, tuple(rows))

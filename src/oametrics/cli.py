@@ -90,25 +90,23 @@ def format_pct(value: Fraction | int | None) -> str:
     """Render a share as a percentage with one decimal, half-up, exactly."""
     if value is None:
         return ""
-    scaled = Fraction(value) * 1000
-    tenths = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
+    # floor(1000 * n / d + 1/2), in integers.
+    n, d = value.numerator, value.denominator
+    tenths = (2000 * n + d) // (2 * d)
     return f"{tenths // 10}.{tenths % 10}"
 
 
+#: The CSV text of each special cell type, looked up by exact type, as
+#: isinstance(v, Fraction) goes through ABCMeta. Any other value is str(value).
+_CSV_CELLS = {type(None): lambda _: "", bool: lambda v: "true" if v else "false", Fraction: format_pct}
+
+
 def _csv_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return format_pct(value)
-    return str(value)
+    return _CSV_CELLS.get(type(value), str)(value)
 
 
 def _jsonl_value(value):
-    if isinstance(value, Fraction):
-        return float(format_pct(value))
-    return value
+    return float(format_pct(value)) if type(value) is Fraction else value
 
 
 def _write_table(fh, table: Table, report_format: str) -> None:
@@ -120,12 +118,12 @@ def _write_table(fh, table: Table, report_format: str) -> None:
     if report_format == "csv":
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(table.columns)
-        for row in table.rows:
-            writer.writerow([_csv_value(v) for v in row])
+        writer.writerows([_csv_value(v) for v in row] for row in table.rows)
     elif report_format == "jsonl":
+        # One encoder per table: json.dumps(..., ensure_ascii=False) builds one per call.
+        encode = json.JSONEncoder(ensure_ascii=False).encode
         for row in table.rows:
-            record = {col: _jsonl_value(v) for col, v in zip(table.columns, row)}
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            fh.write(encode({col: _jsonl_value(v) for col, v in zip(table.columns, row)}) + "\n")
     else:
         raise ValueError(f"unknown report format: {report_format!r}")
 
@@ -287,7 +285,7 @@ def run_pipeline(
     for cp in classify_stream(publications, evidence, journals):
         for add in adds:
             add(cp)
-    # No table reads an input record again; table building reuses their memory.
+    # Free the DOI map and its evidence digests before any table is built, so the rows reuse their memory.
     del publications, evidence
 
     cells = None

@@ -134,7 +134,9 @@ def _open_stream(source) -> Iterator[io.BufferedIOBase]:
         if not hasattr(fh, "peek"):
             fh = io.BufferedReader(fh)
         if fh.peek(2)[:2] == _GZIP_MAGIC:
-            fh = stack.enter_context(gzip.GzipFile(fileobj=fh))
+            # Lines from a BufferedReader's C readline, not GzipFile's Python one,
+            # and 64 KiB per call into the decompressor.
+            fh = stack.enter_context(io.BufferedReader(gzip.GzipFile(fileobj=fh), 1 << 16))
         if fh.peek(3)[:3] == codecs.BOM_UTF8:
             fh.read(3)
         yield fh

@@ -41,13 +41,8 @@ TYPE_ORDER = OA_TYPES + (ANY_OA,)
 CITABLE_DOC_TYPES = frozenset({"article", "review", "letter"})
 APC_STATES = frozenset({"yes", "no", "unknown"})
 
-_RESOLVER_PREFIXES = (
-    "doi:",
-    "https://doi.org/",
-    "http://doi.org/",
-    "https://dx.doi.org/",
-    "http://dx.doi.org/",
-)
+#: A run of DOI resolver prefixes, each with the whitespace after it, or "".
+_RESOLVER_PREFIXES = re.compile(r"(?:(?:doi:|https?://(?:dx\.)?doi\.org/)\s*)*")
 
 
 def normalize_doi(raw: str | None) -> str | None:
@@ -60,13 +55,8 @@ def normalize_doi(raw: str | None) -> str | None:
     if raw is None:
         return None
     doi = raw.strip().lower()
-    stripped = not doi.startswith("10.")  # no resolver prefix starts with "10."
-    while stripped:
-        stripped = False
-        for prefix in _RESOLVER_PREFIXES:
-            if doi.startswith(prefix):
-                doi = doi[len(prefix):].strip()
-                stripped = True
+    if not doi.startswith("10."):  # no resolver prefix starts with "10."
+        doi = doi[_RESOLVER_PREFIXES.match(doi).end():]
     slash = doi.find("/", 3)  # the registrant before it and the suffix after it are non-empty
     return doi if 3 < slash < len(doi) - 1 and doi.startswith("10.") else None
 

@@ -1,0 +1,90 @@
+"""The table writer against a plain reference: the same text for every cell type.
+
+The reference renders cells with isinstance checks and `Fraction`
+arithmetic, and encodes each JSON line with its own json.dumps call.
+"""
+
+import csv
+import io
+import json
+from fractions import Fraction
+
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from oametrics import cli
+from oametrics.cli import format_pct
+from oametrics.models import Table
+
+
+def _reference_format_pct(value):
+    if value is None:
+        return ""
+    scaled = Fraction(value) * 1000
+    tenths = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
+    return f"{tenths // 10}.{tenths % 10}"
+
+
+def _reference_csv_value(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, Fraction):
+        return _reference_format_pct(value)
+    return str(value)
+
+
+def _reference_jsonl_value(value):
+    if isinstance(value, Fraction):
+        return float(_reference_format_pct(value))
+    return value
+
+
+def _reference_write_table(fh, table, report_format):
+    if report_format == "csv":
+        writer = csv.writer(fh, lineterminator="\r\n")
+        writer.writerow(table.columns)
+        for row in table.rows:
+            writer.writerow([_reference_csv_value(v) for v in row])
+    else:
+        for row in table.rows:
+            record = {col: _reference_jsonl_value(v) for col, v in zip(table.columns, row)}
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+#: Shares whose percent lies exactly halfway between two tenths.
+_TIES = [Fraction(1, 800), Fraction(1, 2000), Fraction(3, 2000), Fraction(-1, 2000), Fraction(999, 1000)]
+
+_SHARES = st.one_of(st.sampled_from(_TIES), st.fractions(), st.fractions(min_value=0, max_value=1))
+
+_TEXT = st.one_of(st.text(), st.text(st.sampled_from('a,;"\'\n\r\t\x00\x1f\x7f é€😀 ')))
+
+_CELLS = st.one_of(_TEXT, st.none(), st.booleans(), st.integers(), st.floats(), _SHARES)
+
+
+@st.composite
+def _tables(draw):
+    columns = tuple(draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True)))
+    rows = draw(st.lists(st.tuples(*[_CELLS] * len(columns)), max_size=6))
+    return Table("t", columns, tuple(rows))
+
+
+def _written(write, table, report_format) -> bytes:
+    buffer = io.StringIO(newline="")
+    write(buffer, table, report_format)
+    return buffer.getvalue().encode("utf-8")
+
+
+@given(_tables())
+@example(Table("t", ("share", "flag", "n", "name"), ((Fraction(1, 800), True, 3, 'a "b",\nc'),)))
+def test_write_table_matches_reference(table):
+    for report_format in ("csv", "jsonl"):
+        assert _written(cli._write_table, table, report_format) == _written(
+            _reference_write_table, table, report_format
+        ), report_format
+
+
+@given(st.one_of(_SHARES, st.integers(), st.booleans()))
+def test_format_pct_matches_reference(value):
+    assert format_pct(value) == _reference_format_pct(value)
