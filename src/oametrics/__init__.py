@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .classifier import ClassifiedPublication, ClassifiedRows, classify, classify_stream
+from .classifier import ClassifiedRows, classify, classify_stream
 from .gold_models import GoldModel, resolve_journal_country
 from .indicators import (
     FullCounts,
@@ -47,7 +47,6 @@ __all__ = [
     "MAIN_FIELDS",
     "OA_TYPES",
     "TYPE_ORDER",
-    "ClassifiedPublication",
     "ClassifiedRows",
     "FullCounts",
     "GoldModel",

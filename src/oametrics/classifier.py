@@ -9,7 +9,6 @@ and bronze.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .models import (
@@ -22,20 +21,6 @@ from .models import (
 )
 
 CLASSIFIED_COLUMNS = ("pub_id", "doi", "gold", "green", "hybrid", "bronze", "any_oa")
-
-
-@dataclass(frozen=True, slots=True)
-class ClassifiedPublication:
-    """A publication, its OA outcome and its evidence's normalized repository URLs."""
-
-    publication: PublicationRecord
-    types: OATypeSet
-    repository_urls: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "repository_urls", tuple(self.repository_urls))
-        if self.publication.doi is None and self.types.any_oa:
-            raise ValueError("a publication without a DOI cannot be OA")
 
 
 #: The eight possible outcomes, keyed by (publisher-side type, green) and
@@ -72,36 +57,36 @@ def classify_stream(
     publications: Iterable[PublicationRecord],
     evidence_by_doi: Mapping[str, OAEvidenceRecord],
     journals: Mapping[str, JournalRecord] | None = None,
-) -> Iterator[ClassifiedPublication]:
-    """Classify every publication exactly once.
+) -> Iterator[tuple[PublicationRecord, OATypeSet, tuple[str, ...]]]:
+    """Classify every publication exactly once, as (publication, outcome, repository URLs).
 
-    Publications without a DOI, or whose DOI has no evidence record,
-    come out all-false. Evidence must be keyed by normalized DOI.
+    The URLs are the evidence record's, normalized, or () without one.
+    Publications without a DOI, or whose DOI has no evidence record, come
+    out all-false. Evidence must be keyed by normalized DOI.
     """
     journals = journals or {}
     for pub in publications:
         evidence = evidence_by_doi.get(pub.doi) if pub.doi is not None else None
         types = classify(evidence, journals.get(pub.journal_id))
-        urls = evidence.repository_urls if evidence is not None else ()
-        yield ClassifiedPublication(publication=pub, types=types, repository_urls=urls)
+        yield pub, types, evidence.repository_urls if evidence is not None else ()
 
 
 class ClassifiedRows:
     """The classified table: each publication's OA flags, sorted by pub_id.
 
-    `add` holds only references to the publication and its shared
-    outcome; the rows are built by `table()`, which may be called again,
-    so a caller that frees the evidence first lets the rows reuse its
-    memory.
+    `add(pub, types, repository_urls)` holds only references to the
+    publication and its shared outcome and ignores the URLs; the rows are
+    built by `table()`, which may be called again, so a caller that frees
+    the evidence first lets the rows reuse its memory.
     """
 
     def __init__(self) -> None:
         self.publications: list[PublicationRecord] = []
         self.types: list[OATypeSet] = []
 
-    def add(self, cp: ClassifiedPublication) -> None:
-        self.publications.append(cp.publication)
-        self.types.append(cp.types)
+    def add(self, pub: PublicationRecord, types: OATypeSet, repository_urls=()) -> None:
+        self.publications.append(pub)
+        self.types.append(types)
 
     def table(self) -> Table:
         rows = sorted(

@@ -213,7 +213,7 @@ def run_pipeline(
     with up to `shards` processes (default: `_usable_cpus()`); the output
     is the same for any count. One pass then classifies each publication
     and feeds it to every requested table; the bundle and the issue log
-    are written in one step (ReportBundle.write).
+    are written in one step (ReportBundle.write), the log alone without `out_dir`.
 
     Raises, before any input is read, ConfigurationError for an unknown
     table name, a `max_issue_rate` that is not >= 0 (NaN included) or an
@@ -226,9 +226,9 @@ def run_pipeline(
         raise ConfigurationError(f"unknown table: {unknown[0]!r}")
     if not max_issue_rate >= 0:  # also false for NaN, which no rate would ever exceed
         raise ConfigurationError(f"max issue rate must be >= 0, got {max_issue_rate!r}")
-    if issue_log_path is not None and out_dir is not None:
-        log = Path(issue_log_path).resolve()
-        targets = [Path(out_dir), *(Path(out_dir) / f"{name}.{report_format}" for name in tables)]
+    if issue_log_path is not None:
+        log, dirs = Path(issue_log_path).resolve(), [] if out_dir is None else [Path(out_dir)]
+        targets = dirs + [d / f"{name}.{report_format}" for d in dirs for name in tables]
         if log.is_dir() or any(log == path.resolve() for path in targets):
             raise ConfigurationError(f"{issue_log_path}: issue log would overwrite a directory or a table")
     for path in (publications_path, evidence_path, institutions_path, journals_path):
@@ -282,9 +282,9 @@ def run_pipeline(
     needed = {needs.get(name, name) for name in tables}
     accumulators = {name: make() for name, make in folds.items() if name in needed}
     adds = [acc.add for acc in accumulators.values()]
-    for cp in classify_stream(publications, evidence, journals):
+    for pub, types, urls in classify_stream(publications, evidence, journals):
         for add in adds:
-            add(cp)
+            add(pub, types, urls)
     # Free the DOI map and its evidence digests before any table is built, so the rows reuse their memory.
     del publications, evidence
 
@@ -312,9 +312,11 @@ def run_pipeline(
     })
     bundle = ReportBundle({name: build() for name, build in builders.items() if name in tables})
 
+    log = [] if issue_log_path is None else [(Path(issue_log_path), sink.log_table())]
     if out_dir is not None:
-        log = [] if issue_log_path is None else [(Path(issue_log_path), sink.log_table())]
         bundle.write(Path(out_dir), report_format, extra=log)
+    elif log:
+        _write_tables(log, report_format)
     return bundle
 
 

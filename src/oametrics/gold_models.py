@@ -11,8 +11,9 @@ from __future__ import annotations
 from collections import Counter
 from typing import Mapping
 
-from .classifier import ClassifiedPublication
-from .models import Institution, JournalRecord, Table, exact_share, roster_countries
+from .models import (
+    Institution, JournalRecord, OATypeSet, PublicationRecord, Table, exact_share, roster_countries,
+)
 
 #: Constituent countries that resolve to the United Kingdom.
 UK_CONSTITUENTS = {
@@ -138,12 +139,11 @@ class GoldModel:
         self.apc_yes, self.apc_known = Counter(), Counter()
         self.seen_countries: set[str] = set()
 
-    def add(self, cp: ClassifiedPublication) -> None:
-        countries = roster_countries(cp.publication, self.institutions)
+    def add(self, pub: PublicationRecord, types: OATypeSet, repository_urls=()) -> None:
+        countries = roster_countries(pub, self.institutions)
         self.seen_countries.update(countries)
-        if not countries or not cp.types.gold:
+        if not countries or not types.gold:
             return
-        pub = cp.publication
         journal = self.journals.get(pub.journal_id)
         if pub.journal_id not in self.journal_country:
             self.journal_country[pub.journal_id] = None if journal is None else (

@@ -13,7 +13,6 @@ from functools import cache
 from itertools import product
 from typing import Callable, Iterable, Mapping
 
-from .classifier import ClassifiedPublication
 from .models import (
     ALL_SCIENCES,
     FIELD_ORDER,
@@ -24,6 +23,7 @@ from .models import (
     Institution,
     OATypeSet,
     PipelineConfig,
+    PublicationRecord,
     Table,
     exact_share,
 )
@@ -47,9 +47,8 @@ class FullCounts:
     def __init__(self) -> None:
         self.counts: Counter[CountKey] = Counter()
 
-    def add(self, cp: ClassifiedPublication) -> None:
-        pub = cp.publication
-        metrics = _count_metrics(cp.types, pub.doi is not None)
+    def add(self, pub: PublicationRecord, types: OATypeSet, repository_urls=()) -> None:
+        metrics = _count_metrics(types, pub.doi is not None)
         self.counts.update(product(pub.institution_ids, (*pub.field_ids, ALL_SCIENCES), metrics))
 
 
@@ -182,8 +181,8 @@ class OverlapTally:
     def __init__(self) -> None:
         self.outcomes: Counter[OATypeSet] = Counter()
 
-    def add(self, cp: ClassifiedPublication) -> None:
-        self.outcomes[cp.types] += 1
+    def add(self, pub: PublicationRecord, types: OATypeSet, repository_urls=()) -> None:
+        self.outcomes[types] += 1
 
     def table(self) -> Table:
         def count(test: Callable[[OATypeSet], bool]) -> int:

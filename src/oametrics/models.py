@@ -273,8 +273,8 @@ class Table:
     """One report table: a name, a header and canonically ordered rows.
 
     Each row is a tuple in column order. Every table builder, and the
-    `table()` of every accumulator fed one classified publication per
-    `add`, returns one, next to a module constant that names its columns.
+    `table()` of every accumulator fed `add(pub, types, repository_urls)`
+    once per publication, returns one; a module constant names its columns.
     """
 
     name: str

@@ -46,14 +46,14 @@ class RepoBounds:
         self.institutions, self.handle_pattern = institutions, handle_pattern
         self.pubs, self.green, self.lower, self.upper = Counter(), Counter(), Counter(), Counter()
 
-    def add(self, cp) -> None:
-        inst_ids = [i for i in cp.publication.institution_ids if i in self.institutions]
+    def add(self, pub, types, repository_urls) -> None:
+        inst_ids = [i for i in pub.institution_ids if i in self.institutions]
         self.pubs.update(inst_ids)
-        if not inst_ids or not cp.types.green:
+        if not inst_ids or not types.green:
             return
-        handle = _matches(cp.repository_urls, (self.handle_pattern,))
+        handle = _matches(repository_urls, (self.handle_pattern,))
         for inst_id in inst_ids:
-            matched = _matches(cp.repository_urls, self.institutions[inst_id].repo_url_patterns)
+            matched = _matches(repository_urls, self.institutions[inst_id].repo_url_patterns)
             self.green[inst_id] += 1
             self.lower[inst_id] += matched
             self.upper[inst_id] += matched or handle
@@ -97,20 +97,20 @@ class PmcOverlap:
         self.flagged = {t: Counter() for t in _PMC_FLAGGED}
         self.seen_countries: set[str] = set()
 
-    def add(self, cp) -> None:
-        countries = roster_countries(cp.publication, self.institutions)
+    def add(self, pub, types, repository_urls) -> None:
+        countries = roster_countries(pub, self.institutions)
         self.seen_countries.update(countries)
-        if not countries or not cp.types.green:
+        if not countries or not types.green:
             return
         self.greens.update(countries)
-        via_pmc, has_other_repo = _pmc_flags(cp.repository_urls, self.pmc_url_patterns)
+        via_pmc, has_other_repo = _pmc_flags(repository_urls, self.pmc_url_patterns)
         if not via_pmc:
             return
         self.pmc.update(countries)
         if not has_other_repo:
             self.pmc_only.update(countries)
         for oa_type, counter in self.flagged.items():
-            if cp.types.has(oa_type):
+            if types.has(oa_type):
                 counter.update(countries)
 
     def table(self) -> Table:

@@ -1,7 +1,8 @@
 """Test-side builders, a table reader and an independent classification oracle.
 
 `records` reads a report table as one column -> value dict per row, and
-`fold` feeds items to a table accumulator, as run_pipeline's one pass does.
+`fold` feeds (publication, outcome, repository URLs) items to a table
+accumulator, as run_pipeline's one pass does.
 
 `repo_loc` and `pub_loc` build the location objects of an evidence dump
 line; `evidence` builds the record the scan reduces such a line to, so
@@ -23,9 +24,9 @@ def records(table: Table) -> list[dict]:
 
 
 def fold(accumulator, items):
-    """Feed every item to ``accumulator.add``; return the accumulator."""
+    """Feed every (pub, types, repository_urls) item to ``accumulator.add``; return the accumulator."""
     for item in items:
-        accumulator.add(item)
+        accumulator.add(*item)
     return accumulator
 
 

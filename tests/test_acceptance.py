@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from oracles import classify_oracle, evidence, fold, pub_loc, records, repo_loc
 
-from oametrics.classifier import ClassifiedPublication, classify, classify_stream
+from oametrics.classifier import classify, classify_stream
 from oametrics.cli import format_pct, run_pipeline
 from oametrics.gold_models import GoldModel
 from oametrics.indicators import OverlapTally, median_exact, median_share_by_country
@@ -127,7 +127,7 @@ def test_acceptance_2_exclusivity_and_partition_identity():
             types = _random_types(rng)
             if types.gold + types.hybrid + types.bronze > 1:
                 violations += 1
-            classified.append(ClassifiedPublication(publication=SHARED_PUB, types=types))
+            classified.append((SHARED_PUB, types, ()))
         count = _overlap_counts(classified)
         if sum(count[f"exclusive_{t}"] for t in EXCLUSIVE) != count["total_oa"]:
             violations += 1
@@ -224,8 +224,7 @@ def test_acceptance_4_median_oracle_and_threshold():
 
 def _green_cp(locations):
     """SHARED_PUB, green, with the repository URLs the scan keeps from `locations`."""
-    urls = evidence(locations=locations).repository_urls
-    return ClassifiedPublication(publication=SHARED_PUB, types=OATypeSet(green=True), repository_urls=urls)
+    return SHARED_PUB, OATypeSet(green=True), evidence(locations=locations).repository_urls
 
 
 def test_acceptance_5_repository_bounds():
@@ -248,10 +247,7 @@ def test_acceptance_5_repository_bounds():
         for i in range(1815)
     ]
     unmatched = [_green_cp([repo_loc(f"https://elsewhere.example.org/{i}")]) for i in range(1858 - 1815)]
-    non_green = [
-        ClassifiedPublication(publication=SHARED_PUB, types=OATypeSet(bronze=True))
-        for _ in range(150)
-    ]
+    non_green = [(SHARED_PUB, OATypeSet(bronze=True), ()) for _ in range(150)]
     bounds = fold(RepoBounds(institutions, "hdl.handle.net"), matched + unmatched + non_green)
     (row,) = records(bounds.table())
     assert (row["green_pubs"], row["matched_lower"], row["matched_upper"]) == (1858, 1815, 1815)
@@ -290,11 +286,7 @@ def test_acceptance_6_pmc_accounting():
             via_pmc, _ = _pmc_flags(record.repository_urls, CONFIG.pmc_url_patterns)
             if via_pmc:
                 assert types.green
-            corpus.append(
-                ClassifiedPublication(
-                    publication=SHARED_PUB, types=types, repository_urls=record.repository_urls
-                )
-            )
+            corpus.append((SHARED_PUB, types, record.repository_urls))
         (row,) = records(fold(PmcOverlap(institutions, CONFIG), corpus).table())
         assert 0 <= row["pmc_only"] <= row["pmc"] <= row["green_oa"]
     _passed(6, "PMC accounting: planted fractions exact; pmc_only <= pmc <= green")
@@ -327,9 +319,7 @@ def test_acceptance_7_gold_model_shares():
             institution_ids=frozenset({"U1"}),
             field_ids=frozenset({BIO}),
         )
-        classified.append(
-            ClassifiedPublication(publication=pub, types=OATypeSet(gold=True))
-        )
+        classified.append((pub, OATypeSet(gold=True), ()))
     (row,) = records(fold(GoldModel(journals, institutions, min_universities=1), classified).table())
     assert row["gold_total"] == 100
     assert row["national_share"] == Fraction(63, 100)

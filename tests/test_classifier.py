@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from oracles import classify_oracle, evidence, fold, pub_loc, records, repo_loc
 
-from oametrics.classifier import ClassifiedPublication, classify, classify_stream
+from oametrics.classifier import classify, classify_stream
 from oametrics.models import (
     MAIN_FIELDS,
+    NO_OA,
     Institution,
     JournalRecord,
     OATypeSet,
@@ -175,7 +176,7 @@ def test_scan_reduces_locations_to_the_digest(locations):
     config = PipelineConfig()
     via_pmc = ["ncbi.nlm.nih.gov/pmc" in url for url in repository]
     inst = Institution(inst_id="U1", name="U1", country="TR", regions={"Europe"})
-    classified = ClassifiedPublication(_pub("P1", record.doi), types, record.repository_urls)
+    classified = (_pub("P1", record.doi), types, record.repository_urls)
     (row,) = records(fold(PmcOverlap({"U1": inst}, config), [classified]).table())
     assert (row["green_oa"], row["pmc"], row["pmc_only"]) == (
         int(types.green), int(any(via_pmc)), int(any(via_pmc) and all(via_pmc)),
@@ -200,19 +201,24 @@ def test_stream_classifies_every_publication_once():
         "10.1/1": evidence(doi="10.1/1", locations=[repo_loc()]),
     }
     classified = list(classify_stream(pubs, evidence_by_doi))
-    assert [cp.publication.pub_id for cp in classified] == ["P0", "P1", "P2", "P3", "P9"]
-    assert sum(1 for cp in classified if not cp.types.any_oa) == 3
-    assert classified[0].types.gold and classified[1].types.green
+    assert [pub.pub_id for pub, _, _ in classified] == ["P0", "P1", "P2", "P3", "P9"]
+    assert sum(1 for _, types, _ in classified if not types.any_oa) == 3
+    assert classified[0][1].gold and classified[1][1].green
 
 
 def test_stream_empty_locations_not_oa():
     pubs = [_pub("P1", "10.1/a")]
     evidence_by_doi = {"10.1/a": evidence(doi="10.1/a", journal_is_oa=True, locations=[])}
-    (cp,) = classify_stream(pubs, evidence_by_doi)
-    assert not cp.types.any_oa
-    assert cp.repository_urls == ()
+    ((_, types, urls),) = classify_stream(pubs, evidence_by_doi)
+    assert not types.any_oa
+    assert urls == ()
 
 
 def test_stream_without_doi_never_oa():
-    (cp,) = classify_stream([_pub("P1", None)], {})
-    assert not cp.types.any_oa
+    ((_, types, urls),) = classify_stream([_pub("P1", None)], {})
+    assert types is NO_OA and urls == ()
+    # Not even a gold, green record stored under the key None is read for it.
+    gold = evidence(journal_is_oa=True, locations=[pub_loc("cc-by"), repo_loc()])
+    assert classify(gold).gold and gold.repository_urls
+    ((_, types, urls),) = classify_stream([_pub("P1", None)], {None: gold})
+    assert types is NO_OA and urls == ()

@@ -372,7 +372,12 @@ def test_issue_rate_ceiling_is_checked_before_classify(golden_input, monkeypatch
     def classify_stream(*args):
         raise RuntimeError("classify ran before the issue-rate check")
 
+    def classify(*args):
+        raise RuntimeError("a publication was classified before the issue-rate check")
+
+    # Both names, so a loop that classified without classify_stream is caught too.
     monkeypatch.setattr(cli, "classify_stream", classify_stream)
+    monkeypatch.setattr(classifier, "classify", classify)
     with pytest.raises(SchemaCeilingError, match="publications"):
         run_pipeline(
             PipelineConfig(),
@@ -623,6 +628,35 @@ def test_issue_log_naming_a_bundle_file_is_a_config_error(
     else:
         assert set(json.loads(log.read_text().splitlines()[0])) == {"source", "line_no", "kind", "detail"}
         assert (out / "issues.jsonl").exists()
+
+
+@pytest.mark.parametrize("report_format", ["csv", "jsonl"])
+def test_issue_log_is_written_without_an_out_dir(golden_input, tmp_path, report_format):
+    kwargs = dict(
+        publications_path=golden_input / "publications.csv",
+        evidence_path=golden_input / "evidence.jsonl",
+        report_format=report_format,
+        tables=("issues",),
+    )
+    alone, with_bundle = tmp_path / "alone.log", tmp_path / "with_bundle.log"
+    run_pipeline(PipelineConfig(), issue_log_path=alone, **kwargs)
+    run_pipeline(PipelineConfig(), out_dir=tmp_path / "out", issue_log_path=with_bundle, **kwargs)
+    assert alone.read_bytes() == with_bundle.read_bytes()
+    if report_format == "csv":
+        assert alone.read_bytes() == _golden_issue_log(1)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["alone.log", "out", "with_bundle.log"]
+
+
+def test_issue_log_naming_a_directory_without_an_out_dir_is_a_config_error(tmp_path):
+    # The check comes before any input is read: the missing inputs are not reached.
+    with pytest.raises(ConfigurationError, match="issue log would overwrite a directory") as raised:
+        run_pipeline(
+            PipelineConfig(),
+            publications_path=tmp_path / "missing.csv",
+            evidence_path=tmp_path / "missing.jsonl",
+            issue_log_path=tmp_path,
+        )
+    assert raised.value.exit_code == 2
 
 
 def test_issue_log_naming_the_output_directory_is_a_config_error(golden_input, tmp_path):

@@ -63,7 +63,7 @@ def test_parsed_records_have_no_instance_dict():
     )
     evidence = {r.doi: r for r in parse_evidence_stream(io.BytesIO(line.encode()))}
     classified = list(classify_stream(pubs, evidence))
-    for obj in (pubs[0], evidence[pubs[0].doi], classified[0], classified[0].types):
+    for obj in (pubs[0], evidence[pubs[0].doi], classified[0][1]):
         assert not hasattr(obj, "__dict__"), type(obj).__name__
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from oracles import fold, records
 
-from oametrics.classifier import ClassifiedPublication
 from oametrics.gold_models import (
     DEFAULT_COUNTRY_LOOKUP,
     GoldModel,
@@ -76,7 +75,7 @@ def _gold_pub(pub_id, journal_id, language="en", insts=("U1",)):
         institution_ids=frozenset(insts),
         field_ids=frozenset({BIO}),
     )
-    return ClassifiedPublication(publication=pub, types=OATypeSet(gold=True))
+    return pub, OATypeSet(gold=True), ()
 
 
 def _plain_pub(pub_id, insts=("U1",)):
@@ -88,7 +87,7 @@ def _plain_pub(pub_id, insts=("U1",)):
         institution_ids=frozenset(insts),
         field_ids=frozenset({BIO}),
     )
-    return ClassifiedPublication(publication=pub, types=OATypeSet())
+    return pub, OATypeSet(), ()
 
 
 def test_national_share_by_hand():

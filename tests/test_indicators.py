@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from oracles import fold, records
 
-from oametrics.classifier import ClassifiedPublication
 from oametrics.indicators import (
     FullCounts,
     OverlapTally,
@@ -46,7 +45,7 @@ def _cp(pub_id, types=OATypeSet(), insts=("U1",), fields=(BIO,), doi="default"):
         institution_ids=frozenset(insts),
         field_ids=frozenset(fields),
     )
-    return ClassifiedPublication(publication=pub, types=types)
+    return pub, types, ()
 
 
 def _inst(inst_id, country="TR", regions=("Europe",)):
@@ -99,7 +98,7 @@ def test_full_counting_identity_random_corpus():
         n for (inst, field, metric), n in counts.items()
         if field == ALL_SCIENCES and metric == "pubs"
     )
-    assert total_credits == sum(len(cp.publication.institution_ids) for cp in pubs)
+    assert total_credits == sum(len(pub.institution_ids) for pub, _, _ in pubs)
 
 
 def test_university_indicator_share():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import evidence, fold, pub_loc, records, repo_loc
 
-from oametrics.classifier import ClassifiedPublication, classify
+from oametrics.classifier import classify
 from oametrics.models import (
     MAIN_FIELDS,
     Institution,
@@ -68,8 +68,7 @@ def _cp(pub_id, types, locations=(), inst_ids=("U1",)):
         institution_ids=frozenset(inst_ids),
         field_ids=frozenset({BIO}),
     )
-    urls = evidence(locations=locations).repository_urls
-    return ClassifiedPublication(publication=pub, types=types, repository_urls=urls)
+    return pub, types, evidence(locations=locations).repository_urls
 
 
 GREEN = OATypeSet(green=True)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from oracles import evidence, fold, pub_loc, records, repo_loc
 
-from oametrics.classifier import ClassifiedPublication, ClassifiedRows, classify, classify_stream
+from oametrics.classifier import ClassifiedRows, classify, classify_stream
 from oametrics.cli import REPORT_TABLES, run_pipeline
 from oametrics.gold_models import GoldModel
 from oametrics.indicators import (
@@ -85,7 +85,7 @@ def _classified(rows):
         )
         record = evidence(doi=pub.doi, journal_is_oa=journal_is_oa, locations=locations)
         types = classify(record, JOURNALS.get(journal_id))
-        classified.append(ClassifiedPublication(pub, types, record.repository_urls))
+        classified.append((pub, types, record.repository_urls))
     return classified
 
 
