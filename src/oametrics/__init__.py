@@ -11,7 +11,6 @@ from .indicators import (
     field_summary,
     median_share_by_country,
     region_rollup,
-    universities_table,
     university_indicators,
 )
 from .ingest import (
@@ -28,7 +27,6 @@ from .models import (
     MAIN_FIELDS,
     OA_TYPES,
     TYPE_ORDER,
-    IndicatorCell,
     Institution,
     JournalRecord,
     OAEvidenceRecord,
@@ -50,7 +48,6 @@ __all__ = [
     "ClassifiedRows",
     "FullCounts",
     "GoldModel",
-    "IndicatorCell",
     "Institution",
     "IssueSummary",
     "JournalRecord",
@@ -76,6 +73,5 @@ __all__ = [
     "parse_registries",
     "region_rollup",
     "resolve_journal_country",
-    "universities_table",
     "university_indicators",
 ]

@@ -36,7 +36,6 @@ from .indicators import (
     field_summary,
     median_share_by_country,
     region_rollup,
-    universities_table,
     university_indicators,
 )
 from .ingest import (
@@ -49,7 +48,7 @@ from .ingest import (
 from .models import PipelineConfig, Table
 from .repositories import PmcOverlap, RepoBounds
 
-#: Tables computed from the per-university indicator cells.
+#: The universities table and the tables computed from its rows.
 CELL_TABLES = (
     "universities",
     "field_summary",
@@ -216,14 +215,17 @@ def run_pipeline(
     are written in one step (ReportBundle.write), the log alone without `out_dir`.
 
     Raises, before any input is read, ConfigurationError for an unknown
-    table name, a `max_issue_rate` that is not >= 0 (NaN included) or an
-    issue log that would overwrite a bundle file or a directory, and
-    FatalInputError for a missing input or issue-log directory. Raises
-    FatalInputError for an unreadable input, and SchemaCeilingError for
-    an issue rate above `max_issue_rate`, before classifying anything.
+    table name or report format, a `max_issue_rate` that is not >= 0
+    (NaN included) or an issue log that would overwrite a bundle file or
+    a directory, and FatalInputError for a missing input or issue-log
+    directory. Raises FatalInputError for an unreadable input, and
+    SchemaCeilingError for an issue rate above `max_issue_rate`, before
+    classifying anything.
     """
     if unknown := [name for name in tables if name not in (*REPORT_TABLES, "classified")]:
         raise ConfigurationError(f"unknown table: {unknown[0]!r}")
+    if report_format not in ("csv", "jsonl"):
+        raise ConfigurationError(f"unknown report format: {report_format!r}")
     if not max_issue_rate >= 0:  # also false for NaN, which no rate would ever exceed
         raise ConfigurationError(f"max issue rate must be >= 0, got {max_issue_rate!r}")
     if issue_log_path is not None:
@@ -288,25 +290,20 @@ def run_pipeline(
     # Free the DOI map and its evidence digests before any table is built, so the rows reuse their memory.
     del publications, evidence
 
-    cells = None
+    universities = None
     if "counts" in accumulators:
-        # Only roster institutions are in scope; an unknown id in a
-        # publication's affiliations gets no cells.
-        cells = [
-            c for c in university_indicators(accumulators.pop("counts").counts, config)
-            if c.scope_id in institutions
-        ]
+        universities = university_indicators(accumulators.pop("counts").counts, institutions, config)
 
     builders = {name: cache(acc.table) for name, acc in accumulators.items()}
     builders.update({
-        "universities": lambda: universities_table(cells, institutions),
-        "field_summary": lambda: field_summary(cells),
+        "universities": lambda: universities,
+        "field_summary": lambda: field_summary(universities),
         "country_medians": lambda: _displayed(builders["country_medians_full"](), COUNTRY_MEDIANS_COLUMNS),
         "country_medians_full": cache(
-            lambda: median_share_by_country(cells, institutions, config.min_universities_country)
+            lambda: median_share_by_country(universities, config.min_universities_country)
         ),
-        "region_medians": lambda: region_rollup(cells, institutions),
-        "profiles": lambda: field_profile(cells),
+        "region_medians": lambda: region_rollup(universities, institutions),
+        "profiles": lambda: field_profile(universities),
         "gold_models": lambda: _displayed(builders["gold_models_full"](), GOLD_MODELS_COLUMNS),
         "issues": sink.table,
     })

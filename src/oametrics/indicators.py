@@ -19,7 +19,6 @@ from .models import (
     MAIN_FIELDS,
     OA_TYPES,
     TYPE_ORDER,
-    IndicatorCell,
     Institution,
     OATypeSet,
     PipelineConfig,
@@ -52,34 +51,37 @@ class FullCounts:
         self.counts.update(product(pub.institution_ids, (*pub.field_ids, ALL_SCIENCES), metrics))
 
 
+UNIVERSITIES_COLUMNS = (
+    "university", "country", "field", "oa_type", "numerator", "denominator", "share_pct",
+)
+
+
 def university_indicators(
     counts: Mapping[CountKey, int],
+    institutions: Mapping[str, Institution],
     config: PipelineConfig,
-) -> list[IndicatorCell]:
-    """Expand counts into the full university x field x type cell grid.
+) -> Table:
+    """The universities table: the roster university x field x type grid with exact shares.
 
-    Every university seen in the counts gets a cell for all six fields
-    and five OA buckets; fields the university never published in carry
-    a zero denominator (null share). The denominator follows
-    config.denominator_mode.
+    Every roster university seen in the counts gets a row, with its
+    country, for all six fields and five OA buckets; fields the
+    university never published in carry a zero denominator (null share).
+    An id the roster does not list gets no rows. The denominator follows
+    config.denominator_mode. The other cell tables read these rows.
     """
     denominator_metric = "pubs" if config.denominator_mode == "all_pubs" else "doi_pubs"
-    universities = sorted({inst_id for (inst_id, _, _) in counts})
-    cells = []
-    for inst_id in universities:
+    rows = []
+    for inst_id in sorted({inst_id for (inst_id, _, _) in counts if inst_id in institutions}):
+        country = institutions[inst_id].country
         for field_name in FIELD_ORDER:
             denominator = counts.get((inst_id, field_name, denominator_metric), 0)
             for oa_type in TYPE_ORDER:
-                cells.append(
-                    IndicatorCell(
-                        scope_id=inst_id,
-                        field=field_name,
-                        oa_type=oa_type,
-                        numerator=counts.get((inst_id, field_name, oa_type), 0),
-                        denominator=denominator,
-                    )
-                )
-    return cells
+                numerator = counts.get((inst_id, field_name, oa_type), 0)
+                rows.append((
+                    inst_id, country, field_name, oa_type,
+                    numerator, denominator, exact_share(numerator, denominator),
+                ))
+    return Table("universities", UNIVERSITIES_COLUMNS, tuple(rows))
 
 
 def median_exact(values: Iterable[Fraction]) -> Fraction:
@@ -94,26 +96,21 @@ def median_exact(values: Iterable[Fraction]) -> Fraction:
 
 
 def _all_sciences_medians(
-    cells: Iterable[IndicatorCell],
-    institutions: Mapping[str, Institution],
-    groups_of: Callable[[Institution], Iterable[str]],
+    universities: Table,
+    groups_of: Callable[[str, str], Iterable[str]],
 ) -> list[tuple[str, str, int, Fraction]]:
-    """(group, oa_type, n_universities, median share) over the all-sciences cells.
+    """(group, oa_type, n_universities, median share) over the all-sciences rows.
 
-    A cell's share counts in every group `groups_of` gives its
-    institution. Null shares and institutions off the roster are skipped.
-    Rows are sorted by group, then OA type in TYPE_ORDER.
+    A row's share counts in every group `groups_of(university, country)`
+    gives. Null shares are skipped. Rows are sorted by group, then OA
+    type in TYPE_ORDER.
     """
     shares: dict[tuple[str, int], list[Fraction]] = defaultdict(list)
-    for cell in cells:
-        if cell.field != ALL_SCIENCES or cell.oa_type not in TYPE_ORDER:
+    for university, country, field_name, oa_type, _, _, share in universities.rows:
+        if field_name != ALL_SCIENCES or share is None:
             continue
-        share = cell.share
-        inst = institutions.get(cell.scope_id)
-        if share is None or inst is None:
-            continue
-        for group in groups_of(inst):
-            shares[(group, TYPE_ORDER.index(cell.oa_type))].append(share)
+        for group in groups_of(university, country):
+            shares[(group, TYPE_ORDER.index(oa_type))].append(share)
     return [
         (group, TYPE_ORDER[type_index], len(values), median_exact(values))
         for (group, type_index), values in sorted(shares.items())
@@ -124,22 +121,19 @@ COUNTRY_MEDIANS_COLUMNS = ("country", "oa_type", "n_universities", "median_pct")
 COUNTRY_MEDIANS_FULL_COLUMNS = COUNTRY_MEDIANS_COLUMNS + ("displayed",)
 
 
-def median_share_by_country(
-    cells: Iterable[IndicatorCell],
-    institutions: Mapping[str, Institution],
-    min_universities: int,
-) -> Table:
+def median_share_by_country(universities: Table, min_universities: int) -> Table:
     """The country_medians_full table: median university share per country and OA type.
 
-    Medians are over the all-sciences cells; cells with a null share
-    are skipped. Countries with fewer contributing universities than
-    `min_universities` stay in the table but are flagged as not
-    displayed, so display filtering never loses data.
+    Medians are over the all-sciences rows of the universities table;
+    rows with a null share are skipped. Countries with fewer
+    contributing universities than `min_universities` stay in the table
+    but are flagged as not displayed, so display filtering never loses
+    data.
     """
     rows = tuple(
         (country, oa_type, n, median, n >= min_universities)
         for country, oa_type, n, median in _all_sciences_medians(
-            cells, institutions, lambda inst: (inst.country,)
+            universities, lambda university, country: (country,)
         )
     )
     return Table("country_medians_full", COUNTRY_MEDIANS_FULL_COLUMNS, rows)
@@ -148,17 +142,14 @@ def median_share_by_country(
 REGION_MEDIANS_COLUMNS = ("region", "oa_type", "n_universities", "median_pct")
 
 
-def region_rollup(
-    cells: Iterable[IndicatorCell],
-    institutions: Mapping[str, Institution],
-) -> Table:
+def region_rollup(universities: Table, institutions: Mapping[str, Institution]) -> Table:
     """The region_medians table: the country-median logic rolled up to regions.
 
-    A university contributes its share to every region its country is
-    assigned to, so dual-region countries appear in both medians. There
-    is no display threshold.
+    A university of the universities table contributes its share to
+    every region the roster assigns it, so dual-region countries appear
+    in both medians. There is no display threshold.
     """
-    rows = _all_sciences_medians(cells, institutions, lambda inst: inst.regions)
+    rows = _all_sciences_medians(universities, lambda university, _: institutions[university].regions)
     return Table("region_medians", REGION_MEDIANS_COLUMNS, tuple(rows))
 
 
@@ -206,18 +197,18 @@ class OverlapTally:
 PROFILES_COLUMNS = ("university", "field", "oa_type", "share_pct")
 
 
-def field_profile(cells: Iterable[IndicatorCell]) -> Table:
+def field_profile(universities: Table) -> Table:
     """The profiles table: each university's field x type shares (radar plot-data).
 
-    Every university with a cell gets one row per main field and OA
-    type, in declared order; the all-sciences rollup and the "any"
-    bucket are left out. A share no cell gives is null.
+    Every university of the universities table gets one row per main
+    field and OA type, in declared order; the all-sciences rollup and
+    the "any" bucket are left out. A share no row gives is null.
     """
     shares: dict[str, dict[tuple[str, str], Fraction | None]] = defaultdict(dict)
-    for cell in cells:
-        profile = shares[cell.scope_id]
-        if cell.field in MAIN_FIELDS and cell.oa_type in OA_TYPES:
-            profile[(cell.field, cell.oa_type)] = cell.share
+    for university, _, field_name, oa_type, _, _, share in universities.rows:
+        profile = shares[university]
+        if field_name in MAIN_FIELDS and oa_type in OA_TYPES:
+            profile[(field_name, oa_type)] = share
     rows = tuple(
         (university, field_name, oa_type, shares[university].get((field_name, oa_type)))
         for university in sorted(shares)
@@ -230,19 +221,18 @@ def field_profile(cells: Iterable[IndicatorCell]) -> Table:
 FIELD_SUMMARY_COLUMNS = ("field", "oa_type", "n_universities", "median_pct", "mean_pct")
 
 
-def field_summary(cells: Iterable[IndicatorCell]) -> Table:
+def field_summary(universities: Table) -> Table:
     """The field_summary table: median and mean university share per (field, type).
 
-    Medians and means answer different questions; the table carries
-    both so the caller decides which to quote. Null shares are skipped;
-    a (field, type) with no share has null statistics.
+    The shares are the universities table's. Medians and means answer
+    different questions; the table carries both so the caller decides
+    which to quote. Null shares are skipped; a (field, type) with no
+    share has null statistics.
     """
     shares: dict[tuple[str, str], list[Fraction]] = defaultdict(list)
-    for cell in cells:
-        share = cell.share
-        if share is None:
-            continue
-        shares[(cell.field, cell.oa_type)].append(share)
+    for _, _, field_name, oa_type, _, _, share in universities.rows:
+        if share is not None:
+            shares[(field_name, oa_type)].append(share)
     rows = []
     for field_name in FIELD_ORDER:
         for oa_type in TYPE_ORDER:
@@ -255,23 +245,3 @@ def field_summary(cells: Iterable[IndicatorCell]) -> Table:
                 sum(values, Fraction(0)) / len(values) if values else None,
             ))
     return Table("field_summary", FIELD_SUMMARY_COLUMNS, tuple(rows))
-
-
-UNIVERSITIES_COLUMNS = (
-    "university", "country", "field", "oa_type", "numerator", "denominator", "share_pct",
-)
-
-
-def universities_table(
-    cells: Iterable[IndicatorCell],
-    institutions: Mapping[str, Institution],
-) -> Table:
-    """The universities table: every indicator cell with its university's country."""
-    rows = tuple(
-        (
-            c.scope_id, institutions[c.scope_id].country, c.field, c.oa_type,
-            c.numerator, c.denominator, c.share,
-        )
-        for c in cells
-    )
-    return Table("universities", UNIVERSITIES_COLUMNS, rows)

@@ -249,18 +249,9 @@ def _scan_evidence(lines: Iterable[bytes], keep, stats: ParseStats):
                 and (raw.isascii() or _is_utf8(raw))
             ):
                 continue
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError:
-            yield line_no, "malformed", "undecodable bytes"
-            continue
-        try:
-            obj = json.loads(text)
-        except (ValueError, RecursionError):
-            yield line_no, "malformed", "invalid JSON"
-            continue
-        if not isinstance(obj, dict):
-            yield line_no, "malformed", "line is not an object"
+        obj = _json_object(raw)
+        if type(obj) is str:
+            yield line_no, "malformed", obj
             continue
 
         missing = [k for k in ("doi", "journal_is_oa", "oa_locations") if k not in obj]
@@ -311,6 +302,17 @@ def _scan_evidence(lines: Iterable[bytes], keep, stats: ParseStats):
             continue
         yield line_no, None, (doi, journal_is_oa, repository_urls, publisher_copy, licensed_copy)
     return line_no
+
+
+def _json_object(raw: bytes) -> dict | str:
+    """The JSON object a line holds, or the detail of the malformed issue it is instead."""
+    try:
+        obj = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError:
+        return "undecodable bytes"
+    except (ValueError, RecursionError):
+        return "invalid JSON"
+    return obj if type(obj) is dict else "line is not an object"
 
 
 def _is_utf8(raw: bytes) -> bool:
@@ -460,9 +462,11 @@ def _iter_rows(source, source_name: str, on_issue, stats: ParseStats, required: 
 
     The format is sniffed from the first byte after any UTF-8 BOM ("{"
     means JSON lines). Every non-blank line read counts in `stats.lines`,
-    also one reported here as malformed, so an issue rate never exceeds 1.
-    A CSV header missing a required column is a file-level defect and
-    raises ValueError rather than producing per-line issues.
+    also one reported here as malformed, so an issue rate never exceeds 1:
+    a JSON line that is not UTF-8, not JSON or not an object, and a CSV
+    row with more cells than its header. A CSV header missing a required
+    column is a file-level defect and raises ValueError rather than
+    producing per-line issues.
     """
     with _open_stream(source) as fh:
         head = fh.peek(64).lstrip()
@@ -471,13 +475,9 @@ def _iter_rows(source, source_name: str, on_issue, stats: ParseStats, required: 
                 if not raw.strip():
                     continue
                 stats.lines += 1
-                try:
-                    obj = json.loads(raw.decode("utf-8"))
-                except (ValueError, RecursionError):
-                    _report(on_issue, source_name, line_no, "malformed", "invalid JSON")
-                    continue
-                if not isinstance(obj, dict):
-                    _report(on_issue, source_name, line_no, "malformed", "line is not an object")
+                obj = _json_object(raw)
+                if type(obj) is str:
+                    _report(on_issue, source_name, line_no, "malformed", obj)
                     continue
                 yield line_no, obj
         else:
@@ -490,6 +490,11 @@ def _iter_rows(source, source_name: str, on_issue, stats: ParseStats, required: 
                 raise ValueError(f"{source_name}: missing required columns: {', '.join(missing)}")
             for row in reader:
                 stats.lines += 1
+                if None in row:  # DictReader files the cells past the header under None
+                    width = len(reader.fieldnames)
+                    detail = f"row has {width + len(row[None])} cells, header has {width}"
+                    _report(on_issue, source_name, reader.line_num, "malformed", detail)
+                    continue
                 yield reader.line_num, row
 
 

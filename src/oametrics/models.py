@@ -215,29 +215,6 @@ class JournalRecord:
             raise ValueError(f"has_apc must be yes/no/unknown, got {self.has_apc!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class IndicatorCell:
-    """One aggregation result: university x field x OA type with exact share."""
-
-    scope_id: str
-    field: str
-    oa_type: str
-    numerator: int
-    denominator: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.numerator <= self.denominator:
-            raise ValueError(
-                f"need 0 <= numerator <= denominator, got "
-                f"{self.numerator}/{self.denominator}"
-            )
-
-    @property
-    def share(self) -> Fraction | None:
-        """Exact share, or None when the denominator is zero."""
-        return exact_share(self.numerator, self.denominator)
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Tunable knobs shared across the pipeline.

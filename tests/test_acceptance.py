@@ -20,17 +20,18 @@ from oracles import classify_oracle, evidence, fold, pub_loc, records, repo_loc
 from oametrics.classifier import classify, classify_stream
 from oametrics.cli import format_pct, run_pipeline
 from oametrics.gold_models import GoldModel
-from oametrics.indicators import OverlapTally, median_exact, median_share_by_country
+from oametrics.indicators import UNIVERSITIES_COLUMNS, OverlapTally, median_exact, median_share_by_country
 from oametrics.models import (
     ALL_SCIENCES,
     MAIN_FIELDS,
-    IndicatorCell,
     Institution,
     JournalRecord,
     OAEvidenceRecord,
     OATypeSet,
     PipelineConfig,
     PublicationRecord,
+    Table,
+    exact_share,
 )
 from oametrics.repositories import PmcOverlap, RepoBounds, _pmc_flags
 
@@ -203,18 +204,15 @@ def test_acceptance_4_median_oracle_and_threshold():
         values = [Fraction(rng.randrange(0, 1001), 1000) for _ in range(length)]
         assert median_exact(values) == statistics.median(values)
 
-    institutions = {}
     cells = []
     counts = {"AA": 3, "BB": 9, "CC": 10, "DD": 14}
     for country, n in counts.items():
         for i in range(n):
-            inst_id = f"{country}{i}"
-            institutions[inst_id] = _inst(inst_id, country=country)
             cells.append(
-                IndicatorCell(inst_id, ALL_SCIENCES, "any", i, n + i)
+                (f"{country}{i}", country, ALL_SCIENCES, "any", i, n + i, exact_share(i, n + i))
             )
     rows = records(median_share_by_country(
-        cells, institutions, CONFIG.min_universities_country
+        Table("universities", UNIVERSITIES_COLUMNS, tuple(cells)), CONFIG.min_universities_country
     ))
     displayed = {row["country"] for row in rows if row["displayed"]}
     assert displayed == {"CC", "DD"}

@@ -311,6 +311,17 @@ def test_run_pipeline_unknown_table_is_config_error_before_reading(tmp_path):
     assert raised.value.exit_code == 2
 
 
+def test_run_pipeline_unknown_report_format_is_config_error_before_reading(tmp_path):
+    with pytest.raises(ConfigurationError, match="unknown report format: 'xml'") as raised:
+        run_pipeline(
+            PipelineConfig(),
+            publications_path=tmp_path / "nope.csv",
+            evidence_path=tmp_path / "nope.jsonl",
+            report_format="xml",
+        )
+    assert raised.value.exit_code == 2
+
+
 def test_bundle_write_creates_out_dir(tmp_path):
     bundle = ReportBundle(tables={"t": Table(name="t", columns=("a",), rows=((1,),))})
     written = bundle.write(tmp_path / "deep" / "dir", "csv")
@@ -483,6 +494,42 @@ def test_oversized_csv_field_is_fatal_and_names_file(golden_input, tmp_path):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert f"error: {tmp_path / 'publications.csv'}: " in result.output
+
+
+def test_invalid_utf8_in_a_csv_table_is_fatal_and_names_file(golden_input, tmp_path):
+    pubs = tmp_path / "publications.csv"
+    pubs.write_bytes((golden_input / "publications.csv").read_bytes().replace(b"P05", b"P\xff5", 1))
+    args = _golden_args(golden_input, tmp_path / "out")
+    args[args.index("-p") + 1] = str(pubs)
+    result = CliRunner().invoke(main, ["report", *args])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: {pubs}: " in result.output and "utf-8" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+# The tables README "Subcommands" lists for each subcommand but `report`.
+SUBCOMMAND_TABLES = {
+    "aggregate": (
+        "country_medians", "country_medians_full", "field_summary", "overlap", "profiles",
+        "region_medians", "universities",
+    ),
+    "repo-match": ("repo_bounds",),
+    "pmc-report": ("pmc_overlap",),
+    "gold-model": ("gold_models", "gold_models_full"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_TABLES))
+def test_subcommands_write_their_golden_tables(golden_input, golden_dir, tmp_path, command):
+    out = tmp_path / "out"
+    args = _golden_args(golden_input, out, ["--min-universities", "2", "--min-universities-gold", "2"])
+    result = CliRunner().invoke(main, [command, *args])
+    assert result.exit_code == 0, result.output
+    written = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert sorted(written) == [f"{name}.csv" for name in SUBCOMMAND_TABLES[command]]
+    for name, data in written.items():
+        assert data == (golden_dir / name).read_bytes(), name
 
 
 def _golden_issue_log(header_lines: int) -> bytes:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import fold, records
 
 from oametrics.indicators import (
+    UNIVERSITIES_COLUMNS,
     FullCounts,
     OverlapTally,
     field_profile,
@@ -22,11 +23,12 @@ from oametrics.models import (
     ALL_SCIENCES,
     MAIN_FIELDS,
     OA_TYPES,
-    IndicatorCell,
     Institution,
     OATypeSet,
     PipelineConfig,
     PublicationRecord,
+    Table,
+    exact_share,
 )
 
 BIO, LES, MCS, PSE, SSH = MAIN_FIELDS
@@ -55,6 +57,11 @@ def _inst(inst_id, country="TR", regions=("Europe",)):
 
 
 GREEN = OATypeSet(green=True)
+
+
+def _universities(pubs, config=CONFIG):
+    """The universities table of `pubs` under a roster of U1 alone."""
+    return university_indicators(fold(FullCounts(), pubs).counts, {"U1": _inst("U1")}, config)
 
 
 def test_full_counting_credits_every_institution():
@@ -103,25 +110,25 @@ def test_full_counting_identity_random_corpus():
 
 def test_university_indicator_share():
     pubs = [_cp(f"P{i}", GREEN if i < 4 else OATypeSet()) for i in range(10)]
-    cells = university_indicators(fold(FullCounts(), pubs).counts, CONFIG)
+    rows = records(_universities(pubs))
     green = next(
-        c for c in cells if c.field == BIO and c.oa_type == "green" and c.scope_id == "U1"
+        r for r in rows if r["field"] == BIO and r["oa_type"] == "green" and r["university"] == "U1"
     )
-    assert green.share == Fraction(2, 5)
+    assert green["share_pct"] == Fraction(2, 5)
 
 
 def test_empty_field_yields_null_share_cell():
-    cells = university_indicators(fold(FullCounts(), [_cp("A")]).counts, CONFIG)
-    les = next(c for c in cells if c.field == LES and c.oa_type == "green")
-    assert les.denominator == 0 and les.share is None
+    rows = records(_universities([_cp("A")]))
+    les = next(r for r in rows if r["field"] == LES and r["oa_type"] == "green")
+    assert les["denominator"] == 0 and les["share_pct"] is None
 
 
 def test_doi_denominator_mode():
     pubs = [_cp("A", GREEN), _cp("B", doi=None)]
     config = PipelineConfig(denominator_mode="doi_pubs")
-    cells = university_indicators(fold(FullCounts(), pubs).counts, config)
-    green = next(c for c in cells if c.field == BIO and c.oa_type == "green")
-    assert green.denominator == 1 and green.share == Fraction(1, 1)
+    rows = records(_universities(pubs, config))
+    green = next(r for r in rows if r["field"] == BIO and r["oa_type"] == "green")
+    assert green["denominator"] == 1 and green["share_pct"] == Fraction(1, 1)
 
 
 def test_high_green_share_formats_to_expected_percent():
@@ -152,19 +159,16 @@ def test_median_permutation_invariant(values, rng):
     assert median_exact(shuffled) == median_exact(values)
 
 
-def _share_cells(shares_by_university, field=ALL_SCIENCES, oa_type="any"):
-    cells = []
+def _share_cells(shares_by_university, institutions, field=ALL_SCIENCES, oa_type="any"):
+    """A universities table with one row per university; a None share is a zero denominator."""
+    rows = []
     for inst_id, share in shares_by_university.items():
-        cells.append(
-            IndicatorCell(
-                scope_id=inst_id,
-                field=field,
-                oa_type=oa_type,
-                numerator=share.numerator,
-                denominator=share.denominator,
-            )
-        )
-    return cells
+        numerator, denominator = (0, 0) if share is None else (share.numerator, share.denominator)
+        rows.append((
+            inst_id, institutions[inst_id].country, field, oa_type,
+            numerator, denominator, exact_share(numerator, denominator),
+        ))
+    return Table("universities", UNIVERSITIES_COLUMNS, tuple(rows))
 
 
 def test_country_median_threshold_excludes_small_countries():
@@ -176,7 +180,7 @@ def test_country_median_threshold_excludes_small_countries():
     for i in range(10):
         institutions[f"B{i}"] = _inst(f"B{i}", country="BB")
         shares[f"B{i}"] = Fraction(i, 10)
-    rows = records(median_share_by_country(_share_cells(shares), institutions, min_universities=10))
+    rows = records(median_share_by_country(_share_cells(shares, institutions), min_universities=10))
     by_country = {r["country"]: r for r in rows}
     assert not by_country["AA"]["displayed"] and by_country["AA"]["n_universities"] == 9
     assert by_country["BB"]["displayed"]
@@ -185,9 +189,8 @@ def test_country_median_threshold_excludes_small_countries():
 
 def test_country_median_skips_null_shares():
     institutions = {"U1": _inst("U1", country="AA"), "U2": _inst("U2", country="AA")}
-    cells = _share_cells({"U1": Fraction(1, 4)})
-    cells.append(IndicatorCell("U2", ALL_SCIENCES, "any", 0, 0))
-    (row,) = records(median_share_by_country(cells, institutions, min_universities=1))
+    cells = _share_cells({"U1": Fraction(1, 4), "U2": None}, institutions)
+    (row,) = records(median_share_by_country(cells, min_universities=1))
     assert row["n_universities"] == 1 and row["median_pct"] == Fraction(1, 4)
 
 
@@ -196,7 +199,7 @@ def test_region_rollup_dual_region_university():
         "U1": _inst("U1", country="TR", regions=("Europe", "Asia")),
         "U2": _inst("U2", country="GB", regions=("Europe",)),
     }
-    cells = _share_cells({"U1": Fraction(1, 2), "U2": Fraction(1, 4)})
+    cells = _share_cells({"U1": Fraction(1, 2), "U2": Fraction(1, 4)}, institutions)
     rows = {r["region"]: r for r in records(region_rollup(cells, institutions))}
     assert rows["Asia"]["median_pct"] == Fraction(1, 2) and rows["Asia"]["n_universities"] == 1
     assert rows["Europe"]["median_pct"] == Fraction(3, 8) and rows["Europe"]["n_universities"] == 2
@@ -210,7 +213,7 @@ def test_region_median_three_universities():
         "U3": _inst("U3", country="BB", regions=("Europe",)),
     }
     cells = _share_cells(
-        {"U1": Fraction(1, 10), "U2": Fraction(3, 10), "U3": Fraction(5, 10)}
+        {"U1": Fraction(1, 10), "U2": Fraction(3, 10), "U3": Fraction(5, 10)}, institutions
     )
     (row,) = records(region_rollup(cells, institutions))
     assert row["median_pct"] == Fraction(3, 10)
@@ -276,7 +279,7 @@ def test_partition_identity_random_corpora():
 
 
 def test_field_profile_single_field_university():
-    cells = university_indicators(fold(FullCounts(), [_cp("A", GREEN, fields=(BIO,))]).counts, CONFIG)
+    cells = _universities([_cp("A", GREEN, fields=(BIO,))])
     rows = records(field_profile(cells))
     profile = {(r["field"], r["oa_type"]): r["share_pct"] for r in rows}
     assert list(dict.fromkeys(r["field"] for r in rows)) == list(MAIN_FIELDS)
@@ -290,14 +293,15 @@ def test_field_profile_constant_column():
     for i, field_name in enumerate(MAIN_FIELDS):
         pubs.append(_cp(f"G{i}", GREEN, fields=(field_name,)))
         pubs.append(_cp(f"N{i}", OATypeSet(), fields=(field_name,)))
-    rows = records(field_profile(university_indicators(fold(FullCounts(), pubs).counts, CONFIG)))
+    rows = records(field_profile(_universities(pubs)))
     profile = {(r["field"], r["oa_type"]): r["share_pct"] for r in rows}
     assert [profile[(f, "green")] for f in MAIN_FIELDS] == [Fraction(1, 2)] * 5
 
 
 def test_field_summary_medians_and_means():
     cells = _share_cells(
-        {"U1": Fraction(1, 4), "U2": Fraction(3, 4)}, field=BIO, oa_type="green"
+        {"U1": Fraction(1, 4), "U2": Fraction(3, 4)}, {"U1": _inst("U1"), "U2": _inst("U2")},
+        field=BIO, oa_type="green",
     )
     rows = {(r["field"], r["oa_type"]): r for r in records(field_summary(cells))}
     row = rows[(BIO, "green")]

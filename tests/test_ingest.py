@@ -125,6 +125,9 @@ def test_evidence_bad_location_rejects_line():
             ("e", [{"host_type": "publisher", "url": "u", "license": 1}]),
             ("f", [{"host_type": "repository", "url": "u"}, {"url": "u"}]),
         )
+    ] + [
+        json.dumps({"doi": "10.1/g", "journal_is_oa": "yes", "oa_locations": []}),
+        json.dumps({"doi": "10.1/h", "journal_is_oa": False, "oa_locations": {}}),
     ]
     records, issues = _parse_evidence(_evidence_bytes(bad_host, empty_url, *others))
     assert records == []
@@ -135,6 +138,8 @@ def test_evidence_bad_location_rejects_line():
         ("malformed", "location url missing or empty"),
         ("malformed", "license is not a string"),
         ("malformed", "invalid host_type: None"),
+        ("malformed", "journal_is_oa is not a boolean"),
+        ("malformed", "oa_locations is not a list"),
     ]
 
 
@@ -243,6 +248,9 @@ def test_publications_invalid_doi_is_reported_and_the_row_kept():
             f"P3,hdl:123,2015,editorial,en,J1,U1,{BIO}",
             f"P4,  ,2015,article,en,J1,U1,{BIO}",
             f"P1,hdl:9,2015,article,en,J1,U1,{BIO}",
+            f"P5,hdl:5,20x5,article,en,J1,U1,{BIO}",
+            f"P6,hdl:6,2015,article,en,,U1,{BIO}",
+            f"P7,hdl:7,2015,article,en,J1,U1, ; ",
         )
     )
     # A dropped row gets only the issue that drops it; a blank cell is no DOI.
@@ -252,6 +260,9 @@ def test_publications_invalid_doi_is_reported_and_the_row_kept():
         (3, "malformed", "invalid doi: 'hdl:123'"),
         (4, "malformed", "non-citable doc_type: 'editorial'"),
         (6, "duplicate_key", "duplicate pub_id: P1"),
+        (7, "malformed", "invalid year: '20x5'"),
+        (8, "missing_required_field", "missing journal_id"),
+        (9, "missing_required_field", "missing field_ids"),
     ]
 
 
@@ -330,12 +341,16 @@ def test_registries_missing_apc_becomes_unknown():
 
 def test_registries_duplicate_inst_first_wins():
     inst, jour = _registry_streams(
-        inst_rows=("U1,Alpha,TR,Europe,repo.alpha.edu", "U1,Other,GB,Europe,other.ac.uk")
+        inst_rows=("U1,Alpha,TR,Europe,repo.alpha.edu", "U1,Other,GB,Europe,other.ac.uk"),
+        journal_rows=("J1,,GB,true,no,", "J1,,TR,false,yes,"),
     )
     issues = []
-    institutions, _ = parse_registries(inst, jour, on_issue=issues.append)
-    assert institutions["U1"].name == "Alpha"
-    assert len(issues) == 1 and issues[0].kind == "duplicate_key"
+    institutions, journals = parse_registries(inst, jour, on_issue=issues.append)
+    assert institutions["U1"].name == "Alpha" and journals["J1"].country == "GB"
+    assert [(i.source, i.kind, i.detail) for i in issues] == [
+        ("institutions", "duplicate_key", "duplicate inst_id: U1"),
+        ("journals", "duplicate_key", "duplicate journal_id: J1"),
+    ]
 
 
 def test_registries_empty_files_yield_empty_tables():
@@ -440,6 +455,43 @@ def test_json_rows_count_every_non_blank_line(source):
     else:
         parse_registries(None, data, on_issue=sink, journal_stats=stats)
     assert (stats.lines, stats.records, sink.total(source)) == (3, 1, 2)
+
+
+def test_csv_row_with_more_cells_than_its_header_is_malformed():
+    # An unquoted comma in a name would otherwise shift every later cell.
+    inst, _ = _registry_streams(inst_rows=("U1,Univ of A, Madrid,ES,Europe,repo.a.es", "U2,B,NL,Europe,"))
+    issues, stats = [], ParseStats()
+    institutions, _ = parse_registries(inst, None, on_issue=issues.append, institution_stats=stats)
+    assert list(institutions) == ["U2"]
+    assert [(i.line_no, i.kind, i.detail) for i in issues] == [
+        (2, "malformed", "row has 6 cells, header has 5"),
+    ]
+    assert (stats.lines, stats.records) == (2, 1)
+
+    records, issues = _parse_pubs(_pub_rows(
+        f"P1,10.1/a,2015,article,en,J1,U1,{BIO},extra",
+        f"P2,10.1/b,2015,article,en,J1,U1,{BIO}",
+        f"P3,10.1/c,2015,article,en,J1",  # short rows are left to the column checks
+    ))
+    assert [r.pub_id for r in records] == ["P2"]
+    assert [(i.line_no, i.kind, i.detail) for i in issues] == [
+        (2, "malformed", "row has 9 cells, header has 8"),
+        (4, "missing_required_field", "missing field_ids"),
+    ]
+
+
+@pytest.mark.parametrize("source", sorted(_JSON_ROWS))
+def test_json_rows_with_invalid_utf8_are_undecodable_bytes(source):
+    # The same defect is reported with the same detail as in the evidence dump.
+    data = io.BytesIO(json.dumps(_JSON_ROWS[source]).encode() + b'\n{"x": "\xff"}\n')
+    issues = []
+    if source == "publications":
+        list(parse_publications(data, PipelineConfig(), on_issue=issues.append))
+    elif source == "institutions":
+        parse_registries(data, None, on_issue=issues.append)
+    else:
+        parse_registries(None, data, on_issue=issues.append)
+    assert [(i.line_no, i.kind, i.detail) for i in issues] == [(2, "malformed", "undecodable bytes")]
 
 
 def test_publications_csv_with_utf8_bom():

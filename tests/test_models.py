@@ -1,4 +1,3 @@
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -6,7 +5,6 @@ from hypothesis import strategies as st
 
 from oametrics.models import (
     MAIN_FIELDS,
-    IndicatorCell,
     Institution,
     JournalRecord,
     OAEvidenceRecord,
@@ -188,14 +186,6 @@ def test_journal_apc_tri_state():
     assert JournalRecord(journal_id="J1").has_apc == "unknown"
     with pytest.raises(ValueError):
         JournalRecord(journal_id="J1", has_apc="maybe")
-
-
-def test_indicator_cell_share():
-    cell = IndicatorCell("U1", BIO, "green", 4, 10)
-    assert cell.share == Fraction(2, 5)
-    assert IndicatorCell("U1", BIO, "green", 0, 0).share is None
-    with pytest.raises(ValueError):
-        IndicatorCell("U1", BIO, "green", 3, 2)
 
 
 def test_config_defaults():

@@ -11,6 +11,7 @@ accumulator and the cell tables built from its counts.
 import csv
 import json
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -28,7 +29,6 @@ from oametrics.indicators import (
     field_summary,
     median_share_by_country,
     region_rollup,
-    universities_table,
     university_indicators,
 )
 from oametrics.ingest import IssueSummary, parse_evidence_stream, parse_publications, parse_registries
@@ -119,6 +119,17 @@ def test_every_table_row_keeps_its_invariants(countries, rows):
             assert (row[share] is None) == (row["gold_total"] == 0)
         assert row["apc_known"] <= row["gold_total"]
 
+    counts = fold(FullCounts(), classified).counts
+    for mode in ("all_pubs", "doi_pubs"):
+        universities = university_indicators(counts, institutions, PipelineConfig(denominator_mode=mode))
+        for row in records(universities):
+            assert row["university"] in institutions  # so ZZ9 never appears
+            assert 0 <= row["numerator"] <= row["denominator"]
+            if row["denominator"] == 0:
+                assert row["share_pct"] is None
+            else:
+                assert row["share_pct"] == Fraction(row["numerator"], row["denominator"])
+
     count = {row["metric"]: row["count"] for row in records(fold(OverlapTally(), classified).table())}
     for oa_type in OA_TYPES:
         assert count[oa_type] <= count["total_oa"]
@@ -195,17 +206,17 @@ def test_one_pass_fold_matches_the_public_builders(countries, rows):
         dump = {r.doi: r for r in parse_evidence_stream(paths["evidence"], on_issue=sink)}
     classified = list(classify_stream(pubs, dump, journals))
     counts = fold(FullCounts(), classified).counts
-    cells = [c for c in university_indicators(counts, config) if c.scope_id in institutions]
-    medians = median_share_by_country(cells, institutions, config.min_universities_country)
+    universities = university_indicators(counts, institutions, config)
+    medians = median_share_by_country(universities, config.min_universities_country)
     gold = fold(GoldModel(journals, institutions, config.min_universities_gold_model), classified).table()
     expected = {
         "classified": fold(ClassifiedRows(), classified).table(),
         "overlap": fold(OverlapTally(), classified).table(),
-        "universities": universities_table(cells, institutions),
-        "field_summary": field_summary(cells),
+        "universities": universities,
+        "field_summary": field_summary(universities),
         "country_medians_full": medians,
-        "region_medians": region_rollup(cells, institutions),
-        "profiles": field_profile(cells),
+        "region_medians": region_rollup(universities, institutions),
+        "profiles": field_profile(universities),
         "repo_bounds": fold(RepoBounds(institutions, config.handle_pattern), classified).table(),
         "pmc_overlap": fold(PmcOverlap(institutions, config), classified).table(),
         "gold_models_full": gold,
