@@ -9,7 +9,8 @@ and bronze.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .models import (
     NO_OA,
@@ -54,21 +55,33 @@ def classify(
 
 
 def classify_stream(
-    publications: Iterable[PublicationRecord],
-    evidence_by_doi: Mapping[str, OAEvidenceRecord],
+    evidence: Iterable[OAEvidenceRecord],
+    publications_by_doi: dict[str, PublicationRecord | list[PublicationRecord] | None],
     journals: Mapping[str, JournalRecord] | None = None,
+    without_doi: Iterable[PublicationRecord] = (),
 ) -> Iterator[tuple[PublicationRecord, OATypeSet, tuple[str, ...]]]:
     """Classify every publication exactly once, as (publication, outcome, repository URLs).
 
-    The URLs are the evidence record's, normalized, or () without one.
-    Publications without a DOI, or whose DOI has no evidence record, come
-    out all-false. Evidence must be keyed by normalized DOI.
+    `publications_by_doi` maps each DOI to its publication or a list of
+    those sharing it; `evidence` yields records of its DOIs, as
+    `parse_evidence_stream(..., keep=publications_by_doi)` does. A record's
+    publications are classified, each against its own journal, as it
+    arrives; its DOI then maps to None, so a later record classifies
+    nothing. Then `without_doi` and the DOIs without a record come out
+    all-false with no URLs.
     """
     journals = journals or {}
-    for pub in publications:
-        evidence = evidence_by_doi.get(pub.doi) if pub.doi is not None else None
-        types = classify(evidence, journals.get(pub.journal_id))
-        yield pub, types, evidence.repository_urls if evidence is not None else ()
+    for record in evidence:
+        for pub in _listed(publications_by_doi[record.doi]):
+            yield pub, classify(record, journals.get(pub.journal_id)), record.repository_urls
+        publications_by_doi[record.doi] = None
+    for pub in chain(without_doi, chain.from_iterable(map(_listed, publications_by_doi.values()))):
+        yield pub, classify(None), ()
+
+
+def _listed(value) -> Sequence[PublicationRecord]:
+    """The publications a DOI maps to: one, a list, or none once its record is classified."""
+    return () if value is None else value if type(value) is list else (value,)
 
 
 class ClassifiedRows:
@@ -77,7 +90,7 @@ class ClassifiedRows:
     `add(pub, types, repository_urls)` holds only references to the
     publication and its shared outcome and ignores the URLs; the rows are
     built by `table()`, which may be called again, so a caller that frees
-    the evidence first lets the rows reuse its memory.
+    its DOI map first lets the rows reuse its memory.
     """
 
     def __init__(self) -> None:

@@ -210,17 +210,19 @@ def run_pipeline(
     The evidence dump is streamed once with a DOI filter, so memory is
     bounded by the publication table, not the dump size. It is scanned
     with up to `shards` processes (default: `_usable_cpus()`); the output
-    is the same for any count. One pass then classifies each publication
-    and feeds it to every requested table; the bundle and the issue log
-    are written in one step (ReportBundle.write), the log alone without `out_dir`.
+    is the same for any count. Each publication is classified and fed to
+    every requested table as its DOI's evidence record arrives, so no
+    record outlives its line; the bundle and the issue log are written in
+    one step (ReportBundle.write), the log alone without `out_dir`.
 
     Raises, before any input is read, ConfigurationError for an unknown
     table name or report format, a `max_issue_rate` that is not >= 0
     (NaN included) or an issue log that would overwrite a bundle file or
     a directory, and FatalInputError for a missing input or issue-log
     directory. Raises FatalInputError for an unreadable input, and
-    SchemaCeilingError for an issue rate above `max_issue_rate`, before
-    classifying anything.
+    SchemaCeilingError for an issue rate above `max_issue_rate`: that of
+    the registries and publications before anything is classified, that
+    of the evidence before any table is built or written.
     """
     if unknown := [name for name in tables if name not in (*REPORT_TABLES, "classified")]:
         raise ConfigurationError(f"unknown table: {unknown[0]!r}")
@@ -254,22 +256,24 @@ def run_pipeline(
         publications = list(
             parse_publications(publications_path, config, on_issue=sink, stats=stats["publications"])
         )
-    evidence = {pub.doi: pub.doi for pub in publications if pub.doi is not None}
-    with _reading(evidence_path):
-        for _ in parse_evidence_stream(
-            evidence_path, on_issue=sink, keep=evidence, stats=stats["evidence"],
-            processes=shards if shards is not None else _usable_cpus(),
-        ):
-            pass
 
-    for source, source_stats in stats.items():
-        if source_stats.lines == 0:
-            continue
-        rate = sink.total(source) / source_stats.lines
-        if rate > max_issue_rate:
-            raise SchemaCeilingError(
-                f"{source}: issue rate {rate:.3f} exceeds ceiling {max_issue_rate:.3f}"
-            )
+    def check_issue_rates(*sources):
+        for source in sources:
+            if stats[source].lines and (rate := sink.total(source) / stats[source].lines) > max_issue_rate:
+                raise SchemaCeilingError(
+                    f"{source}: issue rate {rate:.3f} exceeds ceiling {max_issue_rate:.3f}"
+                )
+
+    check_issue_rates("publications", "institutions", "journals")
+    # One DOI map, each DOI to its publication or to the list of those sharing it, built
+    # after the parse has freed its set of pub_ids.
+    by_doi, without_doi = {}, [pub for pub in publications if pub.doi is None]
+    for pub in publications:
+        if pub.doi is not None and (first := by_doi.setdefault(pub.doi, pub)) is not pub:
+            if type(first) is not list:
+                first = by_doi[pub.doi] = [first]
+            first.append(pub)
+    del publications
 
     # One accumulator per requested table family (`needs` names the shared ones), fed in one pass.
     folds = {
@@ -284,11 +288,18 @@ def run_pipeline(
     needed = {needs.get(name, name) for name in tables}
     accumulators = {name: make() for name, make in folds.items() if name in needed}
     adds = [acc.add for acc in accumulators.values()]
-    for pub, types, urls in classify_stream(publications, evidence, journals):
-        for add in adds:
-            add(pub, types, urls)
-    # Free the DOI map and its evidence digests before any table is built, so the rows reuse their memory.
-    del publications, evidence
+    # Each publication is classified and fed as its DOI's evidence record arrives.
+    with _reading(evidence_path):
+        records = parse_evidence_stream(
+            evidence_path, on_issue=sink, keep=by_doi, stats=stats["evidence"],
+            processes=shards if shards is not None else _usable_cpus(),
+        )
+        for pub, types, urls in classify_stream(records, by_doi, journals, without_doi):
+            for add in adds:
+                add(pub, types, urls)
+    check_issue_rates("evidence")
+    # Free the DOI map before any table is built, so the rows reuse its memory.
+    del by_doi, without_doi
 
     universities = None
     if "counts" in accumulators:

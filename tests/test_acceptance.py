@@ -18,7 +18,7 @@ from fractions import Fraction
 from oracles import classify_oracle, evidence, fold, pub_loc, records, repo_loc
 
 from oametrics.classifier import classify, classify_stream
-from oametrics.cli import format_pct, run_pipeline
+from oametrics.cli import format_pct
 from oametrics.gold_models import GoldModel
 from oametrics.indicators import UNIVERSITIES_COLUMNS, OverlapTally, median_exact, median_share_by_country
 from oametrics.models import (
@@ -186,7 +186,8 @@ def test_acceptance_3_planted_proportion_recovery():
             locations.append(REPO_A)
         evidence_by_doi[doi] = evidence(doi=doi, journal_is_oa=journal_is_oa, locations=locations)
 
-    count = _overlap_counts(classify_stream(publications, evidence_by_doi))
+    by_doi = {pub.doi: pub for pub in publications}
+    count = _overlap_counts(classify_stream(evidence_by_doi.values(), by_doi))
     total = count["total_oa"]
     planted = {"green": 0.77, "gold": 0.33, "bronze": 0.20, "hybrid": 0.16}
     for oa_type, expected in planted.items():

@@ -183,12 +183,12 @@ def test_scan_reduces_locations_to_the_digest(locations):
     )
 
 
-def _pub(pub_id, doi):
+def _pub(pub_id, doi, journal_id="J1"):
     return PublicationRecord(
         pub_id=pub_id,
         doi=doi,
         language="en",
-        journal_id="J1",
+        journal_id=journal_id,
         institution_ids=frozenset({"U1"}),
         field_ids=frozenset({BIO}),
     )
@@ -196,29 +196,46 @@ def _pub(pub_id, doi):
 
 def test_stream_classifies_every_publication_once():
     pubs = [_pub(f"P{i}", f"10.1/{i}") for i in range(4)] + [_pub("P9", None)]
-    evidence_by_doi = {
-        "10.1/0": evidence(doi="10.1/0", journal_is_oa=True, locations=[pub_loc("cc-by")]),
-        "10.1/1": evidence(doi="10.1/1", locations=[repo_loc()]),
-    }
-    classified = list(classify_stream(pubs, evidence_by_doi))
-    assert [pub.pub_id for pub, _, _ in classified] == ["P0", "P1", "P2", "P3", "P9"]
+    by_doi = {pub.doi: pub for pub in pubs[:4]}
+    records = [
+        evidence(doi="10.1/1", locations=[repo_loc()]),
+        evidence(doi="10.1/0", journal_is_oa=True, locations=[pub_loc("cc-by")]),
+    ]
+    classified = list(classify_stream(records, by_doi, without_doi=pubs[4:]))
+    # Each record's publications as it arrives, then those without a DOI or without a record.
+    assert [pub.pub_id for pub, _, _ in classified] == ["P1", "P0", "P9", "P2", "P3"]
     assert sum(1 for _, types, _ in classified if not types.any_oa) == 3
-    assert classified[0][1].gold and classified[1][1].green
+    assert classified[0][1].green and classified[1][1].gold
+    # No record outlives its turn: its DOI maps to None once its publications are classified.
+    assert by_doi == {"10.1/0": None, "10.1/1": None, "10.1/2": pubs[2], "10.1/3": pubs[3]}
+
+
+def test_stream_classifies_publications_sharing_a_doi_against_their_own_journals():
+    pubs = [_pub("P1", "10.1/a", "J1"), _pub("P2", "10.1/a", "J2"), _pub("P3", "10.1/b")]
+    journals = {"J1": JournalRecord(journal_id="J1", is_fully_oa=True)}
+    record = evidence(doi="10.1/a", locations=[pub_loc("cc-by"), repo_loc()])
+    later = evidence(doi="10.1/a")  # a second record for the DOI classifies nothing
+    by_doi = {"10.1/a": pubs[:2], "10.1/b": pubs[2]}
+    classified = list(classify_stream([record, later], by_doi, journals))
+    assert [(pub.pub_id, _flags(types), urls) for pub, types, urls in classified] == [
+        ("P1", (True, True, False, False), record.repository_urls),
+        ("P2", (False, True, True, False), record.repository_urls),
+        ("P3", (False, False, False, False), ()),
+    ]
 
 
 def test_stream_empty_locations_not_oa():
-    pubs = [_pub("P1", "10.1/a")]
-    evidence_by_doi = {"10.1/a": evidence(doi="10.1/a", journal_is_oa=True, locations=[])}
-    ((_, types, urls),) = classify_stream(pubs, evidence_by_doi)
+    records = [evidence(doi="10.1/a", journal_is_oa=True, locations=[])]
+    ((_, types, urls),) = classify_stream(records, {"10.1/a": _pub("P1", "10.1/a")})
     assert not types.any_oa
     assert urls == ()
 
 
 def test_stream_without_doi_never_oa():
-    ((_, types, urls),) = classify_stream([_pub("P1", None)], {})
+    ((_, types, urls),) = classify_stream([], {}, without_doi=[_pub("P1", None)])
     assert types is NO_OA and urls == ()
-    # Not even a gold, green record stored under the key None is read for it.
+    # Not even a gold, green record in the stream is read for it.
     gold = evidence(journal_is_oa=True, locations=[pub_loc("cc-by"), repo_loc()])
     assert classify(gold).gold and gold.repository_urls
-    ((_, types, urls),) = classify_stream([_pub("P1", None)], {None: gold})
+    ((_, types, urls),) = classify_stream([gold], {gold.doi: None}, without_doi=[_pub("P1", None)])
     assert types is NO_OA and urls == ()

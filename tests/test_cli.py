@@ -10,7 +10,6 @@ import random
 import tracemalloc
 import types
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -380,6 +379,7 @@ def test_version_runs_from_source_tree():
 
 
 def test_issue_rate_ceiling_is_checked_before_classify(golden_input, monkeypatch):
+    # The publications' rate, as the registries', is known before the scan; the evidence's is not.
     def classify_stream(*args):
         raise RuntimeError("classify ran before the issue-rate check")
 
@@ -505,6 +505,18 @@ def test_invalid_utf8_in_a_csv_table_is_fatal_and_names_file(golden_input, tmp_p
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert f"error: {pubs}: " in result.output and "utf-8" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_csv_column_named_twice_is_fatal_and_names_file(golden_input, tmp_path):
+    roster = tmp_path / "institutions.csv"
+    text = (golden_input / "institutions.csv").read_text(encoding="utf-8").splitlines()
+    roster.write_text("\n".join([text[0] + ",country"] + [row + ",NL" for row in text[1:]]) + "\n")
+    args = _golden_args(golden_input, tmp_path / "out")
+    args[args.index("-i") + 1] = str(roster)
+    result = CliRunner().invoke(main, ["report", *args])
+    assert result.exit_code == 1
+    assert f"error: {roster}: institutions: column named twice: country" in result.output
     assert not (tmp_path / "out").exists()
 
 
@@ -796,6 +808,38 @@ def test_bundle_write_memory_does_not_grow_with_the_table(tmp_path, report_forma
     assert peak <= 1 << 20, f"write peaked at {peak:,} B for a {path.stat().st_size:,} B file"
 
 
+def test_evidence_issue_rate_ceiling_is_checked_before_any_table(golden_input, tmp_path, monkeypatch):
+    # 21 issues in 40 lines; the other inputs stay under the ceiling.
+    dump = tmp_path / "evidence.jsonl"
+    dump.write_text((golden_input / "evidence.jsonl").read_text(encoding="utf-8") + "{bad\n" * 20)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "overlap.csv").write_text("previous run\n", encoding="utf-8")
+    log = tmp_path / "issues.log"
+
+    def build(*args, **kwargs):
+        raise RuntimeError("a table was built or written before the issue-rate check")
+
+    monkeypatch.setattr(cli, "university_indicators", build)
+    monkeypatch.setattr(classifier.ClassifiedRows, "table", build)
+    monkeypatch.setattr(cli, "_write_tables", build)
+    with pytest.raises(SchemaCeilingError, match="evidence: issue rate 0.525 exceeds ceiling 0.300"):
+        run_pipeline(
+            PipelineConfig(),
+            publications_path=golden_input / "publications.csv",
+            evidence_path=dump,
+            institutions_path=golden_input / "institutions.csv",
+            journals_path=golden_input / "journals.csv",
+            out_dir=out,
+            max_issue_rate=0.3,
+            issue_log_path=log,
+            tables=cli.REPORT_TABLES + ("classified",),
+        )
+    assert [path.name for path in out.iterdir()] == ["overlap.csv"]
+    assert (out / "overlap.csv").read_text(encoding="utf-8") == "previous run\n"
+    assert not log.exists()
+
+
 @pytest.mark.parametrize("report_format", ["csv", "jsonl"])
 def test_written_tables_equal_emit_report(golden_input, tmp_path, report_format):
     bundle = run_pipeline(
@@ -813,14 +857,28 @@ def test_written_tables_equal_emit_report(golden_input, tmp_path, report_format)
         assert path.read_bytes() == _emit(table, report_format), path.name
 
 
-def test_kept_evidence_records_are_built_once_under_the_publications_doi(golden_input, monkeypatch):
+def test_kept_evidence_records_are_built_once_and_held_by_no_map(golden_input, tmp_path, monkeypatch):
+    dump = tmp_path / "evidence.jsonl"
+    # P01's DOI 10.1/a has a line; two later lines for it are duplicates, built into no record.
+    dump.write_text(
+        (golden_input / "evidence.jsonl").read_text(encoding="utf-8")
+        + _evidence_line("10.1/A", True) + "\n" + _evidence_line("https://doi.org/10.1/a", False) + "\n",
+        encoding="utf-8",
+    )
     classify_stream = cli.classify_stream
     post_init = OAEvidenceRecord.__post_init__
-    captured, built = {}, []
+    captured, built, consumed = {}, [], []
 
-    def capture(publications, evidence_by_doi, journals):
-        captured.update(publications=publications, evidence=evidence_by_doi)
-        return classify_stream(publications, evidence_by_doi, journals)
+    def capture(records, by_doi, journals, without_doi):
+        def each():
+            for record in records:
+                # The publications of the record's DOI are still in the one map while it is consumed.
+                value = by_doi[record.doi]
+                assert all(pub.doi == record.doi for pub in (value if type(value) is list else [value]))
+                consumed.append(record.doi)
+                yield record
+        captured["by_doi"] = by_doi
+        return classify_stream(each(), by_doi, journals, without_doi)
 
     def counting_post_init(record):
         built.append(record.doi)
@@ -828,20 +886,17 @@ def test_kept_evidence_records_are_built_once_under_the_publications_doi(golden_
 
     monkeypatch.setattr(cli, "classify_stream", capture)
     monkeypatch.setattr(OAEvidenceRecord, "__post_init__", counting_post_init)
-    run_pipeline(
-        PipelineConfig(),
-        publications_path=golden_input / "publications.csv",
-        evidence_path=golden_input / "evidence.jsonl",
-        tables=("classified",),
+    bundle = run_pipeline(
+        PipelineConfig(), golden_input / "publications.csv", dump, tables=("classified", "issues"),
     )
-    evidence = captured["evidence"]
-    publication_dois = {pub.doi: pub.doi for pub in captured["publications"] if pub.doi}
-    # One map: every publication DOI, mapped to its record or, without an evidence line, to None.
-    assert evidence.keys() == publication_dois.keys()
-    records = {key: record for key, record in evidence.items() if record is not None}
-    assert records and len(built) == len(records)
-    for key, record in records.items():
-        assert key is record.doi is publication_dois[record.doi]
+    assert ("evidence", "duplicate_key", 2) in bundle.tables["issues"].rows
+    # One record per DOI with a line, none for a duplicate, and after its turn its DOI maps to None.
+    assert consumed and built == consumed and len(set(consumed)) == len(consumed)
+    by_doi = captured["by_doi"]
+    assert {doi for doi, value in by_doi.items() if value is None} == set(consumed)
+    assert not any(isinstance(value, OAEvidenceRecord) for value in by_doi.values())
+    dois = {row[1] for row in bundle.tables["classified"].rows if row[1]}
+    assert by_doi.keys() == dois
 
 
 def test_publications_sharing_a_doi_are_classified_from_one_record(tmp_path, monkeypatch):
@@ -854,18 +909,13 @@ def test_publications_sharing_a_doi_are_classified_from_one_record(tmp_path, mon
     )
     dump = tmp_path / "evidence.jsonl"
     dump.write_text(_evidence_line("10.1/a", True) + "\n", encoding="utf-8")
-    classify_stream, classify = cli.classify_stream, classifier.classify
-    publications, classified_from = [], []
+    classify = classifier.classify
+    classified_from = []
 
-    def capture(records, evidence_by_doi, journals):
-        publications.extend(records)
-        return classify_stream(publications, evidence_by_doi, journals)
-
-    def spy(evidence, journal):
+    def spy(evidence, journal=None):
         classified_from.append(evidence)
         return classify(evidence, journal)
 
-    monkeypatch.setattr(cli, "classify_stream", capture)
     monkeypatch.setattr(classifier, "classify", spy)
     bundle = run_pipeline(
         PipelineConfig(), pubs, dump, tables=("classified", "issues"), shards=1
@@ -877,7 +927,6 @@ def test_publications_sharing_a_doi_are_classified_from_one_record(tmp_path, mon
     assert bundle.tables["issues"].rows == ()
     record, other = classified_from
     assert record is other and record is not None
-    assert any(record.doi is pub.doi for pub in publications)
 
 
 def _jsonl_publications(tmp_path) -> list[str]:

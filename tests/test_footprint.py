@@ -23,20 +23,30 @@ PUB_HEADER = "pub_id,doi,year,doc_type,language,journal_id,institution_ids,field
 #: year and doc type in each record, about 263 B. Now about 247 B.
 MAX_BYTES_PER_PUB = 255
 
-#: Live and peak bytes allowed per kept evidence record, stored in the
-#: map of needed DOIs. Records that keep every location as an object take
-#: about 340 B; the digest, about 180 B live and 308 B at the peak while
-#: the scan kept its own set of DOIs and a second map; filling the one map
-#: in place, about 158 B live and 159 B at the peak.
-MAX_BYTES_PER_EVIDENCE = 200
+#: Bytes a scan may hold per kept evidence line: retained once the scan
+#: ends, and at its peak. Records that keep every location as an object
+#: took about 340 B; the digest, 308 B at the peak while the scan kept its
+#: own set of DOIs and a second map; filling the one map in place, about
+#: 158 B retained and 159 B at the peak. Now each DOI's value becomes None
+#: once its record is consumed, so no record outlives its line: under
+#: 0.1 B retained, and about 13 B at the peak over 20k lines (the buffers
+#: of one line, not a term per line).
+MAX_RETAINED_BYTES_PER_EVIDENCE_LINE = 1
+MAX_PEAK_BYTES_PER_EVIDENCE_LINE = 20
 
 #: Peak bytes a run_pipeline call may add per further publication (with
 #: its evidence line). Keeping a classified list for five table rescans,
 #: and every input until the bundle is written, takes about 630 B; one
-#: pass that frees its inputs early, about 430 B. A classify run that
-#: builds its rows while the evidence is held takes about 534 B; one that
-#: builds them after it is freed, about 447 B.
-MAX_PEAK_BYTES_PER_PUB = 480
+#: pass that frees its inputs early, about 430 B; classifying each
+#: publication as its evidence line arrives, with the parse's pub-id set a
+#: dict, about 261 B.
+MAX_PEAK_BYTES_PER_PUB = 300
+
+#: The same for a classify run, whose ClassifiedRows holds every
+#: publication until its table is built. Building its rows while the
+#: evidence is held took about 534 B; after it is freed, about 447 B;
+#: with the fold during the scan, about 384 B.
+MAX_PEAK_BYTES_PER_PUB_CLASSIFIED = 400
 
 
 def _publication_table(n: int, seed: int = 5) -> bytes:
@@ -61,9 +71,9 @@ def test_parsed_records_have_no_instance_dict():
         {"doi": pubs[0].doi, "journal_is_oa": False,
          "oa_locations": [{"host_type": "repository", "url": "https://r.example/1"}]}
     )
-    evidence = {r.doi: r for r in parse_evidence_stream(io.BytesIO(line.encode()))}
-    classified = list(classify_stream(pubs, evidence))
-    for obj in (pubs[0], evidence[pubs[0].doi], classified[0][1]):
+    (record,) = parse_evidence_stream(io.BytesIO(line.encode()))
+    classified = list(classify_stream([record], {pub.doi: pub for pub in pubs}))
+    for obj in (pubs[0], record, classified[0][1]):
         assert not hasattr(obj, "__dict__"), type(obj).__name__
 
 
@@ -134,14 +144,14 @@ def test_live_bytes_per_evidence_record_bounded():
         for _ in parse_evidence_stream(io.BytesIO(dump), keep=needed):
             pass
         gc.collect()
-        live, peak = (size - before for size in tracemalloc.get_traced_memory())
+        retained, peak = (size - before for size in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    assert sum(record is not None for record in needed.values()) == n
-    per_record = live / n
-    assert per_record <= MAX_BYTES_PER_EVIDENCE, f"{per_record:.0f} B per evidence record"
-    per_record_peak = peak / n
-    assert per_record_peak <= MAX_BYTES_PER_EVIDENCE, f"{per_record_peak:.0f} B per evidence record at the peak"
+    assert all(value is None for value in needed.values())  # every line was kept
+    per_line = retained / n
+    assert per_line <= MAX_RETAINED_BYTES_PER_EVIDENCE_LINE, f"{per_line:.1f} B retained per kept line"
+    per_line_peak = peak / n
+    assert per_line_peak <= MAX_PEAK_BYTES_PER_EVIDENCE_LINE, f"{per_line_peak:.1f} B per kept line at the peak"
 
 
 def _pipeline_peak(directory, n: int, tables=REPORT_TABLES) -> int:
@@ -175,4 +185,4 @@ def test_peak_bytes_per_publication_of_a_classify_run_bounded(tmp_path):
     small, large = 4_000, 8_000
     peaks = [_pipeline_peak(tmp_path, n, tables=("classified",)) for n in (small, large)]
     per_pub = (peaks[1] - peaks[0]) / (large - small)
-    assert per_pub <= MAX_PEAK_BYTES_PER_PUB, f"{per_pub:.0f} B per publication"
+    assert per_pub <= MAX_PEAK_BYTES_PER_PUB_CLASSIFIED, f"{per_pub:.0f} B per publication"

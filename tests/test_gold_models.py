@@ -5,11 +5,7 @@ import pytest
 
 from oracles import fold, records
 
-from oametrics.gold_models import (
-    DEFAULT_COUNTRY_LOOKUP,
-    GoldModel,
-    resolve_journal_country,
-)
+from oametrics.gold_models import GoldModel, resolve_journal_country
 from oametrics.models import (
     MAIN_FIELDS,
     Institution,

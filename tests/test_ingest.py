@@ -172,13 +172,13 @@ def test_evidence_keep_filter_drops_silently():
         for c in "abc"
     ]
     stats = ParseStats()
-    keep = {"10.1/b": "10.1/b", "10.1/z": "10.1/z"}
+    keep = {"10.1/b": "P2", "10.1/z": "P9"}
     records, issues = _parse_evidence(_evidence_bytes(*lines), keep=keep, stats=stats)
     assert [r.doi for r in records] == ["10.1/b"]
     assert issues == []
     assert stats.lines == 3 and stats.records == 1
-    # The map is filled in place: a needed DOI without a line maps to None.
-    assert keep == {"10.1/b": records[0], "10.1/z": None}
+    # The map is updated in place: a DOI with a record maps to None, one without a line keeps its value.
+    assert keep == {"10.1/b": None, "10.1/z": "P9"}
 
 
 def test_evidence_blank_lines_skipped():
@@ -320,6 +320,21 @@ def test_publications_missing_header_column_is_fatal():
         list(parse_publications(stream, PipelineConfig()))
 
 
+def test_csv_header_naming_a_column_twice_is_fatal():
+    # Read cell by cell, the later cell would win: country 'NL', doi 10.1/b.
+    inst = io.BytesIO(b"inst_id,name,country,regions,country\nU1,A,ES,Europe,NL\n")
+    with pytest.raises(ValueError, match="institutions: column named twice: country"):
+        parse_registries(inst, None)
+    pubs = io.BytesIO(
+        f"pub_id,doi,year,doc_type,journal_id,field_ids,doi\nP1,10.1/a,2015,article,J1,{BIO},10.1/b\n".encode()
+    )
+    with pytest.raises(ValueError, match="publications: column named twice: doi"):
+        list(parse_publications(pubs, PipelineConfig()))
+    # Unnamed columns hold nothing that is read, so two of them are not a defect.
+    jour = io.BytesIO(b"journal_id,is_fully_oa,,\nJ1,true,x,y\n")
+    assert list(parse_registries(None, jour)[1]) == ["J1"]
+
+
 INST_HEADER = "inst_id,name,country,regions,repo_url_patterns"
 JOURNAL_HEADER = "journal_id,issns,country,is_fully_oa,has_apc,publisher_address"
 
@@ -405,11 +420,15 @@ def test_evidence_duplicate_doi_reported_first_wins():
     spelled = json.dumps(
         {"doi": "https://doi.org/10.1/a", "journal_is_oa": False, "oa_locations": []}
     )
-    keep = {"10.1/a": "10.1/a"}
-    records, issues = _parse_evidence(_evidence_bytes(first, spelled, first), keep=keep)
-    assert [(r.doi, r.journal_is_oa) for r in records] == [("10.1/a", True)]
+    keep = {"10.1/a": "P1"}
+    issues = []
+    stream = parse_evidence_stream(_evidence_bytes(first, spelled, first), on_issue=issues.append, keep=keep)
+    record = next(stream)
+    assert (record.doi, record.journal_is_oa) == ("10.1/a", True)
+    assert keep == {"10.1/a": "P1"}  # still there to read while the record is consumed
+    assert list(stream) == []
     assert [(i.kind, i.line_no) for i in issues] == [("duplicate_key", 2), ("duplicate_key", 3)]
-    assert keep == {"10.1/a": records[0]} and keep["10.1/a"] is records[0]
+    assert keep == {"10.1/a": None}
 
 
 def test_evidence_deeply_nested_line_is_malformed():
@@ -635,27 +654,26 @@ def test_evidence_from_a_pipe_is_read_once_from_its_start(tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("processes", [1, 3])
-def test_records_are_built_under_the_doi_keep_returns(tmp_path, monkeypatch, processes):
+def test_keep_maps_each_doi_to_none_once_its_record_is_consumed(tmp_path, monkeypatch, processes):
     monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", 32)
     dump = tmp_path / "dump.jsonl"
+    dois = [f"10.1/{i}" for i in (0, 1, 2, 3, 4, 5, 2, 0)]
     dump.write_text(
         "".join(
-            json.dumps({"doi": f"https://doi.org/10.1/{i}", "journal_is_oa": False, "oa_locations": []})
-            + "\n"
-            for i in range(6)
+            json.dumps({"doi": f"https://doi.org/{doi}", "journal_is_oa": False, "oa_locations": []}) + "\n"
+            for doi in dois
         ),
         encoding="utf-8",
     )
     assert len(ingest._byte_ranges(dump, processes)) == (processes if processes > 1 else 0)
-    # Equal strings that are not the parser's own objects.
-    canonical = {doi: "".join(["10.1/", doi[5:]]) for doi in (f"10.1/{i}" for i in range(0, 6, 2))}
-    keep = dict(canonical)
-    records, issues = _parse_evidence(dump, keep=keep, processes=processes)
-    assert issues == []
-    assert [r.doi for r in records] == ["10.1/0", "10.1/2", "10.1/4"]
-    for record in records:
-        assert record.doi is canonical[record.doi]
-        assert keep[record.doi] is record
+    keep = {"10.1/0": "P0", "10.1/2": "P2", "10.1/4": "P4", "10.1/9": "P9"}
+    issues, consumed = [], []
+    for record in parse_evidence_stream(dump, on_issue=issues.append, keep=keep, processes=processes):
+        consumed.append((record.doi, keep[record.doi]))
+    # Each record's value is still there while it is consumed; a later line for its DOI is a duplicate.
+    assert consumed == [("10.1/0", "P0"), ("10.1/2", "P2"), ("10.1/4", "P4")]
+    assert [(i.line_no, i.kind) for i in issues] == [(7, "duplicate_key"), (8, "duplicate_key")]
+    assert keep == {"10.1/0": None, "10.1/2": None, "10.1/4": None, "10.1/9": "P9"}
 
 
 def test_range_scan_splits_a_dump_at_line_starts(tmp_path, monkeypatch):

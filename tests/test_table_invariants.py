@@ -5,7 +5,9 @@ the affiliations (on or off the roster), countries and evidence
 locations. No table may depend on the order its accumulator is fed the
 publications in. On the same corpora written as input files, the tables
 of run_pipeline's one pass must equal a separate fold of each
-accumulator and the cell tables built from its counts.
+accumulator and the cell tables built from its counts, in one process
+and in three, with shared DOIs, publications without a DOI or without a
+dump line, and duplicate and unneeded lines in any order.
 """
 
 import csv
@@ -13,13 +15,14 @@ import json
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import evidence, fold, pub_loc, records, repo_loc
 
-from oametrics.classifier import ClassifiedRows, classify, classify_stream
+from oametrics.classifier import ClassifiedRows, classify
 from oametrics.cli import REPORT_TABLES, run_pipeline
 from oametrics.gold_models import GoldModel
 from oametrics.indicators import (
@@ -31,7 +34,14 @@ from oametrics.indicators import (
     region_rollup,
     university_indicators,
 )
-from oametrics.ingest import IssueSummary, parse_evidence_stream, parse_publications, parse_registries
+from oametrics import ingest
+from oametrics.ingest import (
+    IssueSummary,
+    ParseIssue,
+    parse_evidence_stream,
+    parse_publications,
+    parse_registries,
+)
 from oametrics.models import (
     MAIN_FIELDS,
     OA_TYPES,
@@ -157,8 +167,18 @@ def test_tables_do_not_depend_on_publication_order(countries, rows, data):
     assert fold(FullCounts(), shuffled).counts == fold(FullCounts(), classified).counts
 
 
-def _write_corpus(directory: Path, countries, rows) -> dict[str, Path]:
-    """The roster, the journal registry, the publications and their dump as input files."""
+#: A publication's DOI: none, or one of 10.1/0..10.1/11, which other publications may share.
+publication_dois = st.one_of(st.none(), st.integers(0, 11))
+#: Dump lines in any order: a DOI, its locations and its journal flag. A DOI may have no line or
+#: several, with different content, and 10.1/12..10.1/15 are needed by no publication.
+dump_lines = st.lists(
+    st.tuples(st.integers(0, 15), st.lists(st.sampled_from(LOCATIONS), max_size=4), st.booleans()),
+    max_size=50,
+)
+
+
+def _write_corpus(directory: Path, countries, rows, dois, lines) -> dict[str, Path]:
+    """The roster, the journal registry, the publications and a dump as input files."""
     paths = {name: directory / f"{name}.{ext}" for name, ext in (
         ("institutions", "csv"), ("journals", "csv"), ("publications", "csv"), ("evidence", "jsonl"),
     )}
@@ -175,36 +195,57 @@ def _write_corpus(directory: Path, countries, rows) -> dict[str, Path]:
         "publications": [
             ("pub_id", "doi", "year", "doc_type", "language", "journal_id", "institution_ids", "field_ids")
         ] + [
-            (f"P{n}", f"10.1/{n}", 2015, "article", language, journal_id, ";".join(sorted(inst_ids)),
+            # Publications sharing a DOI spell it in two ways.
+            (f"P{n}", "" if doi is None else ("10.1/{}", "https://doi.org/10.1/{}")[n % 2].format(doi),
+             2015, "article", language, journal_id, ";".join(sorted(inst_ids)),
              MAIN_FIELDS[n % len(MAIN_FIELDS)])
-            for n, (inst_ids, _, _, journal_id, language) in enumerate(rows)
+            for n, ((inst_ids, _, _, journal_id, language), doi) in enumerate(zip(rows, dois))
         ],
     }
     for name, table in tables.items():
         with open(paths[name], "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh).writerows(table)
     with open(paths["evidence"], "w", encoding="utf-8") as fh:
-        for n, (_, locations, journal_is_oa, _, _) in enumerate(rows):
-            line = {"doi": f"10.1/{n}", "journal_is_oa": journal_is_oa, "oa_locations": locations}
+        for doi, locations, journal_is_oa in lines:
+            line = {"doi": f"10.1/{doi}", "journal_is_oa": journal_is_oa, "oa_locations": locations}
             fh.write(json.dumps(line) + "\n")
     return paths
 
 
 @settings(max_examples=60, deadline=None)
-@given(roster, publications)
-def test_one_pass_fold_matches_the_public_builders(countries, rows):
+@given(roster, publications, st.lists(publication_dois, min_size=40, max_size=40), dump_lines)
+@example(  # P0 (fully-OA journal) and P1 (toll) share 10.1/0, whose second line differs
+    {"U1": "AA", "U2": "AA"},
+    [(frozenset({"U1"}), [], False, "J1", "en"), (frozenset({"U2"}), [], False, "J3", "pt"),
+     (frozenset({"U1", "U2"}), [], False, "J3", "en"), (frozenset({"U2"}), [], False, "J2", "en")],
+    [0, 0, None, 1] + [None] * 36,
+    [(14, [LOCATIONS[6]], False), (0, [LOCATIONS[6], LOCATIONS[0]], False), (0, [LOCATIONS[1]], True)],
+)
+def test_one_pass_fold_matches_the_public_builders(countries, rows, dois, lines):
     config = PipelineConfig(min_universities_country=2, min_universities_gold_model=1)
     with tempfile.TemporaryDirectory() as tmp:
-        paths = _write_corpus(Path(tmp), countries, rows)
-        bundle = run_pipeline(
-            config, paths["publications"], paths["evidence"], paths["institutions"],
-            paths["journals"], shards=1, tables=REPORT_TABLES + ("classified",),
-        )
+        paths = _write_corpus(Path(tmp), countries, rows, dois, lines)
+        with mock.patch.object(ingest, "_MIN_RANGE_BYTES", 64):  # 3 processes scan 3 ranges
+            bundles = [
+                run_pipeline(
+                    config, paths["publications"], paths["evidence"], paths["institutions"],
+                    paths["journals"], shards=shards, tables=REPORT_TABLES + ("classified",),
+                )
+                for shards in (1, 3)
+            ]
         sink = IssueSummary()
         institutions, journals = parse_registries(paths["institutions"], paths["journals"], on_issue=sink)
         pubs = list(parse_publications(paths["publications"], config, on_issue=sink))
-        dump = {r.doi: r for r in parse_evidence_stream(paths["evidence"], on_issue=sink)}
-    classified = list(classify_stream(pubs, dump, journals))
+        needed = {pub.doi for pub in pubs}
+        dump = {}  # the first line of each needed DOI; a later one is a duplicate
+        for line_no, record in enumerate(parse_evidence_stream(paths["evidence"], on_issue=sink), start=1):
+            if record.doi in needed and dump.setdefault(record.doi, record) is not record:
+                sink(ParseIssue("evidence", line_no, "duplicate_key", f"duplicate doi: {record.doi}"))
+    classified = []
+    for pub in pubs:
+        record = dump.get(pub.doi)
+        types = classify(record, journals.get(pub.journal_id))
+        classified.append((pub, types, () if record is None else record.repository_urls))
     counts = fold(FullCounts(), classified).counts
     universities = university_indicators(counts, institutions, config)
     medians = median_share_by_country(universities, config.min_universities_country)
@@ -222,9 +263,10 @@ def test_one_pass_fold_matches_the_public_builders(countries, rows):
         "gold_models_full": gold,
         "issues": sink.table(),
     }
-    assert set(bundle.tables) == set(expected) | {"country_medians", "gold_models"}
-    for name, table in expected.items():
-        assert bundle.tables[name] == table, name
-    for name, full in (("country_medians", medians), ("gold_models", gold)):
-        shown = bundle.tables[name]  # the rows flagged displayed, cut to the display columns
-        assert shown.rows == tuple(row[:len(shown.columns)] for row in full.rows if row[-1]), name
+    for bundle in bundles:
+        assert set(bundle.tables) == set(expected) | {"country_medians", "gold_models"}
+        for name, table in expected.items():
+            assert bundle.tables[name] == table, name
+        for name, full in (("country_medians", medians), ("gold_models", gold)):
+            shown = bundle.tables[name]  # the rows flagged displayed, cut to the display columns
+            assert shown.rows == tuple(row[:len(shown.columns)] for row in full.rows if row[-1]), name
