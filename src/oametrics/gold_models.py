@@ -12,7 +12,7 @@ from collections import Counter
 from typing import Mapping
 
 from .models import (
-    Institution, JournalRecord, OATypeSet, PublicationRecord, Table, exact_share, roster_countries,
+    Institution, JournalRecord, OATypeSet, PublicationRecord, Table, exact_share,
 )
 
 #: Constituent countries that resolve to the United Kingdom.
@@ -140,7 +140,11 @@ class GoldModel:
         self.seen_countries: set[str] = set()
 
     def add(self, pub: PublicationRecord, types: OATypeSet, repository_urls=()) -> None:
-        countries = roster_countries(pub, self.institutions)
+        countries = set()
+        for inst_id in pub.institution_ids:
+            institution = self.institutions.get(inst_id)
+            if institution is not None:
+                countries.add(institution.country)
         self.seen_countries.update(countries)
         if not countries or not types.gold:
             return
@@ -151,14 +155,13 @@ class GoldModel:
             )
         jc = self.journal_country[pub.journal_id]
         apc = journal.has_apc if journal is not None else "unknown"
-        self.gold_total.update(countries)
-        self.national.update(country for country in countries if jc == country)
-        if pub.language == "en":
-            self.english.update(countries)
-        if apc != "unknown":
-            self.apc_known.update(countries)
-        if apc == "yes":
-            self.apc_yes.update(countries)
+        english = pub.language == "en"
+        for country in countries:
+            self.gold_total[country] += 1
+            self.national[country] += jc == country
+            self.english[country] += english
+            self.apc_known[country] += apc != "unknown"
+            self.apc_yes[country] += apc == "yes"
 
     def table(self) -> Table:
         total, roster = self.gold_total, Counter(inst.country for inst in self.institutions.values())

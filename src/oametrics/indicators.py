@@ -44,11 +44,23 @@ class FullCounts:
     """
 
     def __init__(self) -> None:
-        self.counts: Counter[CountKey] = Counter()
+        # (institution, field, metrics) -> publications, where metrics is one
+        # of the few shared tuples _count_metrics returns: a third as many
+        # keys per publication as one per metric.
+        self._tally: Counter[tuple[str, str, tuple[str, ...]]] = Counter()
 
     def add(self, pub: PublicationRecord, types: OATypeSet, repository_urls=()) -> None:
         metrics = _count_metrics(types, pub.doi is not None)
-        self.counts.update(product(pub.institution_ids, (*pub.field_ids, ALL_SCIENCES), metrics))
+        self._tally.update(product(pub.institution_ids, (*pub.field_ids, ALL_SCIENCES), (metrics,)))
+
+    @property
+    def counts(self) -> Counter[CountKey]:
+        """The (institution, field, metric) counts of every publication added so far."""
+        counts: Counter[CountKey] = Counter()
+        for (inst_id, field_name, metrics), n in self._tally.items():
+            for metric in metrics:
+                counts[(inst_id, field_name, metric)] += n
+        return counts
 
 
 UNIVERSITIES_COLUMNS = (

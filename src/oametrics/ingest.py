@@ -26,6 +26,7 @@ import gzip
 import io
 import json
 import marshal
+import operator
 import os
 import re
 import signal
@@ -47,6 +48,7 @@ from .models import (
     PipelineConfig,
     PublicationRecord,
     Table,
+    _checked_publication,
     normalize_doi,
 )
 
@@ -140,16 +142,6 @@ def _open_stream(source) -> Iterator[io.BufferedIOBase]:
         if fh.peek(3)[:3] == codecs.BOM_UTF8:
             fh.read(3)
         yield fh
-
-
-def _interner() -> Callable:
-    """A per-parse cache that maps each value to the first equal one seen.
-
-    Repeated cell values (languages, journal ids, affiliation
-    tuples, ...) then share one object across all records of a parse.
-    """
-    cache: dict = {}
-    return lambda value: cache.setdefault(value, value)
 
 
 def _report(on_issue, source: str, line_no: int, kind: str, detail: str) -> None:
@@ -450,17 +442,25 @@ def _scan_ranges(path, ranges: list[tuple[int, int]], keep, stats: ParseStats):
         offset += n_lines
 
 
-def _iter_rows(source, source_name: str, on_issue, stats: ParseStats, required: tuple[str, ...]):
-    """Yield (line_no, dict) rows from a CSV or line-delimited JSON table.
+def _iter_rows(
+    source, source_name: str, on_issue, stats: ParseStats, required: tuple[str, ...], optional: tuple[str, ...],
+):
+    """Yield (line_no, cells) rows from a CSV or line-delimited JSON table.
 
-    The format is sniffed from the first byte after any UTF-8 BOM ("{"
-    means JSON lines). Every non-blank line read counts in `stats.lines`,
-    also one reported here as malformed, so an issue rate never exceeds 1:
-    a JSON line that is not UTF-8, not JSON or not an object, and a CSV
+    `cells` holds the row's values of `required + optional`, in that
+    order, so a parser reads them by position. Every value is text, ""
+    where the row has none, except that a JSON list in a list column
+    arrives as a tuple of texts and a JSON boolean in a flag column as a
+    bool (see `_json_cells`). The format is sniffed from the first byte
+    after any UTF-8 BOM ("{" means JSON lines). Every non-blank line read
+    counts in `stats.lines`, also one reported here as malformed, so an
+    issue rate never exceeds 1: a JSON line that is not UTF-8, not JSON,
+    not an object or holding a value `_json_cells` cannot read, and a CSV
     row with more cells than its header. A CSV header missing a required
     column or naming a column twice is a file-level defect and raises
     ValueError rather than producing per-line issues.
     """
+    columns = required + optional
     with _open_stream(source) as fh:
         head = fh.peek(64).lstrip()
         if head[:1] == b"{":
@@ -472,55 +472,94 @@ def _iter_rows(source, source_name: str, on_issue, stats: ParseStats, required: 
                 if type(obj) is str:
                     _report(on_issue, source_name, line_no, "malformed", obj)
                     continue
-                yield line_no, obj
+                cells = _json_cells(obj, columns)
+                if type(cells) is str:
+                    detail = f"{cells} holds a value that is not text or a number"
+                    _report(on_issue, source_name, line_no, "malformed", detail)
+                    continue
+                yield line_no, cells
         else:
-            text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
-            reader = csv.DictReader(text)
-            if reader.fieldnames is None:
+            reader = csv.reader(io.TextIOWrapper(fh, encoding="utf-8", newline=""))
+            header = next(reader, None)
+            if header is None:
                 return
-            missing = [c for c in required if c not in reader.fieldnames]
+            missing = [c for c in required if c not in header]
             if missing:
                 raise ValueError(f"{source_name}: missing required columns: {', '.join(missing)}")
-            if twice := [c for c, n in Counter(reader.fieldnames).items() if c and n > 1]:
+            if twice := [c for c, n in Counter(header).items() if c and n > 1]:
                 raise ValueError(f"{source_name}: column named twice: {', '.join(twice)}")
+            width = len(header)
+            # A column the header lacks reads the "" padded after the last cell.
+            cells = operator.itemgetter(*(header.index(c) if c in header else width for c in columns))
+            padding = [""] * (width + 1)
             for row in reader:
+                if not row:  # a blank line
+                    continue
                 stats.lines += 1
-                if None in row:  # DictReader files the cells past the header under None
-                    width = len(reader.fieldnames)
-                    detail = f"row has {width + len(row[None])} cells, header has {width}"
+                if len(row) > width:
+                    detail = f"row has {len(row)} cells, header has {width}"
                     _report(on_issue, source_name, reader.line_num, "malformed", detail)
                     continue
-                yield reader.line_num, row
+                row += padding[len(row):]
+                yield reader.line_num, cells(row)
 
 
-def _text(obj: dict, key: str) -> str:
-    value = obj.get(key)
-    if value is None:
-        return ""
-    return str(value).strip()
+#: Columns that hold several values: a JSON list or a ';'-separated cell.
+_LIST_COLUMNS = frozenset({"institution_ids", "field_ids", "regions", "repo_url_patterns"})
+#: Columns read as a flag, where a JSON boolean is accepted.
+_FLAG_COLUMNS = frozenset({"is_fully_oa"})
+#: The types of the items a JSON list cell may hold.
+_TEXT_ITEMS = frozenset({str, int, float})
 
 
-def _multi(obj: dict, key: str) -> list[str]:
-    """Read a multi-valued column: a JSON list or a ';'-separated cell."""
-    value = obj.get(key)
-    if value is None:
-        return []
-    if isinstance(value, (list, tuple)):
-        parts = [str(v).strip() for v in value]
-    else:
-        parts = [p.strip() for p in str(value).split(";")]
-    return [p for p in parts if p]
+def _json_cells(obj: dict, columns: tuple[str, ...]) -> list | str:
+    """The cells of one JSON-lines row as `_iter_rows` yields them, or the first column it cannot read.
+
+    Text stays, a number becomes its text and null "". Only a list column
+    may hold a list (of texts and numbers), and only a flag column a boolean.
+    """
+    cells = []
+    for column, value in zip(columns, map(obj.get, columns)):
+        kind = type(value)
+        if kind is str or kind is bool and column in _FLAG_COLUMNS:
+            pass
+        elif value is None:
+            value = ""
+        elif kind is int or kind is float:
+            value = str(value)
+        elif kind is list and column in _LIST_COLUMNS and all(type(v) in _TEXT_ITEMS for v in value):
+            value = tuple(map(str, value))
+        else:
+            return column
+        cells.append(value)
+    return cells
 
 
-def _parse_flag(value) -> bool | None:
-    if isinstance(value, bool):
+def _multi(cell: str | tuple[str, ...]) -> list[str]:
+    """The non-blank items of a list cell, stripped: a JSON list's, or a ';'-separated text's."""
+    parts = cell.split(";") if type(cell) is str else cell
+    return [p for p in map(str.strip, parts) if p]
+
+
+def _parse_flag(value: str | bool) -> bool | None:
+    if type(value) is bool:
         return value
-    word = str(value).strip().lower() if value is not None else ""
+    word = value.strip().lower()
     if word in _TRUE_WORDS:
         return True
     if word in _FALSE_WORDS:
         return False
     return None
+
+
+def _field_set(cell: str | tuple[str, ...]) -> frozenset[str] | tuple[str, str]:
+    """The main fields a field_ids cell names, or the (kind, detail) of the issue it is instead."""
+    fields = frozenset(_multi(cell))
+    if not fields:
+        return "missing_required_field", "missing field_ids"
+    if not fields <= MAIN_FIELD_SET:
+        return "malformed", f"unknown field: {min(fields - MAIN_FIELD_SET)!r}"
+    return fields
 
 
 def parse_publications(
@@ -532,27 +571,33 @@ def parse_publications(
     """Yield publication records, dropping non-citable and out-of-period rows.
 
     The year and doc_type columns only select rows; records omit them.
-    Every dropped or rejected row is reported as exactly one issue. A
-    kept row whose non-empty doi cell normalize_doi rejects is reported
-    as one malformed issue and kept as a publication without a DOI.
-    Duplicate pub_ids keep the first occurrence. Equal languages, journal
-    ids, affiliation tuples (sorted distinct ids) and field sets share
-    one object across the yielded records.
+    A year is ASCII digits. Every dropped or rejected row is reported as
+    exactly one issue. A kept row whose non-empty doi cell normalize_doi
+    rejects is reported as one malformed issue and kept as a publication
+    without a DOI. Duplicate pub_ids keep the first occurrence. Equal
+    languages, journal ids, affiliation tuples (sorted distinct ids) and
+    field sets share one object across the yielded records.
     """
     if stats is None:
         stats = ParseStats()
-    intern = _interner()
+    # intern(value, value) returns the first value equal to it seen in this parse, so
+    # equal languages, journal ids, affiliation ids and tuples share one object.
+    intern = {}.setdefault
+    # Each distinct field_ids cell is split, checked and interned once.
+    field_sets: dict[str | tuple[str, ...], frozenset[str]] = {}
     # A dict, not a set: a set under 50k entries grows x4, so 20k ids take 2.1 MB, not 0.4 MB.
     seen: dict[str, None] = {}
-    for line_no, row in _iter_rows(
+    rows = _iter_rows(
         source, "publications", on_issue, stats,
         required=("pub_id", "year", "doc_type", "journal_id", "field_ids"),
-    ):
-        pub_id = _text(row, "pub_id")
+        optional=("doi", "language", "institution_ids"),
+    )
+    for line_no, (pub_id, year, doc_type, journal_id, field_cell, raw_doi, language, affiliations) in rows:
+        pub_id = pub_id.strip()
         if not pub_id:
             _report(on_issue, "publications", line_no, "missing_required_field", "missing pub_id")
             continue
-        doc_type = _text(row, "doc_type").lower()
+        doc_type = doc_type.strip().lower()
         if not doc_type:
             _report(on_issue, "publications", line_no, "missing_required_field", "missing doc_type")
             continue
@@ -562,10 +607,13 @@ def parse_publications(
                 "malformed", f"non-citable doc_type: {doc_type!r}",
             )
             continue
+        year_text = year.strip()
         try:
-            year = int(_text(row, "year"))
-        except ValueError:
-            _report(on_issue, "publications", line_no, "malformed", f"invalid year: {_text(row, 'year')!r}")
+            year = int(year_text) if year_text.isascii() and year_text.isdigit() else None
+        except ValueError:  # more digits than int() converts
+            year = None
+        if year is None:
+            _report(on_issue, "publications", line_no, "malformed", f"invalid year: {year_text!r}")
             continue
         if not config.year_in_period(year):
             _report(
@@ -574,36 +622,31 @@ def parse_publications(
                 f"year {year} outside period {config.period[0]}-{config.period[1]}",
             )
             continue
-        journal_id = _text(row, "journal_id")
+        journal_id = journal_id.strip()
         if not journal_id:
             _report(on_issue, "publications", line_no, "missing_required_field", "missing journal_id")
             continue
-        field_ids = _multi(row, "field_ids")
-        if not field_ids:
-            _report(on_issue, "publications", line_no, "missing_required_field", "missing field_ids")
-            continue
-        fields = frozenset(field_ids)
-        unknown = fields - MAIN_FIELD_SET
-        if unknown:
-            _report(on_issue, "publications", line_no, "malformed", f"unknown field: {min(unknown)!r}")
-            continue
+        fields = field_sets.get(field_cell)
+        if fields is None:
+            fields = _field_set(field_cell)
+            if type(fields) is tuple:
+                _report(on_issue, "publications", line_no, *fields)
+                continue
+            fields = field_sets[field_cell] = intern(fields, fields)
         if pub_id in seen:
             _report(on_issue, "publications", line_no, "duplicate_key", f"duplicate pub_id: {pub_id}")
             continue
         seen[pub_id] = None
-        raw_doi = _text(row, "doi")
-        doi = normalize_doi(raw_doi or None)
+        raw_doi = raw_doi.strip()
+        doi = normalize_doi(raw_doi) if raw_doi else None
         if raw_doi and doi is None:
             _report(on_issue, "publications", line_no, "malformed", f"invalid doi: {raw_doi!r}")
-        language = _text(row, "language").lower() or "unknown"
+        language = language.strip().lower() or "unknown"
+        ids = _multi(affiliations)
+        ids = tuple(sorted(set(map(intern, ids, ids))))
         stats.records += 1
-        yield PublicationRecord(
-            pub_id=pub_id,
-            doi=doi,
-            language=intern(language),
-            journal_id=intern(journal_id),
-            institution_ids=intern(tuple(sorted(set(map(intern, _multi(row, "institution_ids")))))),
-            field_ids=intern(fields),
+        yield _checked_publication(
+            pub_id, doi, intern(language, language), intern(journal_id, journal_id), intern(ids, ids), fields,
         )
 
 
@@ -626,19 +669,19 @@ def parse_registries(
     if journal_stats is None:
         journal_stats = ParseStats()
     institutions: dict[str, Institution] = {}
-    for line_no, row in _iter_rows(
+    for line_no, (inst_id, country, regions, name, patterns) in _iter_rows(
         institutions_source, "institutions", on_issue, institution_stats,
-        required=("inst_id", "country", "regions"),
+        required=("inst_id", "country", "regions"), optional=("name", "repo_url_patterns"),
     ) if institutions_source is not None else ():
-        inst_id = _text(row, "inst_id")
+        inst_id = inst_id.strip()
         if not inst_id:
             _report(on_issue, "institutions", line_no, "missing_required_field", "missing inst_id")
             continue
-        country = _text(row, "country").upper()
+        country = country.strip().upper()
         if not country:
             _report(on_issue, "institutions", line_no, "missing_required_field", "missing country")
             continue
-        regions = _multi(row, "regions")
+        regions = _multi(regions)
         if not regions:
             _report(on_issue, "institutions", line_no, "missing_required_field", "missing regions")
             continue
@@ -648,40 +691,38 @@ def parse_registries(
         institution_stats.records += 1
         institutions[inst_id] = Institution(
             inst_id=inst_id,
-            name=_text(row, "name") or inst_id,
+            name=name.strip() or inst_id,
             country=country,
             regions=frozenset(regions),
-            repo_url_patterns=_multi(row, "repo_url_patterns"),
+            repo_url_patterns=_multi(patterns),
         )
 
     journals: dict[str, JournalRecord] = {}
-    for line_no, row in _iter_rows(
-        journals_source, "journals", on_issue, journal_stats, required=("journal_id",),
+    for line_no, (journal_id, is_fully_oa, has_apc, country, address) in _iter_rows(
+        journals_source, "journals", on_issue, journal_stats,
+        required=("journal_id",), optional=("is_fully_oa", "has_apc", "country", "publisher_address"),
     ) if journals_source is not None else ():
-        journal_id = _text(row, "journal_id")
+        journal_id = journal_id.strip()
         if not journal_id:
             _report(on_issue, "journals", line_no, "missing_required_field", "missing journal_id")
             continue
         if journal_id in journals:
             _report(on_issue, "journals", line_no, "duplicate_key", f"duplicate journal_id: {journal_id}")
             continue
-        is_fully_oa = _parse_flag(row.get("is_fully_oa"))
-        if is_fully_oa is None:
-            _report(
-                on_issue, "journals", line_no,
-                "malformed", f"invalid is_fully_oa: {_text(row, 'is_fully_oa')!r}",
-            )
+        flag = _parse_flag(is_fully_oa)
+        if flag is None:
+            _report(on_issue, "journals", line_no, "malformed", f"invalid is_fully_oa: {is_fully_oa.strip()!r}")
             continue
-        has_apc = _text(row, "has_apc").lower() or "unknown"
+        has_apc = has_apc.strip().lower() or "unknown"
         if has_apc not in APC_STATES:
             _report(on_issue, "journals", line_no, "malformed", f"invalid has_apc: {has_apc!r}")
             continue
         journal_stats.records += 1
         journals[journal_id] = JournalRecord(
             journal_id=journal_id,
-            country=_text(row, "country").upper() or None,
-            is_fully_oa=is_fully_oa,
+            country=country.strip().upper() or None,
+            is_fully_oa=flag,
             has_apc=has_apc,
-            publisher_address=_text(row, "publisher_address") or None,
+            publisher_address=address.strip() or None,
         )
     return institutions, journals

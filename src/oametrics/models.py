@@ -12,7 +12,6 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 MAIN_FIELDS = (
     "Biomedical and Health Sciences",
@@ -128,6 +127,11 @@ class OATypeSet:
         if self.gold + self.hybrid + self.bronze > 1:
             raise ValueError("gold, hybrid and bronze are mutually exclusive")
 
+    def __hash__(self) -> int:
+        # Agrees with __eq__, as equal outcomes have equal flags, and builds
+        # no tuple of the flags, as the generated hash does on every call.
+        return self.gold + 2 * self.green + 4 * self.hybrid + 8 * self.bronze
+
     @property
     def any_oa(self) -> bool:
         return self.gold or self.green or self.hybrid or self.bronze
@@ -172,6 +176,34 @@ class PublicationRecord:
             raise ValueError(f"doi is not normalized: {self.doi!r}")
 
 
+_set_pub_id, _set_doi, _set_language, _set_journal_id, _set_institution_ids, _set_field_ids = (
+    getattr(PublicationRecord, name).__set__
+    for name in ("pub_id", "doi", "language", "journal_id", "institution_ids", "field_ids")
+)
+
+
+def _checked_publication(
+    pub_id: str, doi: str | None, language: str, journal_id: str,
+    institution_ids: tuple[str, ...], field_ids: frozenset[str],
+) -> PublicationRecord:
+    """A PublicationRecord from values that already pass its checks, without checking them again.
+
+    The caller guarantees what __post_init__ would check or convert: a
+    non-empty pub_id, a normalized DOI or None, a sorted tuple of distinct
+    ids and a non-empty frozenset of main fields. Only parse_publications,
+    which checks each of them per row, calls it. Setting the slots skips
+    the frozen dataclass's __init__ and its second normalize_doi.
+    """
+    pub = object.__new__(PublicationRecord)
+    _set_pub_id(pub, pub_id)
+    _set_doi(pub, doi)
+    _set_language(pub, language)
+    _set_journal_id(pub, journal_id)
+    _set_institution_ids(pub, institution_ids)
+    _set_field_ids(pub, field_ids)
+    return pub
+
+
 @dataclass(frozen=True, slots=True)
 class Institution:
     """Roster entry for one university."""
@@ -189,11 +221,6 @@ class Institution:
         object.__setattr__(self, "repo_url_patterns", patterns)
         if not self.regions:
             raise ValueError("institution must belong to at least one region")
-
-
-def roster_countries(pub: PublicationRecord, institutions: Mapping[str, Institution]) -> set[str]:
-    """The distinct countries of a publication's affiliations that are on the roster."""
-    return {institutions[i].country for i in pub.institution_ids if i in institutions}
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,9 +8,9 @@ lower bound; adding handle-resolver URLs gives an upper bound.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .models import Institution, PipelineConfig, Table, exact_share, roster_countries
+from .models import Institution, PipelineConfig, Table, exact_share
 from .models import normalize_url  # noqa: F401  (unused here; perfbench traces repositories.normalize_url)
 
 REPO_BOUNDS_COLUMNS = (
@@ -25,9 +25,14 @@ PMC_OVERLAP_COLUMNS = (
 _PMC_FLAGGED = ("gold", "bronze", "hybrid")
 
 
-def _matches(urls: Iterable[str], patterns: Iterable[str]) -> bool:
+def _matches(urls: Sequence[str], patterns: Iterable[str]) -> bool:
     """True iff some URL contains some non-empty pattern."""
-    return any(pattern and pattern in url for url in urls for pattern in patterns)
+    for pattern in patterns:
+        if pattern:
+            for url in urls:
+                if pattern in url:
+                    return True
+    return False
 
 
 class RepoBounds:
@@ -47,13 +52,17 @@ class RepoBounds:
         self.pubs, self.green, self.lower, self.upper = Counter(), Counter(), Counter(), Counter()
 
     def add(self, pub, types, repository_urls) -> None:
-        inst_ids = [i for i in pub.institution_ids if i in self.institutions]
-        self.pubs.update(inst_ids)
-        if not inst_ids or not types.green:
-            return
-        handle = _matches(repository_urls, (self.handle_pattern,))
-        for inst_id in inst_ids:
-            matched = _matches(repository_urls, self.institutions[inst_id].repo_url_patterns)
+        institutions, handle = self.institutions, None
+        for inst_id in pub.institution_ids:
+            institution = institutions.get(inst_id)
+            if institution is None:
+                continue
+            self.pubs[inst_id] += 1
+            if not types.green:
+                continue
+            if handle is None:
+                handle = _matches(repository_urls, (self.handle_pattern,))
+            matched = _matches(repository_urls, institution.repo_url_patterns)
             self.green[inst_id] += 1
             self.lower[inst_id] += matched
             self.upper[inst_id] += matched or handle
@@ -98,20 +107,25 @@ class PmcOverlap:
         self.seen_countries: set[str] = set()
 
     def add(self, pub, types, repository_urls) -> None:
-        countries = roster_countries(pub, self.institutions)
+        countries = set()
+        for inst_id in pub.institution_ids:
+            institution = self.institutions.get(inst_id)
+            if institution is not None:
+                countries.add(institution.country)
         self.seen_countries.update(countries)
         if not countries or not types.green:
             return
-        self.greens.update(countries)
+        for country in countries:
+            self.greens[country] += 1
         via_pmc, has_other_repo = _pmc_flags(repository_urls, self.pmc_url_patterns)
         if not via_pmc:
             return
-        self.pmc.update(countries)
-        if not has_other_repo:
-            self.pmc_only.update(countries)
-        for oa_type, counter in self.flagged.items():
-            if types.has(oa_type):
-                counter.update(countries)
+        flagged = [counter for oa_type, counter in self.flagged.items() if getattr(types, oa_type)]
+        for country in countries:
+            self.pmc[country] += 1
+            self.pmc_only[country] += not has_other_repo
+            for counter in flagged:
+                counter[country] += 1
 
     def table(self) -> Table:
         greens, pmc = self.greens, self.pmc

@@ -49,20 +49,38 @@ MAX_PEAK_BYTES_PER_PUB = 300
 MAX_PEAK_BYTES_PER_PUB_CLASSIFIED = 400
 
 
-def _publication_table(n: int, seed: int = 5) -> bytes:
+def _publication_rows(n: int, seed: int = 5) -> list[dict]:
     rng = random.Random(seed)
     institutions = [f"U{i:03d}" for i in range(150)]
-    lines = [PUB_HEADER]
+    rows = []
     for i in range(n):
-        affiliations = ";".join(rng.sample(institutions, rng.randint(0, 4)))
-        fields = ";".join(rng.sample(MAIN_FIELDS, rng.randint(1, 2)))
+        affiliations = rng.sample(institutions, rng.randint(0, 4))
+        fields = rng.sample(MAIN_FIELDS, rng.randint(1, 2))
+        rows.append({
+            "pub_id": f"P{i:06d}",
+            "doi": f"https://doi.org/10.{rng.randint(1000, 9999)}/X{i}",
+            "year": rng.randint(2014, 2017),
+            "doc_type": rng.choice(["article", "review", "letter"]),
+            "language": rng.choice(["EN", "en", "de", ""]),
+            "journal_id": f"J{rng.randrange(800)}",
+            "institution_ids": affiliations,
+            "field_ids": fields,
+        })
+    return rows
+
+
+def _publication_table(n: int, seed: int = 5) -> bytes:
+    lines = [PUB_HEADER]
+    for row in _publication_rows(n, seed):
         lines.append(
-            f"P{i:06d},https://doi.org/10.{rng.randint(1000, 9999)}/X{i},"
-            f"{rng.randint(2014, 2017)},{rng.choice(['article', 'review', 'letter'])},"
-            f"{rng.choice(['EN', 'en', 'de', ''])},J{rng.randrange(800)},"
-            f"{affiliations},\"{fields}\""
+            f"{row['pub_id']},{row['doi']},{row['year']},{row['doc_type']},{row['language']},"
+            f"{row['journal_id']},{';'.join(row['institution_ids'])},\"{';'.join(row['field_ids'])}\""
         )
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _publication_jsonl(n: int, seed: int = 5) -> bytes:
+    return "".join(json.dumps(row) + "\n" for row in _publication_rows(n, seed)).encode("utf-8")
 
 
 def test_parsed_records_have_no_instance_dict():
@@ -90,9 +108,7 @@ def test_equal_values_share_one_object():
         assert getattr(first, name) is getattr(second, name), name
 
 
-def test_live_bytes_per_publication_bounded():
-    n = 20_000
-    table = _publication_table(n)
+def _live_bytes_per_publication(table: bytes, n: int) -> float:
     gc.collect()
     tracemalloc.start()
     try:
@@ -103,7 +119,19 @@ def test_live_bytes_per_publication_bounded():
     finally:
         tracemalloc.stop()
     assert len(pubs) == n
-    per_pub = live / n
+    return live / n
+
+
+def test_live_bytes_per_publication_bounded():
+    n = 20_000
+    per_pub = _live_bytes_per_publication(_publication_table(n), n)
+    assert per_pub <= MAX_BYTES_PER_PUB, f"{per_pub:.0f} B per publication"
+
+
+def test_live_bytes_per_jsonl_publication_bounded():
+    # The same rows as JSON lines, whose list cells arrive as lists.
+    n = 20_000
+    per_pub = _live_bytes_per_publication(_publication_jsonl(n), n)
     assert per_pub <= MAX_BYTES_PER_PUB, f"{per_pub:.0f} B per publication"
 
 

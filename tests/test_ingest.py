@@ -1,4 +1,6 @@
 import contextlib
+import csv
+import dataclasses
 import gzip
 import io
 import json
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oametrics import ingest
+from oametrics import ingest, models
 from oametrics.cli import FatalInputError, _reading
 from oametrics.ingest import (
     IssueSummary,
@@ -24,7 +26,7 @@ from oametrics.ingest import (
     parse_publications,
     parse_registries,
 )
-from oametrics.models import MAIN_FIELDS, PipelineConfig, normalize_doi
+from oametrics.models import MAIN_FIELDS, PipelineConfig, PublicationRecord, normalize_doi
 
 BIO = MAIN_FIELDS[0]
 SSH = MAIN_FIELDS[4]
@@ -872,3 +874,152 @@ def test_parsers_raise_nothing_reading_does_not_convert(data):
         with contextlib.suppress(FatalInputError), _reading("fuzz input"):
             parse(io.BytesIO(data), issues.append)
         assert all(isinstance(issue, ParseIssue) for issue in issues)
+
+
+def test_json_values_that_are_not_text_or_numbers_make_the_row_malformed():
+    pubs = [
+        {"pub_id": "P1", "year": 2015, "doc_type": "article", "journal_id": "J1",
+         "institution_ids": ["U1", None, {"a": 1}], "field_ids": [BIO]},
+        {"pub_id": "P2", "doi": ["10.1/b"], "year": 2015, "doc_type": "article",
+         "journal_id": "J1", "field_ids": [BIO]},
+        {"pub_id": True, "year": 2015, "doc_type": "article", "journal_id": "J1", "field_ids": [BIO]},
+        {"pub_id": "P4", "year": 2015, "doc_type": "article", "journal_id": "J1", "field_ids": [BIO],
+         "language": {"code": "en"}},
+        # Numbers are read as their text and a scalar null as missing.
+        {"pub_id": 5, "doi": None, "year": 2015, "doc_type": "article", "journal_id": 7,
+         "institution_ids": ["U1", 3], "field_ids": BIO, "language": None},
+    ]
+    records, issues = _parse_pubs(io.BytesIO("".join(json.dumps(p) + "\n" for p in pubs).encode()))
+    assert [(i.line_no, i.kind, i.detail) for i in issues] == [
+        (1, "malformed", "institution_ids holds a value that is not text or a number"),
+        (2, "malformed", "doi holds a value that is not text or a number"),
+        (3, "malformed", "pub_id holds a value that is not text or a number"),
+        (4, "malformed", "language holds a value that is not text or a number"),
+    ]
+    (pub,) = records
+    assert (pub.pub_id, pub.doi, pub.journal_id, pub.institution_ids, pub.language) == (
+        "5", None, "7", ("3", "U1"), "unknown",
+    )
+
+    inst = io.BytesIO(
+        b'{"inst_id": "U1", "country": "ES", "regions": ["Europe", null], "repo_url_patterns": [null]}\n'
+        b'{"inst_id": "U2", "country": "ES", "regions": ["Europe"], "repo_url_patterns": [null]}\n'
+        b'{"inst_id": "U3", "country": "ES", "regions": [["Europe"]]}\n'
+        b'{"inst_id": "U4", "country": "ES", "regions": ["Europe"], "name": false}\n'
+        b'{"inst_id": "U5", "country": "ES", "regions": "Europe", "name": null}\n'
+    )
+    jour = io.BytesIO(
+        b'{"journal_id": "J1", "is_fully_oa": true}\n'
+        b'{"journal_id": "J2", "is_fully_oa": {}}\n'
+        b'{"journal_id": "J3", "is_fully_oa": false, "has_apc": true}\n'
+        b'{"journal_id": "J4", "is_fully_oa": 1, "country": null}\n'
+    )
+    issues = []
+    institutions, journals = parse_registries(inst, jour, on_issue=issues.append)
+    assert [(i.source, i.line_no, i.detail) for i in issues] == [
+        ("institutions", 1, "regions holds a value that is not text or a number"),
+        ("institutions", 2, "repo_url_patterns holds a value that is not text or a number"),
+        ("institutions", 3, "regions holds a value that is not text or a number"),
+        ("institutions", 4, "name holds a value that is not text or a number"),
+        ("journals", 2, "is_fully_oa holds a value that is not text or a number"),
+        ("journals", 3, "has_apc holds a value that is not text or a number"),
+    ]
+    assert {i.kind for i in issues} == {"malformed"}
+    assert list(institutions) == ["U5"] and institutions["U5"].name == "U5"
+    assert {j: (r.is_fully_oa, r.country) for j, r in journals.items()} == {
+        "J1": (True, None), "J4": (True, None),
+    }
+
+
+def test_publications_year_is_ascii_digits():
+    records, issues = _parse_pubs(_pub_rows(
+        f"P1,10.1/a,2_015,article,en,J1,U1,{BIO}",
+        f"P2,10.1/b,２０１５,article,en,J1,U1,{BIO}",
+        f"P3,10.1/c,+2015,article,en,J1,U1,{BIO}",
+        f"P4,10.1/d, 2015 ,article,en,J1,U1,{BIO}",
+        f"P5,10.1/e,02015,article,en,J1,U1,{BIO}",
+        f"P6,10.1/f,{'2' * 5000},article,en,J1,U1,{BIO}",  # more digits than int() converts
+    ))
+    assert [r.pub_id for r in records] == ["P4", "P5"]
+    assert [(i.line_no, i.kind, i.detail) for i in issues] == [
+        (2, "malformed", "invalid year: '2_015'"),
+        (3, "malformed", "invalid year: '２０１５'"),
+        (4, "malformed", "invalid year: '+2015'"),
+        (7, "malformed", f"invalid year: '{'2' * 5000}'"),
+    ]
+
+
+_ID_TEXT = st.text(st.characters(blacklist_characters=";,\"\r\n\x00", blacklist_categories=("Cs",)), max_size=6)
+_PUBLICATION_ROWS = st.lists(
+    st.fixed_dictionaries({
+        "pub_id": _ID_TEXT.filter(str.strip),
+        "doi": st.sampled_from(["", " ", "10.1/A", " https://doi.org/10.5/x ", "doi:10.2/Y", "hdl:1", "10."]),
+        "year": st.sampled_from(["2014", "2017", " 2016 "]),
+        "doc_type": st.sampled_from(["article", " Review", "LETTER"]),
+        "language": st.sampled_from(["", "EN", " de ", "unknown"]),
+        "journal_id": _ID_TEXT.filter(str.strip),
+        "institution_ids": st.lists(_ID_TEXT, max_size=4),
+        "field_ids": st.lists(st.sampled_from(MAIN_FIELDS + (" " + BIO, "")), max_size=4).filter(
+            lambda fields: any(f.strip() for f in fields)
+        ),
+    }),
+    max_size=12,
+)
+
+
+def _as_csv(rows) -> bytes:
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(PUB_HEADER.split(","))
+    for row in rows:
+        writer.writerow(
+            ";".join(row[c]) if c in ("institution_ids", "field_ids") else row[c]
+            for c in PUB_HEADER.split(",")
+        )
+    return text.getvalue().encode("utf-8")
+
+
+@settings(max_examples=100, deadline=None)
+@given(_PUBLICATION_ROWS, st.booleans())
+def test_parsed_records_equal_checked_records(rows, as_jsonl):
+    data = b"".join(json.dumps(r).encode() + b"\n" for r in rows) if as_jsonl else _as_csv(rows)
+    records, _ = _parse_pubs(io.BytesIO(data))
+    first_rows, seen = [], set()  # a duplicate pub_id keeps its first row
+    for row in rows:
+        if row["pub_id"].strip() not in seen:
+            seen.add(row["pub_id"].strip())
+            first_rows.append(row)
+    assert len(records) == len(first_rows)
+    for record, row in zip(records, first_rows):
+        checked = PublicationRecord(
+            pub_id=row["pub_id"].strip(),
+            doi=normalize_doi(row["doi"]) if row["doi"].strip() else None,
+            language=row["language"].strip().lower() or "unknown",
+            journal_id=row["journal_id"].strip(),
+            institution_ids=[i.strip() for i in row["institution_ids"] if i.strip()],
+            field_ids={f.strip() for f in row["field_ids"] if f.strip()},
+        )
+        for field in dataclasses.fields(PublicationRecord):
+            got, want = getattr(record, field.name), getattr(checked, field.name)
+            assert (type(got), got) == (type(want), want), field.name
+
+
+def test_normalize_doi_runs_once_per_row_with_a_doi_cell(monkeypatch):
+    rows = _pub_rows(
+        f"P1,https://doi.org/10.1/A,2015,article,en,J1,U1,{BIO}",
+        f"P2,,2015,article,en,J1,U1,{BIO}",
+        f"P3,  ,2015,article,en,J1,U1,{BIO}",
+        f"P4,10.1/b,2015,article,en,J1,U1,{BIO}",
+        f"P5,hdl:1,2015,article,en,J1,U1,{BIO}",
+    )
+    calls = []
+
+    def counting(raw):
+        calls.append(raw)
+        return normalize_doi(raw)
+
+    monkeypatch.setattr(models, "normalize_doi", counting)
+    monkeypatch.setattr(ingest, "normalize_doi", counting)
+    records, _ = _parse_pubs(rows)
+    assert [r.doi for r in records] == ["10.1/a", None, None, "10.1/b", None]
+    assert calls == ["https://doi.org/10.1/A", "10.1/b", "hdl:1"]

@@ -12,7 +12,9 @@ dump line, and duplicate and unneeded lines in any order.
 
 import csv
 import json
+import random
 import tempfile
+from collections import Counter, defaultdict
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -24,7 +26,7 @@ from oracles import evidence, fold, pub_loc, records, repo_loc
 
 from oametrics.classifier import ClassifiedRows, classify
 from oametrics.cli import REPORT_TABLES, run_pipeline
-from oametrics.gold_models import GoldModel
+from oametrics.gold_models import GoldModel, resolve_journal_country
 from oametrics.indicators import (
     FullCounts,
     OverlapTally,
@@ -43,10 +45,12 @@ from oametrics.ingest import (
     parse_registries,
 )
 from oametrics.models import (
+    ALL_SCIENCES,
     MAIN_FIELDS,
     OA_TYPES,
     Institution,
     JournalRecord,
+    OATypeSet,
     PipelineConfig,
     PublicationRecord,
 )
@@ -270,3 +274,90 @@ def test_one_pass_fold_matches_the_public_builders(countries, rows, dois, lines)
         for name, full in (("country_medians", medians), ("gold_models", gold)):
             shown = bundle.tables[name]  # the rows flagged displayed, cut to the display columns
             assert shown.rows == tuple(row[:len(shown.columns)] for row in full.rows if row[-1]), name
+
+
+def test_fold_counts_by_value_not_by_outcome_identity():
+    # Each outcome is a fresh OATypeSet, equal to one the classifier shares but not the same object.
+    rng = random.Random(19)
+    institutions = {
+        inst_id: Institution(
+            inst_id=inst_id, name=inst_id, country=country, regions=frozenset({"Europe"}),
+            repo_url_patterns=(f"repo.{inst_id.lower()}.example.edu",),
+        )
+        for inst_id, country in (("U1", "AA"), ("U2", "AA"), ("U3", "BB"), ("U4", "BR"))
+    }
+    urls = ("repo.u1.example.edu/1", "repo.u3.example.edu/2", "hdl.handle.net/20.500/3",
+            "ncbi.nlm.nih.gov/pmc/articles/pmc4", "zenodo.org/5")
+    stream = []
+    for n in range(3_000):
+        repository_urls = tuple(rng.sample(urls, rng.choice((0, 0, 1, 2))))
+        side = rng.choice((None, "gold", "hybrid", "bronze"))
+        pub = PublicationRecord(
+            pub_id=f"P{n}", doi=rng.choice((None, f"10.1/{n}")), language=rng.choice(("en", "pt")),
+            journal_id=rng.choice(("J1", "J2", "J3", "J4")),
+            institution_ids=rng.sample(INST_IDS + ("ZZ9",), rng.randint(0, 3)),
+            field_ids=rng.sample(MAIN_FIELDS, rng.randint(1, 2)),
+        )
+        types = OATypeSet(green=bool(repository_urls), **({side: True} if side else {}))
+        stream.append((pub, types, repository_urls))
+    accumulators = [
+        FullCounts(), OverlapTally(), RepoBounds(institutions, CONFIG.handle_pattern),
+        PmcOverlap(institutions, CONFIG), GoldModel(JOURNALS, institutions, 2),
+    ]
+    for item in stream:
+        for accumulator in accumulators:
+            accumulator.add(*item)
+    full, overlap, repo, pmc, gold = accumulators
+
+    counts, by_inst, by_country, outcomes = Counter(), defaultdict(Counter), defaultdict(Counter), Counter()
+    for pub, types, repository_urls in stream:
+        flags = {t: getattr(types, t) for t in OA_TYPES}
+        flags["any"] = any(flags.values())
+        outcomes.update(f"green_and_{t}" for t in ("gold", "hybrid", "bronze") if flags["green"] and flags[t])
+        outcomes.update(t for t in ("total_oa",) + OA_TYPES if flags["any" if t == "total_oa" else t])
+        for inst_id in pub.institution_ids:
+            for field_name in (*pub.field_ids, ALL_SCIENCES):
+                metrics = ["pubs"] + ["doi_pubs"] * (pub.doi is not None) + [t for t, f in flags.items() if f]
+                counts.update((inst_id, field_name, metric) for metric in metrics)
+            if inst_id not in institutions:
+                continue
+            matched = any(p in url for p in institutions[inst_id].repo_url_patterns for url in repository_urls)
+            handle = any("hdl.handle.net" in url for url in repository_urls)
+            by_inst[inst_id].update(
+                pubs=1, green=flags["green"], lower=flags["green"] and matched,
+                upper=flags["green"] and (matched or handle),
+            )
+        journal = JOURNALS.get(pub.journal_id)
+        via_pmc = [("ncbi.nlm.nih.gov/pmc" in url) for url in repository_urls]
+        for country in {institutions[i].country for i in pub.institution_ids if i in institutions}:
+            tally = by_country[country]
+            tally.update(seen=1, greens=flags["green"])
+            if flags["green"] and any(via_pmc):
+                tally.update(pmc=1, pmc_only=all(via_pmc), **{t: flags[t] for t in ("gold", "bronze", "hybrid")})
+            if flags["gold"]:
+                tally.update(
+                    gold_total=1, english=pub.language == "en",
+                    national=journal is not None and country == (
+                        journal.country or resolve_journal_country(journal.publisher_address)
+                    ),
+                    apc_known=journal is not None and journal.has_apc != "unknown",
+                    apc_yes=journal is not None and journal.has_apc == "yes",
+                )
+
+    assert full.counts == +counts
+    assert {r["metric"]: r["count"] for r in records(overlap.table())}.items() >= outcomes.items()
+    assert [tuple(r.values())[:7] for r in records(repo.table())] == [
+        (i, i, institutions[i].country, t["pubs"], t["green"], t["lower"], t["upper"])
+        for i, t in sorted(by_inst.items())
+    ]
+    def shares(tally, keys, base):
+        return tuple(Fraction(tally[key], tally[base]) if tally[base] else None for key in keys)
+
+    assert {r["country"]: tuple(r.values())[1:] for r in records(pmc.table())} == {
+        c: (t["greens"], t["pmc"], t["pmc_only"], *shares(t, ("gold", "bronze", "hybrid"), "pmc"))
+        for c, t in by_country.items()
+    }
+    assert {r["country"]: tuple(r.values())[1:6] for r in records(gold.table())} == {
+        c: (t["gold_total"], *shares(t, ("national", "apc_yes", "english"), "gold_total"), t["apc_known"])
+        for c, t in by_country.items()
+    }
