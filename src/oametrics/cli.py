@@ -17,7 +17,7 @@ import os
 import re
 import tempfile
 import zlib
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -288,12 +288,11 @@ def run_pipeline(
     needed = {needs.get(name, name) for name in tables}
     accumulators = {name: make() for name, make in folds.items() if name in needed}
     adds = [acc.add for acc in accumulators.values()]
-    # Each publication is classified and fed as its DOI's evidence record arrives.
-    with _reading(evidence_path):
-        records = parse_evidence_stream(
-            evidence_path, on_issue=sink, keep=by_doi, stats=stats["evidence"],
-            processes=shards if shards is not None else _usable_cpus(),
-        )
+    # Each publication is classified and fed as its record arrives; a fold that raises closes the scan.
+    with _reading(evidence_path), closing(parse_evidence_stream(
+        evidence_path, on_issue=sink, keep=by_doi, stats=stats["evidence"],
+        processes=shards if shards is not None else _usable_cpus(),
+    )) as records:
         for pub, types, urls in classify_stream(records, by_doi, journals, without_doi):
             for add in adds:
                 add(pub, types, urls)

@@ -25,7 +25,6 @@ UK_CONSTITUENTS = {
 }
 
 #: Common publisher-address country spellings -> ISO 3166-1 alpha-2.
-#: Callers with richer address data can pass their own table.
 DEFAULT_COUNTRY_LOOKUP = {
     "ARGENTINA": "AR",
     "AUSTRALIA": "AU",
@@ -88,28 +87,22 @@ DEFAULT_COUNTRY_LOOKUP = {
 DEFAULT_COUNTRY_LOOKUP.update(UK_CONSTITUENTS)
 
 
-def resolve_journal_country(
-    publisher_address: str | None,
-    lookup: Mapping[str, str] | None = None,
-) -> str | None:
+def resolve_journal_country(publisher_address: str | None) -> str | None:
     """Resolve a publisher address to a country code, or None.
 
     Takes the last comma-separated token, drops words carrying digits
-    (postal codes), then matches the longest word suffix against the
-    lookup table, case-insensitively. UK constituent countries always
+    (postal codes), then matches the longest word suffix against
+    DEFAULT_COUNTRY_LOOKUP, case-insensitively. UK constituent countries
     map to GB.
     """
     if not publisher_address:
         return None
-    table = DEFAULT_COUNTRY_LOOKUP if lookup is None else lookup
     token = publisher_address.rsplit(",", 1)[-1].strip().upper()
     words = [w for w in token.split() if not any(ch.isdigit() for ch in w)]
     for start in range(len(words)):
         candidate = " ".join(words[start:])
-        if candidate in UK_CONSTITUENTS:
-            return UK_CONSTITUENTS[candidate]
-        if candidate in table:
-            return table[candidate]
+        if candidate in DEFAULT_COUNTRY_LOOKUP:
+            return DEFAULT_COUNTRY_LOOKUP[candidate]
     return None
 
 

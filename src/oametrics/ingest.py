@@ -34,8 +34,9 @@ import stat
 import threading
 import traceback
 from collections import Counter
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Iterator, NoReturn
 
 from .models import (
@@ -50,6 +51,7 @@ from .models import (
     Table,
     _checked_publication,
     normalize_doi,
+    normalize_url,
 )
 
 ISSUE_KINDS = frozenset({"malformed", "missing_required_field", "duplicate_key"})
@@ -158,10 +160,11 @@ def parse_evidence_stream(
 ) -> Iterator[OAEvidenceRecord]:
     """Yield evidence records from a line-delimited dump, one line at a time.
 
-    `keep`, when given, maps each needed normalized DOI to any value but
-    None. A line for any other DOI is dropped silently before any record
-    object is built (it is neither a record nor an issue). A record's DOI
-    keeps its value while the record is consumed and maps to None from
+    Each record is built once, from the checked tuple `_scan_evidence`
+    yields. `keep`, when given, maps each needed normalized DOI to any
+    value but None. A line for any other DOI is dropped silently before
+    any record is built (it is neither a record nor an issue). A record's
+    DOI keeps its value while the record is consumed and maps to None from
     the next one on, so a later line for it is a duplicate_key issue and
     the first record wins; at the end, a DOI still mapping to its value
     had no record. Without `keep` the parser holds constant space and
@@ -170,14 +173,15 @@ def parse_evidence_stream(
     With `keep` and `processes` > 1, an uncompressed dump given by path
     may be scanned in byte ranges by forked processes (see
     `_byte_ranges`). The records, issues, stats and updated `keep` are
-    exactly those of a scan in one process, in the same order.
+    exactly those of a scan in one process, in the same order; closing
+    the stream early reaps every child.
     """
     if stats is None:
         stats = ParseStats()
     ranges = _byte_ranges(source, processes) if keep is not None else []
     with ExitStack() as stack:
         if len(ranges) > 1:
-            events = _scan_ranges(source, ranges, keep, stats)
+            events = stack.enter_context(closing(_scan_ranges(source, ranges, keep, stats)))
         else:
             events = _scan_evidence(stack.enter_context(_open_stream(source)), keep, stats)
         for line_no, kind, value in events:
@@ -189,7 +193,7 @@ def parse_evidence_stream(
                 _report(on_issue, "evidence", line_no, "duplicate_key", f"duplicate doi: {doi}")
                 continue
             stats.records += 1
-            yield OAEvidenceRecord(*value)
+            yield OAEvidenceRecord._make(value)
             if keep is not None:
                 keep[doi] = None
 
@@ -201,10 +205,10 @@ def _scan_evidence(lines: Iterable[bytes], keep, stats: ParseStats):
     stream path. For each non-blank line `keep` does not drop it yields
     (line number, issue kind, detail) or, for a valid line, (line
     number, None, (doi, journal_is_oa, repository_urls, publisher_copy,
-    licensed_copy)): the line reduced to the fields of OAEvidenceRecord,
-    in plain values a forked scan can marshal. A license counts only
-    when it is not blank. Lines are numbered from 1 at the start of
-    `lines`; returns the number of lines read.
+    licensed_copy)): OAEvidenceRecord's fields in final form, the DOI and
+    each repository URL normalized, as plain values a forked scan can
+    marshal. A license counts only when it is not blank. Lines are
+    numbered from 1 at the start of `lines`; returns the number of lines read.
 
     With `keep`, a valid UTF-8 line that opens with a "doi" key whose
     unescaped value is a valid DOI `keep` does not hold is counted in
@@ -278,14 +282,14 @@ def _scan_evidence(lines: Iterable[bytes], keep, stats: ParseStats):
                 bad_location = "license is not a string"
                 break
             if host_type == "repository":
-                repository_urls.append(url)
+                repository_urls.append(normalize_url(url))
             else:
                 publisher_copy = True
                 licensed_copy = licensed_copy or bool(license_ and license_.strip())
         if bad_location is not None:
             yield line_no, "malformed", bad_location
             continue
-        yield line_no, None, (doi, journal_is_oa, repository_urls, publisher_copy, licensed_copy)
+        yield line_no, None, (doi, journal_is_oa, tuple(repository_urls), publisher_copy, licensed_copy)
     return line_no
 
 
@@ -344,14 +348,17 @@ def _byte_ranges(source, processes: int) -> list[tuple[int, int]]:
     return [(start, end) for start, end in zip(cuts, cuts[1:]) if start < end]
 
 
-def _read_lines(fh, size: int) -> Iterator[bytes]:
-    """Yield the lines in the next `size` bytes of fh, which end at a line start."""
-    while size > 0:
-        raw = fh.readline()
-        if not raw:
-            return
-        size -= len(raw)
-        yield raw
+def _read_lines(path, start: int, end: int) -> Iterator[bytes]:
+    """Yield the lines that start in bytes [start, end) of a file; `end` is a line start."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        size = end - start
+        while size > 0:
+            raw = fh.readline()
+            if not raw:
+                return
+            size -= len(raw)
+            yield raw
 
 
 def _scan_range(path, start: int, end: int, keep) -> tuple[list, int, int]:
@@ -362,14 +369,12 @@ def _scan_range(path, start: int, end: int, keep) -> tuple[list, int, int]:
     """
     stats = ParseStats()
     events = []
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        scan = _scan_evidence(_read_lines(fh, end - start), keep, stats)
-        while True:
-            try:
-                events.append(next(scan))
-            except StopIteration as done:
-                return events, done.value, stats.lines
+    scan = _scan_evidence(_read_lines(path, start, end), keep, stats)
+    while True:
+        try:
+            events.append(next(scan))
+        except StopIteration as done:
+            return events, done.value, stats.lines
 
 
 def _range_child(write_fd: int, path, start: int, end: int, keep) -> NoReturn:
@@ -394,10 +399,11 @@ def _scan_ranges(path, ranges: list[tuple[int, int]], keep, stats: ParseStats):
     """Scan ranges[0] here and each later range in a forked child.
 
     Yields the events of all ranges in line order, numbered from the
-    start of the dump. A child that fails, exits non-zero or sends
-    truncated data raises OSError. Every child is reaped before the
-    first event is yielded; on an error the remaining ones are killed
-    first.
+    start of the dump: those of ranges[0] as this process scans them,
+    while the children scan theirs, then each child's once it has exited.
+    A child that fails, exits non-zero or sends truncated data raises
+    OSError. Every child is reaped or killed before the scan returns,
+    raises or is closed.
     """
     children: dict[int, io.BufferedReader] = {}  # pid -> read end of its pipe, in range order
     try:
@@ -414,7 +420,7 @@ def _scan_ranges(path, ranges: list[tuple[int, int]], keep, stats: ParseStats):
                 _range_child(write_fd, path, start, end, keep)
             os.close(write_fd)
             children[pid] = open(read_fd, "rb")
-        parts = [_scan_range(path, *ranges[0], keep)]
+        offset = yield from _scan_evidence(_read_lines(path, *ranges[0]), keep, stats)
         for (start, end), pid in zip(ranges[1:], list(children)):
             with children[pid] as pipe:
                 payload = pipe.read()
@@ -426,20 +432,18 @@ def _scan_ranges(path, ranges: list[tuple[int, int]], keep, stats: ParseStats):
                     f"(exit status {os.waitstatus_to_exitcode(status)})"
                 )
             try:
-                parts.append(marshal.loads(payload))
+                events, n_lines, non_blank = marshal.loads(payload)
             except (EOFError, ValueError) as exc:
                 raise OSError(f"scan of bytes {start}-{end} sent truncated data") from exc
+            stats.lines += non_blank
+            for line_no, kind, value in events:
+                yield offset + line_no, kind, value
+            offset += n_lines
     finally:
         for pid, pipe in children.items():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    offset = 0
-    for events, n_lines, non_blank in parts:
-        stats.lines += non_blank
-        for line_no, kind, value in events:
-            yield offset + line_no, kind, value
-        offset += n_lines
 
 
 def _iter_rows(
@@ -451,10 +455,11 @@ def _iter_rows(
     order, so a parser reads them by position. Every value is text, ""
     where the row has none, except that a JSON list in a list column
     arrives as a tuple of texts and a JSON boolean in a flag column as a
-    bool (see `_json_cells`). The format is sniffed from the first byte
-    after any UTF-8 BOM ("{" means JSON lines). Every non-blank line read
-    counts in `stats.lines`, also one reported here as malformed, so an
-    issue rate never exceeds 1: a JSON line that is not UTF-8, not JSON,
+    bool (see `_json_cells`). The format is sniffed from the first
+    non-blank byte after any UTF-8 BOM ("{" means JSON lines), however far
+    into the file it is. Every non-blank line read counts in
+    `stats.lines`, also one reported here as malformed, so an issue rate
+    never exceeds 1: a JSON line that is not UTF-8, not JSON,
     not an object or holding a value `_json_cells` cannot read, and a CSV
     row with more cells than its header. A CSV header missing a required
     column or naming a column twice is a file-level defect and raises
@@ -462,9 +467,12 @@ def _iter_rows(
     """
     columns = required + optional
     with _open_stream(source) as fh:
-        head = fh.peek(64).lstrip()
+        head, skipped = fh.peek(64).lstrip(), []
+        while not head and (line := fh.readline()):  # peek sees only the buffer: read on past blank lines
+            skipped.append(line)
+            head = line.lstrip()
         if head[:1] == b"{":
-            for line_no, raw in enumerate(fh, start=1):
+            for line_no, raw in enumerate(chain(skipped, fh), start=1):
                 if not raw.strip():
                     continue
                 stats.lines += 1
@@ -479,7 +487,10 @@ def _iter_rows(
                     continue
                 yield line_no, cells
         else:
-            reader = csv.reader(io.TextIOWrapper(fh, encoding="utf-8", newline=""))
+            lines = text = io.TextIOWrapper(fh, encoding="utf-8", newline="")  # held until fh is closed
+            if skipped:  # the lines read above are read again, as if they had not been
+                lines = chain(io.StringIO(b"".join(skipped).decode("utf-8"), newline=""), text)
+            reader = csv.reader(lines)
             header = next(reader, None)
             if header is None:
                 return

@@ -2,8 +2,9 @@
 
 Everything downstream (parsing, classification, aggregation, report
 emission) passes these values around. All types are immutable after
-construction and validate their own invariants, so they can be shared
-freely between concurrent workers.
+construction, so they can be shared freely between concurrent workers. All
+but OAEvidenceRecord, which the evidence scan checks, validate their own
+invariants.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 MAIN_FIELDS = (
     "Biomedical and Health Sciences",
@@ -84,15 +86,14 @@ def exact_share(numerator: int, denominator: int) -> Fraction | None:
     return Fraction(numerator, denominator) if denominator else None
 
 
-@dataclass(frozen=True, slots=True)
-class OAEvidenceRecord:
+class OAEvidenceRecord(NamedTuple):
     """Per-DOI availability evidence, reduced to what the pipeline reads.
 
-    ``repository_urls`` holds one URL per repository copy, stored
-    normalized (normalize_url); a URL that normalizes to "" is kept, as
-    it still evidences a repository copy. ``publisher_copy`` says some
-    publisher copy exists, ``licensed_copy`` that one carries a non-blank
-    license.
+    ``repository_urls`` holds one URL per repository copy, normalized by
+    the scan (one that normalizes to "" still evidences a copy).
+    ``publisher_copy`` says some publisher copy exists, ``licensed_copy``
+    that one carries a non-blank license. The evidence scan checks what a
+    record holds; one built by hand stores its fields as given.
     """
 
     doi: str
@@ -100,13 +101,6 @@ class OAEvidenceRecord:
     repository_urls: tuple[str, ...] = ()
     publisher_copy: bool = False
     licensed_copy: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.doi:
-            raise ValueError("evidence doi must be non-empty")
-        if self.licensed_copy and not self.publisher_copy:
-            raise ValueError("a licensed copy is a publisher copy")
-        object.__setattr__(self, "repository_urls", tuple(map(normalize_url, self.repository_urls)))
 
 
 @dataclass(frozen=True, slots=True)

@@ -26,6 +26,7 @@ from oametrics.cli import (
     SchemaCeilingError,
 )
 from oametrics import __version__
+from oametrics.indicators import OverlapTally
 from oametrics.models import OAEvidenceRecord, PipelineConfig
 
 
@@ -429,6 +430,26 @@ def test_failed_range_scan_is_fatal_and_names_file(golden_input, monkeypatch, at
             evidence_path=evidence,
             shards=2,
         )
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_fold_that_raises_during_a_range_scan_leaves_no_child(golden_input, monkeypatch):
+    monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", 64)
+    evidence = golden_input / "evidence.jsonl"
+    assert len(ingest._byte_ranges(evidence, 2)) == 2
+
+    class FailingTally(OverlapTally):
+        def add(self, pub, types, repository_urls):
+            raise RuntimeError("fold failed")
+
+    monkeypatch.setattr(cli, "OverlapTally", FailingTally)
+    with pytest.raises(RuntimeError, match="fold failed") as failure:
+        run_pipeline(
+            PipelineConfig(), golden_input / "publications.csv", evidence, shards=2, tables=("overlap",),
+        )
+    # `failure` still holds run_pipeline's frame, and so the scan it made: closing it reaped the child.
+    assert failure.traceback
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -866,7 +887,7 @@ def test_kept_evidence_records_are_built_once_and_held_by_no_map(golden_input, t
         encoding="utf-8",
     )
     classify_stream = cli.classify_stream
-    post_init = OAEvidenceRecord.__post_init__
+    make = OAEvidenceRecord._make
     captured, built, consumed = {}, [], []
 
     def capture(records, by_doi, journals, without_doi):
@@ -880,12 +901,13 @@ def test_kept_evidence_records_are_built_once_and_held_by_no_map(golden_input, t
         captured["by_doi"] = by_doi
         return classify_stream(each(), by_doi, journals, without_doi)
 
-    def counting_post_init(record):
+    def counting_make(cls, value):
+        record = make(value)
         built.append(record.doi)
-        post_init(record)
+        return record
 
     monkeypatch.setattr(cli, "classify_stream", capture)
-    monkeypatch.setattr(OAEvidenceRecord, "__post_init__", counting_post_init)
+    monkeypatch.setattr(OAEvidenceRecord, "_make", classmethod(counting_make))
     bundle = run_pipeline(
         PipelineConfig(), golden_input / "publications.csv", dump, tables=("classified", "issues"),
     )

@@ -10,6 +10,7 @@ import json
 import random
 import tracemalloc
 
+from oametrics import ingest
 from oametrics.classifier import classify_stream
 from oametrics.cli import REPORT_TABLES, run_pipeline
 from oametrics.ingest import parse_evidence_stream, parse_publications
@@ -47,6 +48,13 @@ MAX_PEAK_BYTES_PER_PUB = 300
 #: evidence is held took about 534 B; after it is freed, about 447 B;
 #: with the fold during the scan, about 384 B.
 MAX_PEAK_BYTES_PER_PUB_CLASSIFIED = 400
+
+#: The same for a report run whose dump is scanned in two byte ranges
+#: (tracemalloc, Python 3.11.7). Holding every event of the first range
+#: until the child's arrived took about 674 B (227 B in one range);
+#: yielding the first range's events as they are read, about 387 B. The
+#: child's memory is its own and is not traced.
+MAX_PEAK_BYTES_PER_PUB_TWO_RANGES = 450
 
 
 def _publication_rows(n: int, seed: int = 5) -> list[dict]:
@@ -182,19 +190,20 @@ def test_live_bytes_per_evidence_record_bounded():
     assert per_line_peak <= MAX_PEAK_BYTES_PER_EVIDENCE_LINE, f"{per_line_peak:.1f} B per kept line at the peak"
 
 
-def _pipeline_peak(directory, n: int, tables=REPORT_TABLES) -> int:
+def _pipeline_peak(directory, n: int, tables=REPORT_TABLES, shards: int = 1) -> int:
     """Peak traced bytes of run_pipeline over `n` seeded publications and a dump for their DOIs."""
     table = _publication_table(n)
     dois = [pub.doi for pub in parse_publications(io.BytesIO(table), PipelineConfig())]
     (directory / "publications.csv").write_bytes(table)
     (directory / "evidence.jsonl").write_bytes(_evidence_dump(n, for_dois=dois)[0])
+    assert len(ingest._byte_ranges(directory / "evidence.jsonl", shards)) == (shards if shards > 1 else 0)
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         run_pipeline(
             PipelineConfig(), directory / "publications.csv", directory / "evidence.jsonl",
-            shards=1, tables=tables,
+            shards=shards, tables=tables,
         )
         return tracemalloc.get_traced_memory()[1] - before
     finally:
@@ -214,3 +223,12 @@ def test_peak_bytes_per_publication_of_a_classify_run_bounded(tmp_path):
     peaks = [_pipeline_peak(tmp_path, n, tables=("classified",)) for n in (small, large)]
     per_pub = (peaks[1] - peaks[0]) / (large - small)
     assert per_pub <= MAX_PEAK_BYTES_PER_PUB_CLASSIFIED, f"{per_pub:.0f} B per publication"
+
+
+def test_peak_bytes_per_publication_of_a_range_scanned_run_bounded(tmp_path, monkeypatch):
+    # Both dumps (808 KB and 1.6 MB) are cut into two ranges.
+    monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", 64 << 10)
+    small, large = 4_000, 8_000
+    peaks = [_pipeline_peak(tmp_path, n, shards=2) for n in (small, large)]
+    per_pub = (peaks[1] - peaks[0]) / (large - small)
+    assert per_pub <= MAX_PEAK_BYTES_PER_PUB_TWO_RANGES, f"{per_pub:.0f} B per publication"

@@ -37,18 +37,13 @@ def test_resolve_unknown_place():
         ("SAO PAULO, BRAZIL", "BR"),
         ("BEIJING, PEOPLES R CHINA", "CN"),
         ("Oxford, UK", "GB"),
+        ("CARDIFF, WALES", "GB"),
         ("", None),
         (None, None),
     ],
 )
 def test_resolve_variants(address, expected):
     assert resolve_journal_country(address) == expected
-
-
-def test_resolve_with_custom_lookup():
-    assert resolve_journal_country("SOMEWHERE, RURITANIA", {"RURITANIA": "RT"}) == "RT"
-    # The constituent rule holds even when the table omits it.
-    assert resolve_journal_country("CARDIFF, WALES", {"RURITANIA": "RT"}) == "GB"
 
 
 def test_resolve_is_deterministic():

@@ -542,6 +542,43 @@ def test_publications_jsonl_with_utf8_bom():
     assert issues == [] and [r.pub_id for r in records] == ["P1"]
 
 
+@pytest.mark.parametrize("compressed", [False, True], ids=["plain", "gzip"])
+@pytest.mark.parametrize("blank_lines", [10, 10_000, 100_000])
+def test_jsonl_table_after_many_blank_lines_is_read_as_jsonl(tmp_path, blank_lines, compressed):
+    # The first "{" lies beyond the 8 KiB a plain file's reader buffers (and, at 100k, the 64 KiB of a gzipped one).
+    rows = [
+        {"pub_id": "P1", "doi": "10.1/a", "year": 2015, "doc_type": "article", "journal_id": "J1", "field_ids": [BIO]},
+        {"pub_id": "P2", "year": 2015, "doc_type": "editorial", "journal_id": "J1", "field_ids": [BIO]},
+    ]
+    data = b"\n" * blank_lines + "".join(json.dumps(row) + "\n" for row in rows).encode()
+    path = tmp_path / "publications.jsonl"
+    path.write_bytes(gzip.compress(data) if compressed else data)
+    records, issues = _parse_pubs(path)
+    assert [(r.pub_id, r.doi) for r in records] == [("P1", "10.1/a")]
+    # Line numbers count the blank lines.
+    assert [(i.line_no, i.kind) for i in issues] == [(blank_lines + 2, "malformed")]
+
+
+@pytest.mark.parametrize("compressed", [False, True], ids=["plain", "gzip"])
+@pytest.mark.parametrize("count", [10, 100_000])
+def test_csv_table_after_leading_blanks_reads_as_before(tmp_path, count, compressed):
+    path = tmp_path / "institutions.csv"
+
+    def parse(data: bytes):
+        path.write_bytes(gzip.compress(data) if compressed else data)
+        issues = []
+        institutions, _ = parse_registries(path, None, on_issue=issues.append)
+        return institutions, [(i.line_no, i.kind) for i in issues]
+
+    # Blanks before the header's first cell stay in it, so its (optional) name column is not found.
+    institutions, issues = parse(b" " * count + b"name,inst_id,country,regions\nUniv,U1,tr,Europe\n,U2,tr,\n")
+    assert [(i.inst_id, i.name, i.country) for i in institutions.values()] == [("U1", "U1", "TR")]
+    assert issues == [(3, "missing_required_field")]
+    # A blank line before the header is read as the header.
+    with pytest.raises(ValueError, match="missing required columns: inst_id, country, regions"):
+        parse(b" \r\n" * count + b"inst_id,country,regions\nU1,tr,Europe\n")
+
+
 @pytest.mark.parametrize("processes", [1, 2])
 def test_evidence_dump_with_utf8_bom(tmp_path, monkeypatch, processes):
     monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", 1)
@@ -676,6 +713,43 @@ def test_keep_maps_each_doi_to_none_once_its_record_is_consumed(tmp_path, monkey
     assert consumed == [("10.1/0", "P0"), ("10.1/2", "P2"), ("10.1/4", "P4")]
     assert [(i.line_no, i.kind) for i in issues] == [(7, "duplicate_key"), (8, "duplicate_key")]
     assert keep == {"10.1/0": None, "10.1/2": None, "10.1/4": None, "10.1/9": "P9"}
+
+
+def _two_range_dump(tmp_path, monkeypatch, n: int = 400):
+    """A dump of `n` kept lines that `_byte_ranges` cuts in two, and its keep map."""
+    dump = tmp_path / "dump.jsonl"
+    dump.write_text(
+        "".join(
+            json.dumps({"doi": f"10.1/{i}", "journal_is_oa": False, "oa_locations": []}) + "\n"
+            for i in range(n)
+        ),
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", dump.stat().st_size // 2)
+    assert len(ingest._byte_ranges(dump, 2)) == 2
+    return dump, {f"10.1/{i}": i for i in range(n)}
+
+
+def test_range_scan_yields_the_first_range_as_it_reads_it(tmp_path, monkeypatch):
+    dump, keep = _two_range_dump(tmp_path, monkeypatch)
+    stats = ParseStats()
+    records = parse_evidence_stream(dump, keep=keep, stats=stats, processes=2)
+    assert next(records).doi == "10.1/0"
+    # Only the first line is counted: the other lines of range 0 are not read yet, nor any child's added.
+    assert stats.lines == 1
+    assert [r.doi for r in records] == [f"10.1/{i}" for i in range(1, 400)]
+    assert (stats.lines, stats.records) == (400, 400)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_closing_a_range_scan_leaves_no_child(tmp_path, monkeypatch):
+    dump, keep = _two_range_dump(tmp_path, monkeypatch)
+    records = parse_evidence_stream(dump, keep=keep, processes=2)
+    assert next(records).doi == "10.1/0"
+    records.close()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_range_scan_splits_a_dump_at_line_starts(tmp_path, monkeypatch):

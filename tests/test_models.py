@@ -7,7 +7,6 @@ from oametrics.models import (
     MAIN_FIELDS,
     Institution,
     JournalRecord,
-    OAEvidenceRecord,
     OATypeSet,
     PipelineConfig,
     PublicationRecord,
@@ -119,18 +118,6 @@ def test_typeset_has_lookup():
     assert not ts.has("hybrid")
     with pytest.raises(ValueError):
         ts.has("diamond")
-
-
-def test_evidence_record_validation():
-    with pytest.raises(ValueError):
-        OAEvidenceRecord(doi="", journal_is_oa=False)
-    with pytest.raises(ValueError):
-        OAEvidenceRecord(doi="10.1/a", journal_is_oa=False, licensed_copy=True)
-    record = OAEvidenceRecord(
-        doi="10.1/a", journal_is_oa=False,
-        repository_urls=["HTTPS://www.Repo.Edu/x/", "https://", "repo.edu/x"],
-    )
-    assert record.repository_urls == ("repo.edu/x", "", "repo.edu/x")
 
 
 def _pub(**overrides):
