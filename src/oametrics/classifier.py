@@ -9,7 +9,10 @@ and bronze.
 
 from __future__ import annotations
 
+import heapq
+from collections import defaultdict
 from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .models import (
@@ -85,25 +88,40 @@ def _listed(value) -> Sequence[PublicationRecord]:
 
 
 class ClassifiedRows:
-    """The classified table: each publication's OA flags, sorted by pub_id.
+    """The classified table: each publication's OA flags, in pub_id order.
 
-    `add(pub, types, repository_urls)` holds only references to the
-    publication and its shared outcome and ignores the URLs; the rows are
-    built by `table()`, which may be called again, so a caller that frees
-    its DOI map first lets the rows reuse its memory.
+    `add(pub, types, repository_urls)` appends the publication to the list
+    of its outcome and ignores the URLs; there are at most eight such
+    lists. `table()`, which may be called again, sorts each list by pub_id
+    in place and returns a table whose rows merge them as they are
+    iterated, so no row outlives its turn. pub_ids must be unique, as
+    parse_publications leaves them.
     """
 
     def __init__(self) -> None:
-        self.publications: list[PublicationRecord] = []
-        self.types: list[OATypeSet] = []
+        self.runs: defaultdict[OATypeSet, list[PublicationRecord]] = defaultdict(list)
 
     def add(self, pub: PublicationRecord, types: OATypeSet, repository_urls=()) -> None:
-        self.publications.append(pub)
-        self.types.append(types)
+        self.runs[types].append(pub)
 
     def table(self) -> Table:
-        rows = sorted(
-            (pub.pub_id, pub.doi, t.gold, t.green, t.hybrid, t.bronze, t.any_oa)
-            for pub, t in zip(self.publications, self.types)
-        )
-        return Table("classified", CLASSIFIED_COLUMNS, tuple(rows))
+        for pubs in self.runs.values():
+            pubs.sort(key=attrgetter("pub_id"))
+        return Table("classified", CLASSIFIED_COLUMNS, _MergedRuns(self.runs))
+
+
+class _MergedRuns:
+    """The classified rows of per-outcome runs sorted by pub_id, merged anew on each iteration."""
+
+    def __init__(self, runs: Mapping[OATypeSet, list[PublicationRecord]]) -> None:
+        self.runs = runs
+
+    def __iter__(self) -> Iterator[tuple]:
+        return heapq.merge(*(_rows(pubs, types) for types, pubs in self.runs.items()))
+
+
+def _rows(pubs: list[PublicationRecord], types: OATypeSet) -> Iterator[tuple]:
+    """The classified row of each publication sharing one outcome, built as it is asked for."""
+    gold, green, hybrid, bronze, any_oa = types.gold, types.green, types.hybrid, types.bronze, types.any_oa
+    for pub in pubs:
+        yield pub.pub_id, pub.doi, gold, green, hybrid, bronze, any_oa

@@ -297,7 +297,7 @@ def run_pipeline(
             for add in adds:
                 add(pub, types, urls)
     check_issue_rates("evidence")
-    # Free the DOI map before any table is built, so the rows reuse its memory.
+    # Free the DOI map, which no table reads, before any table is built or written.
     del by_doi, without_doi
 
     universities = None

@@ -137,6 +137,7 @@ def _open_stream(source) -> Iterator[io.BufferedIOBase]:
         fh = source if hasattr(source, "read") else stack.enter_context(open(source, "rb"))
         if not hasattr(fh, "peek"):
             fh = io.BufferedReader(fh)
+            stack.callback(fh.detach)  # else collecting the wrapper would close the caller's object
         if fh.peek(2)[:2] == _GZIP_MAGIC:
             # Lines from a BufferedReader's C readline, not GzipFile's Python one,
             # and 64 KiB per call into the decompressor.
@@ -466,7 +467,8 @@ def _iter_rows(
     ValueError rather than producing per-line issues.
     """
     columns = required + optional
-    with _open_stream(source) as fh:
+    with ExitStack() as stack:
+        fh = stack.enter_context(_open_stream(source))
         head, skipped = fh.peek(64).lstrip(), []
         while not head and (line := fh.readline()):  # peek sees only the buffer: read on past blank lines
             skipped.append(line)
@@ -487,7 +489,8 @@ def _iter_rows(
                     continue
                 yield line_no, cells
         else:
-            lines = text = io.TextIOWrapper(fh, encoding="utf-8", newline="")  # held until fh is closed
+            lines = text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
+            stack.callback(text.detach)  # else collecting it would close fh, maybe the caller's object
             if skipped:  # the lines read above are read again, as if they had not been
                 lines = chain(io.StringIO(b"".join(skipped).decode("utf-8"), newline=""), text)
             reader = csv.reader(lines)

@@ -13,7 +13,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 MAIN_FIELDS = (
     "Biomedical and Health Sciences",
@@ -270,11 +270,13 @@ class PipelineConfig:
 class Table:
     """One report table: a name, a header and canonically ordered rows.
 
-    Each row is a tuple in column order. Every table builder, and the
-    `table()` of every accumulator fed `add(pub, types, repository_urls)`
+    `rows` is an iterable of row tuples in column order that gives the same
+    rows each time it is iterated: a tuple of them, or for `classified` a
+    view that builds each row as it is asked for. Every table builder, and
+    the `table()` of every accumulator fed `add(pub, types, repository_urls)`
     once per publication, returns one; a module constant names its columns.
     """
 
     name: str
     columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    rows: Iterable[tuple]

@@ -1,8 +1,9 @@
 """Test-side builders, a table reader and an independent classification oracle.
 
-`records` reads a report table as one column -> value dict per row, and
-`fold` feeds (publication, outcome, repository URLs) items to a table
-accumulator, as run_pipeline's one pass does.
+`records` reads a report table as one column -> value dict per row,
+`materialized` reads its rows into a tuple, so that tables compare by
+value, and `fold` feeds (publication, outcome, repository URLs) items to
+a table accumulator, as run_pipeline's one pass does.
 
 `repo_loc` and `pub_loc` build the location objects of an evidence dump
 line; `evidence` builds the record the scan reduces such a line to, so
@@ -12,6 +13,7 @@ The oracle walks the decision tree over case counts instead of flag
 extraction, so it shares no code path with the implementation it checks.
 """
 
+import dataclasses
 import io
 import json
 
@@ -21,6 +23,11 @@ from oametrics.models import OAEvidenceRecord, Table
 
 def records(table: Table) -> list[dict]:
     return [dict(zip(table.columns, row)) for row in table.rows]
+
+
+def materialized(table: Table) -> Table:
+    """The table with its rows read into a tuple, so that tables compare by value."""
+    return dataclasses.replace(table, rows=tuple(table.rows))
 
 
 def fold(accumulator, items):

@@ -1,11 +1,15 @@
+import dataclasses
+import io
 import itertools
+import random
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import classify_oracle, evidence, fold, pub_loc, records, repo_loc
 
-from oametrics.classifier import classify, classify_stream
+from oametrics import cli
+from oametrics.classifier import CLASSIFIED_COLUMNS, ClassifiedRows, classify, classify_stream
 from oametrics.models import (
     MAIN_FIELDS,
     NO_OA,
@@ -14,6 +18,7 @@ from oametrics.models import (
     OATypeSet,
     PipelineConfig,
     PublicationRecord,
+    Table,
     normalize_url,
 )
 from oametrics.repositories import PmcOverlap
@@ -239,3 +244,37 @@ def test_stream_without_doi_never_oa():
     assert classify(gold).gold and gold.repository_urls
     ((_, types, urls),) = classify_stream([gold], {gold.doi: None}, without_doi=[_pub("P1", None)])
     assert types is NO_OA and urls == ()
+
+
+def _written(table: Table, report_format: str) -> str:
+    fh = io.StringIO(newline="")
+    cli._write_table(fh, table, report_format)
+    return fh.getvalue()
+
+
+def test_classified_rows_come_out_in_the_order_of_the_sorted_rows():
+    # pub_ids of mixed length and beyond ASCII, in all eight outcomes, fed out of order.
+    pub_ids = ["P9", "P10", "Pé", "P1", "P100", "P09", "p2", "Z", "Ä", "日本", "P", "P9a", "😀", "P10é"]
+    pub_ids += [f"P{n}" for n in range(11, 60)]
+    random.Random(3).shuffle(pub_ids)
+    outcomes = [
+        OATypeSet(green=green, **({side: True} if side else {}))
+        for side in (None, "gold", "hybrid", "bronze")
+        for green in (False, True)
+    ]
+    accumulator, rows = ClassifiedRows(), []
+    for n, pub_id in enumerate(pub_ids):
+        types = outcomes[n % len(outcomes)]
+        doi = None if n % 5 == 0 else f"10.1/{n}"
+        # Every other publication gets an equal outcome that is not the shared object.
+        accumulator.add(_pub(pub_id, doi), types if n % 2 else dataclasses.replace(types), ())
+        rows.append((pub_id, doi, types.gold, types.green, types.hybrid, types.bronze, types.any_oa))
+    oracle = Table("classified", CLASSIFIED_COLUMNS, tuple(sorted(rows)))
+
+    table = accumulator.table()
+    assert (table.name, table.columns) == (oracle.name, oracle.columns)
+    assert tuple(table.rows) == oracle.rows
+    assert tuple(table.rows) == oracle.rows  # the same rows on a second iteration
+    assert len({row[2:] for row in table.rows}) == 8
+    for report_format in ("csv", "jsonl"):
+        assert _written(table, report_format) == _written(oracle, report_format), report_format

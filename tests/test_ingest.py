@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import gc
 import gzip
 import io
 import json
@@ -398,6 +399,34 @@ def test_registries_invalid_journal_flag_reported():
     _, journals = parse_registries(inst, jour, on_issue=issues.append)
     assert journals == {}
     assert issues[0].kind == "malformed"
+
+
+_EVIDENCE_LINE = b'{"doi": "10.1/a", "journal_is_oa": false, "oa_locations": []}\n'
+_ROSTER = f"{INST_HEADER}\nU1,Alpha,TR,Europe,\n".encode()
+
+
+@pytest.mark.parametrize("opener", ["bytesio", "gzip_bytesio", "file"])
+@pytest.mark.parametrize(
+    "parse, data",
+    [
+        (lambda fh: parse_registries(fh, None), _ROSTER),
+        (lambda fh: parse_registries(None, fh), b'{"journal_id": "J1"}\n'),
+        (lambda fh: list(parse_publications(fh, PipelineConfig())), f"{PUB_HEADER}\n".encode()),
+        (lambda fh: list(parse_evidence_stream(fh)), _EVIDENCE_LINE),
+    ],
+    ids=["csv_roster", "jsonl_journals", "csv_publications", "evidence"],
+)
+def test_parsers_leave_a_callers_file_object_open(tmp_path, opener, parse, data):
+    if opener == "gzip_bytesio":
+        data = gzip.compress(data)
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    with (io.BytesIO(data) if opener != "file" else open(path, "rb")) as fh:
+        parse(fh)
+        gc.collect()  # a wrapper left to the collector would close fh here
+        assert not fh.closed
+        fh.seek(0)
+        assert fh.read() == data
 
 
 def test_issue_summary_counts_by_source_and_kind():

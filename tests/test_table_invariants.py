@@ -22,7 +22,7 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import evidence, fold, pub_loc, records, repo_loc
+from oracles import evidence, fold, materialized, pub_loc, records, repo_loc
 
 from oametrics.classifier import ClassifiedRows, classify
 from oametrics.cli import REPORT_TABLES, run_pipeline
@@ -167,7 +167,7 @@ def test_tables_do_not_depend_on_publication_order(countries, rows, data):
         lambda: GoldModel(JOURNALS, institutions, 1),
     )
     for make in accumulators:
-        assert fold(make(), shuffled).table() == fold(make(), classified).table()
+        assert materialized(fold(make(), shuffled).table()) == materialized(fold(make(), classified).table())
     assert fold(FullCounts(), shuffled).counts == fold(FullCounts(), classified).counts
 
 
@@ -270,7 +270,7 @@ def test_one_pass_fold_matches_the_public_builders(countries, rows, dois, lines)
     for bundle in bundles:
         assert set(bundle.tables) == set(expected) | {"country_medians", "gold_models"}
         for name, table in expected.items():
-            assert bundle.tables[name] == table, name
+            assert materialized(bundle.tables[name]) == materialized(table), name
         for name, full in (("country_medians", medians), ("gold_models", gold)):
             shown = bundle.tables[name]  # the rows flagged displayed, cut to the display columns
             assert shown.rows == tuple(row[:len(shown.columns)] for row in full.rows if row[-1]), name
