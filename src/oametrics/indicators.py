@@ -7,10 +7,11 @@ rollup. Shares stay exact rationals until report emission.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import islice, product
 from typing import Callable, Iterable, Mapping
 
 from .models import (
@@ -97,8 +98,17 @@ def university_indicators(
 
 
 def median_exact(values: Iterable[Fraction]) -> Fraction:
-    """Median with the middle element (odd) or mean of the middle two (even)."""
-    ordered = sorted(values)
+    """Median with the middle element (odd) or mean of the middle two (even).
+
+    The values are sorted by their floats, which compare in C, and the
+    order is then checked exactly, one adjacent pair at a time; only when
+    distinct values share a float does the exact sort run. Each value
+    must be within float's range, as every share is.
+    """
+    values = list(values)
+    ordered = sorted(values, key=float)
+    if not all(map(operator.le, ordered, islice(ordered, 1, None))):
+        ordered = sorted(values)
     if not ordered:
         raise ValueError("median of empty sequence")
     mid = len(ordered) // 2

@@ -3,9 +3,10 @@
 All parsers are single-pass and skip-and-report: a defective line never
 aborts the stream, it yields exactly one ParseIssue through the
 `on_issue` callback, unless it is an evidence line the DOI filter drops
-undecoded. Without that filter, the evidence parser holds one line in
+undecoded. The evidence parser reads a dump in blocks of lines of at
+most `_BLOCK_BYTES` (64 KiB) plus one line, and holds one block in
 memory at a time in one process, so arbitrarily large dumps process in
-constant space. With one, a `keep` dict of the needed DOIs, it yields
+constant space. With a `keep` dict of the needed DOIs, it yields
 each DOI's first record and then sets its value to None, drops most
 lines of other DOIs before decoding them (see `_scan_evidence`),
 and it may fork to scan byte ranges of an uncompressed dump in
@@ -36,12 +37,13 @@ import traceback
 from collections import Counter
 from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress, count, repeat
 from typing import Callable, Iterable, Iterator, NoReturn
 
 from .models import (
     APC_STATES,
     CITABLE_DOC_TYPES,
+    DOI_RESOLVER_PREFIX,
     MAIN_FIELD_SET,
     Institution,
     JournalRecord,
@@ -68,8 +70,23 @@ _GZIP_MAGIC = b"\x1f\x8b"
 #: scanning a small range in parallel saves.
 _MIN_RANGE_BYTES = 8 << 20
 
+#: The bytes of dump lines the evidence scan reads and checks as one
+#: block: it reads lines until they hold more than this. Each block
+#: costs a few passes in C, so a larger block saves little time and
+#: raises the scan's peak memory.
+_BLOCK_BYTES = 64 << 10
+
 #: A line that opens with a "doi" key whose string value has no escape.
 _FIRST_DOI = re.compile(rb'[ \t\r]*\{[ \t\r]*"doi"[ \t\r]*:[ \t\r]*"([^"\\]*)"')
+
+#: In "\n"-joined DOI values, each lowercased and stripped, one or more
+#: resolver prefixes at the start of a value, as normalize_doi strips
+#: them, with a blank that is not a line end for its `\s`.
+_LINE_RESOLVER_PREFIXES = re.compile(rf"\n(?:{DOI_RESOLVER_PREFIX}[^\S\n]*)+")
+
+#: In "\n"-joined DOIs whose prefixes are stripped, the start of one that
+#: normalize_doi rejects: it lacks "10.", a registrant, the "/" or a suffix.
+_LINE_BAD_DOI = re.compile(r"\n(?!10\.[^/\n]+/.)")
 
 
 @dataclass(frozen=True)
@@ -159,7 +176,7 @@ def parse_evidence_stream(
     stats: ParseStats | None = None,
     processes: int = 1,
 ) -> Iterator[OAEvidenceRecord]:
-    """Yield evidence records from a line-delimited dump, one line at a time.
+    """Yield evidence records from a line-delimited dump, read a block of lines at a time.
 
     Each record is built once, from the checked tuple `_scan_evidence`
     yields. `keep`, when given, maps each needed normalized DOI to any
@@ -184,7 +201,7 @@ def parse_evidence_stream(
         if len(ranges) > 1:
             events = stack.enter_context(closing(_scan_ranges(source, ranges, keep, stats)))
         else:
-            events = _scan_evidence(stack.enter_context(_open_stream(source)), keep, stats)
+            events = _scan_evidence(_stream_blocks(stack.enter_context(_open_stream(source))), keep, stats)
         for line_no, kind, value in events:
             if kind is not None:
                 _report(on_issue, "evidence", line_no, kind, value)
@@ -199,99 +216,192 @@ def parse_evidence_stream(
                 keep[doi] = None
 
 
-def _scan_evidence(lines: Iterable[bytes], keep, stats: ParseStats):
-    """Validate each line of a dump or of one byte range of it.
+def _scan_evidence(blocks: Iterable[list[bytes]], keep, stats: ParseStats):
+    """Validate each line of a dump or of one byte range of it, a block of lines at a time.
 
-    This is the one per-line check, shared by every range and by the
-    stream path. For each non-blank line `keep` does not drop it yields
-    (line number, issue kind, detail) or, for a valid line, (line
-    number, None, (doi, journal_is_oa, repository_urls, publisher_copy,
-    licensed_copy)): OAEvidenceRecord's fields in final form, the DOI and
-    each repository URL normalized, as plain values a forked scan can
-    marshal. A license counts only when it is not blank. Lines are
-    numbered from 1 at the start of `lines`; returns the number of lines read.
+    This is the one scan, shared by every range and by the stream path.
+    For each non-blank line `keep` does not drop it yields (line number,
+    issue kind, detail) or, for a valid line, (line number, None, (doi,
+    journal_is_oa, repository_urls, publisher_copy, licensed_copy)):
+    OAEvidenceRecord's fields in final form, the DOI and each repository
+    URL normalized, as plain values a forked scan can marshal. A license
+    counts only when it is not blank. Lines are numbered from 1 at the
+    start of `blocks`; returns the number of lines read.
 
     With `keep`, a valid UTF-8 line that opens with a "doi" key whose
     unescaped value is a valid DOI `keep` does not hold is counted in
     `stats.lines` and dropped undecoded if it has no other "doi" and no
     `\\u` escape, names both other required keys and ends with "}"; a
-    defect elsewhere in it goes unreported. Other lines are parsed in
-    full, reusing the DOI normalized here if the parsed value is equal.
+    defect elsewhere in it goes unreported. The rule is per line, but
+    `_triage` checks it for a whole block at once. Every other line is
+    parsed in full by `_check_line`, which reuses the DOI normalized for
+    the block if the parsed value is equal. The `_FIRST_DOI` of the
+    module at call time finds the "doi" keys, so a pattern that never
+    matches turns the drop off.
     """
+    first_doi = _FIRST_DOI
     line_no = 0
-    for line_no, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
-        stats.lines += 1
-        first = _FIRST_DOI.match(raw) if keep is not None else None
-        if first is not None:
-            value = first[1].decode("utf-8", "replace")
-            doi = normalize_doi(value)
-            # bytes.find, as `in` first tries its operand as an int and raises.
-            if (
-                doi is not None
-                and doi not in keep
-                and raw.count(b'"doi"') == 1
-                and raw.find(b"\\u") < 0
-                and raw.find(b'"journal_is_oa"') > 0
-                and raw.find(b'"oa_locations"') > 0
-                and raw.rstrip().endswith(b"}")
-                and (raw.isascii() or _is_utf8(raw))
-            ):
+    for block in blocks:
+        if keep is None:
+            rest = zip(range(len(block)), repeat(None), repeat(None))
+        else:
+            dropped, rest = _triage(block, keep, first_doi)
+            stats.lines += dropped
+        for i, value, doi in rest:
+            raw = block[i]
+            if not raw.strip():
                 continue
-        obj = _json_object(raw)
-        if type(obj) is str:
-            yield line_no, "malformed", obj
-            continue
-
-        missing = [k for k in ("doi", "journal_is_oa", "oa_locations") if k not in obj]
-        if missing:
-            yield line_no, "missing_required_field", f"missing {missing[0]}"
-            continue
-        if first is None or obj["doi"] != value:
-            doi = normalize_doi(obj["doi"]) if isinstance(obj["doi"], str) else None
-        if doi is None:
-            yield line_no, "malformed", f"invalid doi: {obj['doi']!r}"
-            continue
-        if keep is not None and doi not in keep:
-            continue
-        journal_is_oa = obj["journal_is_oa"]
-        if not isinstance(journal_is_oa, bool):
-            yield line_no, "malformed", "journal_is_oa is not a boolean"
-            continue
-        raw_locations = obj["oa_locations"]
-        if not isinstance(raw_locations, list):
-            yield line_no, "malformed", "oa_locations is not a list"
-            continue
-        repository_urls = []
-        publisher_copy = licensed_copy = False
-        bad_location = None
-        for loc in raw_locations:
-            if not isinstance(loc, dict):
-                bad_location = "location is not an object"
-                break
-            host_type = loc.get("host_type")
-            url = loc.get("url")
-            license_ = loc.get("license")
-            if host_type not in ("publisher", "repository"):
-                bad_location = f"invalid host_type: {host_type!r}"
-                break
-            if not url or not isinstance(url, str):
-                bad_location = "location url missing or empty"
-                break
-            if license_ is not None and not isinstance(license_, str):
-                bad_location = "license is not a string"
-                break
-            if host_type == "repository":
-                repository_urls.append(normalize_url(url))
-            else:
-                publisher_copy = True
-                licensed_copy = licensed_copy or bool(license_ and license_.strip())
-        if bad_location is not None:
-            yield line_no, "malformed", bad_location
-            continue
-        yield line_no, None, (doi, journal_is_oa, tuple(repository_urls), publisher_copy, licensed_copy)
+            stats.lines += 1
+            event = _check_line(line_no + i + 1, raw, keep, value, doi)
+            if event is not None:
+                yield event
+        line_no += len(block)
+        del block, rest  # before the next block is read
     return line_no
+
+
+def _triage(block: list[bytes], keep, first_doi: re.Pattern) -> tuple[int, Iterable[tuple]]:
+    """Drop the lines of a block that the rule of `_scan_evidence` drops.
+
+    Returns the number of dropped lines and, in line order, (index in the
+    block, value, doi) of every other line: the value of its first "doi"
+    key decoded and what normalize_doi makes of it, or None and None for
+    a line `first_doi` does not match. Each step is a pass in C over the
+    block, and the byte checks run only on the lines a DOI would let drop.
+    """
+    found = list(map(first_doi.match, block))
+    if None in found:
+        where = list(_where(found))
+        unmatched = zip(_where(map(operator.not_, found)), repeat(None), repeat(None))
+        matched = list(compress(block, found))
+        found = list(filter(None, found))
+    else:
+        where, unmatched, matched = range(len(block)), None, block
+    if not found:
+        return 0, unmatched
+    raw_values = list(map(operator.itemgetter(1), found))
+    del found  # before the values' copies are made
+    dois, invalid = _block_dois(raw_values)
+    # A line of a needed or invalid DOI is parsed in full, as is one the byte checks keep.
+    parse = list(map(keep.__contains__, dois))
+    for k in invalid:
+        parse[k] = True
+    if not all(parse):
+        droppable = list(map(operator.not_, parse))
+        undroppable = _undroppable(list(compress(matched, droppable)))
+        if undroppable:
+            positions = list(_where(droppable))
+            for j in undroppable:
+                parse[positions[j]] = True
+    rest = zip(
+        compress(where, parse),
+        map(bytes.decode, compress(raw_values, parse), repeat("utf-8"), repeat("replace")),
+        compress(dois, parse),
+    )
+    if unmatched is not None:
+        rest = sorted(chain(rest, unmatched))  # by index: every index is distinct
+    return len(matched) - parse.count(True), rest
+
+
+def _where(flags: Iterable) -> Iterator[int]:
+    """The positions of the true items of `flags`."""
+    return compress(count(), flags)
+
+
+def _block_dois(raw_values: list[bytes]) -> tuple[list[str | None], Iterable[int]]:
+    """What normalize_doi makes of each raw "doi" value, and the positions of those it rejects.
+
+    Values that are all ASCII are lowercased, stripped and rid of their
+    resolver prefixes in a few passes over all of them; only when one of
+    the results is not a valid DOI, or a value is not ASCII, does every
+    value go through normalize_doi.
+    """
+    joined = b"\n".join(raw_values)
+    if joined.isascii():
+        # A leading "\n" starts the first value as it does the others.
+        text = "\n" + "\n".join(map(str.strip, joined.lower().decode().split("\n")))
+        text = _LINE_RESOLVER_PREFIXES.sub("\n", text)
+        if not _LINE_BAD_DOI.search(text):
+            return text[1:].split("\n"), ()
+    dois = list(map(normalize_doi, map(bytes.decode, raw_values, repeat("utf-8"), repeat("replace"))))
+    return dois, _where(map(operator.not_, dois))
+
+
+def _undroppable(lines: list[bytes]) -> set[int]:
+    """The positions in `lines` of those the byte checks of the drop rule keep.
+
+    Each check is a pass in C over all of `lines` or over their join
+    (no pattern spans a line's end); a check that fails for the join is
+    made line by line, only to find the lines it fails for. Lines are
+    searched with bytes.find, as `in` first tries its operand as an int
+    and raises.
+    """
+    joined = b"".join(lines)
+    kept: set[int] = set()
+    # Each line holds the "doi" key `_FIRST_DOI` matched, so a total above
+    # one per line means a second "doi" somewhere.
+    if joined.count(b'"doi"') != len(lines):
+        kept.update(_where(map(operator.ne, map(bytes.count, lines, repeat(b'"doi"')), repeat(1))))
+    # A memchr for the backslash first: most dumps hold no escape at all.
+    if joined.find(b"\\") >= 0 and joined.find(b"\\u") >= 0:
+        kept.update(_where(map(operator.ge, map(bytes.find, lines, repeat(b"\\u")), repeat(0))))
+    for key in (b'"journal_is_oa"', b'"oa_locations"'):
+        at = list(map(bytes.find, lines, repeat(key)))
+        if min(at) <= 0:
+            kept.update(_where(map(operator.le, at, repeat(0))))
+    ends = list(map(bytes.endswith, lines, repeat(b"}\n")))
+    if not all(ends):
+        kept.update(j for j in _where(map(operator.not_, ends)) if not lines[j].rstrip().endswith(b"}"))
+    if not (joined.isascii() or _is_utf8(joined)):
+        kept.update(j for j, raw in enumerate(lines) if not (raw.isascii() or _is_utf8(raw)))
+    return kept
+
+
+def _check_line(line_no: int, raw: bytes, keep, value: str | None, doi: str | None) -> tuple | None:
+    """The event `_scan_evidence` yields for one non-blank line it did not drop, if any.
+
+    `doi` is what normalize_doi makes of `value`, the line's first "doi"
+    value as `_triage` read it (None and None when it read none); it is
+    used as the line's DOI if the parsed "doi" value equals `value`.
+    """
+    obj = _json_object(raw)
+    if type(obj) is str:
+        return line_no, "malformed", obj
+    missing = [k for k in ("doi", "journal_is_oa", "oa_locations") if k not in obj]
+    if missing:
+        return line_no, "missing_required_field", f"missing {missing[0]}"
+    if obj["doi"] != value:
+        doi = normalize_doi(obj["doi"]) if isinstance(obj["doi"], str) else None
+    if doi is None:
+        return line_no, "malformed", f"invalid doi: {obj['doi']!r}"
+    if keep is not None and doi not in keep:
+        return None
+    journal_is_oa = obj["journal_is_oa"]
+    if not isinstance(journal_is_oa, bool):
+        return line_no, "malformed", "journal_is_oa is not a boolean"
+    raw_locations = obj["oa_locations"]
+    if not isinstance(raw_locations, list):
+        return line_no, "malformed", "oa_locations is not a list"
+    repository_urls = []
+    publisher_copy = licensed_copy = False
+    for loc in raw_locations:
+        if not isinstance(loc, dict):
+            return line_no, "malformed", "location is not an object"
+        host_type = loc.get("host_type")
+        url = loc.get("url")
+        license_ = loc.get("license")
+        if host_type not in ("publisher", "repository"):
+            return line_no, "malformed", f"invalid host_type: {host_type!r}"
+        if not url or not isinstance(url, str):
+            return line_no, "malformed", "location url missing or empty"
+        if license_ is not None and not isinstance(license_, str):
+            return line_no, "malformed", "license is not a string"
+        if host_type == "repository":
+            repository_urls.append(normalize_url(url))
+        else:
+            publisher_copy = True
+            licensed_copy = licensed_copy or bool(license_ and license_.strip())
+    return line_no, None, (doi, journal_is_oa, tuple(repository_urls), publisher_copy, licensed_copy)
 
 
 def _json_object(raw: bytes) -> dict | str:
@@ -349,17 +459,27 @@ def _byte_ranges(source, processes: int) -> list[tuple[int, int]]:
     return [(start, end) for start, end in zip(cuts, cuts[1:]) if start < end]
 
 
-def _read_lines(path, start: int, end: int) -> Iterator[bytes]:
-    """Yield the lines that start in bytes [start, end) of a file; `end` is a line start."""
+def _stream_blocks(fh: io.BufferedIOBase) -> Iterator[list[bytes]]:
+    """Yield the lines of a stream in blocks of a little over `_BLOCK_BYTES`."""
+    while block := fh.readlines(_BLOCK_BYTES):
+        yield block
+
+
+def _read_blocks(path, start: int, end: int) -> Iterator[list[bytes]]:
+    """Yield, in blocks, the lines that start in bytes [start, end) of a file; `end` is a line start."""
     with open(path, "rb") as fh:
         fh.seek(start)
-        size = end - start
-        while size > 0:
-            raw = fh.readline()
-            if not raw:
+        left = end - start
+        while left > 0:
+            # readlines reads on until its lines hold more than the hint, so a
+            # hint of left - 1 ends the block at `end`; a hint of 0 means "all".
+            hint = min(left - 1, _BLOCK_BYTES)
+            block = fh.readlines(hint) if hint > 0 else [fh.readline()]
+            size = sum(map(len, block))
+            if not size:
                 return
-            size -= len(raw)
-            yield raw
+            left -= size
+            yield block
 
 
 def _scan_range(path, start: int, end: int, keep) -> tuple[list, int, int]:
@@ -370,7 +490,7 @@ def _scan_range(path, start: int, end: int, keep) -> tuple[list, int, int]:
     """
     stats = ParseStats()
     events = []
-    scan = _scan_evidence(_read_lines(path, start, end), keep, stats)
+    scan = _scan_evidence(_read_blocks(path, start, end), keep, stats)
     while True:
         try:
             events.append(next(scan))
@@ -421,7 +541,7 @@ def _scan_ranges(path, ranges: list[tuple[int, int]], keep, stats: ParseStats):
                 _range_child(write_fd, path, start, end, keep)
             os.close(write_fd)
             children[pid] = open(read_fd, "rb")
-        offset = yield from _scan_evidence(_read_lines(path, *ranges[0]), keep, stats)
+        offset = yield from _scan_evidence(_read_blocks(path, *ranges[0]), keep, stats)
         for (start, end), pid in zip(ranges[1:], list(children)):
             with children[pid] as pipe:
                 payload = pipe.read()

@@ -42,8 +42,11 @@ TYPE_ORDER = OA_TYPES + (ANY_OA,)
 CITABLE_DOC_TYPES = frozenset({"article", "review", "letter"})
 APC_STATES = frozenset({"yes", "no", "unknown"})
 
+#: The pattern of one DOI resolver prefix, lowercased.
+DOI_RESOLVER_PREFIX = r"(?:doi:|https?://(?:dx\.)?doi\.org/)"
+
 #: A run of DOI resolver prefixes, each with the whitespace after it, or "".
-_RESOLVER_PREFIXES = re.compile(r"(?:(?:doi:|https?://(?:dx\.)?doi\.org/)\s*)*")
+_RESOLVER_PREFIXES = re.compile(rf"(?:{DOI_RESOLVER_PREFIX}\s*)*")
 
 
 def normalize_doi(raw: str | None) -> str | None:

@@ -9,6 +9,7 @@ import io
 import json
 import random
 import tracemalloc
+from unittest import mock
 
 from oametrics import ingest
 from oametrics.classifier import classify_stream
@@ -30,10 +31,17 @@ MAX_BYTES_PER_PUB = 255
 #: own set of DOIs and a second map; filling the one map in place, about
 #: 158 B retained and 159 B at the peak. Now each DOI's value becomes None
 #: once its record is consumed, so no record outlives its line: under
-#: 0.1 B retained, and about 13 B at the peak over 20k lines (the buffers
-#: of one line, not a term per line).
+#: 0.1 B retained, and about 1 B at the peak over 20k lines (the buffers
+#: of one line, not a term per line); reading blocks of 64 KiB, about 9 B
+#: (the buffers of one block).
 MAX_RETAINED_BYTES_PER_EVIDENCE_LINE = 1
 MAX_PEAK_BYTES_PER_EVIDENCE_LINE = 20
+
+#: Peak bytes a scan may add per further line of a dump whose lines are
+#: mostly dropped undecoded. The scan holds one block of lines and what
+#: it derives from them (about 245 kB in blocks of 64 KiB), whatever the
+#: dump's size: about 0 B per line.
+MAX_PEAK_BYTES_PER_DROPPED_LINE = 1
 
 #: Peak bytes a run_pipeline call may add per further publication (with
 #: its evidence line). Keeping a classified list for five table rescans,
@@ -190,6 +198,33 @@ def test_live_bytes_per_evidence_record_bounded():
     assert per_line <= MAX_RETAINED_BYTES_PER_EVIDENCE_LINE, f"{per_line:.1f} B retained per kept line"
     per_line_peak = peak / n
     assert per_line_peak <= MAX_PEAK_BYTES_PER_EVIDENCE_LINE, f"{per_line_peak:.1f} B per kept line at the peak"
+
+
+def test_peak_of_a_mostly_dropped_scan_does_not_grow_with_the_dump():
+    def scan(n: int) -> int:
+        dump, dois = _evidence_dump(n)
+        needed = {doi: doi for doi in dois[::50]}  # 2% of the lines are needed
+        source, stats = io.BytesIO(dump), ingest.ParseStats()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in parse_evidence_stream(source, keep=needed, stats=stats):
+                pass
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert (stats.lines, stats.records) == (n, len(needed))
+        return peak
+
+    # Only the needed lines are parsed: the others take the path under test.
+    dump, dois = _evidence_dump(1_000)
+    with mock.patch.object(ingest, "_check_line", wraps=ingest._check_line) as check_line:
+        assert len(list(parse_evidence_stream(io.BytesIO(dump), keep={doi: doi for doi in dois[::50]}))) == 20
+    assert check_line.call_count == 20
+    small, large = 10_000, 40_000
+    per_line = (scan(large) - scan(small)) / (large - small)
+    assert per_line <= MAX_PEAK_BYTES_PER_DROPPED_LINE, f"{per_line:.2f} B per further dropped line at the peak"
 
 
 def _pipeline_peak(directory, n: int, tables=REPORT_TABLES, shards: int = 1, report_format=None) -> int:

@@ -1,6 +1,7 @@
 import random
 import statistics
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -150,6 +151,17 @@ def test_median_matches_statistics_reference():
     for _ in range(200):
         values = [Fraction(rng.randrange(0, 101), 100) for _ in range(rng.randrange(1, 12))]
         assert median_exact(values) == statistics.median(values)
+
+
+def test_median_of_distinct_values_that_share_a_float():
+    third, near = Fraction(1, 3), Fraction(1 / 3)  # near is the float's exact value, just below 1/3
+    assert third != near and float(third) == float(near)
+    # Sorted by float, the ties keep their order: [third, near, third] would put near in the middle.
+    with mock.patch("oametrics.indicators.sorted", wraps=sorted, create=True) as sorts:
+        assert median_exact([third, near, third]) == third
+    assert len(sorts.call_args_list) == 2  # the float sort, then the exact one
+    assert median_exact([third, near]) == (third + near) / 2
+    assert median_exact([near, third, Fraction(1, 2), near]) == statistics.median([near, third, Fraction(1, 2), near])
 
 
 @given(st.lists(st.fractions(min_value=0, max_value=1), min_size=1, max_size=20), st.randoms())

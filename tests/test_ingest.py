@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import gzip
 import io
+import itertools
 import json
 import os
 import re
@@ -792,6 +793,37 @@ def test_range_scan_splits_a_dump_at_line_starts(tmp_path, monkeypatch):
     assert ingest._byte_ranges(dump, 4) == []
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    lines=st.lists(st.binary(max_size=5).map(lambda b: b.replace(b"\n", b"") + b"\n"), min_size=1, max_size=10),
+    final_newline=st.booleans(),
+    cuts=st.sets(st.integers(1, 9)),
+    block_bytes=st.integers(1, 12),
+)
+# The first range ends with a one-byte line read on its own, after a block that stops one byte short.
+@example(lines=[b"ab\n", b"\n", b"c\n"], final_newline=True, cuts={2}, block_bytes=1)
+# The first range's four bytes end exactly where a block of hint 3 (its size less one) ends.
+@example(lines=[b"abc\n", b"de\n"], final_newline=True, cuts={1}, block_bytes=4)
+def test_block_reader_yields_exactly_the_lines_of_each_range(lines, final_newline, cuts, block_bytes):
+    data = b"".join(lines)
+    if not final_newline:
+        lines[-1] = lines[-1][:-1]
+        data = data[:-1]
+    starts = [0, *itertools.accumulate(map(len, lines))][: len(lines)]
+    cuts = [0, *sorted(starts[k] for k in cuts if k < len(lines)), len(data)]
+    ranges = [(start, end) for start, end in zip(cuts, cuts[1:]) if start < end]
+    read = []
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes):
+        dump = Path(tmp) / "dump.jsonl"
+        dump.write_bytes(data)
+        for start, end in ranges:
+            blocks = list(ingest._read_blocks(dump, start, end))
+            assert all(blocks)
+            assert b"".join(itertools.chain.from_iterable(blocks)) == data[start:end]
+            read += itertools.chain.from_iterable(blocks)
+    assert read == [line for line in lines if line]
+
+
 _NEVER = re.compile(rb"(?!)")
 
 
@@ -877,6 +909,41 @@ def _prefilter_line(draw) -> bytes:
     return data[:cut] + b"\xff" + data[cut:] if damage else data
 
 
+def _droppable(line: bytes) -> bool:
+    """The README's rule for dropping a line undecoded, checked on the line alone."""
+    first = ingest._FIRST_DOI.match(line)
+    doi = normalize_doi(first[1].decode("utf-8", "replace")) if first else None
+    try:
+        line.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return (
+        doi is not None
+        and doi not in _PREFILTER_NEEDED
+        and line.count(b'"doi"') == 1
+        and b"\\u" not in line
+        and line.find(b'"journal_is_oa"') > 0
+        and line.find(b'"oa_locations"') > 0
+        and line.rstrip().endswith(b"}")
+    )
+
+
+#: Pieces of the "doi" values `_FIRST_DOI` reads: no quote, backslash or line end.
+_DOI_PIECE = st.sampled_from([
+    b"10.", b"10.5", b"/", b"a", b"B", b".", b" ", b"\t", b"\r", b"\x1c", b"doi:", b"DOI: ",
+    b"https://doi.org/", b"HTTP://DX.DOI.ORG/", b"http://dx.doi.org/ ", "\u00e9".encode(), b"\xff",
+])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_DOI_PIECE, max_size=6).map(b"".join), min_size=1, max_size=8))
+def test_block_dois_are_what_normalize_doi_makes_of_each_value(values):
+    dois, rejected = ingest._block_dois(values)
+    expected = [normalize_doi(value.decode("utf-8", "replace")) for value in values]
+    assert dois == expected
+    assert list(rejected) == [k for k, doi in enumerate(expected) if doi is None]
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     lines=st.lists(
@@ -884,9 +951,22 @@ def _prefilter_line(draw) -> bytes:
         max_size=16,
     ),
     ending=st.sampled_from([b"\n", b"\r\n"]),
+    final_newline=st.booleans(),
 )
-def test_prefilter_drops_only_lines_a_full_parse_would_not_keep(lines, ending):
+# Lines of an invalid or unneeded DOI that each fail one check of the rule, so none may be dropped.
+@example(lines=[
+    b'{"doi": "nope", "journal_is_oa": true, "oa_locations": []}',
+    b'{"doi": "10.7/x", "journal_is_oa": true, "oa_locations": [], "doi": "10.5/a"}',
+    b'{"doi": "10.7/x", "journal_is_oa": true, "oa_locations": [], "d\\u006fi": "10.5/b"}',
+    b'{"doi": "10.7/x", "oa_locations": []}',
+    b'{"doi": "10.7/x", "journal_is_oa": true}',
+    b'{"doi": "10.7/x", "journal_is_oa": true, "oa_locations": [',
+    b'{"doi": "10.7/x", "journal_is_oa": true, "oa_locations": ["\xff"]}',
+], ending=b"\n", final_newline=True)
+def test_prefilter_drops_only_lines_a_full_parse_would_not_keep(lines, ending, final_newline):
     data = b"".join(line + ending for line in lines)
+    if lines and not final_newline:
+        data = data[: -len(ending)]
 
     def scan(path, processes, pattern):
         stats = ParseStats()
@@ -898,11 +978,14 @@ def test_prefilter_drops_only_lines_a_full_parse_would_not_keep(lines, ending):
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "_MIN_RANGE_BYTES", 16):
         dump = Path(tmp) / "dump.jsonl"
         dump.write_bytes(data)
-        for processes in (1, 3):
-            records, issues, counts, keep = scan(dump, processes, ingest._FIRST_DOI)
-            expected_records, expected_issues, expected_counts, expected_keep = scan(
-                dump, processes, _NEVER
-            )
+        # The reference parses every non-blank line in full.
+        with mock.patch.object(ingest, "_check_line", wraps=ingest._check_line) as check_line:
+            expected_records, expected_issues, expected_counts, expected_keep = scan(dump, 1, _NEVER)
+        assert check_line.call_count == sum(1 for line in lines if line.strip())
+        # Blocks of one line, of a few lines and of the whole dump, in one range and in several.
+        for block_bytes, processes in itertools.product((1, 128, ingest._BLOCK_BYTES), (1, 3)):
+            with mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes):
+                records, issues, counts, keep = scan(dump, processes, ingest._FIRST_DOI)
             assert (records, counts, keep) == (expected_records, expected_counts, expected_keep)
             assert issues.items() <= expected_issues.items()
             for line_no in expected_issues.keys() - issues.keys():
@@ -910,8 +993,7 @@ def test_prefilter_drops_only_lines_a_full_parse_would_not_keep(lines, ending):
                 assert (issue.kind, issue.detail) == ("malformed", "invalid JSON") or (
                     issue.kind == "missing_required_field"
                 )
-                first = ingest._FIRST_DOI.match(lines[line_no - 1])
-                assert normalize_doi(first[1].decode()) not in _PREFILTER_NEEDED
+                assert _droppable(lines[line_no - 1])
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
