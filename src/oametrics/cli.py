@@ -105,7 +105,10 @@ def _csv_value(value) -> str:
 
 
 def _jsonl_value(value):
-    return float(format_pct(value)) if type(value) is Fraction else value
+    """The JSON-lines value of a cell the encoder has no form for (its `default` hook)."""
+    if type(value) is Fraction:
+        return float(format_pct(value))
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _write_table(fh, table: Table, report_format: str) -> None:
@@ -120,9 +123,9 @@ def _write_table(fh, table: Table, report_format: str) -> None:
         writer.writerows([_csv_value(v) for v in row] for row in table.rows)
     elif report_format == "jsonl":
         # One encoder per table: json.dumps(..., ensure_ascii=False) builds one per call.
-        encode = json.JSONEncoder(ensure_ascii=False).encode
+        encode = json.JSONEncoder(ensure_ascii=False, default=_jsonl_value).encode
         for row in table.rows:
-            fh.write(encode({col: _jsonl_value(v) for col, v in zip(table.columns, row)}) + "\n")
+            fh.write(encode(dict(zip(table.columns, row))) + "\n")
     else:
         raise ValueError(f"unknown report format: {report_format!r}")
 

@@ -76,6 +76,17 @@ _MIN_RANGE_BYTES = 8 << 20
 #: raises the scan's peak memory.
 _BLOCK_BYTES = 64 << 10
 
+#: The scanner of `_json_object`, and the blanks json.loads allows around
+#: a value (str.strip's default also strips \x0b, \x0c and Unicode blanks).
+_DECODER = json.JSONDecoder()
+_JSON_BLANKS = " \t\n\r"
+#: The JSON escape of a UTF-16 surrogate, the one escape that can decode to
+#: a string UTF-8 cannot encode.
+_SURROGATE_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
+#: `_BACKSLASH in raw` is a memchr. `b"\\" in raw` first tries its operand
+#: as an int and raises, about 150 ns against 17 per line.
+_BACKSLASH = ord("\\")
+
 #: A line that opens with a "doi" key whose string value has no escape.
 _FIRST_DOI = re.compile(rb'[ \t\r]*\{[ \t\r]*"doi"[ \t\r]*:[ \t\r]*"([^"\\]*)"')
 
@@ -401,18 +412,49 @@ def _check_line(line_no: int, raw: bytes, keep, value: str | None, doi: str | No
         else:
             publisher_copy = True
             licensed_copy = licensed_copy or bool(license_ and license_.strip())
+    # The license is kept only as a flag, so a surrogate in it is never written.
+    if _BACKSLASH in raw and not _utf8_encodable(raw, (doi, *repository_urls)):
+        return line_no, "malformed", "unpaired surrogate escape"
     return line_no, None, (doi, journal_is_oa, tuple(repository_urls), publisher_copy, licensed_copy)
 
 
 def _json_object(raw: bytes) -> dict | str:
-    """The JSON object a line holds, or the detail of the malformed issue it is instead."""
+    """The JSON object a line holds, or the detail of the malformed issue it is instead.
+
+    The line is read exactly as json.loads reads its UTF-8 text: one value
+    with only JSON blanks (space, tab, CR, LF) around it, and `NaN` and
+    `Infinity` accepted. The decoder's scanner is called directly, which
+    skips json.loads's per-call wrapper.
+    """
     try:
-        obj = json.loads(raw.decode("utf-8"))
+        text = raw.decode("utf-8")
     except UnicodeDecodeError:
         return "undecodable bytes"
-    except (ValueError, RecursionError):
+    try:
+        obj, end = _DECODER.scan_once(text, len(text) - len(text.lstrip(_JSON_BLANKS)))
+    except (StopIteration, ValueError, RecursionError):
+        return "invalid JSON"
+    if text[end:].strip(_JSON_BLANKS):
         return "invalid JSON"
     return obj if type(obj) is dict else "line is not an object"
+
+
+def _utf8_encodable(raw: bytes, texts) -> bool:
+    """Whether the texts read from JSON line `raw` can be written as UTF-8.
+
+    `texts` holds strings, tuples of strings and booleans (skipped). Only
+    a `\\u` escape of a surrogate (U+D800 to U+DFFF) can decode to a string
+    UTF-8 cannot encode, an unpaired one, so a line without such an escape
+    is passed without the encode. Callers pass only a line that holds a
+    backslash (`_BACKSLASH in raw`) and skip the call for the rest.
+    """
+    if not _SURROGATE_ESCAPE.search(raw):
+        return True
+    try:
+        "".join([t if type(t) is str else "".join(t) for t in texts if type(t) is not bool]).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _is_utf8(raw: bytes) -> bool:
@@ -580,8 +622,9 @@ def _iter_rows(
     non-blank byte after any UTF-8 BOM ("{" means JSON lines), however far
     into the file it is. Every non-blank line read counts in
     `stats.lines`, also one reported here as malformed, so an issue rate
-    never exceeds 1: a JSON line that is not UTF-8, not JSON,
-    not an object or holding a value `_json_cells` cannot read, and a CSV
+    never exceeds 1: a JSON line that is not UTF-8, not JSON, not an
+    object, holding a value `_json_cells` cannot read or a read value
+    UTF-8 cannot encode (an unpaired surrogate escape), and a CSV
     row with more cells than its header. A CSV header missing a required
     column or naming a column twice is a file-level defect and raises
     ValueError rather than producing per-line issues.
@@ -606,6 +649,9 @@ def _iter_rows(
                 if type(cells) is str:
                     detail = f"{cells} holds a value that is not text or a number"
                     _report(on_issue, source_name, line_no, "malformed", detail)
+                    continue
+                if _BACKSLASH in raw and not _utf8_encodable(raw, cells):
+                    _report(on_issue, source_name, line_no, "malformed", "unpaired surrogate escape")
                     continue
                 yield line_no, cells
         else:
@@ -661,7 +707,7 @@ def _json_cells(obj: dict, columns: tuple[str, ...]) -> list | str:
             value = ""
         elif kind is int or kind is float:
             value = str(value)
-        elif kind is list and column in _LIST_COLUMNS and all(type(v) in _TEXT_ITEMS for v in value):
+        elif kind is list and column in _LIST_COLUMNS and _TEXT_ITEMS.issuperset(map(type, value)):
             value = tuple(map(str, value))
         else:
             return column

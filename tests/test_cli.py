@@ -895,6 +895,42 @@ def test_written_tables_equal_emit_report(golden_input, tmp_path, report_format)
         assert path.read_bytes() == _emit(table, report_format), path.name
 
 
+@pytest.mark.parametrize("report_format", ["csv", "jsonl"])
+@pytest.mark.parametrize("source", ["publications", "institutions"])
+def test_an_unpaired_surrogate_escape_is_an_issue_not_a_failed_write(golden_input, tmp_path, source, report_format):
+    # UTF-8 cannot encode "\ud800"; read into a pub_id or a roster name, it used to fail the final write.
+    inputs = {}
+    for name in ("publications", "institutions"):
+        with (golden_input / f"{name}.csv").open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        if name == source:
+            rows[0]["pub_id" if name == "publications" else "name"] += "\ud800"
+        inputs[name] = tmp_path / f"{name}.jsonl"
+        inputs[name].write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="ascii")
+    log = tmp_path / f"issues_full.{report_format}"
+    if source == "publications":
+        command, table = ["classify"], "classified"
+    else:
+        command, table = ["report", "-i", str(inputs["institutions"])], "repo_bounds"  # it names each university
+    result = CliRunner().invoke(main, [
+        *command,
+        "-p", str(inputs["publications"]),
+        "-e", str(golden_input / "evidence.jsonl"),
+        "-j", str(golden_input / "journals.csv"),
+        "-o", str(tmp_path / "out"),
+        "--format", report_format,
+        "--issue-log", str(log),
+    ])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "out" / f"{table}.{report_format}").exists()
+    entry = {"source": source, "line_no": 1, "kind": "malformed", "detail": "unpaired surrogate escape"}
+    if report_format == "csv":
+        line = ",".join(map(str, entry.values())) + "\r\n"
+    else:
+        line = json.dumps(entry) + "\n"
+    assert line.encode() in log.read_bytes()
+
+
 def test_kept_evidence_records_are_built_once_and_held_by_no_map(golden_input, tmp_path, monkeypatch):
     dump = tmp_path / "evidence.jsonl"
     # P01's DOI 10.1/a has a line; two later lines for it are duplicates, built into no record.

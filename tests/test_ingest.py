@@ -545,6 +545,58 @@ def test_json_rows_with_invalid_utf8_are_undecodable_bytes(source):
     assert [(i.line_no, i.kind, i.detail) for i in issues] == [(2, "malformed", "undecodable bytes")]
 
 
+@pytest.mark.parametrize("source", sorted(_JSON_ROWS))
+def test_json_rows_with_an_unpaired_surrogate_escape_in_a_read_value_are_malformed(source):
+    # UTF-8 cannot encode "\ud800", so no table could hold a cell with it. A key or value not read is ignored.
+    key, listed = {"publications": ("pub_id", "field_ids"), "institutions": ("inst_id", "regions"),
+                   "journals": ("journal_id", "note")}[source]
+    rows = [
+        {key: "X0\U0001f600"},  # an escaped pair is one character
+        {key: "X1\ud800"},
+        {key: "X2", "note": "\ud800", "\udfff": 1},  # not read
+        {key: "X3", listed: ["\udfff"]},  # read unless the table has no such list column
+        {key: "X4\\ud800"},  # a backslash, then "ud800"
+    ]
+    lines = [json.dumps({**_JSON_ROWS[source], **row}) for row in rows]
+    assert "\\ud83d\\ude00" in lines[0] and "\\ud800" in lines[1]
+    data = io.BytesIO("".join(f"{line}\n" for line in lines).encode())
+    issues, stats = [], ParseStats()
+    if source == "publications":
+        list(parse_publications(data, PipelineConfig(), on_issue=issues.append, stats=stats))
+    elif source == "institutions":
+        parse_registries(data, None, on_issue=issues.append, institution_stats=stats)
+    else:
+        parse_registries(None, data, on_issue=issues.append, journal_stats=stats)
+    malformed = [2] if source == "journals" else [2, 4]
+    assert [(i.line_no, i.kind, i.detail) for i in issues] == [
+        (n, "malformed", "unpaired surrogate escape") for n in malformed
+    ]
+    assert (stats.lines, stats.records) == (5, 5 - len(malformed))
+
+
+def test_evidence_line_with_an_unpaired_surrogate_escape_in_a_kept_value_is_malformed():
+    def line(doi: str, url: str = "https://r.org/x", **extra) -> str:
+        location = {"host_type": "repository", "url": url, "license": None}
+        return json.dumps({"doi": doi, "journal_is_oa": False, "oa_locations": [location], **extra})
+
+    data = _evidence_bytes(
+        line("10.1/a", title="\U0001f600"),
+        line("10.1/b", title="\ud800", authors=[{"\ud800": "x"}]),  # not read
+        line("10.1/c\ud800"),
+        line("10.1/d", url="https://r.org/\udfff"),
+        line("10.9/z", url="https://r.org/\udfff"),  # an unneeded DOI keeps nothing
+        line("10.1/e", url="https://r.org/\\ud800"),  # a backslash, then "ud800"
+    )
+    keep = {doi: doi for doi in ("10.1/a", "10.1/b", "10.1/c\ud800", "10.1/d", "10.1/e")}
+    records, issues = _parse_evidence(data, keep=keep)
+    assert [r.doi for r in records] == ["10.1/a", "10.1/b", "10.1/e"]
+    assert records[2].repository_urls == ("r.org/\\ud800",)
+    assert [(i.line_no, i.kind, i.detail) for i in issues] == [
+        (3, "malformed", "unpaired surrogate escape"),
+        (4, "malformed", "unpaired surrogate escape"),
+    ]
+
+
 def test_publications_csv_with_utf8_bom():
     stream = _pub_rows(f"P1,10.1/a,2015,article,en,J1,U1,{BIO}")
     records, issues = _parse_pubs(io.BytesIO(b"\xef\xbb\xbf" + stream.getvalue()))
@@ -1061,6 +1113,54 @@ def test_parsers_raise_nothing_reading_does_not_convert(data):
         assert all(isinstance(issue, ParseIssue) for issue in issues)
 
 
+def _json_object_reference(raw: bytes) -> dict | str:
+    """`ingest._json_object` as written on json.loads, before it called the scanner itself."""
+    try:
+        obj = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError:
+        return "undecodable bytes"
+    except (ValueError, RecursionError):
+        return "invalid JSON"
+    return obj if type(obj) is dict else "line is not an object"
+
+
+#: Pieces of lines that are often JSON: tokens, escapes, JSON and other blanks, a BOM, invalid UTF-8.
+_JSON_LINE_PIECE = st.sampled_from([
+    "{", "}", "[", "]", ",", ":", '"a"', '"doi"', "1", "-2.5e3", "NaN", "Infinity", "-Infinity", "true",
+    "null", '"\\u00e9"', '"\\ud800"', '"\\udc00"', '"\\ud83d\\ude00"', '"\\\\ud800"', '"\\"', " ", "\t",
+    "\r", "\n", "\x0b", "\x0c", "\x1c", "\u00a0", "\u2028", "\ufeff", "x", "\u00e9",
+]).map(str.encode) | st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])
+_JSON_BLANK_PIECES = st.lists(st.sampled_from([b" ", b"\t", b"\r", b"\n", b"\x0b", b"\x0c"]), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.one_of(
+    st.lists(_JSON_LINE_PIECE, max_size=12).map(b"".join),
+    st.builds(
+        lambda head, obj, tail: b"".join(head) + json.dumps(obj).encode() + b"".join(tail),
+        _JSON_BLANK_PIECES, st.dictionaries(_KEY, _JSON_VALUE, max_size=4), _JSON_BLANK_PIECES,
+    ),
+))
+@example(raw=b"")
+@example(raw=b" {} ")
+@example(raw=b"\x0c{}")
+@example(raw=b"{}\x0c")
+@example(raw="\ufeff{}".encode())
+@example(raw=b"{}{}")
+@example(raw=b"{} x")
+@example(raw=b"[]")
+@example(raw=b"1")
+@example(raw=b"NaN")
+@example(raw=b'{"a": NaN}')
+@example(raw=b"[" * 100_000)
+@example(raw=b'{"a":1')
+@example(raw=b"{}\r\n")
+def test_json_object_reads_a_line_as_json_loads_does(raw):
+    got, expected = ingest._json_object(raw), _json_object_reference(raw)
+    assert type(got) is type(expected)
+    assert repr(got) == repr(expected)  # repr, since NaN != NaN
+
+
 def test_json_values_that_are_not_text_or_numbers_make_the_row_malformed():
     pubs = [
         {"pub_id": "P1", "year": 2015, "doc_type": "article", "journal_id": "J1",
@@ -1073,6 +1173,8 @@ def test_json_values_that_are_not_text_or_numbers_make_the_row_malformed():
         # Numbers are read as their text and a scalar null as missing.
         {"pub_id": 5, "doi": None, "year": 2015, "doc_type": "article", "journal_id": 7,
          "institution_ids": ["U1", 3], "field_ids": BIO, "language": None},
+        # A boolean is not a number, also inside a list.
+        {"pub_id": "P6", "year": 2015, "doc_type": "article", "journal_id": "J1", "field_ids": [BIO, True]},
     ]
     records, issues = _parse_pubs(io.BytesIO("".join(json.dumps(p) + "\n" for p in pubs).encode()))
     assert [(i.line_no, i.kind, i.detail) for i in issues] == [
@@ -1080,6 +1182,7 @@ def test_json_values_that_are_not_text_or_numbers_make_the_row_malformed():
         (2, "malformed", "doi holds a value that is not text or a number"),
         (3, "malformed", "pub_id holds a value that is not text or a number"),
         (4, "malformed", "language holds a value that is not text or a number"),
+        (6, "malformed", "field_ids holds a value that is not text or a number"),
     ]
     (pub,) = records
     assert (pub.pub_id, pub.doi, pub.journal_id, pub.institution_ids, pub.language) == (

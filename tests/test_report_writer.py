@@ -9,6 +9,7 @@ import io
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -78,11 +79,19 @@ def _written(write, table, report_format) -> bytes:
 
 @given(_tables())
 @example(Table("t", ("share", "flag", "n", "name"), ((Fraction(1, 800), True, 3, 'a "b",\nc'),)))
+@example(Table("t", ("share", "none", "yes", "no", "text"), ((Fraction(2, 3), None, True, False, "Üni 日本 😀"),)))
 def test_write_table_matches_reference(table):
     for report_format in ("csv", "jsonl"):
         assert _written(cli._write_table, table, report_format) == _written(
             _reference_write_table, table, report_format
         ), report_format
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, 1j])
+def test_a_cell_json_has_no_form_for_raises_type_error(value):
+    table = Table("t", ("share", "value"), ((Fraction(1, 2), value),))
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        _written(cli._write_table, table, "jsonl")
 
 
 @given(st.one_of(_SHARES, st.integers(), st.booleans()))
