@@ -20,7 +20,9 @@ import zlib
 from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
+from itertools import islice, repeat
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import click
@@ -111,23 +113,68 @@ def _jsonl_value(value):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _write_table(fh, table: Table, report_format: str) -> None:
-    """Write a table to a text file row by row (RFC-4180 CSV or JSON lines).
+#: The rows `_write_table` renders at a time: enough that each column's
+#: passes in C outweigh their set-up, few enough to hold little memory.
+_WRITE_BATCH = 256
 
-    No whole-table string is built, so memory does not grow with the
-    table. `fh` should be opened with newline="" and encoding="utf-8".
+_BOOL_TEXT = {True: "true", False: "false"}
+_NULL_CELL = {None: ""}
+_JSON_NULL = {None: "null"}
+
+#: For a column of a batch whose cells' exact types are the key, a function
+#: that renders all of them in passes in C. Any other column is rendered
+#: cell by cell, with `_csv_value` or with the JSON encoder. In JSON that
+#: includes shares: the encoder writes a share's float past the float range
+#: as Infinity, where float.__repr__ gives inf.
+_CSV_COLUMNS = {
+    frozenset({str}): lambda cells: cells,
+    frozenset({str, type(None)}): lambda cells: map(_NULL_CELL.get, cells, cells),
+    frozenset({bool}): lambda cells: map(_BOOL_TEXT.__getitem__, cells),
+    frozenset({int}): lambda cells: map(int.__repr__, cells),
+    frozenset({Fraction}): lambda cells: map(format_pct, cells),
+}
+_JSONL_COLUMNS = {
+    frozenset({str}): lambda cells: map(encode_basestring, cells),
+    frozenset({str, type(None)}): lambda cells: map(
+        _JSON_NULL.get, cells, map(encode_basestring, map(_NULL_CELL.get, cells, cells))
+    ),
+    frozenset({bool}): _CSV_COLUMNS[frozenset({bool})],
+    frozenset({int}): _CSV_COLUMNS[frozenset({int})],
+}
+
+
+def _write_table(fh, table: Table, report_format: str) -> None:
+    """Write a table to a text file a batch of rows at a time (RFC-4180 CSV or JSON lines).
+
+    Each batch of `_WRITE_BATCH` rows is rendered a column at a time, by
+    the types its cells hold, into the text a row-by-row writer gives; a
+    JSON line is joined from its cells and the pieces '{"column": ' and
+    ', "column": '. No whole-table string is built, so memory does not
+    grow with the table. `fh` should be opened with newline="" and
+    encoding="utf-8".
     """
     if report_format == "csv":
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(table.columns)
-        writer.writerows([_csv_value(v) for v in row] for row in table.rows)
+        by_kinds, each = _CSV_COLUMNS, _csv_value
     elif report_format == "jsonl":
         # One encoder per table: json.dumps(..., ensure_ascii=False) builds one per call.
-        encode = json.JSONEncoder(ensure_ascii=False, default=_jsonl_value).encode
-        for row in table.rows:
-            fh.write(encode(dict(zip(table.columns, row))) + "\n")
+        by_kinds, each = _JSONL_COLUMNS, json.JSONEncoder(ensure_ascii=False, default=_jsonl_value).encode
+        keys = [("{" if k == 0 else ", ") + encode_basestring(c) + ": " for k, c in enumerate(table.columns)]
+        end = "}\n" if keys else "{}\n"
     else:
         raise ValueError(f"unknown report format: {report_format!r}")
+    per_cell = partial(map, each)
+    rows = iter(table.rows)
+    while batch := list(islice(rows, _WRITE_BATCH)):
+        columns = [by_kinds.get(frozenset(map(type, cells)), per_cell)(cells) for cells in zip(*batch)]
+        if report_format == "csv":
+            writer.writerows(zip(*columns) if columns else batch)
+        else:
+            n, pieces = len(batch), []
+            for key, cells in zip(keys, columns):
+                pieces += repeat(key, n), cells
+            fh.write("".join(map("".join, zip(*pieces, repeat(end, n)))))
 
 
 def _write_tables(targets: list[tuple[Path, Table]], report_format: str) -> None:

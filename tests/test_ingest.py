@@ -508,6 +508,23 @@ def test_json_rows_count_every_non_blank_line(source):
     assert (stats.lines, stats.records, sink.total(source)) == (3, 1, 2)
 
 
+@pytest.mark.parametrize("blank", [b"\x0b", b"\x0c", b" \x0c\t"])
+def test_a_json_line_of_other_blanks_is_invalid_json(blank):
+    """Only space, tab, CR and LF make a JSON line blank; json.loads rejects a vertical tab or form feed."""
+    table = f"{json.dumps(_JSON_ROWS['journals'])}\n".encode() + blank + b"\n\r\n"
+    stats, issues = ParseStats(), []
+    parse_registries(None, io.BytesIO(table), on_issue=issues.append, journal_stats=stats)
+    assert (stats.lines, stats.records) == (2, 1)
+    assert [(i.line_no, i.kind, i.detail) for i in issues] == [(2, "malformed", "invalid JSON")]
+
+    line = json.dumps({"doi": "10.1/a", "journal_is_oa": False, "oa_locations": []}).encode()
+    for keep in (None, {"10.1/a": "P1"}):
+        stats = ParseStats()
+        records, issues = _parse_evidence(io.BytesIO(line + b"\n" + blank + b"\n \t\n"), keep=keep, stats=stats)
+        assert (len(records), stats.lines) == (1, 2)
+        assert [(i.line_no, i.kind, i.detail) for i in issues] == [(2, "malformed", "invalid JSON")]
+
+
 def test_csv_row_with_more_cells_than_its_header_is_malformed():
     # An unquoted comma in a name would otherwise shift every later cell.
     inst, _ = _registry_streams(inst_rows=("U1,Univ of A, Madrid,ES,Europe,repo.a.es", "U2,B,NL,Europe,"))
@@ -1160,6 +1177,137 @@ def test_json_object_reads_a_line_as_json_loads_does(raw):
     assert type(got) is type(expected)
     assert repr(got) == repr(expected)  # repr, since NaN != NaN
 
+
+
+def _json_cells_reference(obj: dict, columns: tuple[str, ...]) -> list | str:
+    """The cells of one JSON-lines row, or the first column that cannot be read: the per-row reader's rule."""
+    cells = []
+    for column, value in zip(columns, map(obj.get, columns)):
+        kind = type(value)
+        if kind is str or kind is bool and column in ingest._FLAG_COLUMNS:
+            pass
+        elif value is None:
+            value = ""
+        elif kind is int or kind is float:
+            value = str(value)
+        elif kind is list and column in ingest._LIST_COLUMNS and all(
+            type(item) in (str, int, float) for item in value
+        ):
+            value = tuple(map(str, value))
+        else:
+            return column
+        cells.append(value)
+    return cells
+
+
+def _json_rows_reference(data: bytes, columns: tuple[str, ...]):
+    """Rows, issues and the non-blank line count of a JSON-lines table, read one line at a time."""
+    rows, issues, lines = [], [], 0
+    for line_no, raw in enumerate(io.BytesIO(data), start=1):
+        if not raw.strip(b" \t\r\n"):
+            continue
+        lines += 1
+        obj = _json_object_reference(raw)
+        if type(obj) is str:
+            issues.append((line_no, "malformed", obj))
+            continue
+        cells = _json_cells_reference(obj, columns)
+        if type(cells) is str:
+            issues.append((line_no, "malformed", f"{cells} holds a value that is not text or a number"))
+            continue
+        texts = [cell if type(cell) is str else "".join(cell) for cell in cells if type(cell) is not bool]
+        try:
+            "".join(texts).encode("utf-8")
+        except UnicodeEncodeError:
+            issues.append((line_no, "malformed", "unpaired surrogate escape"))
+            continue
+        rows.append((line_no, tuple(cells)))
+    return rows, issues, lines
+
+
+#: A text column, a flag column and a list column, each read as `_iter_rows` reads them.
+_ROW_COLUMNS = ("name", "is_fully_oa", "institution_ids")
+_ROW_TEXT = st.text(max_size=4) | st.sampled_from(["\ud800", "a\udc00", "\U0001f600", "\u00e9"])
+_ROW_SCALAR = _ROW_TEXT | st.integers() | st.floats() | st.none() | st.booleans()
+_ROW_VALUE = (
+    _ROW_SCALAR | st.lists(_ROW_SCALAR, max_size=3) | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
+)
+#: The values one column may hold through a whole table, so that most blocks hold one or two types.
+_COLUMN_VALUES = st.sampled_from([
+    _ROW_TEXT, st.integers() | st.floats(), st.none() | _ROW_TEXT, st.booleans(), st.booleans() | st.none(),
+    st.lists(_ROW_TEXT, max_size=3), st.lists(_ROW_TEXT | st.integers() | st.floats(), max_size=3),
+    st.lists(_ROW_SCALAR, max_size=3), _ROW_VALUE,
+])
+_OTHER_LINES = st.sampled_from([
+    b"", b" ", b"\t\r", b"\x0b", b"\x0c", b" \x0c ", b"{", b"{bad", b"[1]", b"null", b"\xff{}", b'{"name": NaN}',
+])
+
+
+@st.composite
+def _json_table(draw):
+    kinds = [draw(_COLUMN_VALUES) for _ in _ROW_COLUMNS]
+    lines = []
+    for _ in range(draw(st.integers(0, 40))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(_OTHER_LINES))
+            continue
+        # Now and then a value of any type, and a missing key.
+        obj = {c: draw(_ROW_VALUE if draw(st.integers(0, 19)) == 0 else kind) for c, kind in zip(_ROW_COLUMNS, kinds)}
+        obj = {c: v for c, v in obj.items() if draw(st.integers(0, 9))}
+        text = json.dumps(obj, ensure_ascii=draw(st.booleans()))
+        lines.append(text.encode("utf-8", "surrogatepass"))
+    # The first non-blank byte is "{", so the table is read as JSON lines.
+    head = draw(st.sampled_from([b"", b"\n", b"\x0c\n", b" \n\n"]))
+    return head + b'{"name": "first"}\n' + b"\n".join(lines) + draw(st.sampled_from([b"", b"\n", b"\r\n"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_json_table())
+# Blocks of many rows whose reader issues fall between valid rows: invalid JSON and a surrogate escape.
+@example(data=b'{"name": "first"}\n' + b"\n".join(
+    json.dumps({"name": "a\ud800" if k % 7 == 3 else k, "is_fully_oa": k % 5 == 0, "institution_ids": ["U", k]})
+    .encode() if k % 11 else b"{bad" for k in range(60)
+))
+def test_block_reader_matches_a_per_row_reference(data):
+    expected_rows, expected_issues, expected_lines = _json_rows_reference(data, _ROW_COLUMNS)
+    for block_bytes in (1, 128, ingest._ROW_BLOCK_BYTES):
+        stats, issues = ParseStats(), []
+        with mock.patch.object(ingest, "_ROW_BLOCK_BYTES", block_bytes):
+            rows = ingest._iter_rows(io.BytesIO(data), "t", issues.append, stats, _ROW_COLUMNS[:1], _ROW_COLUMNS[1:])
+            rows = list(rows)
+        assert rows == expected_rows
+        assert [(i.line_no, i.kind, i.detail) for i in issues] == expected_issues
+        assert (stats.lines, stats.records) == (expected_lines, 0)
+
+
+def test_reader_and_parser_issues_interleave_in_line_order():
+    """Issues of the block reader and of the parser, from lines of one block, come in line order."""
+    good = {"pub_id": "P", "year": 2015, "doc_type": "article", "journal_id": "J1", "field_ids": [BIO]}
+    lines = [
+        {**good, "pub_id": "P1"},
+        "{bad",
+        {**good, "pub_id": "P3", "doc_type": "editorial"},
+        {**good, "pub_id": "P4", "language": ["en"]},
+        {**good, "pub_id": " "},
+        {**good, "pub_id": "P6", "doi": "\ud800"},
+        {**good, "pub_id": "P1"},
+        {**good, "pub_id": "P8"},
+    ]
+    data = "\n".join(line if type(line) is str else json.dumps(line) for line in lines).encode()
+    stats = ParseStats()
+    records, issues = [], []
+    for record in parse_publications(io.BytesIO(data), PipelineConfig(), on_issue=issues.append, stats=stats):
+        records.append((record.pub_id, len(issues)))
+    assert records == [("P1", 0), ("P8", 6)]
+    assert [(i.line_no, i.kind, i.detail) for i in issues] == [
+        (2, "malformed", "invalid JSON"),
+        (3, "malformed", "non-citable doc_type: 'editorial'"),
+        (4, "malformed", "language holds a value that is not text or a number"),
+        (5, "missing_required_field", "missing pub_id"),
+        (6, "malformed", "unpaired surrogate escape"),
+        (7, "duplicate_key", "duplicate pub_id: P1"),
+    ]
+    assert (stats.lines, stats.records) == (8, 2)
 
 def test_json_values_that_are_not_text_or_numbers_make_the_row_malformed():
     pubs = [

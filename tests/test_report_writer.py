@@ -97,3 +97,35 @@ def test_a_cell_json_has_no_form_for_raises_type_error(value):
 @given(st.one_of(_SHARES, st.integers(), st.booleans()))
 def test_format_pct_matches_reference(value):
     assert format_pct(value) == _reference_format_pct(value)
+
+
+def test_columns_whose_types_change_between_batches_match_reference():
+    """Each batch renders a column by the types it holds there; the text is that of the reference."""
+    size = cli._WRITE_BATCH
+    columns = ("100%", "{name}", 'say "hi"', "line\nbreak", "Üni 日本 😀", "%s")
+
+    def row(k):
+        batch = k // size  # 0, 1, 2, 3: the types of most columns change with it
+        return (
+            f"t{k}" if batch % 2 == 0 else None,
+            Fraction(k, 7) if batch == 0 else None,
+            k if batch < 2 else k % 2 == 0,
+            f"t{k}" if k % 3 else None,  # text and nulls in every batch
+            [k, "x"] if batch == 3 else 0.5 * k,
+            Fraction(1, 800) if batch == 1 else f"é{k}",
+        )
+
+    table = Table("t", columns, tuple(map(row, range(3 * size + size // 2))))
+    for report_format in ("csv", "jsonl"):
+        assert _written(cli._write_table, table, report_format) == _written(
+            _reference_write_table, table, report_format
+        ), report_format
+
+
+def test_a_table_without_columns_matches_reference():
+    for rows in ((), ((),) * 3, ((),) * (2 * cli._WRITE_BATCH + 1)):
+        table = Table("t", (), rows)
+        for report_format in ("csv", "jsonl"):
+            assert _written(cli._write_table, table, report_format) == _written(
+                _reference_write_table, table, report_format
+            ), report_format
