@@ -20,7 +20,7 @@ import zlib
 from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from itertools import islice, repeat
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -94,6 +94,8 @@ def format_pct(value: Fraction | int | None) -> str:
     # floor(1000 * n / d + 1/2), in integers.
     n, d = value.numerator, value.denominator
     tenths = (2000 * n + d) // (2 * d)
+    if tenths < 0:  # the sign, then the magnitude's digits: // and % floor toward -infinity
+        return f"-{-tenths // 10}.{-tenths % 10}"
     return f"{tenths // 10}.{tenths % 10}"
 
 
@@ -122,15 +124,16 @@ _NULL_CELL = {None: ""}
 _JSON_NULL = {None: "null"}
 
 #: For a column of a batch whose cells' exact types are the key, a function
-#: that renders all of them in passes in C. Any other column is rendered
+#: that renders all of them in passes in C; csv.writer itself writes text,
+#: None as "" and an int as str() does. Any other column is rendered
 #: cell by cell, with `_csv_value` or with the JSON encoder. In JSON that
 #: includes shares: the encoder writes a share's float past the float range
 #: as Infinity, where float.__repr__ gives inf.
 _CSV_COLUMNS = {
     frozenset({str}): lambda cells: cells,
-    frozenset({str, type(None)}): lambda cells: map(_NULL_CELL.get, cells, cells),
+    frozenset({str, type(None)}): lambda cells: cells,
     frozenset({bool}): lambda cells: map(_BOOL_TEXT.__getitem__, cells),
-    frozenset({int}): lambda cells: map(int.__repr__, cells),
+    frozenset({int}): lambda cells: cells,
     frozenset({Fraction}): lambda cells: map(format_pct, cells),
 }
 _JSONL_COLUMNS = {
@@ -139,7 +142,7 @@ _JSONL_COLUMNS = {
         _JSON_NULL.get, cells, map(encode_basestring, map(_NULL_CELL.get, cells, cells))
     ),
     frozenset({bool}): _CSV_COLUMNS[frozenset({bool})],
-    frozenset({int}): _CSV_COLUMNS[frozenset({int})],
+    frozenset({int}): lambda cells: map(int.__repr__, cells),
 }
 
 
@@ -262,8 +265,10 @@ def run_pipeline(
     with up to `shards` processes (default: `_usable_cpus()`); the output
     is the same for any count. Each publication is classified and fed to
     every requested table as its DOI's evidence record arrives, so no
-    record outlives its line; the bundle and the issue log are written in
-    one step (ReportBundle.write), the log alone without `out_dir`.
+    record outlives its line. A request for any of CELL_TABLES builds all
+    of them, as they are read from one `universities` table; the bundle
+    holds only the requested tables. The bundle and the issue log are
+    written in one step (ReportBundle.write), the log alone without `out_dir`.
 
     Raises, before any input is read, ConfigurationError for an unknown
     table name or report format, a `max_issue_rate` that is not >= 0
@@ -350,24 +355,19 @@ def run_pipeline(
     # Free the DOI map, which no table reads, before any table is built or written.
     del by_doi, without_doi
 
-    universities = None
+    built = {name: acc.table() for name, acc in accumulators.items() if name != "counts"}
     if "counts" in accumulators:
         universities = university_indicators(accumulators.pop("counts").counts, institutions, config)
-
-    builders = {name: cache(acc.table) for name, acc in accumulators.items()}
-    builders.update({
-        "universities": lambda: universities,
-        "field_summary": lambda: field_summary(universities),
-        "country_medians": lambda: _displayed(builders["country_medians_full"](), COUNTRY_MEDIANS_COLUMNS),
-        "country_medians_full": cache(
-            lambda: median_share_by_country(universities, config.min_universities_country)
-        ),
-        "region_medians": lambda: region_rollup(universities, institutions),
-        "profiles": lambda: field_profile(universities),
-        "gold_models": lambda: _displayed(builders["gold_models_full"](), GOLD_MODELS_COLUMNS),
-        "issues": sink.table,
-    })
-    bundle = ReportBundle({name: build() for name, build in builders.items() if name in tables})
+        built["universities"] = universities
+        built["field_summary"] = field_summary(universities)
+        built["country_medians_full"] = median_share_by_country(universities, config.min_universities_country)
+        built["country_medians"] = _displayed(built["country_medians_full"], COUNTRY_MEDIANS_COLUMNS)
+        built["region_medians"] = region_rollup(universities, institutions)
+        built["profiles"] = field_profile(universities)
+    if "gold_models_full" in built:
+        built["gold_models"] = _displayed(built["gold_models_full"], GOLD_MODELS_COLUMNS)
+    built["issues"] = sink.table()
+    bundle = ReportBundle({name: table for name, table in built.items() if name in tables})
 
     log = [] if issue_log_path is None else [(Path(issue_log_path), sink.log_table())]
     if out_dir is not None:
@@ -401,7 +401,7 @@ def _config_from_options(opts) -> PipelineConfig:
         raise click.UsageError(str(exc)) from exc
 
 
-def _common_options(with_registries: bool = True):
+def _common_options(with_registries: bool):
     def wrap(f):
         options = [
             click.option("--publications", "-p", envvar="OAMETRICS_PUBLICATIONS", required=True,
@@ -457,7 +457,7 @@ def _common_options(with_registries: bool = True):
     return wrap
 
 
-def _invoke(tables: tuple[str, ...], opts) -> None:
+def _invoke(tables: tuple[str, ...], **opts) -> None:
     if opts["shards"] < 1:
         raise click.UsageError("--shards must be >= 1")
     config = _config_from_options(opts)
@@ -487,46 +487,18 @@ def main() -> None:
     """Classify open-access status and compute institutional OA indicators."""
 
 
-@main.command()
-@_common_options(with_registries=False)
-def classify(**opts) -> None:
-    """Emit per-publication OA type labels."""
-    _invoke(("classified",), opts)
-
-
-@main.command()
-@_common_options()
-def aggregate(**opts) -> None:
-    """Emit indicator tables: universities, fields, countries, regions."""
-    _invoke(AGGREGATE_TABLES, opts)
-
-
-@main.command("repo-match")
-@_common_options()
-def repo_match(**opts) -> None:
-    """Emit per-university repository-hosting bounds."""
-    _invoke(("repo_bounds",), opts)
-
-
-@main.command("pmc-report")
-@_common_options()
-def pmc_report(**opts) -> None:
-    """Emit the per-country PMC overlap table."""
-    _invoke(("pmc_overlap",), opts)
-
-
-@main.command("gold-model")
-@_common_options()
-def gold_model(**opts) -> None:
-    """Emit per-country gold OA publishing models."""
-    _invoke(("gold_models", "gold_models_full"), opts)
-
-
-@main.command()
-@_common_options()
-def report(**opts) -> None:
-    """Emit the full report bundle."""
-    _invoke(REPORT_TABLES, opts)
+#: Each subcommand: the tables it writes and its help line. All but
+#: `classify` read the institution roster and the journal registry.
+_COMMANDS = {
+    "classify": (("classified",), "Emit per-publication OA type labels."),
+    "aggregate": (AGGREGATE_TABLES, "Emit indicator tables: universities, fields, countries, regions."),
+    "repo-match": (("repo_bounds",), "Emit per-university repository-hosting bounds."),
+    "pmc-report": (("pmc_overlap",), "Emit the per-country PMC overlap table."),
+    "gold-model": (("gold_models", "gold_models_full"), "Emit per-country gold OA publishing models."),
+    "report": (REPORT_TABLES, "Emit the full report bundle."),
+}
+for _name, (_tables, _help) in _COMMANDS.items():
+    main.command(_name, help=_help)(_common_options(_name != "classify")(partial(_invoke, _tables)))
 
 
 if __name__ == "__main__":

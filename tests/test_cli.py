@@ -41,6 +41,10 @@ from oracles import materialized
         (Fraction(1), "100.0"),
         (Fraction(0), "0.0"),
         (Fraction(1, 800), "0.1"),
+        (Fraction(-7, 1000), "-0.7"),
+        (Fraction(-49, 1000), "-4.9"),
+        (Fraction(-1, 2000), "0.0"),
+        (Fraction(-3, 2000), "-0.1"),
         (None, ""),
     ],
 )
@@ -564,6 +568,70 @@ def test_subcommands_write_their_golden_tables(golden_input, golden_dir, tmp_pat
     assert sorted(written) == [f"{name}.csv" for name in SUBCOMMAND_TABLES[command]]
     for name, data in written.items():
         assert data == (golden_dir / name).read_bytes(), name
+
+
+# Each subcommand's help line, as `oametrics <command> --help` shows it.
+SUBCOMMAND_HELP = {
+    "aggregate": "Emit indicator tables: universities, fields, countries, regions.",
+    "classify": "Emit per-publication OA type labels.",
+    "gold-model": "Emit per-country gold OA publishing models.",
+    "pmc-report": "Emit the per-country PMC overlap table.",
+    "repo-match": "Emit per-university repository-hosting bounds.",
+    "report": "Emit the full report bundle.",
+}
+
+
+def test_help_lists_the_six_subcommands_each_with_its_help_line():
+    result = CliRunner().invoke(main, ["--help"])
+    assert result.exit_code == 0, result.output
+    listed = [line.split(None, 1) for line in result.output.split("Commands:\n")[1].splitlines()]
+    assert [command for command, _ in listed] == sorted(SUBCOMMAND_HELP)
+    for command, short in listed:  # a long line is cut, and ends "..."
+        assert SUBCOMMAND_HELP[command].startswith(short.removesuffix("..."))
+    for command, line in SUBCOMMAND_HELP.items():
+        result = CliRunner().invoke(main, [command, "--help"])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[2].strip() == line
+
+
+def test_classify_takes_no_roster_and_an_optional_journal_registry(golden_input, tmp_path):
+    result = CliRunner().invoke(main, ["classify", "--help"])
+    assert "--institutions" not in result.output and "--journals" in result.output
+    args = ["-p", str(golden_input / "publications.csv"), "-e", str(golden_input / "evidence.jsonl")]
+    result = CliRunner().invoke(main, ["classify", *args, "-o", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert [p.name for p in tmp_path.iterdir()] == ["classified.csv"]
+
+
+@pytest.mark.parametrize("command", sorted(set(SUBCOMMAND_HELP) - {"classify"}))
+def test_every_other_subcommand_requires_the_roster(golden_input, tmp_path, command):
+    args = _golden_args(golden_input, tmp_path / "out")
+    del args[args.index("-i"):args.index("-i") + 2]
+    result = CliRunner().invoke(main, [command, *args])
+    assert result.exit_code == 2
+    assert "Missing option '--institutions'" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_format_env_var_takes_effect(golden_input, tmp_path):
+    out = tmp_path / "out"
+    result = CliRunner().invoke(
+        main, ["pmc-report", *_golden_args(golden_input, out)], env={"OAMETRICS_FORMAT": "jsonl"}
+    )
+    assert result.exit_code == 0, result.output
+    assert [p.name for p in out.iterdir()] == ["pmc_overlap.jsonl"]
+
+
+@pytest.mark.parametrize(
+    "option,value,message",
+    [("--shards", "0", "--shards must be >= 1"), ("--min-universities", "0", "university thresholds must be >= 1")],
+)
+def test_an_out_of_range_option_is_a_usage_error(golden_input, tmp_path, option, value, message):
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["report", *_golden_args(golden_input, out), option, value])
+    assert result.exit_code == 2
+    assert message in result.output
+    assert not out.exists()
 
 
 def _golden_issue_log(header_lines: int) -> bytes:

@@ -402,6 +402,31 @@ def test_registries_invalid_journal_flag_reported():
     assert issues[0].kind == "malformed"
 
 
+@pytest.mark.parametrize(
+    "inst_rows,journal_rows,issue",
+    [
+        (("U1,Alpha, ,Europe,",), (), ("institutions", 2, "missing_required_field", "missing country")),
+        ((), ("J1,,GB,true,Maybe,",), ("journals", 2, "malformed", "invalid has_apc: 'maybe'")),
+    ],
+    ids=["blank_country", "invalid_has_apc"],
+)
+def test_registries_drop_a_row_with_a_bad_required_value(inst_rows, journal_rows, issue):
+    inst, jour = _registry_streams(inst_rows, journal_rows)
+    issues = []
+    institutions, journals = parse_registries(inst, jour, on_issue=issues.append)
+    assert institutions == {} and journals == {}
+    assert [(i.source, i.line_no, i.kind, i.detail) for i in issues] == [issue]
+
+
+@pytest.mark.parametrize(
+    "kind,line_no,message",
+    [("misspelled", 1, "unknown issue kind: 'misspelled'"), ("malformed", 0, "line_no must be >= 1")],
+)
+def test_parse_issue_rejects_an_unknown_kind_or_a_line_before_the_first(kind, line_no, message):
+    with pytest.raises(ValueError, match=message):
+        ParseIssue(source="publications", line_no=line_no, kind=kind, detail="")
+
+
 _EVIDENCE_LINE = b'{"doi": "10.1/a", "journal_is_oa": false, "oa_locations": []}\n'
 _ROSTER = f"{INST_HEADER}\nU1,Alpha,TR,Europe,\n".encode()
 

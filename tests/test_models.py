@@ -140,6 +140,11 @@ def test_publication_requires_fields():
         _pub(field_ids=frozenset({"Alchemy"}))
 
 
+def test_publication_requires_a_pub_id():
+    with pytest.raises(ValueError, match="pub_id must be non-empty"):
+        _pub(pub_id="")
+
+
 def test_publication_requires_normalized_doi():
     with pytest.raises(ValueError):
         _pub(doi="https://doi.org/10.1/a")

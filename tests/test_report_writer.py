@@ -1,10 +1,11 @@
 """The table writer against a plain reference: the same text for every cell type.
 
-The reference renders cells with isinstance checks and `Fraction`
-arithmetic, and encodes each JSON line with its own json.dumps call.
+The reference renders cells with isinstance checks, rounds shares with
+`decimal`, and encodes each JSON line with its own json.dumps call.
 """
 
 import csv
+import decimal
 import io
 import json
 from fractions import Fraction
@@ -19,11 +20,17 @@ from oametrics.models import Table
 
 
 def _reference_format_pct(value):
+    """The percent to one decimal, a tie rounded toward +infinity, from `decimal`'s own text."""
     if value is None:
         return ""
-    scaled = Fraction(value) * 1000
-    tenths = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
-    return f"{tenths // 10}.{tenths % 10}"
+    n, d = Fraction(value).as_integer_ratio()
+    with decimal.localcontext() as ctx:
+        # Enough digits that a quotient off a tie by 1/(20d) or more does not round onto it.
+        ctx.prec = len(str(abs(n))) + len(str(d)) + 10
+        pct = decimal.Decimal(100 * n) / d
+        rounding = decimal.ROUND_HALF_UP if pct >= 0 else decimal.ROUND_HALF_DOWN
+        pct = pct.quantize(decimal.Decimal("0.1"), rounding=rounding)
+    return str(abs(pct) if pct == 0 else pct)
 
 
 def _reference_csv_value(value):
@@ -95,6 +102,9 @@ def test_a_cell_json_has_no_form_for_raises_type_error(value):
 
 
 @given(st.one_of(_SHARES, st.integers(), st.booleans()))
+@example(Fraction(-7, 1000))
+@example(Fraction(-49, 1000))
+@example(Fraction(-1, 2000))
 def test_format_pct_matches_reference(value):
     assert format_pct(value) == _reference_format_pct(value)
 
