@@ -10,13 +10,16 @@ and bronze.
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
-from itertools import chain
-from operator import attrgetter
+from collections import Counter, defaultdict
+from itertools import chain, compress, product, repeat
+from operator import attrgetter, contains, is_not, not_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .models import (
+    ALL_SCIENCES,
+    MAIN_FIELDS,
     NO_OA,
+    Institution,
     JournalRecord,
     OAEvidenceRecord,
     OATypeSet,
@@ -87,37 +90,125 @@ def _listed(value) -> Sequence[PublicationRecord]:
     return () if value is None else value if type(value) is list else (value,)
 
 
+def _matches(urls: Sequence[str], patterns: Iterable[str]) -> bool:
+    """True iff some URL contains some non-empty pattern."""
+    for pattern in patterns:
+        if pattern:
+            for url in urls:
+                if pattern in url:
+                    return True
+    return False
+
+
+def _pmc_flags(urls: Iterable[str], patterns: tuple[str, ...]) -> tuple[bool, bool]:
+    """(some repository URL contains a PMC pattern, some other repository URL does not)."""
+    via_pmc = [_matches((url,), patterns) for url in urls]
+    return any(via_pmc), not all(via_pmc)
+
+
+_DOI, _IDS, _FIELDS = attrgetter("doi"), attrgetter("institution_ids"), attrgetter("field_ids")
+_VENUE = attrgetter("journal_id", "language")
+
+
 class ClassifiedRows:
-    """The classified table: each publication's OA flags, in pub_id order.
+    """The classified publications, each in the list of its outcome: the store every table is counted from.
 
     `add(pub, types, repository_urls)` appends the publication to the list
-    of its outcome and ignores the URLs; there are at most eight such
-    lists. `table()`, which may be called again, sorts each list by pub_id
-    in place and returns a table whose rows merge them as they are
-    iterated, so no row outlives its turn. pub_ids must be unique, as
-    parse_publications leaves them.
+    of its outcome and, without a roster, reads no URL. With one
+    (`institutions`), a green publication's list is also keyed by its URL
+    facts (some URL contains the handle pattern, some a PMC pattern, some
+    none), and its roster institutions whose own patterns some URL
+    contains are counted in `lower`, and in `lower_handle` too if the
+    handle pattern matched. With `tally_every`, `add` tallies the lists
+    whenever that many publications are pending. `table()`, the classified
+    table, sorts each list not yet tallied by pub_id in place and merges
+    them as its rows are iterated; pub_ids must be unique.
     """
 
-    def __init__(self) -> None:
-        self.runs: defaultdict[OATypeSet, list[PublicationRecord]] = defaultdict(list)
+    def __init__(self, institutions: Mapping[str, Institution] | None = None, handle_pattern: str = "",
+                 pmc_url_patterns: tuple[str, ...] = (), tally_every: int = 0) -> None:
+        self.institutions, self.handle_patterns = institutions, (handle_pattern,)
+        self.pmc_url_patterns, self.tally_every = pmc_url_patterns, tally_every or -1
+        self.country_of = {inst_id: inst.country for inst_id, inst in (institutions or {}).items()}
+        self.pending = self.tally_every  # adds until the next tally; from -1, never 0
+        # outcome, or (outcome, handle, via PMC, other repository) for a green publication with a roster
+        self.runs: defaultdict[object, list[PublicationRecord]] = defaultdict(list)
+        self.lower, self.lower_handle, self.handle, self.sizes, self.gold = (Counter() for _ in range(5))
+        self.ids_by_field: defaultdict[tuple[OATypeSet, bool], dict[str, Counter[str]]] = defaultdict(
+            lambda: {field_name: Counter() for field_name in (*MAIN_FIELDS, ALL_SCIENCES)}
+        )
+        self.greens: defaultdict[tuple[OATypeSet, bool, bool], Counter[str | None]] = defaultdict(Counter)
 
     def add(self, pub: PublicationRecord, types: OATypeSet, repository_urls=()) -> None:
-        self.runs[types].append(pub)
+        institutions = self.institutions
+        if institutions is None or not types.green:
+            self.runs[types].append(pub)
+        else:
+            handle = _matches(repository_urls, self.handle_patterns)
+            for inst_id in pub.institution_ids:
+                institution = institutions.get(inst_id)
+                if institution is not None and _matches(repository_urls, institution.repo_url_patterns):
+                    self.lower[inst_id] += 1
+                    self.lower_handle[inst_id] += handle
+            self.runs[(types, handle, *_pmc_flags(repository_urls, self.pmc_url_patterns))].append(pub)
+        self.pending -= 1
+        if not self.pending:
+            self.tally()
 
     def table(self) -> Table:
-        for pubs in self.runs.values():
+        runs = [(key[0] if type(key) is tuple else key, pubs) for key, pubs in self.runs.items()]
+        for _, pubs in runs:
             pubs.sort(key=attrgetter("pub_id"))
-        return Table("classified", CLASSIFIED_COLUMNS, _MergedRuns(self.runs))
+        return Table("classified", CLASSIFIED_COLUMNS, _MergedRuns(runs))
+
+    def tally(self) -> ClassifiedRows:
+        """Count each list in passes in C and drop it; return the store.
+
+        `sizes` counts the publications of each outcome; `ids_by_field`, per
+        outcome and DOI presence, the institution ids of those in each main
+        field and in the all-sciences rollup. With a roster, `greens` counts
+        the green ones once per distinct affiliation country (None off the
+        roster) by (outcome, via PMC, other repository), `gold` the gold ones
+        as ((journal_id, language), country), and `handle` the institution
+        ids of the green ones with a handle URL.
+        """
+        while self.runs:
+            key, pubs = self.runs.popitem()
+            types, *facts = key if type(key) is tuple else (key,)
+            self.sizes[types] += len(pubs)
+            with_doi = list(map(is_not, map(_DOI, pubs), repeat(None)))
+            for has_doi, part in (True, compress(pubs, with_doi)), (False, compress(pubs, map(not_, with_doi))):
+                if part := list(part):
+                    by_field, ids = self.ids_by_field[types, has_doi], list(map(_IDS, part))
+                    by_field[ALL_SCIENCES].update(chain.from_iterable(ids))
+                    fields = list(map(_FIELDS, part))
+                    for name in MAIN_FIELDS:
+                        in_field = compress(ids, map(contains, fields, repeat(name)))
+                        by_field[name].update(chain.from_iterable(in_field))
+            if self.institutions is not None and (types.green or types.gold):
+                countries = list(map(frozenset, map(map, repeat(self.country_of.get), map(_IDS, pubs))))
+                if types.green:
+                    self.greens[(types, *facts[1:])].update(chain.from_iterable(countries))
+                    self.handle.update(chain.from_iterable(map(_IDS, pubs)) if facts[0] else ())
+                if types.gold:
+                    self.gold.update(chain.from_iterable(map(product, zip(map(_VENUE, pubs)), countries)))
+        self.pending = self.tally_every
+        return self
+
+    def seen_countries(self) -> set[str]:
+        """The roster countries of every tallied publication's institutions."""
+        ids = {i for by_field in self.tally().ids_by_field.values() for i in by_field[ALL_SCIENCES]}
+        return {self.country_of[i] for i in ids if i in self.country_of}
 
 
 class _MergedRuns:
     """The classified rows of per-outcome runs sorted by pub_id, merged anew on each iteration."""
 
-    def __init__(self, runs: Mapping[OATypeSet, list[PublicationRecord]]) -> None:
+    def __init__(self, runs: list[tuple[OATypeSet, list[PublicationRecord]]]) -> None:
         self.runs = runs
 
     def __iter__(self) -> Iterator[tuple]:
-        return heapq.merge(*(_rows(pubs, types) for types, pubs in self.runs.items()))
+        return heapq.merge(*(_rows(pubs, types) for types, pubs in self.runs))
 
 
 def _rows(pubs: list[PublicationRecord], types: OATypeSet) -> Iterator[tuple]:

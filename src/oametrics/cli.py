@@ -29,14 +29,14 @@ import click
 
 from . import __version__
 from .classifier import ClassifiedRows, classify_stream
-from .gold_models import GOLD_MODELS_COLUMNS, GoldModel
+from .gold_models import GOLD_MODELS_COLUMNS, gold_country_model
 from .indicators import (
     COUNTRY_MEDIANS_COLUMNS,
-    FullCounts,
-    OverlapTally,
+    count_full,
     field_profile,
     field_summary,
     median_share_by_country,
+    overlap_matrix,
     region_rollup,
     university_indicators,
 )
@@ -47,8 +47,8 @@ from .ingest import (
     parse_publications,
     parse_registries,
 )
-from .models import PipelineConfig, Table
-from .repositories import PmcOverlap, RepoBounds
+from .models import PipelineConfig, PublicationRecord, Table
+from .repositories import pmc_overlap_table, repo_share_bounds
 
 #: The universities table and the tables computed from its rows.
 CELL_TABLES = (
@@ -245,6 +245,10 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+#: The publications a report run's store holds at most before it tallies them.
+_TALLY_EVERY = 1024
+
+
 def run_pipeline(
     config: PipelineConfig,
     publications_path,
@@ -263,12 +267,16 @@ def run_pipeline(
     The evidence dump is streamed once with a DOI filter, so memory is
     bounded by the publication table, not the dump size. It is scanned
     with up to `shards` processes (default: `_usable_cpus()`); the output
-    is the same for any count. Each publication is classified and fed to
-    every requested table as its DOI's evidence record arrives, so no
-    record outlives its line. A request for any of CELL_TABLES builds all
-    of them, as they are read from one `universities` table; the bundle
-    holds only the requested tables. The bundle and the issue log are
-    written in one step (ReportBundle.write), the log alone without `out_dir`.
+    is the same for any count. Each publication is classified as its DOI's
+    evidence record arrives, so no record outlives its line, and added to
+    one store (ClassifiedRows), which keeps it in the list of its outcome.
+    Unless `classified` is requested, the store tallies its lists in C
+    every `_TALLY_EVERY` publications, so it holds few of them. After the
+    scan every table is built from the store, which is dropped before the
+    write. A request for any of CELL_TABLES builds all of them, as they
+    are read from one `universities` table; the bundle holds only the
+    requested tables. The bundle and the issue log are written in one
+    step (ReportBundle.write), the log alone without `out_dir`.
 
     Raises, before any input is read, ConfigurationError for an unknown
     table name or report format, a `max_issue_rate` that is not >= 0
@@ -307,10 +315,14 @@ def run_pipeline(
         _, journals = parse_registries(
             None, journals_path, on_issue=sink, journal_stats=stats["journals"]
         )
+    # The parse's own set of pub_ids holds each record, so no list of them grows beside it; the
+    # list is made once the parse has freed its other tables.
+    by_id: dict[str, PublicationRecord] = {}
     with _reading(publications_path):
-        publications = list(
-            parse_publications(publications_path, config, on_issue=sink, stats=stats["publications"])
-        )
+        for _ in parse_publications(publications_path, config, sink, stats["publications"], by_id=by_id):
+            pass
+    publications = list(by_id.values())
+    del by_id
 
     def check_issue_rates(*sources):
         for source in sources:
@@ -321,7 +333,7 @@ def run_pipeline(
 
     check_issue_rates("publications", "institutions", "journals")
     # One DOI map, each DOI to its publication or to the list of those sharing it, built
-    # after the parse has freed its set of pub_ids.
+    # after the parse's pub-id dict is freed.
     by_doi, without_doi = {}, [pub for pub in publications if pub.doi is None]
     for pub in publications:
         if pub.doi is not None and (first := by_doi.setdefault(pub.doi, pub)) is not pub:
@@ -330,42 +342,43 @@ def run_pipeline(
             first.append(pub)
     del publications
 
-    # One accumulator per requested table family (`needs` names the shared ones), fed in one pass.
-    folds = {
-        "classified": ClassifiedRows,
-        "overlap": OverlapTally,
-        "repo_bounds": lambda: RepoBounds(institutions, config.handle_pattern),
-        "pmc_overlap": lambda: PmcOverlap(institutions, config),
-        "gold_models_full": lambda: GoldModel(journals, institutions, config.min_universities_gold_model),
-        "counts": FullCounts,
-    }
-    needs = {"gold_models": "gold_models_full", **dict.fromkeys(CELL_TABLES, "counts")}
-    needed = {needs.get(name, name) for name in tables}
-    accumulators = {name: make() for name, make in folds.items() if name in needed}
-    adds = [acc.add for acc in accumulators.values()]
-    # Each publication is classified and fed as its record arrives; a fold that raises closes the scan.
+    # One store takes one add per publication. It has the roster, and so reads URLs, only for the
+    # repository, PMC and gold tables, and it keeps its lists until the end only for `classified`.
+    roster = {"repo_bounds", "pmc_overlap", "gold_models", "gold_models_full"} & set(tables)
+    store = ClassifiedRows(institutions if roster else None, config.handle_pattern, config.pmc_url_patterns,
+                           tally_every=0 if "classified" in tables else _TALLY_EVERY)
+    add = store.add
+    # Each publication is classified and added as its record arrives; an add that raises closes the scan.
     with _reading(evidence_path), closing(parse_evidence_stream(
         evidence_path, on_issue=sink, keep=by_doi, stats=stats["evidence"],
         processes=shards if shards is not None else _usable_cpus(),
     )) as records:
         for pub, types, urls in classify_stream(records, by_doi, journals, without_doi):
-            for add in adds:
-                add(pub, types, urls)
+            add(pub, types, urls)
     check_issue_rates("evidence")
     # Free the DOI map, which no table reads, before any table is built or written.
     del by_doi, without_doi
 
-    built = {name: acc.table() for name, acc in accumulators.items() if name != "counts"}
-    if "counts" in accumulators:
-        universities = university_indicators(accumulators.pop("counts").counts, institutions, config)
+    # The classified view keeps the lists; every other table reads the counters of their tally.
+    built = {"classified": store.table()} if "classified" in tables else {}
+    if "overlap" in tables:
+        built["overlap"] = overlap_matrix(store)
+    if set(CELL_TABLES) & set(tables):
+        universities = university_indicators(count_full(store), institutions, config)
         built["universities"] = universities
         built["field_summary"] = field_summary(universities)
         built["country_medians_full"] = median_share_by_country(universities, config.min_universities_country)
         built["country_medians"] = _displayed(built["country_medians_full"], COUNTRY_MEDIANS_COLUMNS)
         built["region_medians"] = region_rollup(universities, institutions)
         built["profiles"] = field_profile(universities)
-    if "gold_models_full" in built:
-        built["gold_models"] = _displayed(built["gold_models_full"], GOLD_MODELS_COLUMNS)
+    if "repo_bounds" in tables:
+        built["repo_bounds"] = repo_share_bounds(store)
+    if "pmc_overlap" in tables:
+        built["pmc_overlap"] = pmc_overlap_table(store)
+    if {"gold_models", "gold_models_full"} & set(tables):
+        gold = gold_country_model(store, journals, config.min_universities_gold_model)
+        built["gold_models_full"], built["gold_models"] = gold, _displayed(gold, GOLD_MODELS_COLUMNS)
+    del store
     built["issues"] = sink.table()
     bundle = ReportBundle({name: table for name, table in built.items() if name in tables})
 

@@ -9,11 +9,11 @@ the registry has no country code.
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 from typing import Mapping
 
-from .models import (
-    Institution, JournalRecord, OATypeSet, PublicationRecord, Table, exact_share,
-)
+from .classifier import ClassifiedRows
+from .models import Institution, JournalRecord, Table, exact_share
 
 #: Constituent countries that resolve to the United Kingdom.
 UK_CONSTITUENTS = {
@@ -112,58 +112,50 @@ GOLD_MODELS_COLUMNS = (
 GOLD_MODELS_FULL_COLUMNS = GOLD_MODELS_COLUMNS + ("n_universities", "displayed")
 
 
-class GoldModel:
+def gold_country_model(
+    store: ClassifiedRows, journals: Mapping[str, JournalRecord], min_universities: int,
+) -> Table:
     """The gold_models_full table: each country's gold OA publishing (full counting).
 
-    A gold publication counts once per distinct affiliated roster
-    country. The shares are of the country's gold total and are null
-    when it is zero. Journals with unknown country are non-national;
-    journals with unknown APC status are non-APC, so apc_share is a
-    lower bound. The display threshold counts roster institutions per
-    country; rows below it are retained but flagged. Rows are sorted by
-    country.
+    A gold publication added to `store` (which has the roster) counts
+    once per distinct affiliated roster country. The shares are of the
+    country's gold total and are null when it is zero. Journals with
+    unknown country are non-national; journals with unknown APC status
+    are non-APC, so apc_share is a lower bound. The display threshold
+    counts roster institutions per country; rows below it are retained
+    but flagged. Rows are sorted by country.
     """
+    total, national, english, apc_yes, apc_known = Counter(), Counter(), Counter(), Counter(), Counter()
+    journal_country: dict[str, str | None] = {}
+    for ((journal_id, language), country), n in store.tally().gold.items():
+        if country is None:
+            continue
+        journal = journals.get(journal_id)
+        if journal_id not in journal_country:
+            journal_country[journal_id] = None if journal is None else (
+                journal.country or resolve_journal_country(journal.publisher_address)
+            )
+        apc = journal.has_apc if journal is not None else "unknown"
+        total[country] += n
+        national[country] += n if journal_country[journal_id] == country else 0
+        english[country] += n if language == "en" else 0
+        apc_known[country] += n if apc != "unknown" else 0
+        apc_yes[country] += n if apc == "yes" else 0
+    roster = Counter(inst.country for inst in store.institutions.values())
+    rows = tuple(
+        (
+            c, total[c], exact_share(national[c], total[c]), exact_share(apc_yes[c], total[c]),
+            exact_share(english[c], total[c]), apc_known[c], roster[c], roster[c] >= min_universities,
+        )
+        for c in sorted(store.seen_countries())
+    )
+    return Table("gold_models_full", GOLD_MODELS_FULL_COLUMNS, rows)
+
+
+class GoldModel(ClassifiedRows):
+    """A store with a roster whose `table()` is gold_country_model's for these journals and threshold."""
 
     def __init__(self, journals: Mapping[str, JournalRecord],
                  institutions: Mapping[str, Institution], min_universities: int) -> None:
-        self.journals, self.institutions, self.min_universities = journals, institutions, min_universities
-        self.journal_country: dict[str, str | None] = {}
-        self.gold_total, self.national, self.english = Counter(), Counter(), Counter()
-        self.apc_yes, self.apc_known = Counter(), Counter()
-        self.seen_countries: set[str] = set()
-
-    def add(self, pub: PublicationRecord, types: OATypeSet, repository_urls=()) -> None:
-        countries = set()
-        for inst_id in pub.institution_ids:
-            institution = self.institutions.get(inst_id)
-            if institution is not None:
-                countries.add(institution.country)
-        self.seen_countries.update(countries)
-        if not countries or not types.gold:
-            return
-        journal = self.journals.get(pub.journal_id)
-        if pub.journal_id not in self.journal_country:
-            self.journal_country[pub.journal_id] = None if journal is None else (
-                journal.country or resolve_journal_country(journal.publisher_address)
-            )
-        jc = self.journal_country[pub.journal_id]
-        apc = journal.has_apc if journal is not None else "unknown"
-        english = pub.language == "en"
-        for country in countries:
-            self.gold_total[country] += 1
-            self.national[country] += jc == country
-            self.english[country] += english
-            self.apc_known[country] += apc != "unknown"
-            self.apc_yes[country] += apc == "yes"
-
-    def table(self) -> Table:
-        total, roster = self.gold_total, Counter(inst.country for inst in self.institutions.values())
-        rows = tuple(
-            (
-                c, total[c], exact_share(self.national[c], total[c]),
-                exact_share(self.apc_yes[c], total[c]), exact_share(self.english[c], total[c]),
-                self.apc_known[c], roster[c], roster[c] >= self.min_universities,
-            )
-            for c in sorted(self.seen_countries)
-        )
-        return Table("gold_models_full", GOLD_MODELS_FULL_COLUMNS, rows)
+        super().__init__(institutions)
+        self.table = partial(gold_country_model, self, journals, min_universities)

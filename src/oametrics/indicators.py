@@ -11,11 +11,13 @@ import operator
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cache
-from itertools import islice, product
+from itertools import compress, islice, repeat
 from typing import Callable, Iterable, Mapping
 
+from .classifier import ClassifiedRows
 from .models import (
     ALL_SCIENCES,
+    ANY_OA,
     FIELD_ORDER,
     MAIN_FIELDS,
     OA_TYPES,
@@ -23,7 +25,6 @@ from .models import (
     Institution,
     OATypeSet,
     PipelineConfig,
-    PublicationRecord,
     Table,
     exact_share,
 )
@@ -37,31 +38,28 @@ def _count_metrics(types: OATypeSet, has_doi: bool) -> tuple[str, ...]:
     return ("pubs",) + ("doi_pubs",) * has_doi + tuple(t for t in TYPE_ORDER if types.has(t))
 
 
-class FullCounts:
-    """Tally (institution, field, metric) counts under full counting, in `counts`.
+def count_full(store: ClassifiedRows) -> Counter[CountKey]:
+    """The (institution, field, metric) counts of every publication added to `store`, under full counting.
 
-    Duplicate affiliations to one institution count once (affiliations
-    are distinct ids); publications with no institutions contribute nothing.
+    A publication adds one to each of its metrics (pubs, doi_pubs with a
+    DOI, its OA buckets) for each of its distinct institutions, in each
+    of its fields and in the all-sciences rollup; one with no
+    institutions adds nothing. Each counted group is expanded once.
     """
+    groups = [(_count_metrics(*key), by_field) for key, by_field in store.tally().ids_by_field.items()]
+    counts: Counter[CountKey] = Counter()
+    for field_name in FIELD_ORDER:
+        ids = list(set().union(*(by_field[field_name] for _, by_field in groups)))
+        columns = [(metrics, [*map(by_field[field_name].get, ids, repeat(0))]) for metrics, by_field in groups]
+        for metric in ("pubs", "doi_pubs", *TYPE_ORDER):  # the sum of the columns of the groups with it
+            values = list(map(sum, zip(*(column for metrics, column in columns if metric in metrics))))
+            dict.update(counts, compress(zip(zip(ids, repeat(field_name), repeat(metric)), values), values))
+    return counts
 
-    def __init__(self) -> None:
-        # (institution, field, metrics) -> publications, where metrics is one
-        # of the few shared tuples _count_metrics returns: a third as many
-        # keys per publication as one per metric.
-        self._tally: Counter[tuple[str, str, tuple[str, ...]]] = Counter()
 
-    def add(self, pub: PublicationRecord, types: OATypeSet, repository_urls=()) -> None:
-        metrics = _count_metrics(types, pub.doi is not None)
-        self._tally.update(product(pub.institution_ids, (*pub.field_ids, ALL_SCIENCES), (metrics,)))
-
-    @property
-    def counts(self) -> Counter[CountKey]:
-        """The (institution, field, metric) counts of every publication added so far."""
-        counts: Counter[CountKey] = Counter()
-        for (inst_id, field_name, metrics), n in self._tally.items():
-            for metric in metrics:
-                counts[(inst_id, field_name, metric)] += n
-        return counts
+class FullCounts(ClassifiedRows):
+    """A store without a roster whose `counts` are count_full's, read afresh each time."""
+    counts = property(count_full)
 
 
 UNIVERSITIES_COLUMNS = (
@@ -181,7 +179,7 @@ OVERLAP_COLUMNS = ("metric", "count", "pct")
 _PUBLISHER_SIDE = ("gold", "hybrid", "bronze")
 
 
-class OverlapTally:
+def overlap_matrix(store: ClassifiedRows) -> Table:
     """The overlap table: distinct-publication OA totals, per-type counts and green overlaps.
 
     Per-type counts are shares of all OA publications; each green
@@ -190,30 +188,25 @@ class OverlapTally:
     types (each of which may also be green) plus green-only, so their
     counts sum to total_oa.
     """
+    sizes = store.tally().sizes
 
-    def __init__(self) -> None:
-        self.outcomes: Counter[OATypeSet] = Counter()
+    def count(*oa_types: str) -> int:
+        return sum(n for types, n in sizes.items() if all(map(types.has, oa_types)))
 
-    def add(self, pub: PublicationRecord, types: OATypeSet, repository_urls=()) -> None:
-        self.outcomes[types] += 1
+    total, per_type = count(ANY_OA), {t: count(t) for t in OA_TYPES}
+    both = {t: count("green", t) for t in _PUBLISHER_SIDE}
+    exclusive = {t: per_type[t] for t in _PUBLISHER_SIDE}
+    exclusive["green_only"] = per_type["green"] - sum(both.values())
+    rows = [("total_oa", total, exact_share(total, total))]
+    rows += [(t, n, exact_share(n, total)) for t, n in per_type.items()]
+    rows += [(f"green_and_{t}", n, exact_share(n, per_type[t])) for t, n in both.items()]
+    rows += [(f"exclusive_{t}", n, exact_share(n, total)) for t, n in exclusive.items()]
+    return Table("overlap", OVERLAP_COLUMNS, tuple(rows))
 
-    def table(self) -> Table:
-        def count(test: Callable[[OATypeSet], bool]) -> int:
-            return sum(n for types, n in self.outcomes.items() if test(types))
 
-        total = count(lambda types: types.any_oa)
-        per_type = {t: count(lambda types: types.has(t)) for t in OA_TYPES}
-        rows = [("total_oa", total, exact_share(total, total))]
-        rows += [(t, n, exact_share(n, total)) for t, n in per_type.items()]
-        for t in _PUBLISHER_SIDE:
-            both = count(lambda types: types.green and types.has(t))
-            rows.append((f"green_and_{t}", both, exact_share(both, per_type[t])))
-        exclusive = {t: per_type[t] for t in _PUBLISHER_SIDE}
-        exclusive["green_only"] = count(
-            lambda types: types.green and not any(types.has(t) for t in _PUBLISHER_SIDE)
-        )
-        rows += [(f"exclusive_{t}", n, exact_share(n, total)) for t, n in exclusive.items()]
-        return Table("overlap", OVERLAP_COLUMNS, tuple(rows))
+class OverlapTally(ClassifiedRows):
+    """A store without a roster whose `table()` is overlap_matrix's."""
+    table = overlap_matrix
 
 
 PROFILES_COLUMNS = ("university", "field", "oa_type", "share_pct")

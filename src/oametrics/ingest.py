@@ -806,6 +806,7 @@ def parse_publications(
     config: PipelineConfig,
     on_issue: Callable[[ParseIssue], None] | None = None,
     stats: ParseStats | None = None,
+    by_id: dict[str, PublicationRecord] | None = None,
 ) -> Iterator[PublicationRecord]:
     """Yield publication records, dropping non-citable and out-of-period rows.
 
@@ -815,7 +816,10 @@ def parse_publications(
     rejects is reported as one malformed issue and kept as a publication
     without a DOI. Duplicate pub_ids keep the first occurrence. Equal
     languages, journal ids, affiliation tuples (sorted distinct ids) and
-    field sets share one object across the yielded records.
+    field sets share one object across the yielded records. With `by_id`,
+    each record is also stored under its pub_id in that dict, which is the
+    parse's own set of pub_ids, so a caller that keeps every record needs
+    no list of them.
     """
     if stats is None:
         stats = ParseStats()
@@ -825,7 +829,7 @@ def parse_publications(
     # Each distinct field_ids cell is split, checked and interned once.
     field_sets: dict[str | tuple[str, ...], frozenset[str]] = {}
     # A dict, not a set: a set under 50k entries grows x4, so 20k ids take 2.1 MB, not 0.4 MB.
-    seen: dict[str, None] = {}
+    seen: dict[str, PublicationRecord | None] = {} if by_id is None else by_id
     rows = _iter_rows(
         source, "publications", on_issue, stats,
         required=("pub_id", "year", "doc_type", "journal_id", "field_ids"),
@@ -875,7 +879,6 @@ def parse_publications(
         if pub_id in seen:
             _report(on_issue, "publications", line_no, "duplicate_key", f"duplicate pub_id: {pub_id}")
             continue
-        seen[pub_id] = None
         raw_doi = raw_doi.strip()
         doi = normalize_doi(raw_doi) if raw_doi else None
         if raw_doi and doi is None:
@@ -884,9 +887,11 @@ def parse_publications(
         ids = _multi(affiliations)
         ids = tuple(sorted(set(map(intern, ids, ids))))
         stats.records += 1
-        yield _checked_publication(
+        pub = _checked_publication(
             pub_id, doi, intern(language, language), intern(journal_id, journal_id), intern(ids, ids), fields,
         )
+        seen[pub_id] = None if by_id is None else pub
+        yield pub
 
 
 def parse_registries(

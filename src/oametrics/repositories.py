@@ -1,16 +1,18 @@
 """Institutional-repository matching and PubMed Central accounting.
 
-Matching is normalized-substring containment against repository URLs:
-no regexes, no DNS, no liveness checks. The institutional match gives a
-lower bound; adding handle-resolver URLs gives an upper bound.
+Matching is normalized-substring containment against repository URLs
+(classifier._matches, run once per green publication as the store takes
+it): no regexes, no DNS, no liveness checks. The institutional match
+gives a lower bound; adding handle-resolver URLs gives an upper bound.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
-from .models import Institution, PipelineConfig, Table, exact_share
+from .classifier import ClassifiedRows
+from .models import ALL_SCIENCES, Institution, PipelineConfig, Table, exact_share
 from .models import normalize_url  # noqa: F401  (unused here; perfbench traces repositories.normalize_url)
 
 REPO_BOUNDS_COLUMNS = (
@@ -25,120 +27,76 @@ PMC_OVERLAP_COLUMNS = (
 _PMC_FLAGGED = ("gold", "bronze", "hybrid")
 
 
-def _matches(urls: Sequence[str], patterns: Iterable[str]) -> bool:
-    """True iff some URL contains some non-empty pattern."""
-    for pattern in patterns:
-        if pattern:
-            for url in urls:
-                if pattern in url:
-                    return True
-    return False
-
-
-class RepoBounds:
+def repo_share_bounds(store: ClassifiedRows) -> Table:
     """The repo_bounds table: each roster institution's green output held in its repository.
 
-    One pass over the classified publications counts, for every roster
-    institution with at least one publication, its publications, its
+    For every roster institution with at least one publication added to
+    `store` (which has the roster), it counts its publications, its
     green publications and the green ones matched to its repository:
     lower, some repository URL contains one of its own URL patterns;
     upper, lower or some repository URL contains the handle pattern.
     Publisher copies never match. The share interval is null for an
     institution with no green output. Rows are sorted by institution id.
     """
-
-    def __init__(self, institutions: Mapping[str, Institution], handle_pattern: str) -> None:
-        self.institutions, self.handle_pattern = institutions, handle_pattern
-        self.pubs, self.green, self.lower, self.upper = Counter(), Counter(), Counter(), Counter()
-
-    def add(self, pub, types, repository_urls) -> None:
-        institutions, handle = self.institutions, None
-        for inst_id in pub.institution_ids:
-            institution = institutions.get(inst_id)
-            if institution is None:
-                continue
-            self.pubs[inst_id] += 1
-            if not types.green:
-                continue
-            if handle is None:
-                handle = _matches(repository_urls, (self.handle_pattern,))
-            matched = _matches(repository_urls, institution.repo_url_patterns)
-            self.green[inst_id] += 1
-            self.lower[inst_id] += matched
-            self.upper[inst_id] += matched or handle
-
-    def table(self) -> Table:
-        pubs, green, lower, upper = self.pubs, self.green, self.lower, self.upper
-        rows = tuple(
-            (
-                i, self.institutions[i].name, self.institutions[i].country, pubs[i], green[i], lower[i],
-                upper[i], exact_share(lower[i], green[i]), exact_share(upper[i], green[i]),
-            )
-            for i in sorted(pubs)
+    institutions, pubs, green = store.institutions, Counter(), Counter()
+    for (types, _), by_field in store.tally().ids_by_field.items():
+        pubs.update(by_field[ALL_SCIENCES])
+        if types.green:
+            green.update(by_field[ALL_SCIENCES])
+    lower, upper = store.lower, store.handle + store.lower - store.lower_handle
+    rows = tuple(
+        (
+            i, institutions[i].name, institutions[i].country, pubs[i], green[i], lower[i],
+            upper[i], exact_share(lower[i], green[i]), exact_share(upper[i], green[i]),
         )
-        return Table("repo_bounds", REPO_BOUNDS_COLUMNS, rows)
+        for i in sorted(pubs) if i in institutions
+    )
+    return Table("repo_bounds", REPO_BOUNDS_COLUMNS, rows)
 
 
-def _pmc_flags(urls: Iterable[str], patterns: tuple[str, ...]) -> tuple[bool, bool]:
-    """(some repository URL contains a PMC pattern, some other repository URL does not)."""
-    via_pmc = other_repo = False
-    for url in urls:
-        if _matches((url,), patterns):
-            via_pmc = True
-        else:
-            other_repo = True
-    return via_pmc, other_repo
+class RepoBounds(ClassifiedRows):
+    """A store with a roster and a handle pattern whose `table()` is repo_share_bounds's."""
+    table = repo_share_bounds
 
 
-class PmcOverlap:
+def pmc_overlap_table(store: ClassifiedRows) -> Table:
     """The pmc_overlap table: green/PMC overlap per country of affiliation.
 
-    A publication counts once per distinct affiliated roster country.
-    pct_* columns are shares of the PMC publications that also carry
-    the publisher-side flag; they are null when the country has no PMC
-    publication. Rows are sorted by PMC share of green output,
-    descending, ties and zero-green countries by country code.
+    A publication added to `store` (which has the roster) counts once per
+    distinct affiliated roster country. pct_* columns are shares of the
+    PMC publications that also carry the publisher-side flag; they are
+    null when the country has no PMC publication. Rows are sorted by PMC
+    share of green output, descending, ties and zero-green countries by
+    country code.
     """
+    greens, pmc, pmc_only = Counter(), Counter(), Counter()
+    flagged = {t: Counter() for t in _PMC_FLAGGED}
+    for (types, via_pmc, other_repo), by_country in store.tally().greens.items():
+        countries = {country: n for country, n in by_country.items() if country is not None}
+        greens.update(countries)
+        if via_pmc:
+            pmc.update(countries)
+            pmc_only.update({} if other_repo else countries)
+            for oa_type, counter in flagged.items():
+                counter.update(countries if getattr(types, oa_type) else {})
+
+    def order(country: str):
+        share = exact_share(pmc[country], greens[country])
+        return (0 if greens[country] else 1, -(share or 0), country)
+
+    rows = tuple(
+        (
+            country, greens[country], pmc[country], pmc_only[country],
+            *(exact_share(flagged[t][country], pmc[country]) for t in _PMC_FLAGGED),
+        )
+        for country in sorted(store.seen_countries(), key=order)
+    )
+    return Table("pmc_overlap", PMC_OVERLAP_COLUMNS, rows)
+
+
+class PmcOverlap(ClassifiedRows):
+    """A store with a roster and the config's URL patterns whose `table()` is pmc_overlap_table's."""
+    table = pmc_overlap_table
 
     def __init__(self, institutions: Mapping[str, Institution], config: PipelineConfig) -> None:
-        self.institutions, self.pmc_url_patterns = institutions, config.pmc_url_patterns
-        self.greens, self.pmc, self.pmc_only = Counter(), Counter(), Counter()
-        self.flagged = {t: Counter() for t in _PMC_FLAGGED}
-        self.seen_countries: set[str] = set()
-
-    def add(self, pub, types, repository_urls) -> None:
-        countries = set()
-        for inst_id in pub.institution_ids:
-            institution = self.institutions.get(inst_id)
-            if institution is not None:
-                countries.add(institution.country)
-        self.seen_countries.update(countries)
-        if not countries or not types.green:
-            return
-        for country in countries:
-            self.greens[country] += 1
-        via_pmc, has_other_repo = _pmc_flags(repository_urls, self.pmc_url_patterns)
-        if not via_pmc:
-            return
-        flagged = [counter for oa_type, counter in self.flagged.items() if getattr(types, oa_type)]
-        for country in countries:
-            self.pmc[country] += 1
-            self.pmc_only[country] += not has_other_repo
-            for counter in flagged:
-                counter[country] += 1
-
-    def table(self) -> Table:
-        greens, pmc = self.greens, self.pmc
-
-        def order(country: str):
-            share = exact_share(pmc[country], greens[country])
-            return (0 if greens[country] else 1, -(share or 0), country)
-
-        rows = tuple(
-            (
-                country, greens[country], pmc[country], self.pmc_only[country],
-                *(exact_share(self.flagged[t][country], pmc[country]) for t in _PMC_FLAGGED),
-            )
-            for country in sorted(self.seen_countries, key=order)
-        )
-        return Table("pmc_overlap", PMC_OVERLAP_COLUMNS, rows)
+        super().__init__(institutions, config.handle_pattern, config.pmc_url_patterns)

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from oracles import classify_oracle, evidence, fold, pub_loc, records, repo_loc
 
-from oametrics.classifier import classify, classify_stream
+from oametrics.classifier import _pmc_flags, classify, classify_stream
 from oametrics.cli import format_pct
 from oametrics.gold_models import GoldModel
 from oametrics.indicators import UNIVERSITIES_COLUMNS, OverlapTally, median_exact, median_share_by_country
@@ -33,7 +33,7 @@ from oametrics.models import (
     Table,
     exact_share,
 )
-from oametrics.repositories import PmcOverlap, RepoBounds, _pmc_flags
+from oametrics.repositories import PmcOverlap, RepoBounds
 
 BIO = MAIN_FIELDS[0]
 CONFIG = PipelineConfig()

@@ -26,7 +26,7 @@ from oametrics.cli import (
     SchemaCeilingError,
 )
 from oametrics import __version__
-from oametrics.indicators import OverlapTally
+from oametrics.ingest import parse_publications
 from oametrics.models import OAEvidenceRecord, PipelineConfig
 from oracles import materialized
 
@@ -444,11 +444,10 @@ def test_a_fold_that_raises_during_a_range_scan_leaves_no_child(golden_input, mo
     evidence = golden_input / "evidence.jsonl"
     assert len(ingest._byte_ranges(evidence, 2)) == 2
 
-    class FailingTally(OverlapTally):
-        def add(self, pub, types, repository_urls):
-            raise RuntimeError("fold failed")
+    def failing_add(self, pub, types, repository_urls=()):
+        raise RuntimeError("fold failed")
 
-    monkeypatch.setattr(cli, "OverlapTally", FailingTally)
+    monkeypatch.setattr(classifier.ClassifiedRows, "add", failing_add)
     with pytest.raises(RuntimeError, match="fold failed") as failure:
         run_pipeline(
             PipelineConfig(), golden_input / "publications.csv", evidence, shards=2, tables=("overlap",),
@@ -457,6 +456,33 @@ def test_a_fold_that_raises_during_a_range_scan_leaves_no_child(golden_input, mo
     assert failure.traceback
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_one_store_takes_one_add_per_publication_and_a_classify_run_reads_no_url(golden_input, monkeypatch):
+    pub_ids = sorted(pub.pub_id for pub in parse_publications(golden_input / "publications.csv", PipelineConfig()))
+    add, matches, pmc_flags = classifier.ClassifiedRows.add, classifier._matches, classifier._pmc_flags
+    added, url_calls = [], []
+
+    def counted_add(self, pub, types, repository_urls=()):
+        added.append((id(self), pub.pub_id))
+        add(self, pub, types, repository_urls)
+
+    def counted(function):
+        return lambda *args: url_calls.append(function.__name__) or function(*args)
+
+    monkeypatch.setattr(classifier.ClassifiedRows, "add", counted_add)
+    for name, function in (("_matches", matches), ("_pmc_flags", pmc_flags)):
+        monkeypatch.setattr(classifier, name, counted(function))
+    paths = [golden_input / name for name in ("publications.csv", "evidence.jsonl", "institutions.csv", "journals.csv")]
+    for tables in (cli.REPORT_TABLES, ("classified",)):
+        added.clear(), url_calls.clear()
+        run_pipeline(PipelineConfig(), *paths, shards=1, tables=tables)
+        assert len({store for store, _ in added}) == 1
+        assert sorted(pub_id for _, pub_id in added) == pub_ids
+        if tables == ("classified",):
+            assert url_calls == []  # the classify run's store has no roster: no URL fact is computed
+        else:
+            assert {"_matches", "_pmc_flags"} <= set(url_calls)
 
 
 def test_issue_log_and_bundle_identical_across_shards(golden_input, tmp_path, monkeypatch):

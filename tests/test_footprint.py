@@ -48,7 +48,10 @@ MAX_PEAK_BYTES_PER_DROPPED_LINE = 1
 #: and every input until the bundle is written, takes about 630 B; one
 #: pass that frees its inputs early, about 430 B; classifying each
 #: publication as its evidence line arrives, with the parse's pub-id set a
-#: dict, about 261 B.
+#: dict, about 261 B. With one store that tallies its lists every 1,024
+#: publications, the fold no longer sets the peak, the publications parse
+#: does (about 306 B with a list of records beside the pub-id dict); with
+#: the records kept in that dict, about 297 B.
 MAX_PEAK_BYTES_PER_PUB = 300
 
 #: The same for a classify run that writes its table, whose ClassifiedRows
@@ -56,14 +59,17 @@ MAX_PEAK_BYTES_PER_PUB = 300
 #: Building its rows while the evidence is held took about 534 B; after it
 #: is freed, about 447 B; with the fold during the scan, about 356 B (csv)
 #: and 365 B (jsonl). Building each row only as it is written, about 307 B
-#: in both formats: the publications parse sets the peak.
+#: in both formats: the publications parse sets the peak. With the records
+#: kept in the parse's pub-id dict, not in a list beside it, about 295 B.
 MAX_PEAK_BYTES_PER_PUB_CLASSIFIED = 330
 
 #: The same for a report run whose dump is scanned in two byte ranges
 #: (tracemalloc, Python 3.11.7). Holding every event of the first range
 #: until the child's arrived took about 674 B (227 B in one range);
-#: yielding the first range's events as they are read, about 387 B. The
-#: child's memory is its own and is not traced.
+#: yielding the first range's events as they are read, about 387 B; with
+#: one store that holds every publication until the scan ends, about
+#: 468 B; with one that tallies its lists every 1,024 publications, about
+#: 404 B. The child's memory is its own and is not traced.
 MAX_PEAK_BYTES_PER_PUB_TWO_RANGES = 450
 
 

@@ -2,7 +2,8 @@
 
 `perfbench/tracing.py` skips a traced name the program no longer has, so
 a refactor that drops one would silently turn its metric absent, and a
-missing kernel import would break `perfbench/run.py --trace 1`.
+missing kernel import would break `perfbench/run.py --trace 1`. A traced
+report run must fire each table builder's span once.
 """
 
 import ast
@@ -10,7 +11,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from oametrics import cli
+from oametrics.models import PipelineConfig
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -42,3 +46,36 @@ def test_traced_generators_and_counters_exist():
         assert hasattr(cli, attr), f"oametrics.cli.{attr}"
     for module, attr, _ in tracing.COUNTERS:
         assert hasattr(importlib.import_module(f"oametrics.{module}"), attr), f"oametrics.{module}.{attr}"
+
+
+#: The table builders run_pipeline calls by these names, each one perfbench span.
+TABLE_BUILDER_SPANS = {
+    "count_full": "indicators.count_full",
+    "overlap_matrix": "indicators.overlap_matrix",
+    "repo_share_bounds": "repositories.repo_share_bounds",
+    "pmc_overlap_table": "repositories.pmc_overlap_table",
+    "gold_country_model": "gold_models.gold_country_model",
+}
+
+
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="the tracer reads /proc/self/statm")
+def test_a_traced_report_run_fires_every_table_builder_span(golden_input, tmp_path, monkeypatch):
+    tracing = _load_tracing()
+    assert TABLE_BUILDER_SPANS.items() <= dict(tracing.SPANS).items()
+    # instrument() replaces names in place; registering each with monkeypatch first restores them.
+    for attr, _ in tracing.SPANS + tracing.GENERATORS:
+        if hasattr(cli, attr):
+            monkeypatch.setattr(cli, attr, getattr(cli, attr))
+    monkeypatch.setattr(cli.ReportBundle, "write", cli.ReportBundle.write)
+    for module, attr, _ in tracing.COUNTERS:
+        module = importlib.import_module(f"oametrics.{module}")
+        monkeypatch.setattr(module, attr, getattr(module, attr))
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer)
+    cli.run_pipeline(
+        PipelineConfig(min_universities_country=2, min_universities_gold_model=2),
+        *(golden_input / name for name in ("publications.csv", "evidence.jsonl", "institutions.csv", "journals.csv")),
+        out_dir=tmp_path, shards=1,
+    )
+    assert all(tracer.spans[span] == 1 for span in TABLE_BUILDER_SPANS.values()), dict(tracer.spans)
+    assert tracer.counts["indicators.count_keys"] > 0

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import evidence, fold, pub_loc, records, repo_loc
 
-from oametrics.classifier import classify
+from oametrics.classifier import _pmc_flags, classify
 from oametrics.models import (
     MAIN_FIELDS,
     Institution,
@@ -18,7 +18,6 @@ from oametrics import models, repositories
 from oametrics.repositories import (
     PmcOverlap,
     RepoBounds,
-    _pmc_flags,
     normalize_url,
 )
 

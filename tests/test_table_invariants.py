@@ -24,15 +24,18 @@ from hypothesis import strategies as st
 
 from oracles import evidence, fold, materialized, pub_loc, records, repo_loc
 
+from oametrics import cli
 from oametrics.classifier import ClassifiedRows, classify
 from oametrics.cli import REPORT_TABLES, run_pipeline
-from oametrics.gold_models import GoldModel, resolve_journal_country
+from oametrics.gold_models import GoldModel, gold_country_model, resolve_journal_country
 from oametrics.indicators import (
     FullCounts,
     OverlapTally,
+    count_full,
     field_profile,
     field_summary,
     median_share_by_country,
+    overlap_matrix,
     region_rollup,
     university_indicators,
 )
@@ -54,7 +57,7 @@ from oametrics.models import (
     PipelineConfig,
     PublicationRecord,
 )
-from oametrics.repositories import PmcOverlap, RepoBounds
+from oametrics.repositories import PmcOverlap, RepoBounds, pmc_overlap_table, repo_share_bounds
 
 INST_IDS = ("U1", "U2", "U3", "U4")
 LOCATIONS = (
@@ -229,13 +232,15 @@ def test_one_pass_fold_matches_the_public_builders(countries, rows, dois, lines)
     config = PipelineConfig(min_universities_country=2, min_universities_gold_model=1)
     with tempfile.TemporaryDirectory() as tmp:
         paths = _write_corpus(Path(tmp), countries, rows, dois, lines)
-        with mock.patch.object(ingest, "_MIN_RANGE_BYTES", 64):  # 3 processes scan 3 ranges
+        # 3 processes scan 3 ranges; without `classified`, the store tallies every 3 publications.
+        with mock.patch.object(ingest, "_MIN_RANGE_BYTES", 64), mock.patch.object(cli, "_TALLY_EVERY", 3):
             bundles = [
                 run_pipeline(
                     config, paths["publications"], paths["evidence"], paths["institutions"],
-                    paths["journals"], shards=shards, tables=REPORT_TABLES + ("classified",),
+                    paths["journals"], shards=shards, tables=tables,
                 )
                 for shards in (1, 3)
+                for tables in (REPORT_TABLES + ("classified",), REPORT_TABLES)
             ]
         sink = IssueSummary()
         institutions, journals = parse_registries(paths["institutions"], paths["journals"], on_issue=sink)
@@ -267,10 +272,12 @@ def test_one_pass_fold_matches_the_public_builders(countries, rows, dois, lines)
         "gold_models_full": gold,
         "issues": sink.table(),
     }
-    for bundle in bundles:
-        assert set(bundle.tables) == set(expected) | {"country_medians", "gold_models"}
+    names = set(expected) | {"country_medians", "gold_models"}
+    for bundle, with_classified in zip(bundles, (True, False) * 2):
+        assert set(bundle.tables) == (names if with_classified else names - {"classified"})
         for name, table in expected.items():
-            assert materialized(bundle.tables[name]) == materialized(table), name
+            if name in bundle.tables:
+                assert materialized(bundle.tables[name]) == materialized(table), name
         for name, full in (("country_medians", medians), ("gold_models", gold)):
             shown = bundle.tables[name]  # the rows flagged displayed, cut to the display columns
             assert shown.rows == tuple(row[:len(shown.columns)] for row in full.rows if row[-1]), name
@@ -300,14 +307,33 @@ def test_fold_counts_by_value_not_by_outcome_identity():
         )
         types = OATypeSet(green=bool(repository_urls), **({side: True} if side else {}))
         stream.append((pub, types, repository_urls))
-    accumulators = [
+
+    def own_match(pub, urls):
+        return any(p in u for i in pub.institution_ids if i in institutions
+                   for p in institutions[i].repo_url_patterns for u in urls)
+
+    # The stream holds each case the store keys or counts apart, not just by chance.
+    green = [(pub, urls) for pub, types, urls in stream if types.green]
+    on_pmc = [pmc for pmc in (["ncbi.nlm.nih.gov/pmc" in u for u in urls] for _, urls in green) if any(pmc)]
+    assert any(own_match(pub, urls) and any("hdl.handle.net" in u for u in urls) for pub, urls in green)
+    assert any(pub.institution_ids and set(pub.institution_ids).isdisjoint(institutions) for pub, _ in green)
+    assert any(map(all, on_pmc)) and not all(map(all, on_pmc))  # PMC only, and PMC with another repository
+    assert any(types.gold and pub.journal_id not in JOURNALS for pub, types, _ in stream)
+
+    # The five public views, each fed every item, and the one store run_pipeline feeds, with its tally interval.
+    views = [
         FullCounts(), OverlapTally(), RepoBounds(institutions, CONFIG.handle_pattern),
         PmcOverlap(institutions, CONFIG), GoldModel(JOURNALS, institutions, 2),
     ]
+    store = ClassifiedRows(institutions, CONFIG.handle_pattern, CONFIG.pmc_url_patterns, tally_every=cli._TALLY_EVERY)
     for item in stream:
-        for accumulator in accumulators:
+        for accumulator in (*views, store):
             accumulator.add(*item)
-    full, overlap, repo, pmc, gold = accumulators
+    built = [
+        (views[0].counts, *(view.table() for view in views[1:])),
+        (count_full(store), overlap_matrix(store), repo_share_bounds(store), pmc_overlap_table(store),
+         gold_country_model(store, JOURNALS, 2)),
+    ]
 
     counts, by_inst, by_country, outcomes = Counter(), defaultdict(Counter), defaultdict(Counter), Counter()
     for pub, types, repository_urls in stream:
@@ -344,20 +370,21 @@ def test_fold_counts_by_value_not_by_outcome_identity():
                     apc_yes=journal is not None and journal.has_apc == "yes",
                 )
 
-    assert full.counts == +counts
-    assert {r["metric"]: r["count"] for r in records(overlap.table())}.items() >= outcomes.items()
-    assert [tuple(r.values())[:7] for r in records(repo.table())] == [
-        (i, i, institutions[i].country, t["pubs"], t["green"], t["lower"], t["upper"])
-        for i, t in sorted(by_inst.items())
-    ]
     def shares(tally, keys, base):
         return tuple(Fraction(tally[key], tally[base]) if tally[base] else None for key in keys)
 
-    assert {r["country"]: tuple(r.values())[1:] for r in records(pmc.table())} == {
-        c: (t["greens"], t["pmc"], t["pmc_only"], *shares(t, ("gold", "bronze", "hybrid"), "pmc"))
-        for c, t in by_country.items()
-    }
-    assert {r["country"]: tuple(r.values())[1:6] for r in records(gold.table())} == {
-        c: (t["gold_total"], *shares(t, ("national", "apc_yes", "english"), "gold_total"), t["apc_known"])
-        for c, t in by_country.items()
-    }
+    for full, overlap, repo, pmc, gold in built:
+        assert full == +counts
+        assert {r["metric"]: r["count"] for r in records(overlap)}.items() >= outcomes.items()
+        assert [tuple(r.values())[:7] for r in records(repo)] == [
+            (i, i, institutions[i].country, t["pubs"], t["green"], t["lower"], t["upper"])
+            for i, t in sorted(by_inst.items())
+        ]
+        assert {r["country"]: tuple(r.values())[1:] for r in records(pmc)} == {
+            c: (t["greens"], t["pmc"], t["pmc_only"], *shares(t, ("gold", "bronze", "hybrid"), "pmc"))
+            for c, t in by_country.items()
+        }
+        assert {r["country"]: tuple(r.values())[1:6] for r in records(gold)} == {
+            c: (t["gold_total"], *shares(t, ("national", "apc_yes", "english"), "gold_total"), t["apc_known"])
+            for c, t in by_country.items()
+        }
