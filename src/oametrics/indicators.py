@@ -7,12 +7,13 @@ rollup. Shares stay exact rationals until report emission.
 
 from __future__ import annotations
 
-import operator
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from fractions import Fraction
 from functools import cache
-from itertools import compress, islice, repeat
-from typing import Callable, Iterable, Mapping
+from itertools import compress, product, repeat
+from math import lcm
+from operator import attrgetter, eq, floordiv, itemgetter, le, mul, truediv
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .classifier import ClassifiedRows
 from .models import (
@@ -62,78 +63,89 @@ class FullCounts(ClassifiedRows):
     counts = property(count_full)
 
 
-UNIVERSITIES_COLUMNS = (
-    "university", "country", "field", "oa_type", "numerator", "denominator", "share_pct",
-)
+UNIVERSITIES_COLUMNS = ("university", "country", "field", "oa_type", "numerator", "denominator", "share_pct")
+#: The (field, oa_type) of each of a university's universities rows, in row order.
+_CELL_FIELDS = tuple(field_name for field_name in FIELD_ORDER for _ in TYPE_ORDER)
+_CELL_TYPES = TYPE_ORDER * len(FIELD_ORDER)
 
 
-def university_indicators(
-    counts: Mapping[CountKey, int],
-    institutions: Mapping[str, Institution],
-    config: PipelineConfig,
-) -> Table:
+def university_indicators(counts: Mapping[CountKey, int], institutions: Mapping[str, Institution],
+                          config: PipelineConfig) -> Table:
     """The universities table: the roster university x field x type grid with exact shares.
 
     Every roster university seen in the counts gets a row, with its
     country, for all six fields and five OA buckets; fields the
     university never published in carry a zero denominator (null share).
     An id the roster does not list gets no rows. The denominator follows
-    config.denominator_mode. The other cell tables read these rows.
+    config.denominator_mode. Each share is computed once per distinct
+    (numerator, denominator) pair, so equal cells may hold the same
+    Fraction. The other cell tables read these rows' numerator and
+    denominator, so a table built by hand must hold share == numerator /
+    denominator, and None exactly when the denominator is 0.
     """
     denominator_metric = "pubs" if config.denominator_mode == "all_pubs" else "doi_pubs"
-    rows = []
-    for inst_id in sorted({inst_id for (inst_id, _, _) in counts if inst_id in institutions}):
-        country = institutions[inst_id].country
-        for field_name in FIELD_ORDER:
-            denominator = counts.get((inst_id, field_name, denominator_metric), 0)
-            for oa_type in TYPE_ORDER:
-                numerator = counts.get((inst_id, field_name, oa_type), 0)
-                rows.append((
-                    inst_id, country, field_name, oa_type,
-                    numerator, denominator, exact_share(numerator, denominator),
-                ))
+    share_of = cache(exact_share)  # one share per distinct (numerator, denominator), for this table
+    rows: list[tuple] = []
+    for inst_id in sorted(set(map(itemgetter(0), counts)).intersection(institutions)):
+        numerators = [*map(counts.get, zip(repeat(inst_id), _CELL_FIELDS, _CELL_TYPES), repeat(0))]
+        denominators = [*map(counts.get, zip(repeat(inst_id), _CELL_FIELDS, repeat(denominator_metric)), repeat(0))]
+        rows.extend(zip(repeat(inst_id), repeat(institutions[inst_id].country), _CELL_FIELDS, _CELL_TYPES,
+                        numerators, denominators, map(share_of, numerators, denominators)))
     return Table("universities", UNIVERSITIES_COLUMNS, tuple(rows))
 
 
-def median_exact(values: Iterable[Fraction]) -> Fraction:
-    """Median with the middle element (odd) or mean of the middle two (even).
+def _grouped(rows: Sequence[tuple], key: Callable[[tuple], object]) -> defaultdict[object, list[tuple]]:
+    """The rows in one list per key(row), each in the rows' order: one pass in C."""
+    groups: defaultdict[object, list[tuple]] = defaultdict(list)
+    deque(map(list.append, map(groups.__getitem__, map(key, rows)), rows), maxlen=0)
+    return groups
 
-    The values are sorted by their floats, which compare in C, and the
-    order is then checked exactly, one adjacent pair at a time; only when
-    distinct values share a float does the exact sort run. Each value
-    must be within float's range, as every share is.
+
+def _median(numerators: Sequence[int], denominators: Sequence[int]) -> Fraction:
+    """The median of the ratios n / d (at least one, each d > 0), as median_exact defines it.
+
+    They are sorted by their floats, which compare in C, and the order is checked exactly by
+    cross-multiplying each adjacent pair; only if distinct ratios share a float does the exact sort run.
     """
-    values = list(values)
-    ordered = sorted(values, key=float)
-    if not all(map(operator.le, ordered, islice(ordered, 1, None))):
-        ordered = sorted(values)
-    if not ordered:
+    order = sorted(range(len(denominators)), key=[*map(truediv, numerators, denominators)].__getitem__)
+    ns, ds = [*map(numerators.__getitem__, order)], [*map(denominators.__getitem__, order)]
+    if not all(map(le, map(mul, ns, ds[1:]), map(mul, ns[1:], ds))):
+        ns, ds = zip(*sorted(zip(ns, ds), key=lambda pair: Fraction(*pair)))
+    mid = len(ns) // 2
+    if len(ns) % 2:
+        return Fraction(ns[mid], ds[mid])
+    return Fraction(ns[mid - 1] * ds[mid] + ns[mid] * ds[mid - 1], 2 * ds[mid - 1] * ds[mid])
+
+
+def _mean(numerators: Sequence[int], denominators: Sequence[int]) -> Fraction:
+    """The mean of the ratios n / d (at least one, each d > 0), over their least common denominator."""
+    common = lcm(*set(denominators))
+    return Fraction(sum(map(mul, numerators, map(floordiv, repeat(common), denominators))), common * len(denominators))
+
+
+def median_exact(values: Iterable[Fraction]) -> Fraction:
+    """Median with the middle element (odd) or mean of the middle two (even), computed exactly."""
+    ratios = [*map(attrgetter("numerator", "denominator"), values)]
+    if not ratios:
         raise ValueError("median of empty sequence")
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return Fraction(ordered[mid])
-    return (ordered[mid - 1] + ordered[mid]) / 2
+    return _median(*zip(*ratios))
 
 
-def _all_sciences_medians(
-    universities: Table,
-    groups_of: Callable[[str, str], Iterable[str]],
-) -> list[tuple[str, str, int, Fraction]]:
+def _all_sciences_medians(universities: Table, groups_of: Callable[[str, str], Iterable[str]]) -> list[tuple]:
     """(group, oa_type, n_universities, median share) over the all-sciences rows.
 
     A row's share counts in every group `groups_of(university, country)`
     gives. Null shares are skipped. Rows are sorted by group, then OA
     type in TYPE_ORDER.
     """
-    shares: dict[tuple[str, int], list[Fraction]] = defaultdict(list)
-    for university, country, field_name, oa_type, _, _, share in universities.rows:
-        if field_name != ALL_SCIENCES or share is None:
-            continue
-        for group in groups_of(university, country):
-            shares[(group, TYPE_ORDER.index(oa_type))].append(share)
+    rows = [*compress(universities.rows, map(eq, map(itemgetter(2), universities.rows), repeat(ALL_SCIENCES)))]
+    members: dict[tuple[str, int], list[tuple]] = defaultdict(list)
+    for row in compress(rows, map(itemgetter(5), rows)):
+        for group in groups_of(row[0], row[1]):
+            members[(group, TYPE_ORDER.index(row[3]))].append(row)
     return [
-        (group, TYPE_ORDER[type_index], len(values), median_exact(values))
-        for (group, type_index), values in sorted(shares.items())
+        (group, TYPE_ORDER[type_index], len(group_rows), _median(*zip(*map(itemgetter(4, 5), group_rows))))
+        for (group, type_index), group_rows in sorted(members.items())
     ]
 
 
@@ -150,13 +162,10 @@ def median_share_by_country(universities: Table, min_universities: int) -> Table
     but are flagged as not displayed, so display filtering never loses
     data.
     """
-    rows = tuple(
-        (country, oa_type, n, median, n >= min_universities)
-        for country, oa_type, n, median in _all_sciences_medians(
-            universities, lambda university, country: (country,)
-        )
-    )
-    return Table("country_medians_full", COUNTRY_MEDIANS_FULL_COLUMNS, rows)
+    medians = _all_sciences_medians(universities, lambda university, country: (country,))
+    return Table("country_medians_full", COUNTRY_MEDIANS_FULL_COLUMNS, tuple(
+        (*median, median[2] >= min_universities) for median in medians
+    ))
 
 
 REGION_MEDIANS_COLUMNS = ("region", "oa_type", "n_universities", "median_pct")
@@ -210,6 +219,8 @@ class OverlapTally(ClassifiedRows):
 
 
 PROFILES_COLUMNS = ("university", "field", "oa_type", "share_pct")
+_PROFILE_KEYS = tuple(product(MAIN_FIELDS, OA_TYPES))
+_PROFILE_FIELDS, _PROFILE_TYPES = zip(*_PROFILE_KEYS)
 
 
 def field_profile(universities: Table) -> Table:
@@ -219,18 +230,12 @@ def field_profile(universities: Table) -> Table:
     field and OA type, in declared order; the all-sciences rollup and
     the "any" bucket are left out. A share no row gives is null.
     """
-    shares: dict[str, dict[tuple[str, str], Fraction | None]] = defaultdict(dict)
-    for university, _, field_name, oa_type, _, _, share in universities.rows:
-        profile = shares[university]
-        if field_name in MAIN_FIELDS and oa_type in OA_TYPES:
-            profile[(field_name, oa_type)] = share
-    rows = tuple(
-        (university, field_name, oa_type, shares[university].get((field_name, oa_type)))
-        for university in sorted(shares)
-        for field_name in MAIN_FIELDS
-        for oa_type in OA_TYPES
-    )
-    return Table("profiles", PROFILES_COLUMNS, rows)
+    by_university = _grouped(universities.rows, itemgetter(0))
+    rows: list[tuple] = []
+    for university, group in sorted(by_university.items()):
+        profile = dict(zip(map(itemgetter(2, 3), group), map(itemgetter(6), group)))
+        rows.extend(zip(repeat(university), _PROFILE_FIELDS, _PROFILE_TYPES, map(profile.get, _PROFILE_KEYS)))
+    return Table("profiles", PROFILES_COLUMNS, tuple(rows))
 
 
 FIELD_SUMMARY_COLUMNS = ("field", "oa_type", "n_universities", "median_pct", "mean_pct")
@@ -239,24 +244,16 @@ FIELD_SUMMARY_COLUMNS = ("field", "oa_type", "n_universities", "median_pct", "me
 def field_summary(universities: Table) -> Table:
     """The field_summary table: median and mean university share per (field, type).
 
-    The shares are the universities table's. Medians and means answer
+    The statistics are computed from the universities rows' numerator
+    and denominator, whose ratio each share is. Medians and means answer
     different questions; the table carries both so the caller decides
     which to quote. Null shares are skipped; a (field, type) with no
     share has null statistics.
     """
-    shares: dict[tuple[str, str], list[Fraction]] = defaultdict(list)
-    for _, _, field_name, oa_type, _, _, share in universities.rows:
-        if share is not None:
-            shares[(field_name, oa_type)].append(share)
-    rows = []
-    for field_name in FIELD_ORDER:
-        for oa_type in TYPE_ORDER:
-            values = shares.get((field_name, oa_type), [])
-            rows.append((
-                field_name,
-                oa_type,
-                len(values),
-                median_exact(values) if values else None,
-                sum(values, Fraction(0)) / len(values) if values else None,
-            ))
-    return Table("field_summary", FIELD_SUMMARY_COLUMNS, tuple(rows))
+    rows = universities.rows
+    groups = _grouped([*compress(rows, map(itemgetter(5), rows))], itemgetter(2, 3))
+    summary = []
+    for key in product(FIELD_ORDER, TYPE_ORDER):
+        ns, ds = zip(*map(itemgetter(4, 5), groups[key])) if key in groups else ((), ())
+        summary.append((*key, len(ds), _median(ns, ds) if ds else None, _mean(ns, ds) if ds else None))
+    return Table("field_summary", FIELD_SUMMARY_COLUMNS, tuple(summary))

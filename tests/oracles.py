@@ -11,14 +11,18 @@ every test that classifies through it also checks that reduction.
 
 The oracle walks the decision tree over case counts instead of flag
 extraction, so it shares no code path with the implementation it checks.
+`cell_tables_oracle` builds the universities table and the four tables
+read from it by brute force, on `Fraction` sums and `statistics.median`.
 """
 
 import dataclasses
 import io
 import json
+import statistics
+from fractions import Fraction
 
 from oametrics.ingest import parse_evidence_stream
-from oametrics.models import OAEvidenceRecord, Table
+from oametrics.models import ALL_SCIENCES, MAIN_FIELDS, OA_TYPES, OAEvidenceRecord, Table
 
 
 def records(table: Table) -> list[dict]:
@@ -70,3 +74,58 @@ def classify_oracle(
     if True in publisher_licensed:
         return (False, green, True, False)
     return (False, green, False, True)
+
+
+CELL_FIELDS = MAIN_FIELDS + (ALL_SCIENCES,)
+CELL_TYPES = OA_TYPES + ("any",)
+
+
+def cell_tables_oracle(counts, institutions, config) -> dict[str, list[tuple]]:
+    """The rows of universities, field_summary, country_medians_full, region_medians and profiles.
+
+    Built cell by cell from `counts` with Fraction arithmetic: a share is
+    numerator / denominator, or None over a zero denominator; a mean is
+    the Fraction sum over the count of shares; a median is
+    statistics.median's.
+    """
+    metric = "pubs" if config.denominator_mode == "all_pubs" else "doi_pubs"
+    universities = []
+    for inst_id in sorted({key[0] for key in counts if key[0] in institutions}):
+        for field_name in CELL_FIELDS:
+            denominator = counts.get((inst_id, field_name, metric), 0)
+            for oa_type in CELL_TYPES:
+                numerator = counts.get((inst_id, field_name, oa_type), 0)
+                share = Fraction(numerator, denominator) if denominator else None
+                universities.append((inst_id, institutions[inst_id].country, field_name, oa_type,
+                                     numerator, denominator, share))
+
+    def shares(field_name, oa_type, in_group=lambda row: True):
+        return [row[6] for row in universities
+                if row[2] == field_name and row[3] == oa_type and row[6] is not None and in_group(row)]
+
+    summary = []
+    for field_name in CELL_FIELDS:
+        for oa_type in CELL_TYPES:
+            values = shares(field_name, oa_type)
+            summary.append((field_name, oa_type, len(values),
+                            statistics.median(values) if values else None,
+                            sum(values, Fraction(0)) / len(values) if values else None))
+
+    def medians(group_of):
+        groups = sorted({group for row in universities for group in group_of(row)})
+        rows = []
+        for group in groups:
+            for oa_type in CELL_TYPES:
+                values = shares(ALL_SCIENCES, oa_type, lambda row: group in group_of(row))
+                if values:
+                    rows.append((group, oa_type, len(values), statistics.median(values)))
+        return rows
+
+    country_medians = [row + (row[2] >= config.min_universities_country,) for row in medians(lambda row: (row[1],))]
+    region_medians = medians(lambda row: institutions[row[0]].regions)
+    by_cell = {(row[0], row[2], row[3]): row[6] for row in universities}
+    profiles = [(inst_id, field_name, oa_type, by_cell[(inst_id, field_name, oa_type)])
+                for inst_id in sorted({row[0] for row in universities})
+                for field_name in MAIN_FIELDS for oa_type in OA_TYPES]
+    return {"universities": universities, "field_summary": summary, "country_medians_full": country_medians,
+            "region_medians": region_medians, "profiles": profiles}

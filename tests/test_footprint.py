@@ -14,8 +14,16 @@ from unittest import mock
 from oametrics import ingest
 from oametrics.classifier import classify_stream
 from oametrics.cli import REPORT_TABLES, run_pipeline
+from oametrics.indicators import (
+    FullCounts,
+    field_profile,
+    field_summary,
+    median_share_by_country,
+    region_rollup,
+    university_indicators,
+)
 from oametrics.ingest import parse_evidence_stream, parse_publications
-from oametrics.models import MAIN_FIELDS, PipelineConfig
+from oametrics.models import MAIN_FIELDS, OA_TYPES, Institution, OATypeSet, PipelineConfig, PublicationRecord
 
 PUB_HEADER = "pub_id,doi,year,doc_type,language,journal_id,institution_ids,field_ids"
 
@@ -71,6 +79,22 @@ MAX_PEAK_BYTES_PER_PUB_CLASSIFIED = 330
 #: 468 B; with one that tallies its lists every 1,024 publications, about
 #: 404 B. The child's memory is its own and is not traced.
 MAX_PEAK_BYTES_PER_PUB_TWO_RANGES = 450
+
+#: Peak bytes per further universities row of building that table and the
+#: four read from it (field_summary, both medians, profiles), all held, as
+#: run_pipeline holds them (tracemalloc, Python 3.11.7). With a Fraction
+#: for every cell, summed and sorted as Fractions, and a per-university
+#: dict of tuple keys for the profiles, about 265 B. With one share per
+#: distinct (numerator, denominator) and the statistics computed on those
+#: columns, about 174 B.
+MAX_PEAK_BYTES_PER_UNIVERSITIES_ROW = 180
+
+#: The most bytes per further universities row one of those builders may
+#: hold at its peak beyond what it returns. With the profiles' dicts of
+#: tuple keys, about 60 B; with lists of row references only, at most
+#: about 18 B (field_summary). One whole-table list of (numerator,
+#: denominator) tuples alone would add about 64 B.
+MAX_WORKING_BYTES_PER_UNIVERSITIES_ROW = 24
 
 
 def _publication_rows(n: int, seed: int = 5) -> list[dict]:
@@ -280,3 +304,64 @@ def test_peak_bytes_per_publication_of_a_range_scanned_run_bounded(tmp_path, mon
     peaks = [_pipeline_peak(tmp_path, n, shards=2) for n in (small, large)]
     per_pub = (peaks[1] - peaks[0]) / (large - small)
     assert per_pub <= MAX_PEAK_BYTES_PER_PUB_TWO_RANGES, f"{per_pub:.0f} B per publication"
+
+
+def _cell_table_footprint(n_institutions: int, seed: int = 7) -> tuple[int, dict[str, int], int]:
+    """(peak, {builder: bytes it held at its peak beyond its result}, universities rows) of the cell tables.
+
+    The roster is seeded. Each university has about 40 publications with
+    1-3 affiliations and 1-2 fields; countries are shared by about 25
+    universities at 1,000.
+    """
+    rng = random.Random(seed)
+    institutions = {
+        inst_id: Institution(inst_id, inst_id, f"C{rng.randrange(40):02d}",
+                             frozenset(rng.sample(["Europe", "Asia", "Africa"], rng.choice((1, 2)))))
+        for inst_id in (f"U{i:04d}" for i in range(n_institutions))
+    }
+    ids = sorted(institutions)
+    outcomes = [OATypeSet(**{t: True}) for t in OA_TYPES] + [OATypeSet(), OATypeSet(gold=True, green=True)]
+    store = FullCounts()
+    for i in range(20 * n_institutions):
+        pub = PublicationRecord(f"P{i}", f"10.1/{i}", "en", "J1", rng.sample(ids, rng.randint(1, 3)),
+                                frozenset(rng.sample(MAIN_FIELDS, rng.choice((1, 2)))))
+        store.add(pub, rng.choice(outcomes), ())
+    counts, config = store.counts, PipelineConfig()
+    working, peaks = {}, []
+
+    def build(builder, *args):
+        tracemalloc.reset_peak()
+        table = builder(*args)
+        held, peak = tracemalloc.get_traced_memory()
+        working[builder.__name__] = peak - held
+        peaks.append(peak)
+        assert table.rows
+        return table
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        universities = build(university_indicators, counts, institutions, config)
+        tables = [
+            build(field_summary, universities), build(region_rollup, universities, institutions),
+            build(median_share_by_country, universities, config.min_universities_country),
+            build(field_profile, universities),
+        ]
+    finally:
+        tracemalloc.stop()
+    assert len(tables) == 4
+    return max(peaks) - before, working, len(universities.rows)
+
+
+def test_peak_bytes_per_universities_row_of_the_cell_tables_bounded():
+    # The difference of two roster sizes cancels what the build holds whatever its size.
+    (small_peak, small_working, small_rows), (large_peak, large_working, large_rows) = (
+        _cell_table_footprint(500), _cell_table_footprint(1_000)
+    )
+    assert (small_rows, large_rows) == (15_000, 30_000)
+    per_row = (large_peak - small_peak) / (large_rows - small_rows)
+    assert per_row <= MAX_PEAK_BYTES_PER_UNIVERSITIES_ROW, f"{per_row:.0f} B per universities row"
+    for name, large in large_working.items():
+        per_row = (large - small_working[name]) / (large_rows - small_rows)
+        assert per_row <= MAX_WORKING_BYTES_PER_UNIVERSITIES_ROW, f"{name}: {per_row:.1f} B per universities row"

@@ -1,18 +1,21 @@
+import math
 import random
 import statistics
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import fold, records
+from oracles import cell_tables_oracle, fold, records
 
 from oametrics.indicators import (
     UNIVERSITIES_COLUMNS,
     FullCounts,
     OverlapTally,
+    _mean,
+    _median,
     field_profile,
     field_summary,
     median_exact,
@@ -153,8 +156,13 @@ def test_median_matches_statistics_reference():
         assert median_exact(values) == statistics.median(values)
 
 
+#: Distinct shares with the same float: NEAR_THIRD is the exact value of float(1/3).
+THIRD, NEAR_THIRD = Fraction(1, 3), Fraction(6004799503160661, 18014398509481984)
+
+
 def test_median_of_distinct_values_that_share_a_float():
-    third, near = Fraction(1, 3), Fraction(1 / 3)  # near is the float's exact value, just below 1/3
+    third, near = THIRD, Fraction(1 / 3)  # near is the float's exact value, just below 1/3
+    assert near == NEAR_THIRD
     assert third != near and float(third) == float(near)
     # Sorted by float, the ties keep their order: [third, near, third] would put near in the middle.
     with mock.patch("oametrics.indicators.sorted", wraps=sorted, create=True) as sorts:
@@ -162,6 +170,27 @@ def test_median_of_distinct_values_that_share_a_float():
     assert len(sorts.call_args_list) == 2  # the float sort, then the exact one
     assert median_exact([third, near]) == (third + near) / 2
     assert median_exact([near, third, Fraction(1, 2), near]) == statistics.median([near, third, Fraction(1, 2), near])
+
+
+@given(st.lists(
+    st.integers(1, 10**7).flatmap(lambda d: st.tuples(st.integers(0, 2 * d), st.just(d))), min_size=1, max_size=40,
+))
+@example([(1, 2), (0, 5), (3, 4)])  # odd, with a zero numerator
+@example([(0, 3), (0, 3), (2, 6), (1, 3)])  # even, with repeated values and unreduced ratios
+@example([(1, 3), (6004799503160661, 18014398509481984), (1, 3)])  # distinct ratios that share a float
+@example([(6004799503160661, 18014398509481984), (1, 3)])
+@example([(1, 2**61 - 1), (5, 2**31 - 1), (7, 1_000_003), (0, 3)])  # an lcm above 2**64
+def test_integer_median_and_mean_match_fraction_arithmetic(ratios):
+    numerators, denominators = map(list, zip(*ratios))
+    values = [Fraction(n, d) for n, d in ratios]
+    median, mean = _median(numerators, denominators), _mean(numerators, denominators)
+    assert median == statistics.median(values) and type(median) is Fraction
+    assert mean == sum(values, Fraction(0)) / len(values) and type(mean) is Fraction
+
+
+def test_integer_median_and_mean_examples_cover_their_cases():
+    assert float(THIRD) == float(NEAR_THIRD) and THIRD != NEAR_THIRD
+    assert math.lcm(2**61 - 1, 2**31 - 1, 1_000_003, 3) > 2**64
 
 
 @given(st.lists(st.fractions(min_value=0, max_value=1), min_size=1, max_size=20), st.randoms())
@@ -321,3 +350,63 @@ def test_field_summary_medians_and_means():
     assert row["median_pct"] == Fraction(1, 2) and row["mean_pct"] == Fraction(1, 2)
     empty = rows[(MCS, "green")]
     assert empty["n_universities"] == 0 and empty["median_pct"] is None and empty["mean_pct"] is None
+
+
+def _generated_store(seed: int = 23):
+    """(counts, institutions) of about 175 roster universities, with every case the cell tables branch on.
+
+    Publications affiliate with roster ids and off-roster ones, in one or
+    two fields, so some fields of a university have no publications; some
+    countries have two regions. Three universities of one country get
+    all-sciences green shares of 1/3 and of the distinct ratio that
+    shares its float, set directly in the counts.
+    """
+    rng = random.Random(seed)
+    countries = {f"C{i:02d}": frozenset(rng.sample(["Europe", "Asia", "Africa", "Americas"], rng.choice((1, 1, 2))))
+                 for i in range(24)}
+    institutions = {}
+    for i in range(172):
+        country = rng.choice(sorted(countries))
+        institutions[f"U{i:03d}"] = _inst(f"U{i:03d}", country, countries[country])
+    ids = sorted(institutions) + [f"X{i}" for i in range(20)]  # X ids are not on the roster
+    outcomes = [OATypeSet(**{t: True}) for t in OA_TYPES] + [OATypeSet(), OATypeSet(gold=True, green=True)]
+    pubs = [
+        _cp(f"P{i}", rng.choice(outcomes), insts=rng.sample(ids, rng.randint(1, 3)),
+            fields=rng.sample(MAIN_FIELDS, rng.choice((1, 1, 2))), doi=rng.choice(("default", None)))
+        for i in range(4_000)
+    ]
+    counts = fold(FullCounts(), pubs).counts
+    for inst_id, (numerator, denominator) in zip(("T1", "T2", "T3"), ((1, 3), (NEAR_THIRD.numerator, NEAR_THIRD.denominator), (2, 6))):
+        institutions[inst_id] = _inst(inst_id, "TT", ("Europe",))
+        for metric, n in (("pubs", denominator), ("doi_pubs", denominator), ("green", numerator), ("any", numerator)):
+            counts[(inst_id, ALL_SCIENCES, metric)] = n
+    return counts, institutions
+
+
+@pytest.mark.parametrize("denominator_mode", ["all_pubs", "doi_pubs"])
+def test_cell_tables_match_a_brute_force_oracle_at_scale(denominator_mode):
+    counts, institutions = _generated_store()
+    config = PipelineConfig(min_universities_country=5, denominator_mode=denominator_mode)
+    universities = university_indicators(counts, institutions, config)
+    built = {
+        "universities": universities,
+        "field_summary": field_summary(universities),
+        "country_medians_full": median_share_by_country(universities, config.min_universities_country),
+        "region_medians": region_rollup(universities, institutions),
+        "profiles": field_profile(universities),
+    }
+    expected = cell_tables_oracle(counts, institutions, config)
+    for name, table in built.items():
+        rows = list(table.rows)
+        assert len(rows) == len(expected[name]), name
+        for row, expected_row in zip(rows, expected[name]):
+            assert row == expected_row, (name, row, expected_row)
+            assert list(map(type, row)) == list(map(type, expected_row)), (name, row, expected_row)
+    # The data holds every case the builders branch on.
+    cells = expected["universities"]
+    assert any(row[5] == 0 for row in cells) and any(row[5] for row in cells)
+    assert any(len(institutions[row[0]].regions) == 2 for row in cells)
+    assert any(inst_id not in institutions for inst_id, _, _ in counts)
+    shares = {row[6] for row in cells if row[2] == ALL_SCIENCES and row[3] == "green" and row[6] is not None}
+    assert {THIRD, NEAR_THIRD} <= shares
+    assert len(universities.rows) == 30 * len({row[0] for row in cells}) >= 30 * 170
