@@ -3,10 +3,8 @@
 __version__ = "0.1.0"
 
 from .classifier import ClassifiedRows, classify, classify_stream
-from .gold_models import GoldModel, resolve_journal_country
+from .gold_models import resolve_journal_country
 from .indicators import (
-    FullCounts,
-    OverlapTally,
     field_profile,
     field_summary,
     median_share_by_country,
@@ -37,7 +35,6 @@ from .models import (
     normalize_doi,
     normalize_url,
 )
-from .repositories import PmcOverlap, RepoBounds
 
 __all__ = [
     "ALL_SCIENCES",
@@ -46,20 +43,15 @@ __all__ = [
     "OA_TYPES",
     "TYPE_ORDER",
     "ClassifiedRows",
-    "FullCounts",
-    "GoldModel",
     "Institution",
     "IssueSummary",
     "JournalRecord",
     "OAEvidenceRecord",
     "OATypeSet",
-    "OverlapTally",
     "ParseIssue",
     "ParseStats",
     "PipelineConfig",
-    "PmcOverlap",
     "PublicationRecord",
-    "RepoBounds",
     "Table",
     "classify",
     "classify_stream",

@@ -121,8 +121,9 @@ class ClassifiedRows:
     contains are counted in `lower`, and in `lower_handle` too if the
     handle pattern matched. With `tally_every`, `add` tallies the lists
     whenever that many publications are pending. `table()`, the classified
-    table, sorts each list not yet tallied by pub_id in place and merges
-    them as its rows are iterated; pub_ids must be unique.
+    table, sorts each list by pub_id in place and merges them as its rows
+    are iterated; pub_ids must be unique. A tally drops the lists, so
+    `table()` raises ValueError once any publication has been tallied.
     """
 
     def __init__(self, institutions: Mapping[str, Institution] | None = None, handle_pattern: str = "",
@@ -156,6 +157,8 @@ class ClassifiedRows:
             self.tally()
 
     def table(self) -> Table:
+        if self.sizes:
+            raise ValueError(f"no classified table: {sum(self.sizes.values())} publications were already tallied")
         runs = [(key[0] if type(key) is tuple else key, pubs) for key, pubs in self.runs.items()]
         for _, pubs in runs:
             pubs.sort(key=attrgetter("pub_id"))

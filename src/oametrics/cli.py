@@ -135,6 +135,7 @@ _CSV_COLUMNS = {
     frozenset({bool}): lambda cells: map(_BOOL_TEXT.__getitem__, cells),
     frozenset({int}): lambda cells: cells,
     frozenset({Fraction}): lambda cells: map(format_pct, cells),
+    frozenset({Fraction, type(None)}): lambda cells: map(format_pct, cells),
 }
 _JSONL_COLUMNS = {
     frozenset({str}): lambda cells: map(encode_basestring, cells),

@@ -9,11 +9,10 @@ the registry has no country code.
 from __future__ import annotations
 
 from collections import Counter
-from functools import partial
 from typing import Mapping
 
 from .classifier import ClassifiedRows
-from .models import Institution, JournalRecord, Table, exact_share
+from .models import JournalRecord, Table, exact_share
 
 #: Constituent countries that resolve to the United Kingdom.
 UK_CONSTITUENTS = {
@@ -150,12 +149,3 @@ def gold_country_model(
         for c in sorted(store.seen_countries())
     )
     return Table("gold_models_full", GOLD_MODELS_FULL_COLUMNS, rows)
-
-
-class GoldModel(ClassifiedRows):
-    """A store with a roster whose `table()` is gold_country_model's for these journals and threshold."""
-
-    def __init__(self, journals: Mapping[str, JournalRecord],
-                 institutions: Mapping[str, Institution], min_universities: int) -> None:
-        super().__init__(institutions)
-        self.table = partial(gold_country_model, self, journals, min_universities)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import compress, product, repeat
 from math import lcm
-from operator import attrgetter, eq, floordiv, itemgetter, le, mul, truediv
+from operator import eq, floordiv, itemgetter, le, mul, truediv
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .classifier import ClassifiedRows
@@ -58,11 +58,6 @@ def count_full(store: ClassifiedRows) -> Counter[CountKey]:
     return counts
 
 
-class FullCounts(ClassifiedRows):
-    """A store without a roster whose `counts` are count_full's, read afresh each time."""
-    counts = property(count_full)
-
-
 UNIVERSITIES_COLUMNS = ("university", "country", "field", "oa_type", "numerator", "denominator", "share_pct")
 #: The (field, oa_type) of each of a university's universities rows, in row order.
 _CELL_FIELDS = tuple(field_name for field_name in FIELD_ORDER for _ in TYPE_ORDER)
@@ -102,7 +97,7 @@ def _grouped(rows: Sequence[tuple], key: Callable[[tuple], object]) -> defaultdi
 
 
 def _median(numerators: Sequence[int], denominators: Sequence[int]) -> Fraction:
-    """The median of the ratios n / d (at least one, each d > 0), as median_exact defines it.
+    """The median of the ratios n / d (at least one, each d > 0): the middle one, or the mean of the middle two.
 
     They are sorted by their floats, which compare in C, and the order is checked exactly by
     cross-multiplying each adjacent pair; only if distinct ratios share a float does the exact sort run.
@@ -121,14 +116,6 @@ def _mean(numerators: Sequence[int], denominators: Sequence[int]) -> Fraction:
     """The mean of the ratios n / d (at least one, each d > 0), over their least common denominator."""
     common = lcm(*set(denominators))
     return Fraction(sum(map(mul, numerators, map(floordiv, repeat(common), denominators))), common * len(denominators))
-
-
-def median_exact(values: Iterable[Fraction]) -> Fraction:
-    """Median with the middle element (odd) or mean of the middle two (even), computed exactly."""
-    ratios = [*map(attrgetter("numerator", "denominator"), values)]
-    if not ratios:
-        raise ValueError("median of empty sequence")
-    return _median(*zip(*ratios))
 
 
 def _all_sciences_medians(universities: Table, groups_of: Callable[[str, str], Iterable[str]]) -> list[tuple]:
@@ -211,11 +198,6 @@ def overlap_matrix(store: ClassifiedRows) -> Table:
     rows += [(f"green_and_{t}", n, exact_share(n, per_type[t])) for t, n in both.items()]
     rows += [(f"exclusive_{t}", n, exact_share(n, total)) for t, n in exclusive.items()]
     return Table("overlap", OVERLAP_COLUMNS, tuple(rows))
-
-
-class OverlapTally(ClassifiedRows):
-    """A store without a roster whose `table()` is overlap_matrix's."""
-    table = overlap_matrix
 
 
 PROFILES_COLUMNS = ("university", "field", "oa_type", "share_pct")

@@ -276,9 +276,8 @@ class Table:
     `rows` is an iterable of row tuples in column order that gives the same
     rows each time it is iterated: a tuple of them, or for `classified` a
     view that builds each row as it is asked for. Every table builder, and
-    the `table()` of the store (ClassifiedRows) and of its views fed
-    `add(pub, types, repository_urls)` once per publication, returns one; a
-    module constant names its columns.
+    the `table()` of the store (ClassifiedRows), returns one; a module
+    constant names its columns.
     """
 
     name: str

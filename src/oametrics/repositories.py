@@ -9,10 +9,9 @@ gives a lower bound; adding handle-resolver URLs gives an upper bound.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Mapping
 
 from .classifier import ClassifiedRows
-from .models import ALL_SCIENCES, Institution, PipelineConfig, Table, exact_share
+from .models import ALL_SCIENCES, Table, exact_share
 from .models import normalize_url  # noqa: F401  (unused here; perfbench traces repositories.normalize_url)
 
 REPO_BOUNDS_COLUMNS = (
@@ -54,11 +53,6 @@ def repo_share_bounds(store: ClassifiedRows) -> Table:
     return Table("repo_bounds", REPO_BOUNDS_COLUMNS, rows)
 
 
-class RepoBounds(ClassifiedRows):
-    """A store with a roster and a handle pattern whose `table()` is repo_share_bounds's."""
-    table = repo_share_bounds
-
-
 def pmc_overlap_table(store: ClassifiedRows) -> Table:
     """The pmc_overlap table: green/PMC overlap per country of affiliation.
 
@@ -92,11 +86,3 @@ def pmc_overlap_table(store: ClassifiedRows) -> Table:
         for country in sorted(store.seen_countries(), key=order)
     )
     return Table("pmc_overlap", PMC_OVERLAP_COLUMNS, rows)
-
-
-class PmcOverlap(ClassifiedRows):
-    """A store with a roster and the config's URL patterns whose `table()` is pmc_overlap_table's."""
-    table = pmc_overlap_table
-
-    def __init__(self, institutions: Mapping[str, Institution], config: PipelineConfig) -> None:
-        super().__init__(institutions, config.handle_pattern, config.pmc_url_patterns)

@@ -3,7 +3,7 @@
 `records` reads a report table as one column -> value dict per row,
 `materialized` reads its rows into a tuple, so that tables compare by
 value, and `fold` feeds (publication, outcome, repository URLs) items to
-a table accumulator, as run_pipeline's one pass does.
+a `ClassifiedRows` store, as run_pipeline's one pass does.
 
 `repo_loc` and `pub_loc` build the location objects of an evidence dump
 line; `evidence` builds the record the scan reduces such a line to, so
@@ -34,11 +34,11 @@ def materialized(table: Table) -> Table:
     return dataclasses.replace(table, rows=tuple(table.rows))
 
 
-def fold(accumulator, items):
-    """Feed every (pub, types, repository_urls) item to ``accumulator.add``; return the accumulator."""
+def fold(store, items):
+    """Feed every (pub, types, repository_urls) item to ``store.add``; return the store."""
     for item in items:
-        accumulator.add(*item)
-    return accumulator
+        store.add(*item)
+    return store
 
 
 def repo_loc(url: str = "https://repo.example.org/item/1") -> dict:

@@ -17,10 +17,10 @@ from fractions import Fraction
 
 from oracles import classify_oracle, evidence, fold, pub_loc, records, repo_loc
 
-from oametrics.classifier import _pmc_flags, classify, classify_stream
+from oametrics.classifier import ClassifiedRows, _pmc_flags, classify, classify_stream
 from oametrics.cli import format_pct
-from oametrics.gold_models import GoldModel
-from oametrics.indicators import UNIVERSITIES_COLUMNS, OverlapTally, median_exact, median_share_by_country
+from oametrics.gold_models import gold_country_model
+from oametrics.indicators import UNIVERSITIES_COLUMNS, _median, median_share_by_country, overlap_matrix
 from oametrics.models import (
     ALL_SCIENCES,
     MAIN_FIELDS,
@@ -33,7 +33,7 @@ from oametrics.models import (
     Table,
     exact_share,
 )
-from oametrics.repositories import PmcOverlap, RepoBounds
+from oametrics.repositories import pmc_overlap_table, repo_share_bounds
 
 BIO = MAIN_FIELDS[0]
 CONFIG = PipelineConfig()
@@ -53,7 +53,7 @@ def _passed(n: int, name: str) -> None:
 
 
 def _overlap_counts(classified) -> dict[str, int]:
-    return {r["metric"]: r["count"] for r in records(fold(OverlapTally(), classified).table())}
+    return {r["metric"]: r["count"] for r in records(overlap_matrix(fold(ClassifiedRows(), classified)))}
 
 
 EXCLUSIVE = ("gold", "hybrid", "bronze", "green_only")
@@ -202,8 +202,9 @@ def test_acceptance_4_median_oracle_and_threshold():
     rng = random.Random(97)
     for _ in range(1000):
         length = rng.randrange(1, 26)
-        values = [Fraction(rng.randrange(0, 1001), 1000) for _ in range(length)]
-        assert median_exact(values) == statistics.median(values)
+        numerators = [rng.randrange(0, 1001) for _ in range(length)]
+        values = [Fraction(n, 1000) for n in numerators]
+        assert _median(numerators, [1000] * length) == statistics.median(values)
 
     cells = []
     counts = {"AA": 3, "BB": 9, "CC": 10, "DD": 14}
@@ -236,7 +237,7 @@ def test_acceptance_5_repository_bounds():
         ]
         cp = _green_cp(locations)
         institutions = {"U1": _inst("U1", patterns=(rng.choice(hosts),))}
-        (row,) = records(fold(RepoBounds(institutions, "hdl.handle.net"), [cp]).table())
+        (row,) = records(repo_share_bounds(fold(ClassifiedRows(institutions, "hdl.handle.net"), [cp])))
         assert row["matched_lower"] <= row["matched_upper"]
 
     # SHARED_PUB is affiliated with U1, here a repository on the Bilkent host.
@@ -247,8 +248,8 @@ def test_acceptance_5_repository_bounds():
     ]
     unmatched = [_green_cp([repo_loc(f"https://elsewhere.example.org/{i}")]) for i in range(1858 - 1815)]
     non_green = [(SHARED_PUB, OATypeSet(bronze=True), ()) for _ in range(150)]
-    bounds = fold(RepoBounds(institutions, "hdl.handle.net"), matched + unmatched + non_green)
-    (row,) = records(bounds.table())
+    bounds = fold(ClassifiedRows(institutions, "hdl.handle.net"), matched + unmatched + non_green)
+    (row,) = records(repo_share_bounds(bounds))
     assert (row["green_pubs"], row["matched_lower"], row["matched_upper"]) == (1858, 1815, 1815)
     assert format_pct(row["pct_repo_lower"]) == "97.7"
     assert format_pct(row["pct_repo_upper"]) == "97.7"
@@ -265,7 +266,8 @@ def test_acceptance_6_pmc_accounting():
         + [_green_cp([repo_loc(PMC_URL), repo_loc("https://arxiv.org/abs/1")]) for _ in range(12)]
         + [_green_cp([repo_loc("https://zenodo.org/2")]) for _ in range(16)]
     )
-    (row,) = records(fold(PmcOverlap(institutions, CONFIG), planted).table())
+    store = ClassifiedRows(institutions, CONFIG.handle_pattern, CONFIG.pmc_url_patterns)
+    (row,) = records(pmc_overlap_table(fold(store, planted)))
     assert (row["green_oa"], row["pmc"], row["pmc_only"]) == (40, 24, 12)
     assert Fraction(row["pmc"], row["green_oa"]) == Fraction(24, 40)
 
@@ -286,7 +288,8 @@ def test_acceptance_6_pmc_accounting():
             if via_pmc:
                 assert types.green
             corpus.append((SHARED_PUB, types, record.repository_urls))
-        (row,) = records(fold(PmcOverlap(institutions, CONFIG), corpus).table())
+        store = ClassifiedRows(institutions, CONFIG.handle_pattern, CONFIG.pmc_url_patterns)
+        (row,) = records(pmc_overlap_table(fold(store, corpus)))
         assert 0 <= row["pmc_only"] <= row["pmc"] <= row["green_oa"]
     _passed(6, "PMC accounting: planted fractions exact; pmc_only <= pmc <= green")
 
@@ -319,7 +322,7 @@ def test_acceptance_7_gold_model_shares():
             field_ids=frozenset({BIO}),
         )
         classified.append((pub, OATypeSet(gold=True), ()))
-    (row,) = records(fold(GoldModel(journals, institutions, min_universities=1), classified).table())
+    (row,) = records(gold_country_model(fold(ClassifiedRows(institutions), classified), journals, min_universities=1))
     assert row["gold_total"] == 100
     assert row["national_share"] == Fraction(63, 100)
     assert row["english_share"] == Fraction(9, 10)

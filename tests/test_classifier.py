@@ -3,6 +3,7 @@ import io
 import itertools
 import random
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from oracles import classify_oracle, evidence, fold, pub_loc, records, repo_loc
 
 from oametrics import cli
 from oametrics.classifier import CLASSIFIED_COLUMNS, ClassifiedRows, classify, classify_stream
+from oametrics.indicators import count_full, overlap_matrix
 from oametrics.models import (
     MAIN_FIELDS,
     NO_OA,
@@ -21,7 +23,7 @@ from oametrics.models import (
     Table,
     normalize_url,
 )
-from oametrics.repositories import PmcOverlap
+from oametrics.repositories import pmc_overlap_table
 
 BIO = MAIN_FIELDS[0]
 
@@ -182,7 +184,8 @@ def test_scan_reduces_locations_to_the_digest(locations):
     via_pmc = ["ncbi.nlm.nih.gov/pmc" in url for url in repository]
     inst = Institution(inst_id="U1", name="U1", country="TR", regions={"Europe"})
     classified = (_pub("P1", record.doi), types, record.repository_urls)
-    (row,) = records(fold(PmcOverlap({"U1": inst}, config), [classified]).table())
+    store = ClassifiedRows({"U1": inst}, config.handle_pattern, config.pmc_url_patterns)
+    (row,) = records(pmc_overlap_table(fold(store, [classified])))
     assert (row["green_oa"], row["pmc"], row["pmc_only"]) == (
         int(types.green), int(any(via_pmc)), int(any(via_pmc) and all(via_pmc)),
     )
@@ -278,3 +281,20 @@ def test_classified_rows_come_out_in_the_order_of_the_sorted_rows():
     assert len({row[2:] for row in table.rows}) == 8
     for report_format in ("csv", "jsonl"):
         assert _written(table, report_format) == _written(oracle, report_format), report_format
+
+
+@pytest.mark.parametrize(
+    "tally", [count_full, overlap_matrix, ClassifiedRows.seen_countries],
+    ids=["count_full", "overlap_matrix", "seen_countries"],
+)
+def test_classified_table_refuses_a_tallied_store(tally):
+    pubs = [(_pub(f"P{n}", f"10.1/{n}"), OATypeSet(green=n == 1), ()) for n in range(3)]
+    store = fold(ClassifiedRows(), pubs)
+    assert len(tuple(store.table().rows)) == 3
+    tally(store)
+    with pytest.raises(ValueError, match="3 publications were already tallied"):
+        store.table()
+    # A store that tallies as it is fed refuses too, though it still holds the publications not yet tallied.
+    store = fold(ClassifiedRows(tally_every=2), pubs)
+    with pytest.raises(ValueError, match="2 publications were already tallied"):
+        store.table()

@@ -1,7 +1,9 @@
 """Memory footprint of the parsed record store.
 
 Deterministic: sizes come from tracemalloc over a seeded table, never
-from timing or RSS, so the bound holds on any machine.
+from timing or RSS, so the bound holds on any machine. The one exception
+is a range scan's forked child, whose memory tracemalloc cannot see: it
+is read from the kernel's /proc/self/smaps_rollup, where that exists.
 """
 
 import gc
@@ -9,13 +11,16 @@ import io
 import json
 import random
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
+import pytest
+
 from oametrics import ingest
-from oametrics.classifier import classify_stream
+from oametrics.classifier import ClassifiedRows, classify_stream
 from oametrics.cli import REPORT_TABLES, run_pipeline
 from oametrics.indicators import (
-    FullCounts,
+    count_full,
     field_profile,
     field_summary,
     median_share_by_country,
@@ -79,6 +84,15 @@ MAX_PEAK_BYTES_PER_PUB_CLASSIFIED = 330
 #: 468 B; with one that tallies its lists every 1,024 publications, about
 #: 404 B. The child's memory is its own and is not traced.
 MAX_PEAK_BYTES_PER_PUB_TWO_RANGES = 450
+
+#: Private bytes (Private_Dirty) the forked child of a two-range scan may
+#: hold per further publication once its scan is done and it has run a
+#: full collection (Linux, 64-bit CPython 3.11.7). The collection writes
+#: to the header of every object the child inherited and so copies its
+#: page: the publication store and the DOI map. With the child's events
+#: held in a list, about 330-440 B; the headroom is about 20%, for the
+#: page granularity and the allocator.
+MAX_CHILD_PRIVATE_BYTES_PER_PUB = 540
 
 #: Peak bytes per further universities row of building that table and the
 #: four read from it (field_summary, both medians, profiles), all held, as
@@ -257,16 +271,21 @@ def test_peak_of_a_mostly_dropped_scan_does_not_grow_with_the_dump():
     assert per_line <= MAX_PEAK_BYTES_PER_DROPPED_LINE, f"{per_line:.2f} B per further dropped line at the peak"
 
 
-def _pipeline_peak(directory, n: int, tables=REPORT_TABLES, shards: int = 1, report_format=None) -> int:
-    """Peak traced bytes of run_pipeline over `n` seeded publications and a dump for their DOIs.
-
-    With a `report_format`, the run also writes its tables, in that format, to `directory / "out"`.
-    """
+def _write_run_inputs(directory, n: int, shards: int) -> None:
+    """`n` seeded publications and a dump for their DOIs, which `shards` > 1 cuts into that many ranges."""
     table = _publication_table(n)
     dois = [pub.doi for pub in parse_publications(io.BytesIO(table), PipelineConfig())]
     (directory / "publications.csv").write_bytes(table)
     (directory / "evidence.jsonl").write_bytes(_evidence_dump(n, for_dois=dois)[0])
     assert len(ingest._byte_ranges(directory / "evidence.jsonl", shards)) == (shards if shards > 1 else 0)
+
+
+def _pipeline_peak(directory, n: int, tables=REPORT_TABLES, shards: int = 1, report_format=None) -> int:
+    """Peak traced bytes of run_pipeline over `n` seeded publications and a dump for their DOIs.
+
+    With a `report_format`, the run also writes its tables, in that format, to `directory / "out"`.
+    """
+    _write_run_inputs(directory, n, shards)
     gc.collect()
     tracemalloc.start()
     try:
@@ -306,6 +325,39 @@ def test_peak_bytes_per_publication_of_a_range_scanned_run_bounded(tmp_path, mon
     assert per_pub <= MAX_PEAK_BYTES_PER_PUB_TWO_RANGES, f"{per_pub:.0f} B per publication"
 
 
+def _child_private_bytes(directory, n: int, monkeypatch) -> int:
+    """Private_Dirty bytes of the child of a two-range run_pipeline over `n` seeded publications.
+
+    They are read in the child, from /proc/self/smaps_rollup, once its scan
+    has returned and a full collection has run.
+    """
+    _write_run_inputs(directory, n, shards=2)
+    scan_range, report = ingest._scan_range, directory / "child_private_dirty"
+
+    def measured_scan_range(*args):
+        result = scan_range(*args)
+        gc.collect()
+        rollup = Path("/proc/self/smaps_rollup").read_text(encoding="ascii").splitlines()
+        (kib,) = (int(line.split()[1]) for line in rollup if line.startswith("Private_Dirty:"))
+        report.write_text(str(kib * 1024), encoding="ascii")
+        return result
+
+    monkeypatch.setattr(ingest, "_scan_range", measured_scan_range)
+    report.unlink(missing_ok=True)
+    gc.collect()
+    run_pipeline(PipelineConfig(), directory / "publications.csv", directory / "evidence.jsonl", shards=2)
+    return int(report.read_text(encoding="ascii"))
+
+
+@pytest.mark.skipif(not Path("/proc/self/smaps_rollup").exists(), reason="no /proc/self/smaps_rollup")
+def test_private_bytes_per_publication_of_a_range_scan_child_bounded(tmp_path, monkeypatch):
+    monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", 64 << 10)
+    small, large = 4_000, 8_000
+    private = [_child_private_bytes(tmp_path, n, monkeypatch) for n in (small, large)]
+    per_pub = (private[1] - private[0]) / (large - small)
+    assert per_pub <= MAX_CHILD_PRIVATE_BYTES_PER_PUB, f"{per_pub:.0f} B per publication"
+
+
 def _cell_table_footprint(n_institutions: int, seed: int = 7) -> tuple[int, dict[str, int], int]:
     """(peak, {builder: bytes it held at its peak beyond its result}, universities rows) of the cell tables.
 
@@ -321,12 +373,12 @@ def _cell_table_footprint(n_institutions: int, seed: int = 7) -> tuple[int, dict
     }
     ids = sorted(institutions)
     outcomes = [OATypeSet(**{t: True}) for t in OA_TYPES] + [OATypeSet(), OATypeSet(gold=True, green=True)]
-    store = FullCounts()
+    store = ClassifiedRows()
     for i in range(20 * n_institutions):
         pub = PublicationRecord(f"P{i}", f"10.1/{i}", "en", "J1", rng.sample(ids, rng.randint(1, 3)),
                                 frozenset(rng.sample(MAIN_FIELDS, rng.choice((1, 2)))))
         store.add(pub, rng.choice(outcomes), ())
-    counts, config = store.counts, PipelineConfig()
+    counts, config = count_full(store), PipelineConfig()
     working, peaks = {}, []
 
     def build(builder, *args):

@@ -5,7 +5,8 @@ import pytest
 
 from oracles import fold, records
 
-from oametrics.gold_models import GoldModel, resolve_journal_country
+from oametrics.classifier import ClassifiedRows
+from oametrics.gold_models import gold_country_model, resolve_journal_country
 from oametrics.models import (
     MAIN_FIELDS,
     Institution,
@@ -93,7 +94,7 @@ def test_national_share_by_hand():
         _gold_pub("C", "JF"),
         _gold_pub("D", "JF"),
     ]
-    (row,) = records(fold(GoldModel(journals, institutions, min_universities=1), pubs).table())
+    (row,) = records(gold_country_model(fold(ClassifiedRows(institutions), pubs), journals, min_universities=1))
     assert row["gold_total"] == 4
     assert row["national_share"] == Fraction(1, 2)
     assert row["apc_share"] == Fraction(1, 2)
@@ -102,7 +103,7 @@ def test_national_share_by_hand():
 
 def test_zero_gold_country_has_null_shares():
     institutions = {"U1": _inst("U1", "BR")}
-    (row,) = records(fold(GoldModel({}, institutions, min_universities=1), [_plain_pub("A")]).table())
+    (row,) = records(gold_country_model(fold(ClassifiedRows(institutions), [_plain_pub("A")]), {}, min_universities=1))
     assert row["gold_total"] == 0
     assert row["national_share"] is None and row["english_share"] is None
     assert row["apc_share"] is None
@@ -111,9 +112,8 @@ def test_zero_gold_country_has_null_shares():
 def test_collaboration_counts_for_both_countries():
     institutions = {"U1": _inst("U1", "BR"), "U2": _inst("U2", "TR")}
     journals = {"JN": JournalRecord(journal_id="JN", country="BR", is_fully_oa=True)}
-    rows = records(fold(
-        GoldModel(journals, institutions, min_universities=1), [_gold_pub("A", "JN", insts=("U1", "U2"))]
-    ).table())
+    store = fold(ClassifiedRows(institutions), [_gold_pub("A", "JN", insts=("U1", "U2"))])
+    rows = records(gold_country_model(store, journals, min_universities=1))
     by_country = {r["country"]: r for r in rows}
     assert by_country["BR"]["gold_total"] == 1 and by_country["BR"]["national_share"] == 1
     assert by_country["TR"]["gold_total"] == 1 and by_country["TR"]["national_share"] == 0
@@ -126,13 +126,13 @@ def test_journal_country_falls_back_to_publisher_address():
             journal_id="JN", is_fully_oa=True, publisher_address="SAO PAULO, BRAZIL"
         )
     }
-    (row,) = records(fold(GoldModel(journals, institutions, 1), [_gold_pub("A", "JN")]).table())
+    (row,) = records(gold_country_model(fold(ClassifiedRows(institutions), [_gold_pub("A", "JN")]), journals, 1))
     assert row["national_share"] == 1
 
 
 def test_unknown_journal_is_non_national_non_apc():
     institutions = {"U1": _inst("U1", "BR")}
-    (row,) = records(fold(GoldModel({}, institutions, 1), [_gold_pub("A", "JX")]).table())
+    (row,) = records(gold_country_model(fold(ClassifiedRows(institutions), [_gold_pub("A", "JX")]), {}, 1))
     assert row["national_share"] == 0
     assert row["apc_share"] == 0
     assert row["apc_known"] == 0
@@ -145,7 +145,7 @@ def test_english_share():
         _gold_pub("A", "JN", language="en"),
         _gold_pub("B", "JN", language="pl"),
     ]
-    (row,) = records(fold(GoldModel(journals, institutions, 1), pubs).table())
+    (row,) = records(gold_country_model(fold(ClassifiedRows(institutions), pubs), journals, 1))
     assert row["english_share"] == Fraction(1, 2)
 
 
@@ -157,7 +157,7 @@ def test_display_threshold_counts_roster_universities():
     }
     journals = {"JN": JournalRecord(journal_id="JN", is_fully_oa=True)}
     pubs = [_gold_pub("A", "JN", insts=("U1",)), _gold_pub("B", "JN", insts=("U2",))]
-    rows = records(fold(GoldModel(journals, institutions, min_universities=2), pubs).table())
+    rows = records(gold_country_model(fold(ClassifiedRows(institutions), pubs), journals, min_universities=2))
     by_country = {r["country"]: r for r in rows}
     assert not by_country["BR"]["displayed"] and by_country["BR"]["n_universities"] == 1
     assert by_country["GB"]["displayed"] and by_country["GB"]["n_universities"] == 2
@@ -178,7 +178,7 @@ def test_unknown_apc_never_inflates_apc_share():
             pubs.append(_gold_pub(f"P{i}", f"J{i}"))
             yes += apc == "yes"
             known += apc != "unknown"
-        (row,) = records(fold(GoldModel(journals, institutions, 1), pubs).table())
+        (row,) = records(gold_country_model(fold(ClassifiedRows(institutions), pubs), journals, 1))
         assert row["apc_share"] == Fraction(yes, len(pubs))
         assert row["apc_known"] == known
         if known:

@@ -10,16 +10,16 @@ from hypothesis import strategies as st
 
 from oracles import cell_tables_oracle, fold, records
 
+from oametrics.classifier import ClassifiedRows
 from oametrics.indicators import (
     UNIVERSITIES_COLUMNS,
-    FullCounts,
-    OverlapTally,
     _mean,
     _median,
+    count_full,
     field_profile,
     field_summary,
-    median_exact,
     median_share_by_country,
+    overlap_matrix,
     region_rollup,
     university_indicators,
 )
@@ -65,35 +65,35 @@ GREEN = OATypeSet(green=True)
 
 def _universities(pubs, config=CONFIG):
     """The universities table of `pubs` under a roster of U1 alone."""
-    return university_indicators(fold(FullCounts(), pubs).counts, {"U1": _inst("U1")}, config)
+    return university_indicators(count_full(fold(ClassifiedRows(), pubs)), {"U1": _inst("U1")}, config)
 
 
 def test_full_counting_credits_every_institution():
-    counts = fold(FullCounts(), [_cp("A", GREEN, insts=("U1", "U2"))]).counts
+    counts = count_full(fold(ClassifiedRows(), [_cp("A", GREEN, insts=("U1", "U2"))]))
     assert counts[("U1", BIO, "green")] == 1
     assert counts[("U2", BIO, "green")] == 1
     assert counts[("U1", ALL_SCIENCES, "pubs")] == 1
 
 
 def test_unaffiliated_publication_contributes_nothing():
-    assert fold(FullCounts(), [_cp("A", GREEN, insts=())]).counts == {}
+    assert count_full(fold(ClassifiedRows(), [_cp("A", GREEN, insts=())])) == {}
 
 
 def test_duplicate_affiliation_counts_once():
-    counts = fold(FullCounts(), [_cp("A", GREEN, insts=("U1", "U1"))]).counts
+    counts = count_full(fold(ClassifiedRows(), [_cp("A", GREEN, insts=("U1", "U1"))]))
     assert counts[("U1", BIO, "green")] == 1
     assert counts[("U1", BIO, "pubs")] == 1
 
 
 def test_multi_field_publication_counts_in_each_field_once_in_rollup():
-    counts = fold(FullCounts(), [_cp("A", GREEN, fields=(BIO, SSH))]).counts
+    counts = count_full(fold(ClassifiedRows(), [_cp("A", GREEN, fields=(BIO, SSH))]))
     assert counts[("U1", BIO, "green")] == 1
     assert counts[("U1", SSH, "green")] == 1
     assert counts[("U1", ALL_SCIENCES, "green")] == 1
 
 
 def test_doi_pubs_tracked_separately():
-    counts = fold(FullCounts(), [_cp("A", doi=None), _cp("B")]).counts
+    counts = count_full(fold(ClassifiedRows(), [_cp("A", doi=None), _cp("B")]))
     assert counts[("U1", BIO, "pubs")] == 2
     assert counts[("U1", BIO, "doi_pubs")] == 1
 
@@ -104,7 +104,7 @@ def test_full_counting_identity_random_corpus():
     for i in range(500):
         insts = tuple(rng.sample(["U1", "U2", "U3", "U4"], k=rng.randrange(0, 4)))
         pubs.append(_cp(f"P{i}", GREEN if rng.random() < 0.4 else OATypeSet(), insts=insts))
-    counts = fold(FullCounts(), pubs).counts
+    counts = count_full(fold(ClassifiedRows(), pubs))
     total_credits = sum(
         n for (inst, field, metric), n in counts.items()
         if field == ALL_SCIENCES and metric == "pubs"
@@ -141,19 +141,9 @@ def test_high_green_share_formats_to_expected_percent():
     assert format_pct(Fraction(1858, 2008)) == "92.5"
 
 
-def test_median_odd_and_even():
-    assert median_exact([Fraction(2, 10), Fraction(4, 10), Fraction(9, 10)]) == Fraction(2, 5)
-    assert median_exact([Fraction(2, 10), Fraction(4, 10)]) == Fraction(3, 10)
-    assert median_exact([Fraction(1, 2)]) == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        median_exact([])
-
-
-def test_median_matches_statistics_reference():
-    rng = random.Random(13)
-    for _ in range(200):
-        values = [Fraction(rng.randrange(0, 101), 100) for _ in range(rng.randrange(1, 12))]
-        assert median_exact(values) == statistics.median(values)
+def _pairs(values):
+    """The numerators and the denominators of `values`, as _median takes them."""
+    return [value.numerator for value in values], [value.denominator for value in values]
 
 
 #: Distinct shares with the same float: NEAR_THIRD is the exact value of float(1/3).
@@ -166,15 +156,19 @@ def test_median_of_distinct_values_that_share_a_float():
     assert third != near and float(third) == float(near)
     # Sorted by float, the ties keep their order: [third, near, third] would put near in the middle.
     with mock.patch("oametrics.indicators.sorted", wraps=sorted, create=True) as sorts:
-        assert median_exact([third, near, third]) == third
+        assert _median(*_pairs([third, near, third])) == third
     assert len(sorts.call_args_list) == 2  # the float sort, then the exact one
-    assert median_exact([third, near]) == (third + near) / 2
-    assert median_exact([near, third, Fraction(1, 2), near]) == statistics.median([near, third, Fraction(1, 2), near])
+    assert _median(*_pairs([third, near])) == (third + near) / 2
+    values = [near, third, Fraction(1, 2), near]
+    assert _median(*_pairs(values)) == statistics.median(values)
 
 
 @given(st.lists(
     st.integers(1, 10**7).flatmap(lambda d: st.tuples(st.integers(0, 2 * d), st.just(d))), min_size=1, max_size=40,
 ))
+@example([(2, 10), (4, 10), (9, 10)])  # odd: the middle ratio
+@example([(2, 10), (4, 10)])  # even: the mean of the middle two
+@example([(1, 2)])  # one ratio
 @example([(1, 2), (0, 5), (3, 4)])  # odd, with a zero numerator
 @example([(0, 3), (0, 3), (2, 6), (1, 3)])  # even, with repeated values and unreduced ratios
 @example([(1, 3), (6004799503160661, 18014398509481984), (1, 3)])  # distinct ratios that share a float
@@ -197,7 +191,7 @@ def test_integer_median_and_mean_examples_cover_their_cases():
 def test_median_permutation_invariant(values, rng):
     shuffled = list(values)
     rng.shuffle(shuffled)
-    assert median_exact(shuffled) == median_exact(values)
+    assert _median(*_pairs(shuffled)) == _median(*_pairs(values))
 
 
 def _share_cells(shares_by_university, institutions, field=ALL_SCIENCES, oa_type="any"):
@@ -267,7 +261,7 @@ def test_overlap_matrix_by_hand():
         _cp("C", OATypeSet(bronze=True)),
         _cp("D", OATypeSet()),
     ]
-    count = {r["metric"]: r["count"] for r in records(fold(OverlapTally(), pubs).table())}
+    count = {r["metric"]: r["count"] for r in records(overlap_matrix(fold(ClassifiedRows(), pubs)))}
     assert count["total_oa"] == 3
     assert {t: count[t] for t in OA_TYPES} == {"gold": 1, "green": 2, "hybrid": 0, "bronze": 1}
     assert {t: count[f"green_and_{t}"] for t in PUBLISHER_SIDE} == {"gold": 1, "hybrid": 0, "bronze": 0}
@@ -277,7 +271,7 @@ def test_overlap_matrix_by_hand():
 
 
 def test_overlap_matrix_empty_corpus():
-    count = {r["metric"]: r["count"] for r in records(fold(OverlapTally(), []).table())}
+    count = {r["metric"]: r["count"] for r in records(overlap_matrix(fold(ClassifiedRows(), [])))}
     assert count["total_oa"] == 0
     assert sum(count[t] for t in OA_TYPES) == 0
 
@@ -290,7 +284,7 @@ def test_overlap_matrix_invariants_enforced():
         for publisher in (None,) + PUBLISHER_SIDE
         for green in (False, True)
     ]
-    count = {r["metric"]: r["count"] for r in records(fold(OverlapTally(), pubs).table())}
+    count = {r["metric"]: r["count"] for r in records(overlap_matrix(fold(ClassifiedRows(), pubs)))}
     assert count["total_oa"] == 7
     for oa_type in OA_TYPES:
         assert count[oa_type] <= count["total_oa"]
@@ -314,7 +308,7 @@ def test_partition_identity_random_corpora():
                 green=green,
             )
             pubs.append(_cp(f"P{i}", types))
-        count = {r["metric"]: r["count"] for r in records(fold(OverlapTally(), pubs).table())}
+        count = {r["metric"]: r["count"] for r in records(overlap_matrix(fold(ClassifiedRows(), pubs)))}
         exclusive = PUBLISHER_SIDE + ("green_only",)
         assert sum(count[f"exclusive_{t}"] for t in exclusive) == count["total_oa"]
 
@@ -375,7 +369,7 @@ def _generated_store(seed: int = 23):
             fields=rng.sample(MAIN_FIELDS, rng.choice((1, 1, 2))), doi=rng.choice(("default", None)))
         for i in range(4_000)
     ]
-    counts = fold(FullCounts(), pubs).counts
+    counts = count_full(fold(ClassifiedRows(), pubs))
     for inst_id, (numerator, denominator) in zip(("T1", "T2", "T3"), ((1, 3), (NEAR_THIRD.numerator, NEAR_THIRD.denominator), (2, 6))):
         institutions[inst_id] = _inst(inst_id, "TT", ("Europe",))
         for metric, n in (("pubs", denominator), ("doi_pubs", denominator), ("green", numerator), ("any", numerator)):

@@ -87,6 +87,7 @@ def _written(write, table, report_format) -> bytes:
 @given(_tables())
 @example(Table("t", ("share", "flag", "n", "name"), ((Fraction(1, 800), True, 3, 'a "b",\nc'),)))
 @example(Table("t", ("share", "none", "yes", "no", "text"), ((Fraction(2, 3), None, True, False, "Üni 日本 😀"),)))
+@example(Table("t", ("share", "n"), ((Fraction(1, 2000), 1), (None, 0), (Fraction(-1, 2000), 2))))  # shares and None
 def test_write_table_matches_reference(table):
     for report_format in ("csv", "jsonl"):
         assert _written(cli._write_table, table, report_format) == _written(

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import evidence, fold, pub_loc, records, repo_loc
 
-from oametrics.classifier import _pmc_flags, classify
+from oametrics.classifier import ClassifiedRows, _pmc_flags, classify
 from oametrics.models import (
     MAIN_FIELDS,
     Institution,
@@ -15,11 +15,7 @@ from oametrics.models import (
     PublicationRecord,
 )
 from oametrics import models, repositories
-from oametrics.repositories import (
-    PmcOverlap,
-    RepoBounds,
-    normalize_url,
-)
+from oametrics.repositories import normalize_url, pmc_overlap_table, repo_share_bounds
 
 BIO = MAIN_FIELDS[0]
 CONFIG = PipelineConfig()
@@ -73,10 +69,15 @@ def _cp(pub_id, types, locations=(), inst_ids=("U1",)):
 GREEN = OATypeSet(green=True)
 
 
+def _pmc_overlap(institutions, pubs):
+    """The pmc_overlap table of `pubs` under `institutions` and CONFIG's URL patterns."""
+    return pmc_overlap_table(fold(ClassifiedRows(institutions, CONFIG.handle_pattern, CONFIG.pmc_url_patterns), pubs))
+
+
 def _matched(locations, inst) -> tuple[bool, bool]:
     """(lower, upper) of the repo_bounds row for one green publication of `inst`."""
-    bounds = fold(RepoBounds({"U1": inst}, "hdl.handle.net"), [_cp("A", GREEN, locations)])
-    (row,) = records(bounds.table())
+    bounds = fold(ClassifiedRows({"U1": inst}, "hdl.handle.net"), [_cp("A", GREEN, locations)])
+    (row,) = records(repo_share_bounds(bounds))
     return bool(row["matched_lower"]), bool(row["matched_upper"])
 
 
@@ -143,7 +144,7 @@ def test_repo_share_bounds_interval():
         _cp("D", GREEN, [repo_loc("https://zenodo.org/4")]),
         _cp("E", OATypeSet(bronze=True), [pub_loc()]),
     ]
-    (row,) = records(fold(RepoBounds({"U1": inst}, "hdl.handle.net"), pubs).table())
+    (row,) = records(repo_share_bounds(fold(ClassifiedRows({"U1": inst}, "hdl.handle.net"), pubs)))
     assert (row["green_pubs"], row["matched_lower"], row["matched_upper"]) == (4, 1, 3)
     assert row["pct_repo_lower"] == Fraction(1, 4)
     assert row["pct_repo_upper"] == Fraction(3, 4)
@@ -151,7 +152,7 @@ def test_repo_share_bounds_interval():
 
 def test_repo_share_bounds_empty_interval():
     pubs = [_cp("A", OATypeSet(bronze=True), [pub_loc()])]
-    (row,) = records(fold(RepoBounds({"U1": _inst()}, "hdl.handle.net"), pubs).table())
+    (row,) = records(repo_share_bounds(fold(ClassifiedRows({"U1": _inst()}, "hdl.handle.net"), pubs)))
     assert row["green_pubs"] == 0
     assert row["pct_repo_lower"] is None and row["pct_repo_upper"] is None
 
@@ -166,7 +167,7 @@ def test_repo_share_row_invariant():
         _cp("C", GREEN, [repo_loc("https://hdl.handle.net/3")]),
         _cp("D", OATypeSet(bronze=True), [pub_loc()]),
     ]
-    (row,) = records(fold(RepoBounds({"U1": inst}, "hdl.handle.net"), pubs).table())
+    (row,) = records(repo_share_bounds(fold(ClassifiedRows({"U1": inst}, "hdl.handle.net"), pubs)))
     assert (row["pubs"], row["green_pubs"], row["matched_lower"], row["matched_upper"]) == (4, 3, 2, 3)
     assert 0 <= row["matched_lower"] <= row["matched_upper"] <= row["green_pubs"] <= row["pubs"]
     assert row["pct_repo_lower"] <= row["pct_repo_upper"] <= 1
@@ -174,7 +175,7 @@ def test_repo_share_row_invariant():
 
 def _pmc_count(locations) -> int:
     """The pmc column for one green publication with these locations."""
-    (row,) = records(fold(PmcOverlap({"U1": _inst()}, CONFIG), [_cp("A", GREEN, locations)]).table())
+    (row,) = records(_pmc_overlap({"U1": _inst()}, [_cp("A", GREEN, locations)]))
     return row["pmc"]
 
 
@@ -202,14 +203,14 @@ def test_pmc_overlap_counts_by_hand():
         _cp("B", GREEN, [repo_loc(PMC_URL)]),
         _cp("C", GREEN, [repo_loc("https://zenodo.org/2")]),
     ]
-    (row,) = records(fold(PmcOverlap(institutions, CONFIG), pubs).table())
+    (row,) = records(_pmc_overlap(institutions, pubs))
     assert (row["green_oa"], row["pmc"], row["pmc_only"]) == (3, 2, 1)
 
 
 def test_pmc_overlap_zero_green_country():
     institutions = {"U1": _inst(country="TR")}
     pubs = [_cp("A", OATypeSet(bronze=True), [pub_loc()])]
-    (row,) = records(fold(PmcOverlap(institutions, CONFIG), pubs).table())
+    (row,) = records(_pmc_overlap(institutions, pubs))
     assert (row["green_oa"], row["pmc"], row["pmc_only"]) == (0, 0, 0)
     assert row["pct_gold"] is None and row["pct_bronze"] is None and row["pct_hybrid"] is None
 
@@ -220,7 +221,7 @@ def test_pmc_overlap_percentages_over_pmc_pubs():
         _cp("A", OATypeSet(gold=True, green=True), [pub_loc("cc-by"), repo_loc(PMC_URL)]),
         _cp("B", GREEN, [repo_loc(PMC_URL)]),
     ]
-    (row,) = records(fold(PmcOverlap(institutions, CONFIG), pubs).table())
+    (row,) = records(_pmc_overlap(institutions, pubs))
     assert row["pct_gold"] == Fraction(1, 2)
     assert row["pct_bronze"] == 0 and row["pct_hybrid"] == 0
 
@@ -237,7 +238,7 @@ def test_pmc_rows_sorted_by_share_desc_then_country():
         _cp("C", GREEN, [repo_loc(PMC_URL)], inst_ids=("U1",)),
         _cp("D", OATypeSet(), (), inst_ids=("U3",)),
     ]
-    rows = records(fold(PmcOverlap(institutions, CONFIG), pubs).table())
+    rows = records(_pmc_overlap(institutions, pubs))
     assert [r["country"] for r in rows] == ["BB", "AA", "CC"]
 
 
@@ -270,7 +271,7 @@ def test_pmc_chain_invariant_on_random_corpora():
             locations.append(pub_loc(rng.choice([None, "cc-by"])))
         types = classify(evidence(journal_is_oa=rng.random() < 0.2, locations=locations))
         pubs.append(_cp(f"P{i}", types, locations))
-    (row,) = records(fold(PmcOverlap(institutions, CONFIG), pubs).table())
+    (row,) = records(_pmc_overlap(institutions, pubs))
     assert 0 <= row["pmc_only"] <= row["pmc"] <= row["green_oa"]
 
 
@@ -287,7 +288,7 @@ def test_tables_read_the_stored_urls_without_normalizing(monkeypatch):
 
     monkeypatch.setattr(models, "normalize_url", fail)
     monkeypatch.setattr(repositories, "normalize_url", fail)
-    (bounds,) = records(fold(RepoBounds(institutions, CONFIG.handle_pattern), pubs).table())
-    (pmc,) = records(fold(PmcOverlap(institutions, CONFIG), pubs).table())
+    (bounds,) = records(repo_share_bounds(fold(ClassifiedRows(institutions, CONFIG.handle_pattern), pubs)))
+    (pmc,) = records(_pmc_overlap(institutions, pubs))
     assert (bounds["green_pubs"], bounds["matched_lower"], bounds["matched_upper"]) == (2, 1, 2)
     assert (pmc["green_oa"], pmc["pmc"], pmc["pmc_only"]) == (2, 1, 0)

@@ -2,10 +2,10 @@
 
 Each invariant must hold on every row a table builder emits, whatever
 the affiliations (on or off the roster), countries and evidence
-locations. No table may depend on the order its accumulator is fed the
+locations. No table may depend on the order its store is fed the
 publications in. On the same corpora written as input files, the tables
-of run_pipeline's one pass must equal a separate fold of each
-accumulator and the cell tables built from its counts, in one process
+of run_pipeline's one pass must equal each builder over a separately
+fed store and the cell tables built from its counts, in one process
 and in three, with shared DOIs, publications without a DOI or without a
 dump line, and duplicate and unneeded lines in any order.
 """
@@ -27,10 +27,8 @@ from oracles import evidence, fold, materialized, pub_loc, records, repo_loc
 from oametrics import cli
 from oametrics.classifier import ClassifiedRows, classify
 from oametrics.cli import REPORT_TABLES, run_pipeline
-from oametrics.gold_models import GoldModel, gold_country_model, resolve_journal_country
+from oametrics.gold_models import gold_country_model, resolve_journal_country
 from oametrics.indicators import (
-    FullCounts,
-    OverlapTally,
     count_full,
     field_profile,
     field_summary,
@@ -57,7 +55,7 @@ from oametrics.models import (
     PipelineConfig,
     PublicationRecord,
 )
-from oametrics.repositories import PmcOverlap, RepoBounds, pmc_overlap_table, repo_share_bounds
+from oametrics.repositories import pmc_overlap_table, repo_share_bounds
 
 INST_IDS = ("U1", "U2", "U3", "U4")
 LOCATIONS = (
@@ -125,18 +123,19 @@ def test_every_table_row_keeps_its_invariants(countries, rows):
     institutions = _institutions(countries)
     classified = _classified(rows)
 
-    for row in records(fold(RepoBounds(institutions, CONFIG.handle_pattern), classified).table()):
+    for row in records(repo_share_bounds(fold(ClassifiedRows(institutions, CONFIG.handle_pattern), classified))):
         assert 0 <= row["matched_lower"] <= row["matched_upper"] <= row["green_pubs"] <= row["pubs"]
 
-    for row in records(fold(PmcOverlap(institutions, CONFIG), classified).table()):
+    pmc_store = fold(ClassifiedRows(institutions, CONFIG.handle_pattern, CONFIG.pmc_url_patterns), classified)
+    for row in records(pmc_overlap_table(pmc_store)):
         assert 0 <= row["pmc_only"] <= row["pmc"] <= row["green_oa"]
 
-    for row in records(fold(GoldModel(JOURNALS, institutions, 1), classified).table()):
+    for row in records(gold_country_model(fold(ClassifiedRows(institutions), classified), JOURNALS, 1)):
         for share in ("national_share", "english_share", "apc_share"):
             assert (row[share] is None) == (row["gold_total"] == 0)
         assert row["apc_known"] <= row["gold_total"]
 
-    counts = fold(FullCounts(), classified).counts
+    counts = count_full(fold(ClassifiedRows(), classified))
     for mode in ("all_pubs", "doi_pubs"):
         universities = university_indicators(counts, institutions, PipelineConfig(denominator_mode=mode))
         for row in records(universities):
@@ -147,7 +146,7 @@ def test_every_table_row_keeps_its_invariants(countries, rows):
             else:
                 assert row["share_pct"] == Fraction(row["numerator"], row["denominator"])
 
-    count = {row["metric"]: row["count"] for row in records(fold(OverlapTally(), classified).table())}
+    count = {row["metric"]: row["count"] for row in records(overlap_matrix(fold(ClassifiedRows(), classified)))}
     for oa_type in OA_TYPES:
         assert count[oa_type] <= count["total_oa"]
     for oa_type in ("gold", "hybrid", "bronze"):
@@ -162,16 +161,16 @@ def test_tables_do_not_depend_on_publication_order(countries, rows, data):
     institutions = _institutions(countries)
     classified = _classified(rows)
     shuffled = data.draw(st.permutations(classified))
-    accumulators = (
-        ClassifiedRows,
-        OverlapTally,
-        lambda: RepoBounds(institutions, CONFIG.handle_pattern),
-        lambda: PmcOverlap(institutions, CONFIG),
-        lambda: GoldModel(JOURNALS, institutions, 1),
+    builders = (
+        (ClassifiedRows, ClassifiedRows.table),
+        (ClassifiedRows, overlap_matrix),
+        (lambda: ClassifiedRows(institutions, CONFIG.handle_pattern), repo_share_bounds),
+        (lambda: ClassifiedRows(institutions, CONFIG.handle_pattern, CONFIG.pmc_url_patterns), pmc_overlap_table),
+        (lambda: ClassifiedRows(institutions), lambda store: gold_country_model(store, JOURNALS, 1)),
     )
-    for make in accumulators:
-        assert materialized(fold(make(), shuffled).table()) == materialized(fold(make(), classified).table())
-    assert fold(FullCounts(), shuffled).counts == fold(FullCounts(), classified).counts
+    for make, build in builders:
+        assert materialized(build(fold(make(), shuffled))) == materialized(build(fold(make(), classified)))
+    assert count_full(fold(ClassifiedRows(), shuffled)) == count_full(fold(ClassifiedRows(), classified))
 
 
 #: A publication's DOI: none, or one of 10.1/0..10.1/11, which other publications may share.
@@ -255,20 +254,22 @@ def test_one_pass_fold_matches_the_public_builders(countries, rows, dois, lines)
         record = dump.get(pub.doi)
         types = classify(record, journals.get(pub.journal_id))
         classified.append((pub, types, () if record is None else record.repository_urls))
-    counts = fold(FullCounts(), classified).counts
+    counts = count_full(fold(ClassifiedRows(), classified))
     universities = university_indicators(counts, institutions, config)
     medians = median_share_by_country(universities, config.min_universities_country)
-    gold = fold(GoldModel(journals, institutions, config.min_universities_gold_model), classified).table()
+    gold_store = fold(ClassifiedRows(institutions), classified)
+    gold = gold_country_model(gold_store, journals, config.min_universities_gold_model)
+    pmc_store = fold(ClassifiedRows(institutions, config.handle_pattern, config.pmc_url_patterns), classified)
     expected = {
         "classified": fold(ClassifiedRows(), classified).table(),
-        "overlap": fold(OverlapTally(), classified).table(),
+        "overlap": overlap_matrix(fold(ClassifiedRows(), classified)),
         "universities": universities,
         "field_summary": field_summary(universities),
         "country_medians_full": medians,
         "region_medians": region_rollup(universities, institutions),
         "profiles": field_profile(universities),
-        "repo_bounds": fold(RepoBounds(institutions, config.handle_pattern), classified).table(),
-        "pmc_overlap": fold(PmcOverlap(institutions, config), classified).table(),
+        "repo_bounds": repo_share_bounds(fold(ClassifiedRows(institutions, config.handle_pattern), classified)),
+        "pmc_overlap": pmc_overlap_table(pmc_store),
         "gold_models_full": gold,
         "issues": sink.table(),
     }
@@ -320,20 +321,22 @@ def test_fold_counts_by_value_not_by_outcome_identity():
     assert any(map(all, on_pmc)) and not all(map(all, on_pmc))  # PMC only, and PMC with another repository
     assert any(types.gold and pub.journal_id not in JOURNALS for pub, types, _ in stream)
 
-    # The five public views, each fed every item, and the one store run_pipeline feeds, with its tally interval.
-    views = [
-        FullCounts(), OverlapTally(), RepoBounds(institutions, CONFIG.handle_pattern),
-        PmcOverlap(institutions, CONFIG), GoldModel(JOURNALS, institutions, 2),
+    # A store per builder with only the settings it reads, each fed every item, and the one store
+    # run_pipeline feeds, with its tally interval.
+    stores = [
+        ClassifiedRows(), ClassifiedRows(), ClassifiedRows(institutions, CONFIG.handle_pattern),
+        ClassifiedRows(institutions, CONFIG.handle_pattern, CONFIG.pmc_url_patterns), ClassifiedRows(institutions),
     ]
     store = ClassifiedRows(institutions, CONFIG.handle_pattern, CONFIG.pmc_url_patterns, tally_every=cli._TALLY_EVERY)
     for item in stream:
-        for accumulator in (*views, store):
-            accumulator.add(*item)
-    built = [
-        (views[0].counts, *(view.table() for view in views[1:])),
-        (count_full(store), overlap_matrix(store), repo_share_bounds(store), pmc_overlap_table(store),
-         gold_country_model(store, JOURNALS, 2)),
-    ]
+        for each in (*stores, store):
+            each.add(*item)
+
+    def build(full, overlap, repo, pmc, gold):
+        return (count_full(full), overlap_matrix(overlap), repo_share_bounds(repo), pmc_overlap_table(pmc),
+                gold_country_model(gold, JOURNALS, 2))
+
+    built = [build(*stores), build(*[store] * 5)]
 
     counts, by_inst, by_country, outcomes = Counter(), defaultdict(Counter), defaultdict(Counter), Counter()
     for pub, types, repository_urls in stream:
