@@ -102,6 +102,8 @@ def _median(numerators: Sequence[int], denominators: Sequence[int]) -> Fraction:
     They are sorted by their floats, which compare in C, and the order is checked exactly by
     cross-multiplying each adjacent pair; only if distinct ratios share a float does the exact sort run.
     """
+    if not denominators:
+        raise ValueError("median of no ratios")
     order = sorted(range(len(denominators)), key=[*map(truediv, numerators, denominators)].__getitem__)
     ns, ds = [*map(numerators.__getitem__, order)], [*map(denominators.__getitem__, order)]
     if not all(map(le, map(mul, ns, ds[1:]), map(mul, ns[1:], ds))):

@@ -146,6 +146,21 @@ def _pairs(values):
     return [value.numerator for value in values], [value.denominator for value in values]
 
 
+def test_median_odd_and_even():
+    assert _median(*_pairs([Fraction(2, 10), Fraction(4, 10), Fraction(9, 10)])) == Fraction(2, 5)
+    assert _median(*_pairs([Fraction(2, 10), Fraction(4, 10)])) == Fraction(3, 10)
+    assert _median(*_pairs([Fraction(1, 2)])) == Fraction(1, 2)
+    with pytest.raises(ValueError):
+        _median([], [])
+
+
+def test_median_matches_statistics_reference():
+    rng = random.Random(13)
+    for _ in range(200):
+        values = [Fraction(rng.randrange(0, 101), 100) for _ in range(rng.randrange(1, 12))]
+        assert _median(*_pairs(values)) == statistics.median(values)
+
+
 #: Distinct shares with the same float: NEAR_THIRD is the exact value of float(1/3).
 THIRD, NEAR_THIRD = Fraction(1, 3), Fraction(6004799503160661, 18014398509481984)
 
