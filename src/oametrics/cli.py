@@ -279,10 +279,15 @@ def run_pipeline(
     requested tables. The bundle and the issue log are written in one
     step (ReportBundle.write), the log alone without `out_dir`.
 
+    Only the counts and the roster tables read affiliations, so a run
+    that requests no table but `classified` and `issues` (the classify
+    command) parses its publications with `affiliations=False`.
+
     Raises, before any input is read, ConfigurationError for an unknown
     table name or report format, a `max_issue_rate` that is not >= 0
-    (NaN included) or an issue log that would overwrite a bundle file or
-    a directory, and FatalInputError for a missing input or issue-log
+    (NaN included), a bundle file that would overwrite an input or an
+    issue log that would overwrite an input, a bundle file or a
+    directory, and FatalInputError for a missing input or issue-log
     directory. Raises FatalInputError for an unreadable input, and
     SchemaCeilingError for an issue rate above `max_issue_rate`: that of
     the registries and publications before anything is classified, that
@@ -294,13 +299,18 @@ def run_pipeline(
         raise ConfigurationError(f"unknown report format: {report_format!r}")
     if not max_issue_rate >= 0:  # also false for NaN, which no rate would ever exceed
         raise ConfigurationError(f"max issue rate must be >= 0, got {max_issue_rate!r}")
+    inputs = [p for p in (publications_path, evidence_path, institutions_path, journals_path) if p is not None]
+    read = {Path(path).resolve() for path in inputs}
+    dirs = [] if out_dir is None else [Path(out_dir)]
+    targets = [d / f"{name}.{report_format}" for d in dirs for name in tables]
+    if overwritten := [path for path in targets if path.resolve() in read]:
+        raise ConfigurationError(f"{overwritten[0]}: a table would overwrite an input")
     if issue_log_path is not None:
-        log, dirs = Path(issue_log_path).resolve(), [] if out_dir is None else [Path(out_dir)]
-        targets = dirs + [d / f"{name}.{report_format}" for d in dirs for name in tables]
-        if log.is_dir() or any(log == path.resolve() for path in targets):
-            raise ConfigurationError(f"{issue_log_path}: issue log would overwrite a directory or a table")
-    for path in (publications_path, evidence_path, institutions_path, journals_path):
-        if path is not None and not Path(path).exists():
+        log = Path(issue_log_path).resolve()
+        if log.is_dir() or log in read or any(log == path.resolve() for path in dirs + targets):
+            raise ConfigurationError(f"{issue_log_path}: issue log would overwrite a directory, a table or an input")
+    for path in inputs:
+        if not Path(path).exists():
             raise FatalInputError(f"input file not found: {path}")
     if issue_log_path is not None and not Path(issue_log_path).parent.is_dir():
         raise FatalInputError(f"{issue_log_path}: directory not found")
@@ -319,8 +329,10 @@ def run_pipeline(
     # The parse's own set of pub_ids holds each record, so no list of them grows beside it; the
     # list is made once the parse has freed its other tables.
     by_id: dict[str, PublicationRecord] = {}
+    affiliations = not set(tables) <= {"classified", "issues"}
     with _reading(publications_path):
-        for _ in parse_publications(publications_path, config, sink, stats["publications"], by_id=by_id):
+        for _ in parse_publications(publications_path, config, sink, stats["publications"],
+                                    by_id=by_id, affiliations=affiliations):
             pass
     publications = list(by_id.values())
     del by_id

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+import gc
 import gzip
 import io
 import json
@@ -209,7 +210,9 @@ def parse_evidence_stream(
     may be scanned in byte ranges by forked processes (see
     `_byte_ranges`). The records, issues, stats and updated `keep` are
     exactly those of a scan in one process, in the same order; closing
-    the stream early reaps every child.
+    the stream early reaps every child. The collector's objects are
+    frozen (gc.freeze) from the first fork until the last child is
+    reaped; if some were already frozen, none is unfrozen.
     """
     if stats is None:
         stats = ParseStats()
@@ -574,9 +577,14 @@ def _scan_ranges(path, ranges: list[tuple[int, int]], keep, stats: ParseStats):
     while the children scan theirs, then each child's once it has exited.
     A child that fails, exits non-zero or sends truncated data raises
     OSError. Every child is reaped or killed before the scan returns,
-    raises or is closed.
+    raises or is closed. Every object that exists at the first fork stays
+    frozen (gc.freeze) until the last child is reaped, so no collection in
+    a child writes to an inherited object's header and so copies its page.
+    If the caller had already frozen objects, nothing is unfrozen.
     """
     children: dict[int, io.BufferedReader] = {}  # pid -> read end of its pipe, in range order
+    thaw = gc.get_freeze_count() == 0
+    gc.freeze()
     try:
         for start, end in ranges[1:]:
             read_fd, write_fd = os.pipe()
@@ -597,6 +605,9 @@ def _scan_ranges(path, ranges: list[tuple[int, int]], keep, stats: ParseStats):
                 payload = pipe.read()
             _, status = os.waitpid(pid, 0)
             del children[pid]
+            if thaw and not children:
+                gc.unfreeze()
+                thaw = False
             if status != 0:
                 raise OSError(
                     f"scan of bytes {start}-{end} failed in a child process "
@@ -615,6 +626,8 @@ def _scan_ranges(path, ranges: list[tuple[int, int]], keep, stats: ParseStats):
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        if thaw:
+            gc.unfreeze()
 
 
 def _iter_rows(
@@ -807,6 +820,7 @@ def parse_publications(
     on_issue: Callable[[ParseIssue], None] | None = None,
     stats: ParseStats | None = None,
     by_id: dict[str, PublicationRecord] | None = None,
+    affiliations: bool = True,
 ) -> Iterator[PublicationRecord]:
     """Yield publication records, dropping non-citable and out-of-period rows.
 
@@ -819,7 +833,10 @@ def parse_publications(
     field sets share one object across the yielded records. With `by_id`,
     each record is also stored under its pub_id in that dict, which is the
     parse's own set of pub_ids, so a caller that keeps every record needs
-    no list of them.
+    no list of them. With `affiliations=False` the institution_ids cell is
+    still read and checked as always, so the same rows are kept and the
+    same issues reported, but it is not split, and every record's
+    institution_ids is (): for a caller that reads no affiliation.
     """
     if stats is None:
         stats = ParseStats()
@@ -835,7 +852,7 @@ def parse_publications(
         required=("pub_id", "year", "doc_type", "journal_id", "field_ids"),
         optional=("doi", "language", "institution_ids"),
     )
-    for line_no, (pub_id, year, doc_type, journal_id, field_cell, raw_doi, language, affiliations) in rows:
+    for line_no, (pub_id, year, doc_type, journal_id, field_cell, raw_doi, language, id_cell) in rows:
         pub_id = pub_id.strip()
         if not pub_id:
             _report(on_issue, "publications", line_no, "missing_required_field", "missing pub_id")
@@ -884,8 +901,10 @@ def parse_publications(
         if raw_doi and doi is None:
             _report(on_issue, "publications", line_no, "malformed", f"invalid doi: {raw_doi!r}")
         language = language.strip().lower() or "unknown"
-        ids = _multi(affiliations)
-        ids = tuple(sorted(set(map(intern, ids, ids))))
+        ids = ()
+        if affiliations:
+            ids = _multi(id_cell)
+            ids = tuple(sorted(set(map(intern, ids, ids))))
         stats.records += 1
         pub = _checked_publication(
             pub_id, doi, intern(language, language), intern(journal_id, journal_id), intern(ids, ids), fields,

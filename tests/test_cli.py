@@ -7,9 +7,11 @@ import json
 import marshal
 import os
 import random
+import shutil
 import tracemalloc
 import types
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
@@ -437,6 +439,7 @@ def test_failed_range_scan_is_fatal_and_names_file(golden_input, monkeypatch, at
         )
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert gc.get_freeze_count() == 0
 
 
 def test_a_fold_that_raises_during_a_range_scan_leaves_no_child(golden_input, monkeypatch):
@@ -456,6 +459,7 @@ def test_a_fold_that_raises_during_a_range_scan_leaves_no_child(golden_input, mo
     assert failure.traceback
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert gc.get_freeze_count() == 0
 
 
 def test_one_store_takes_one_add_per_publication_and_a_classify_run_reads_no_url(golden_input, monkeypatch):
@@ -862,6 +866,60 @@ def test_issue_log_naming_an_existing_directory_is_a_config_error(golden_input, 
         )
     assert [p.name for p in tmp_path.iterdir()] == ["logs"]
     assert list(logs.iterdir()) == []
+
+
+def test_issue_log_naming_an_input_is_a_config_error(golden_input, tmp_path):
+    inputs = shutil.copytree(golden_input, tmp_path / "in")
+    publications = inputs / "publications.csv"
+    args = _golden_args(inputs, tmp_path / "out", ["--issue-log", str(publications)])
+    result = CliRunner().invoke(main, ["report", *args])
+    assert result.exit_code == 2, result.output
+    assert f"error: {publications}: issue log would overwrite" in result.output
+    assert publications.read_bytes() == (golden_input / "publications.csv").read_bytes()
+    assert not (tmp_path / "out").exists()
+    # The check comes before any input is read: a missing input is not reached.
+    args[args.index("-e") + 1] = str(tmp_path / "missing.jsonl")
+    assert CliRunner().invoke(main, ["report", *args]).exit_code == 2
+
+
+def test_bundle_table_naming_an_input_is_a_config_error(golden_input, tmp_path):
+    inputs = shutil.copytree(golden_input, tmp_path / "in")
+    publications = inputs / "classified.csv"
+    publications.write_bytes((golden_input / "publications.csv").read_bytes())
+    args = ["-p", str(publications), "-e", str(inputs / "evidence.jsonl"), "-o", str(inputs)]
+    result = CliRunner().invoke(main, ["classify", *args])
+    assert result.exit_code == 2, result.output
+    assert f"error: {publications}: a table would overwrite an input" in result.output
+    assert publications.read_bytes() == (golden_input / "publications.csv").read_bytes()
+    # The check comes before any input is read: a missing input is not reached.
+    args[args.index("-e") + 1] = str(tmp_path / "missing.jsonl")
+    assert CliRunner().invoke(main, ["classify", *args]).exit_code == 2
+
+
+@pytest.mark.parametrize("tables,affiliations", [
+    (("classified",), False), (("issues",), False), (("classified", "issues"), False),
+    (("classified", "overlap"), True), (("repo_bounds",), True),
+])
+def test_a_run_parses_affiliations_only_when_a_table_reads_them(golden_input, tmp_path, tables, affiliations):
+    with mock.patch.object(cli, "parse_publications", wraps=cli.parse_publications) as parse:
+        bundle = run_pipeline(
+            PipelineConfig(), golden_input / "publications.csv", golden_input / "evidence.jsonl",
+            golden_input / "institutions.csv", golden_input / "journals.csv", tables=tables,
+        )
+    assert parse.call_args.kwargs["affiliations"] is affiliations
+    assert set(bundle.tables) == set(tables)
+
+
+def test_a_classify_run_gives_the_classified_rows_of_a_run_that_reads_affiliations(golden_input):
+    rows = {}
+    for tables in (("classified",), ("classified", "overlap")):
+        bundle = run_pipeline(
+            PipelineConfig(), golden_input / "publications.csv", golden_input / "evidence.jsonl",
+            journals_path=golden_input / "journals.csv", tables=tables,
+        )
+        rows[tables] = list(bundle.tables["classified"].rows)
+    assert len(rows[("classified",)]) == 20
+    assert rows[("classified",)] == rows[("classified", "overlap")]
 
 
 def test_url_form_patterns_give_the_golden_tables(golden_input, golden_dir, tmp_path):

@@ -9,7 +9,9 @@ is read from the kernel's /proc/self/smaps_rollup, where that exists.
 import gc
 import io
 import json
+import os
 import random
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -74,7 +76,9 @@ MAX_PEAK_BYTES_PER_PUB = 300
 #: and 365 B (jsonl). Building each row only as it is written, about 307 B
 #: in both formats: the publications parse sets the peak. With the records
 #: kept in the parse's pub-id dict, not in a list beside it, about 295 B.
-MAX_PEAK_BYTES_PER_PUB_CLASSIFIED = 330
+#: With no affiliation tuples, which the classified table does not read,
+#: 233.0 B in both formats; the headroom is about 7%.
+MAX_PEAK_BYTES_PER_PUB_CLASSIFIED = 250
 
 #: The same for a report run whose dump is scanned in two byte ranges
 #: (tracemalloc, Python 3.11.7). Holding every event of the first range
@@ -87,12 +91,30 @@ MAX_PEAK_BYTES_PER_PUB_TWO_RANGES = 450
 
 #: Private bytes (Private_Dirty) the forked child of a two-range scan may
 #: hold per further publication once its scan is done and it has run a
-#: full collection (Linux, 64-bit CPython 3.11.7). The collection writes
-#: to the header of every object the child inherited and so copies its
-#: page: the publication store and the DOI map. With the child's events
-#: held in a list, about 330-440 B; the headroom is about 20%, for the
-#: page granularity and the allocator.
+#: full collection (Linux, 64-bit CPython 3.11.7). The child and the run
+#: share the pages they inherited until one of them writes to one: the
+#: child's collection writes to the header of every object it inherited
+#: unless it is frozen, and the run's fold meanwhile writes to the
+#: records' reference counts. Unfrozen, 401-458 B in 6 runs of the whole
+#: suite. With the objects frozen (gc.freeze), 68-446 B in 21: the fold
+#: sets the figure, by how far it gets before the child reads its
+#: memory. The headroom is about 20%, for the page granularity and the
+#: allocator.
 MAX_CHILD_PRIVATE_BYTES_PER_PUB = 540
+
+#: The same with the run held back until the child has read its memory,
+#: so that the figure is what the child copies itself; measured after
+#: the runs above. Unfrozen, 350-403 B in 6 runs of the whole suite and
+#: 261-267 B in 6 runs of this test alone. Frozen, 76-135 B and 170-179 B
+#: in 8 runs each. The headroom is about 35%.
+MAX_HELD_CHILD_PRIVATE_BYTES_PER_PUB = 240
+
+#: Private bytes that held-back child may hold at 4k publications.
+#: Unfrozen, its collection copies the page of every object of the
+#: process, the test suite's own included: 24.3-24.5 MB in the whole
+#: suite, 15.0-15.1 MB alone. Frozen, 4.2-4.4 MB and 2.8-2.9 MB; the
+#: headroom is about 35%.
+MAX_HELD_CHILD_PRIVATE_BYTES = 6 << 20
 
 #: Peak bytes per further universities row of building that table and the
 #: four read from it (field_summary, both medians, profiles), all held, as
@@ -325,14 +347,25 @@ def test_peak_bytes_per_publication_of_a_range_scanned_run_bounded(tmp_path, mon
     assert per_pub <= MAX_PEAK_BYTES_PER_PUB_TWO_RANGES, f"{per_pub:.0f} B per publication"
 
 
-def _child_private_bytes(directory, n: int, monkeypatch) -> int:
+def _child_private_bytes(directory, n: int, monkeypatch, held: bool = False) -> int:
     """Private_Dirty bytes of the child of a two-range run_pipeline over `n` seeded publications.
 
     They are read in the child, from /proc/self/smaps_rollup, once its scan
-    has returned and a full collection has run.
+    has returned and a full collection has run. With `held`, the run scans
+    its own range only once the child has read them, so that no page the
+    run writes to meanwhile (a record's reference count, say) is copied
+    and so counted as the child's: the figure is what the child copies
+    itself.
     """
     _write_run_inputs(directory, n, shards=2)
-    scan_range, report = ingest._scan_range, directory / "child_private_dirty"
+    scan_range, read_blocks, report = ingest._scan_range, ingest._read_blocks, directory / "child_private_dirty"
+    run = os.getpid()
+
+    def held_read_blocks(*args):
+        deadline = time.monotonic() + 60
+        while os.getpid() == run and not report.exists() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        return read_blocks(*args)
 
     def measured_scan_range(*args):
         result = scan_range(*args)
@@ -342,10 +375,13 @@ def _child_private_bytes(directory, n: int, monkeypatch) -> int:
         report.write_text(str(kib * 1024), encoding="ascii")
         return result
 
-    monkeypatch.setattr(ingest, "_scan_range", measured_scan_range)
-    report.unlink(missing_ok=True)
-    gc.collect()
-    run_pipeline(PipelineConfig(), directory / "publications.csv", directory / "evidence.jsonl", shards=2)
+    with monkeypatch.context() as patch:
+        patch.setattr(ingest, "_scan_range", measured_scan_range)
+        if held:
+            patch.setattr(ingest, "_read_blocks", held_read_blocks)
+        report.unlink(missing_ok=True)
+        gc.collect()
+        run_pipeline(PipelineConfig(), directory / "publications.csv", directory / "evidence.jsonl", shards=2)
     return int(report.read_text(encoding="ascii"))
 
 
@@ -356,6 +392,10 @@ def test_private_bytes_per_publication_of_a_range_scan_child_bounded(tmp_path, m
     private = [_child_private_bytes(tmp_path, n, monkeypatch) for n in (small, large)]
     per_pub = (private[1] - private[0]) / (large - small)
     assert per_pub <= MAX_CHILD_PRIVATE_BYTES_PER_PUB, f"{per_pub:.0f} B per publication"
+    held = [_child_private_bytes(tmp_path, n, monkeypatch, held=True) for n in (small, large)]
+    assert held[0] <= MAX_HELD_CHILD_PRIVATE_BYTES, f"held: {held[0] / 2**20:.1f} MB at {small} publications"
+    per_pub = (held[1] - held[0]) / (large - small)
+    assert per_pub <= MAX_HELD_CHILD_PRIVATE_BYTES_PER_PUB, f"held: {per_pub:.0f} B per publication"
 
 
 def _cell_table_footprint(n_institutions: int, seed: int = 7) -> tuple[int, dict[str, int], int]:

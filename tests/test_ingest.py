@@ -857,14 +857,33 @@ def _two_range_dump(tmp_path, monkeypatch, n: int = 400):
 def test_range_scan_yields_the_first_range_as_it_reads_it(tmp_path, monkeypatch):
     dump, keep = _two_range_dump(tmp_path, monkeypatch)
     stats = ParseStats()
-    records = parse_evidence_stream(dump, keep=keep, stats=stats, processes=2)
-    assert next(records).doi == "10.1/0"
-    # Only the first line is counted: the other lines of range 0 are not read yet, nor any child's added.
-    assert stats.lines == 1
-    assert [r.doi for r in records] == [f"10.1/{i}" for i in range(1, 400)]
+    # Closed on the way out, so that a failed check leaves no child and no frozen object to later tests.
+    with contextlib.closing(parse_evidence_stream(dump, keep=keep, stats=stats, processes=2)) as records:
+        assert next(records).doi == "10.1/0"
+        # Only the first line is counted: the other lines of range 0 are not read yet, nor any child's added.
+        assert stats.lines == 1
+        # The objects the child inherited stay frozen while it may run.
+        assert gc.get_freeze_count() > 0
+        # They are unfrozen once the child is reaped, before its events are yielded.
+        first = dump.read_bytes()[:ingest._byte_ranges(dump, 2)[0][1]].count(b"\n")
+        rest = [(r.doi, gc.get_freeze_count() > 0) for r in records]
+        assert rest == [(f"10.1/{i}", i < first) for i in range(1, 400)]
     assert (stats.lines, stats.records) == (400, 400)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert gc.get_freeze_count() == 0
+
+
+def test_range_scan_leaves_a_callers_freeze_in_place(tmp_path, monkeypatch):
+    dump, keep = _two_range_dump(tmp_path, monkeypatch)
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        assert len(list(parse_evidence_stream(dump, keep=keep, processes=2))) == 400
+        assert gc.get_freeze_count() >= frozen
+    finally:
+        gc.unfreeze()
 
 
 def test_closing_a_range_scan_leaves_no_child(tmp_path, monkeypatch):
@@ -874,6 +893,7 @@ def test_closing_a_range_scan_leaves_no_child(tmp_path, monkeypatch):
     records.close()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert gc.get_freeze_count() == 0
 
 
 def test_range_scan_splits_a_dump_at_line_starts(tmp_path, monkeypatch):
@@ -1153,6 +1173,82 @@ def test_parsers_raise_nothing_reading_does_not_convert(data):
         with contextlib.suppress(FatalInputError), _reading("fuzz input"):
             parse(io.BytesIO(data), issues.append)
         assert all(isinstance(issue, ParseIssue) for issue in issues)
+
+
+def _parses_with_and_without_affiliations(data: bytes) -> list[tuple[list | str, list[ParseIssue]]]:
+    """(records or the fatal error, issues) of the default publications parse and of one with affiliations=False."""
+    results = []
+    for affiliations in (True, False):
+        records, issues = [], []
+        try:
+            with _reading("publications"):
+                records.extend(parse_publications(
+                    io.BytesIO(data), PipelineConfig(), issues.append, affiliations=affiliations,
+                ))
+        except FatalInputError as exc:
+            records = str(exc)
+        results.append((records, issues))
+    return results
+
+
+def _but_affiliations(records: list | str) -> list | str:
+    """Each record's fields but institution_ids."""
+    if type(records) is str:
+        return records
+    return [(pub.pub_id, pub.doi, pub.language, pub.journal_id, pub.field_ids) for pub in records]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=_wrapped(_CSV_SHAPED | _JSONL_SHAPED))
+def test_a_parse_without_affiliations_differs_from_the_default_only_in_them(data):
+    (records, issues), (without, issues_without) = _parses_with_and_without_affiliations(data)
+    assert issues_without == issues
+    assert _but_affiliations(without) == _but_affiliations(records)
+    assert type(without) is str or {pub.institution_ids for pub in without} <= {()}
+
+
+@pytest.mark.parametrize("gz", [False, True], ids=["plain", "gzip"])
+@pytest.mark.parametrize("table_format", ["csv", "jsonl", "jsonl_lists"])
+def test_a_parse_without_affiliations_keeps_the_golden_rows_and_issues(golden_input, table_format, gz):
+    # In JSON lines each CSV row becomes an object of its string cells; in
+    # jsonl_lists its institution_ids become a JSON list, which arrives as a tuple.
+    data = (golden_input / "publications.csv").read_bytes()
+    if table_format != "csv":
+        with (golden_input / "publications.csv").open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        if table_format == "jsonl_lists":
+            for row in rows:
+                row["institution_ids"] = row["institution_ids"].split(";")
+        data = "".join(json.dumps(row) + "\n" for row in rows).encode("utf-8")
+    (records, issues), (without, issues_without) = _parses_with_and_without_affiliations(
+        gzip.compress(data) if gz else data
+    )
+    assert [issue.detail for issue in issues] == [
+        "non-citable doc_type: 'editorial'", "year 2013 outside period 2014-2017",
+    ]
+    assert issues_without == issues
+    assert len(records) == 20 and ("U2", "U4") in {pub.institution_ids for pub in records}
+    assert _but_affiliations(without) == _but_affiliations(records)
+    assert [pub.institution_ids for pub in without] == [()] * 20
+
+
+def test_a_parse_without_affiliations_still_checks_their_cell():
+    row = {"year": 2015, "doc_type": "article", "journal_id": "J1", "field_ids": [BIO]}
+    lines = [
+        {"pub_id": "P1", "institution_ids": {"U1": 1}, **row},
+        {"pub_id": "P2", "institution_ids": ["U1", None], **row},
+        {"pub_id": "P3", "institution_ids": ["U2", "U1", "U2"], **row},
+        {"pub_id": "P4", "institution_ids": "U1; U3", **row},
+    ]
+    data = "".join(json.dumps(line) + "\n" for line in lines).encode("utf-8")
+    (records, issues), (without, issues_without) = _parses_with_and_without_affiliations(data)
+    assert [(issue.line_no, issue.kind, issue.detail) for issue in issues] == [
+        (1, "malformed", "institution_ids holds a value that is not text or a number"),
+        (2, "malformed", "institution_ids holds a value that is not text or a number"),
+    ]
+    assert issues_without == issues
+    assert [(pub.pub_id, pub.institution_ids) for pub in records] == [("P3", ("U1", "U2")), ("P4", ("U1", "U3"))]
+    assert [(pub.pub_id, pub.institution_ids) for pub in without] == [("P3", ()), ("P4", ())]
 
 
 def _json_object_reference(raw: bytes) -> dict | str:
