@@ -284,14 +284,14 @@ def run_pipeline(
     command) parses its publications with `affiliations=False`.
 
     Raises, before any input is read, ConfigurationError for an unknown
-    table name or report format, a `max_issue_rate` that is not >= 0
-    (NaN included), a bundle file that would overwrite an input or an
-    issue log that would overwrite an input, a bundle file or a
-    directory, and FatalInputError for a missing input or issue-log
-    directory. Raises FatalInputError for an unreadable input, and
+    table name or report format, a `max_issue_rate` that is not >= 0 (NaN
+    included), an existing `out_dir` that is not a directory, a bundle file
+    or an issue log that would overwrite an input or a directory (or the
+    log a bundle file), and FatalInputError for a missing input or
+    issue-log directory. Raises FatalInputError for an unreadable input, and
     SchemaCeilingError for an issue rate above `max_issue_rate`: that of
-    the registries and publications before anything is classified, that
-    of the evidence before any table is built or written.
+    the registries and publications before anything is classified, that of
+    the evidence before any table is built or written.
     """
     if unknown := [name for name in tables if name not in (*REPORT_TABLES, "classified")]:
         raise ConfigurationError(f"unknown table: {unknown[0]!r}")
@@ -303,8 +303,10 @@ def run_pipeline(
     read = {Path(path).resolve() for path in inputs}
     dirs = [] if out_dir is None else [Path(out_dir)]
     targets = [d / f"{name}.{report_format}" for d in dirs for name in tables]
-    if overwritten := [path for path in targets if path.resolve() in read]:
-        raise ConfigurationError(f"{overwritten[0]}: a table would overwrite an input")
+    if any(d.exists() and not d.is_dir() for d in dirs):
+        raise ConfigurationError(f"{out_dir}: output directory is not a directory")
+    if overwritten := [path for path in targets if path.resolve() in read or path.is_dir()]:
+        raise ConfigurationError(f"{overwritten[0]}: a table would overwrite an input or a directory")
     if issue_log_path is not None:
         log = Path(issue_log_path).resolve()
         if log.is_dir() or log in read or any(log == path.resolve() for path in dirs + targets):

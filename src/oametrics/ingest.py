@@ -33,6 +33,7 @@ import os
 import re
 import signal
 import stat
+import tempfile
 import threading
 import traceback
 from collections import Counter
@@ -70,6 +71,9 @@ _GZIP_MAGIC = b"\x1f\x8b"
 #: sending a range's results back and merging them cost more than
 #: scanning a small range in parallel saves.
 _MIN_RANGE_BYTES = 8 << 20
+#: The events per batch a range child writes and the run loads whole: a
+#: larger batch raises the run's peak; loading events one by one is slower.
+_RANGE_BATCH = 512
 
 #: The bytes of dump lines the evidence scan reads and checks as one
 #: block: it reads lines until they hold more than this. Each block
@@ -208,9 +212,10 @@ def parse_evidence_stream(
 
     With `keep` and `processes` > 1, an uncompressed dump given by path
     may be scanned in byte ranges by forked processes (see
-    `_byte_ranges`). The records, issues, stats and updated `keep` are
-    exactly those of a scan in one process, in the same order; closing
-    the stream early reaps every child. The collector's objects are
+    `_byte_ranges`), whose events pass through unlinked temporary files.
+    The records, issues, stats and updated `keep` are exactly those of a
+    scan in one process, in the same order; closing the stream early
+    reaps every child and closes every file. The collector's objects are
     frozen (gc.freeze) from the first fork until the last child is
     reaped; if some were already frozen, none is unfrozen.
     """
@@ -535,33 +540,31 @@ def _read_blocks(path, start: int, end: int) -> Iterator[list[bytes]]:
             yield block
 
 
-def _scan_range(path, start: int, end: int, keep) -> tuple[list, int, int]:
-    """Scan the lines that start in bytes [start, end) of an uncompressed dump.
+def _range_child(out, path, start: int, end: int, keep) -> NoReturn:
+    """Body of a forked child: scan the lines that start in bytes [start, end) of a dump into `out`.
 
-    Returns the events with line numbers counted from the range's first
-    line, the number of lines read, and the number of non-blank lines.
-    """
-    stats = ParseStats()
-    events = []
-    scan = _scan_evidence(_read_blocks(path, start, end), keep, stats)
-    while True:
-        try:
-            events.append(next(scan))
-        except StopIteration as done:
-            return events, done.value, stats.lines
-
-
-def _range_child(write_fd: int, path, start: int, end: int, keep) -> NoReturn:
-    """Body of a forked child: scan one range and marshal the result into the pipe.
-
-    It ends in os._exit whatever happens, so it never unwinds into the
-    parent's stack or runs the parent's cleanup; a failure is printed
-    and shows as a non-zero exit status.
+    `out` is an unlinked temporary file the parent opened before the
+    fork. The events, numbered from the range's first line, go to it in
+    batches of `_RANGE_BATCH`, each marshalled into one bytes object, then
+    (lines read, non-blank lines). It ends in os._exit whatever happens,
+    so it never unwinds into the parent's stack or runs the parent's
+    cleanup; a failure is printed and shows as a non-zero exit status.
     """
     status = 1
     try:
-        with open(write_fd, "wb") as out:
-            marshal.dump(_scan_range(path, start, end, keep), out)
+        with out:
+            stats, batch = ParseStats(), []
+            scan = _scan_evidence(_read_blocks(path, start, end), keep, stats)
+            while True:
+                try:
+                    batch.append(next(scan))
+                except StopIteration as done:
+                    marshal.dump(marshal.dumps(batch), out)
+                    marshal.dump((done.value, stats.lines), out)
+                    break
+                if len(batch) == _RANGE_BATCH:
+                    marshal.dump(marshal.dumps(batch), out)
+                    batch = []
         status = 0
     except BaseException:
         traceback.print_exc()
@@ -574,56 +577,51 @@ def _scan_ranges(path, ranges: list[tuple[int, int]], keep, stats: ParseStats):
 
     Yields the events of all ranges in line order, numbered from the
     start of the dump: those of ranges[0] as this process scans them,
-    while the children scan theirs, then each child's once it has exited.
-    A child that fails, exits non-zero or sends truncated data raises
-    OSError. Every child is reaped or killed before the scan returns,
-    raises or is closed. Every object that exists at the first fork stays
-    frozen (gc.freeze) until the last child is reaped, so no collection in
-    a child writes to an inherited object's header and so copies its page.
-    If the caller had already frozen objects, nothing is unfrozen.
+    while the children scan theirs, then each child's once it has exited,
+    read back from its file a batch at a time (see `_range_child`). A
+    child that fails, exits non-zero or writes truncated data raises
+    OSError. Every child is reaped or killed, and its file closed, before
+    the scan returns, raises or is closed. Every object that exists at the
+    first fork stays frozen (gc.freeze) until the last child is reaped, so
+    no collection in a child writes to an inherited object's header and
+    so copies its page. If the caller had already frozen objects, nothing
+    is unfrozen.
     """
-    children: dict[int, io.BufferedReader] = {}  # pid -> read end of its pipe, in range order
+    pids, files = [], []  # the children and the files of their events, in range order
     thaw = gc.get_freeze_count() == 0
     gc.freeze()
     try:
         for start, end in ranges[1:]:
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
+            files.append(tempfile.TemporaryFile())
+            pid = os.fork()
             if pid == 0:
-                os.close(read_fd)
-                _range_child(write_fd, path, start, end, keep)
-            os.close(write_fd)
-            children[pid] = open(read_fd, "rb")
+                _range_child(files[-1], path, start, end, keep)
+            pids.append(pid)
         offset = yield from _scan_evidence(_read_blocks(path, *ranges[0]), keep, stats)
-        for (start, end), pid in zip(ranges[1:], list(children)):
-            with children[pid] as pipe:
-                payload = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            del children[pid]
-            if thaw and not children:
+        for (start, end), events in zip(ranges[1:], files):
+            _, status = os.waitpid(pids[0], 0)
+            del pids[0]
+            if thaw and not pids:
                 gc.unfreeze()
                 thaw = False
             if status != 0:
-                raise OSError(
-                    f"scan of bytes {start}-{end} failed in a child process "
-                    f"(exit status {os.waitstatus_to_exitcode(status)})"
-                )
+                code = os.waitstatus_to_exitcode(status)
+                raise OSError(f"scan of bytes {start}-{end} failed in a child process (exit status {code})")
+            events.seek(0)
             try:
-                events, n_lines, non_blank = marshal.loads(payload)
+                while isinstance(batch := marshal.load(events), bytes):
+                    for line_no, kind, value in marshal.loads(batch):
+                        yield offset + line_no, kind, value
+                n_lines, non_blank = batch
             except (EOFError, ValueError) as exc:
                 raise OSError(f"scan of bytes {start}-{end} sent truncated data") from exc
+            events.close()
             stats.lines += non_blank
-            for line_no, kind, value in events:
-                yield offset + line_no, kind, value
             offset += n_lines
     finally:
-        for pid, pipe in children.items():
-            pipe.close()
+        for events in files:
+            events.close()
+        for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         if thaw:

@@ -406,31 +406,37 @@ def test_issue_rate_ceiling_is_checked_before_classify(golden_input, monkeypatch
         )
 
 
-def _scan_range_failing_in_child(path, start, end, keep):
+def _read_blocks_failing_in_child(path, start, end):
     if start > 0:
         raise RuntimeError("range scan failed")
-    return _scan_range(path, start, end, keep)
+    return _read_blocks(path, start, end)
 
 
-_scan_range = ingest._scan_range
+_read_blocks = ingest._read_blocks
 
 
 @pytest.mark.parametrize(
     "attr,replacement",
     [
-        ("_scan_range", _scan_range_failing_in_child),
+        ("_read_blocks", _read_blocks_failing_in_child),
+        # The child writes each batch of events one byte short.
         ("marshal", types.SimpleNamespace(
-            dump=lambda value, out: out.write(marshal.dumps(value)[:-1]),
+            dump=marshal.dump,
+            dumps=lambda value: marshal.dumps(value)[:-1],
+            load=marshal.load,
             loads=marshal.loads,
         )),
     ],
     ids=["raises", "truncated"],
 )
-def test_failed_range_scan_is_fatal_and_names_file(golden_input, monkeypatch, attr, replacement):
+def test_failed_range_scan_is_fatal_and_names_file(
+    golden_input, monkeypatch, nothing_left_behind, attr, replacement
+):
     monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", 1)
     monkeypatch.setattr(ingest, attr, replacement)
     evidence = golden_input / "evidence.jsonl"
-    with pytest.raises(FatalInputError, match="evidence.jsonl"):
+    message = "failed in a child process" if attr == "_read_blocks" else "sent truncated data"
+    with pytest.raises(FatalInputError, match=f"evidence.jsonl: scan of bytes .* {message}"):
         run_pipeline(
             PipelineConfig(),
             publications_path=golden_input / "publications.csv",
@@ -440,9 +446,10 @@ def test_failed_range_scan_is_fatal_and_names_file(golden_input, monkeypatch, at
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert gc.get_freeze_count() == 0
+    nothing_left_behind()
 
 
-def test_a_fold_that_raises_during_a_range_scan_leaves_no_child(golden_input, monkeypatch):
+def test_a_fold_that_raises_during_a_range_scan_leaves_no_child(golden_input, monkeypatch, nothing_left_behind):
     monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", 64)
     evidence = golden_input / "evidence.jsonl"
     assert len(ingest._byte_ranges(evidence, 2)) == 2
@@ -460,6 +467,7 @@ def test_a_fold_that_raises_during_a_range_scan_leaves_no_child(golden_input, mo
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert gc.get_freeze_count() == 0
+    nothing_left_behind()
 
 
 def test_one_store_takes_one_add_per_publication_and_a_classify_run_reads_no_url(golden_input, monkeypatch):
@@ -501,6 +509,8 @@ def test_issue_log_and_bundle_identical_across_shards(golden_input, tmp_path, mo
     )
     monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", 64)
     assert len(ingest._byte_ranges(dump, 3)) == 3
+    # Each child's events cross in batches of one, so each record and issue ends a batch.
+    monkeypatch.setattr(ingest, "_RANGE_BATCH", 1)
     outputs = []
     for shards in ("1", "3"):
         out = tmp_path / f"out_{shards}"
@@ -894,6 +904,49 @@ def test_bundle_table_naming_an_input_is_a_config_error(golden_input, tmp_path):
     # The check comes before any input is read: a missing input is not reached.
     args[args.index("-e") + 1] = str(tmp_path / "missing.jsonl")
     assert CliRunner().invoke(main, ["classify", *args]).exit_code == 2
+
+
+def _older_bundle(out):
+    """A bundle of every report table in `out`, each file an older table; region_medians.csv is a directory."""
+    out.mkdir()
+    for name in cli.REPORT_TABLES:
+        if name == "region_medians":
+            (out / f"{name}.csv").mkdir()
+        else:
+            (out / f"{name}.csv").write_bytes(f"an older {name} table\r\n".encode())
+    return _contents(out)
+
+
+def _contents(out):
+    return {p.name: p.read_bytes() if p.is_file() else list(p.iterdir()) for p in sorted(out.iterdir())}
+
+
+def test_bundle_table_naming_a_directory_is_a_config_error(golden_input, tmp_path):
+    out = tmp_path / "out"
+    before = _older_bundle(out)
+    args = _golden_args(golden_input, out)
+    result = CliRunner().invoke(main, ["report", *args])
+    assert result.exit_code == 2, result.output
+    assert f"error: {out / 'region_medians.csv'}: a table would overwrite an input or a directory" in result.output
+    # No table that sorts before it was replaced.
+    assert _contents(out) == before
+    # The check comes before any input is read: a missing input is not reached.
+    args[args.index("-e") + 1] = str(tmp_path / "missing.jsonl")
+    assert CliRunner().invoke(main, ["report", *args]).exit_code == 2
+
+
+@pytest.mark.parametrize("evidence", ["evidence.jsonl", "missing.jsonl"])
+def test_an_out_dir_that_is_a_file_is_a_config_error(golden_input, tmp_path, evidence):
+    out = tmp_path / "out"
+    before = _older_bundle(out)
+    # The check comes before any input is read: a missing input is not reached.
+    with pytest.raises(ConfigurationError, match="profiles.csv: output directory is not a directory") as raised:
+        run_pipeline(
+            PipelineConfig(), golden_input / "publications.csv", golden_input / evidence,
+            golden_input / "institutions.csv", golden_input / "journals.csv", out_dir=out / "profiles.csv",
+        )
+    assert raised.value.exit_code == 2
+    assert _contents(out) == before
 
 
 @pytest.mark.parametrize("tables,affiliations", [

@@ -86,8 +86,10 @@ MAX_PEAK_BYTES_PER_PUB_CLASSIFIED = 250
 #: yielding the first range's events as they are read, about 387 B; with
 #: one store that holds every publication until the scan ends, about
 #: 468 B; with one that tallies its lists every 1,024 publications, about
-#: 404 B. The child's memory is its own and is not traced.
-MAX_PEAK_BYTES_PER_PUB_TWO_RANGES = 450
+#: 404 B. Reading each child's events back from a file a batch at a time,
+#: not its whole payload at once, 295.7 B, as in one process (298.1 B); the
+#: headroom is about 8%. The child's memory is its own and is not traced.
+MAX_PEAK_BYTES_PER_PUB_TWO_RANGES = 320
 
 #: Private bytes (Private_Dirty) the forked child of a two-range scan may
 #: hold per further publication once its scan is done and it has run a
@@ -106,8 +108,11 @@ MAX_CHILD_PRIVATE_BYTES_PER_PUB = 540
 #: so that the figure is what the child copies itself; measured after
 #: the runs above. Unfrozen, 350-403 B in 6 runs of the whole suite and
 #: 261-267 B in 6 runs of this test alone. Frozen, 76-135 B and 170-179 B
-#: in 8 runs each. The headroom is about 35%.
-MAX_HELD_CHILD_PRIVATE_BYTES_PER_PUB = 240
+#: in 8 runs each (93-132 B in 3 and 185-195 B in 8 later). With the child
+#: writing its events to a file in batches, not building their whole list,
+#: -14 to 37 B in 4 runs of the whole suite and 5-18 B in 8 alone; the
+#: headroom is about 60%, for the page granularity and the allocator.
+MAX_HELD_CHILD_PRIVATE_BYTES_PER_PUB = 60
 
 #: Private bytes that held-back child may hold at 4k publications.
 #: Unfrozen, its collection copies the page of every object of the
@@ -358,7 +363,7 @@ def _child_private_bytes(directory, n: int, monkeypatch, held: bool = False) -> 
     itself.
     """
     _write_run_inputs(directory, n, shards=2)
-    scan_range, read_blocks, report = ingest._scan_range, ingest._read_blocks, directory / "child_private_dirty"
+    scan_evidence, read_blocks, report = ingest._scan_evidence, ingest._read_blocks, directory / "child_private_dirty"
     run = os.getpid()
 
     def held_read_blocks(*args):
@@ -367,16 +372,17 @@ def _child_private_bytes(directory, n: int, monkeypatch, held: bool = False) -> 
             time.sleep(0.005)
         return read_blocks(*args)
 
-    def measured_scan_range(*args):
-        result = scan_range(*args)
-        gc.collect()
-        rollup = Path("/proc/self/smaps_rollup").read_text(encoding="ascii").splitlines()
-        (kib,) = (int(line.split()[1]) for line in rollup if line.startswith("Private_Dirty:"))
-        report.write_text(str(kib * 1024), encoding="ascii")
-        return result
+    def measured_scan_evidence(*args):
+        lines = yield from scan_evidence(*args)
+        if os.getpid() != run:
+            gc.collect()
+            rollup = Path("/proc/self/smaps_rollup").read_text(encoding="ascii").splitlines()
+            (kib,) = (int(line.split()[1]) for line in rollup if line.startswith("Private_Dirty:"))
+            report.write_text(str(kib * 1024), encoding="ascii")
+        return lines
 
     with monkeypatch.context() as patch:
-        patch.setattr(ingest, "_scan_range", measured_scan_range)
+        patch.setattr(ingest, "_scan_evidence", measured_scan_evidence)
         if held:
             patch.setattr(ingest, "_read_blocks", held_read_blocks)
         report.unlink(missing_ok=True)

@@ -756,8 +756,9 @@ _DUMP_LINE = st.one_of(
     bom=st.booleans(),
     kept=st.sets(st.sampled_from(_DUMP_DOIS)),
     min_range=st.integers(1, 64),
+    batch=st.integers(1, 3),
 )
-def test_range_scan_matches_one_range_scan(lines, endings, final_newline, bom, kept, min_range):
+def test_range_scan_matches_one_range_scan(lines, endings, final_newline, bom, kept, min_range, batch):
     data = b"".join(line + end for line, end in zip(lines, endings))
     if lines and not final_newline:
         data = data[: -len(endings[len(lines) - 1])]
@@ -774,7 +775,8 @@ def test_range_scan_matches_one_range_scan(lines, endings, final_newline, bom, k
         dump = Path(tmp) / "dump.jsonl"
         dump.write_bytes(data)
         expected = scan(dump, 1)
-        with mock.patch.object(ingest, "_MIN_RANGE_BYTES", min_range):
+        # Small batches put records, issues and duplicate DOIs on both sides of a batch end.
+        with mock.patch.object(ingest, "_MIN_RANGE_BYTES", min_range), mock.patch.object(ingest, "_RANGE_BATCH", batch):
             for processes in (2, 3, 4):
                 ranges = ingest._byte_ranges(dump, processes)
                 if ranges:
@@ -886,7 +888,7 @@ def test_range_scan_leaves_a_callers_freeze_in_place(tmp_path, monkeypatch):
         gc.unfreeze()
 
 
-def test_closing_a_range_scan_leaves_no_child(tmp_path, monkeypatch):
+def test_closing_a_range_scan_leaves_no_child(tmp_path, monkeypatch, nothing_left_behind):
     dump, keep = _two_range_dump(tmp_path, monkeypatch)
     records = parse_evidence_stream(dump, keep=keep, processes=2)
     assert next(records).doi == "10.1/0"
@@ -894,6 +896,7 @@ def test_closing_a_range_scan_leaves_no_child(tmp_path, monkeypatch):
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert gc.get_freeze_count() == 0
+    nothing_left_behind()
 
 
 def test_range_scan_splits_a_dump_at_line_starts(tmp_path, monkeypatch):
